@@ -19,7 +19,7 @@ from .complex import (
 )
 from .cohomology import (
     audit_chain_map, build_J, build_J_even, build_J_odd, build_K, cohomology,
-    distinguished_quotient, image_basis, kernel_basis,
+    distinguished_quotient,
 )
 from .operators import (
     classify, is_band_preserving, is_local_multiplier, is_multiplier,

@@ -16,14 +16,12 @@ from .algebra import (
     AlgebraSpec, ORDER_ATOMIC, add, basis_element, multiply, sub,
 )
 from .linalg import (
-    Mat, Echelon, column_space, complete_basis, kernel, rref, span_dim,
+    Mat, Echelon, axpy, column_space, complete_basis, kernel, rref, span_dim,
 )
-from .multilinear import (
-    MultilinearMap, SubspaceBasis, all_tuples, from_flat, tuple_index,
-)
+from .multilinear import MultilinearMap, SubspaceBasis, all_tuples, from_flat
 from .complex import (
-    DEFAULT_DEGREE_CAP, TAG_BAND, TAG_FULL, TAG_IDEAL, _tag_is_full,
-    apply_d, check_cap, index_coboundary_matrix, tag_subspace,
+    DEFAULT_DEGREE_CAP, TAG_BAND, TAG_FULL, apply_d, check_cap,
+    coboundary_images, expand_index_matrix, index_coboundary_matrix, tag_basis,
 )
 
 CONVENTION_SHIFTED = "shifted"
@@ -31,66 +29,20 @@ CONVENTION_STANDARD = "standard"
 CONVENTIONS = (CONVENTION_SHIFTED, CONVENTION_STANDARD)
 
 
-def kernel_basis(mat: Mat) -> list:
-    """Canonical nullspace basis (sparse rows over mat.ncols)."""
-    return kernel(mat)
-
-
-def image_basis(mat: Mat) -> list:
-    """Canonical column-space basis (sparse rows over mat.nrows)."""
-    return column_space(mat)
-
-
-def _expand_index_rows(idx_rows, d: int) -> list:
-    """Tensor index-space vectors with each output coordinate direction."""
-    out = []
-    for r in idx_rows:
-        for k in range(d):
-            out.append({c * d + k: v for c, v in r.items()})
-    return out
-
-
-def _restricted_kernel_rows(spec, degree, tag, cap):
-    """Flat basis of ker(d) within the tag subspace at the given degree."""
-    basis = tag_subspace(spec, degree + 1, tag)
-    img_cols = [apply_d(spec, m, cap=cap).flatten() for m in basis.members]
-    nrows = spec.dim ** (degree + 3)
-    rows = [dict() for _ in range(nrows)]
-    for j, col in enumerate(img_cols):
-        for i, v in col.items():
-            rows[i][j] = v
-    coeff_kernel = kernel(Mat(nrows, len(img_cols), rows))
-    flats = basis.flat_rows()
-    out = []
-    for comb in coeff_kernel:
-        acc = {}
-        for j, c in comb.items():
-            for col, v in flats[j].items():
-                nv = acc.get(col, 0) + c * v
-                if nv:
-                    acc[col] = nv
-                else:
-                    acc.pop(col, None)
-        out.append(acc)
-    return rref(out)
-
-
-def _restricted_image_rows(spec, src_degree, tag, cap):
-    """Flat basis of d(tag subspace at src_degree)."""
-    basis = tag_subspace(spec, src_degree + 1, tag)
-    return rref([apply_d(spec, m, cap=cap).flatten() for m in basis.members])
-
-
 def cocycle_space(spec: AlgebraSpec, degree: int, tag: str,
                   cap: int = DEFAULT_DEGREE_CAP) -> list:
     """Flat basis rows of the degree-`degree` cocycles of the tag complex."""
     check_cap(degree + 1, cap)
-    if _tag_is_full(spec, tag):
-        if tag == TAG_IDEAL:
-            tag_subspace(spec, degree + 1, tag)
-        idx = kernel(index_coboundary_matrix(spec, degree, cap))
-        return _expand_index_rows(idx, spec.dim)
-    return _restricted_kernel_rows(spec, degree, tag, cap)
+    basis = tag_basis(spec, degree, tag)
+    if basis is None:
+        m = index_coboundary_matrix(spec, degree, cap)
+        z = kernel(m)
+        return expand_index_matrix(Mat(len(z), m.ncols, z), spec.dim).rows
+    rows = basis.flat_rows()
+    images = coboundary_images(spec, degree, rows, cap)
+    coeffs = kernel(Mat.from_columns(spec.dim ** (degree + 3), images))
+    members = Mat(len(rows), spec.dim ** (degree + 2), rows)
+    return rref(Mat(len(coeffs), len(rows), coeffs).matmul(members).rows)
 
 
 def coboundary_space(spec: AlgebraSpec, degree: int, tag: str,
@@ -99,12 +51,12 @@ def coboundary_space(spec: AlgebraSpec, degree: int, tag: str,
     if degree == 0:
         return []
     check_cap(degree, cap)
-    if _tag_is_full(spec, tag):
-        if tag == TAG_IDEAL:
-            tag_subspace(spec, degree, tag)
-        idx = column_space(index_coboundary_matrix(spec, degree - 1, cap))
-        return _expand_index_rows(idx, spec.dim)
-    return _restricted_image_rows(spec, degree - 1, tag, cap)
+    basis = tag_basis(spec, degree - 1, tag)
+    if basis is None:
+        m = index_coboundary_matrix(spec, degree - 1, cap)
+        b = column_space(m)
+        return expand_index_matrix(Mat(len(b), m.nrows, b), spec.dim).rows
+    return rref(coboundary_images(spec, degree - 1, basis.flat_rows(), cap))
 
 
 @dataclass(frozen=True)
@@ -130,17 +82,16 @@ def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
     else:
         z_degree = n
     check_cap(z_degree + 1, cap)
-    if _tag_is_full(spec, tag) and z_degree >= 1:
+    if tag_basis(spec, z_degree, tag) is None:
         # stay at the index level; both spaces factor through it
-        if tag == TAG_IDEAL:
-            tag_subspace(spec, z_degree + 1, tag)
         d = spec.dim
         z_idx = kernel(index_coboundary_matrix(spec, z_degree, cap))
-        b_idx = column_space(index_coboundary_matrix(spec, z_degree - 1, cap))
-        reps_idx = complete_basis(b_idx, z_idx)
+        b_idx = (column_space(index_coboundary_matrix(spec, z_degree - 1, cap))
+                 if z_degree else [])
         dim_z = d * len(z_idx)
         dim_b = d * len(b_idx)
-        rep_rows = _expand_index_rows(reps_idx, d)
+        reps_idx = complete_basis(b_idx, z_idx)
+        rep_rows = expand_index_matrix(Mat(len(reps_idx), d ** (z_degree + 1), reps_idx), d).rows
     else:
         z_rows = cocycle_space(spec, z_degree, tag, cap)
         b_rows = coboundary_space(spec, z_degree, tag, cap)
@@ -199,12 +150,11 @@ def distinguished_quotient(spec: AlgebraSpec, kind: str,
         dim_kernel = len(cocycle_space(spec, 1, TAG_FULL, cap))
         restricted = multiplier_space(spec)
     elif kind == "oo":
-        dim_kernel = len(_restricted_kernel_rows(spec, 1, TAG_BAND, cap))
+        dim_kernel = len(cocycle_space(spec, 1, TAG_BAND, cap))
         restricted = orthomorphism_space(spec)
     else:
         raise ValueError(f"unknown quotient kind {kind!r}")
-    images = [apply_d(spec, m, cap=cap).flatten() for m in restricted.members]
-    dim_image = span_dim(images)
+    dim_image = span_dim(coboundary_images(spec, 0, restricted.flat_rows(), cap))
     return DistinguishedQuotient(kind, dim_kernel, dim_image, dim_kernel - dim_image)
 
 
@@ -354,34 +304,28 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     d = spec.dim
 
     ker_d1 = cocycle_space(spec, 1, TAG_FULL, cap)
-    mult_images = rref([apply_d(spec, m, cap=cap).flatten()
-                        for m in multiplier_space(spec).members])
+    mult_images = rref(coboundary_images(spec, 0, multiplier_space(spec).flat_rows(), cap))
 
     def image_of(flat_row):
         psi = from_flat(d, 2, flat_row)
         return fn(spec, psi, cap)
 
+    img_rows = [image_of(row).flatten() for row in ker_d1]
+
     # cocycle preservation: images of ker d_1 must be killed by d_g
     cocycle = CheckResult(True)
     agreement = True
     naive_cost = (d ** (g + 2)) * factorial(g + 2)
-    for row in ker_d1:
-        img = image_of(row)
-        dd = apply_d(spec, img, cap=cap)
+    for row, img, dd in zip(ker_d1, img_rows, coboundary_images(spec, g, img_rows, cap)):
         if agreement and g % 2 == 0 and naive_cost <= 2_000_000:
-            dd_naive = apply_d(spec, img, cap=cap, naive=True)
-            agreement = agreement and dd == dd_naive
-        if not dd.is_zero():
-            for flat, e in enumerate(dd.coeffs):
-                for k, v in enumerate(e):
-                    if v:
-                        cocycle = CheckResult(False, {
-                            "input": row, "tuple_flat": flat, "coord": k, "value": v,
-                        })
-                        break
-                if not cocycle.ok:
-                    break
-        if not cocycle.ok:
+            naive = apply_d(spec, from_flat(d, g + 1, img), cap=cap, naive=True)
+            agreement = dd == naive.flatten()
+        if dd:
+            first = min(dd)
+            flat, coord = divmod(first, d)
+            cocycle = CheckResult(False, {
+                "input": row, "tuple_flat": flat, "coord": coord, "value": dd[first],
+            })
             break
 
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
@@ -394,32 +338,15 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
             break
 
     # injectivity: {v in ker d_1 : image(v) in im d_{g-1}} must lie in d_0(multipliers)
-    img_rows = [image_of(row).flatten() for row in ker_d1]
-    b_rows = b_target.rows()
     r = len(ker_d1)
-    ncols_flat = d ** (g + 2)
-    stacked_rows = [dict() for _ in range(ncols_flat)]
-    for j, col in enumerate(img_rows):
-        for i, v in col.items():
-            stacked_rows[i][j] = v
-    for j, col in enumerate(b_rows):
-        for i, v in col.items():
-            stacked_rows[i][r + j] = v
-    stacked = Mat(ncols_flat, r + len(b_rows), stacked_rows)
+    stacked = Mat.from_columns(d ** (g + 2), img_rows + b_target.rows())
     injective = CheckResult(True)
     mult_ech = Echelon(mult_images)
     for kvec in kernel(stacked):
-        comb = {j: v for j, v in kvec.items() if j < r}
-        if not comb:
-            continue
         acc = {}
-        for j, c in comb.items():
-            for col, v in ker_d1[j].items():
-                nv = acc.get(col, 0) + c * v
-                if nv:
-                    acc[col] = nv
-                else:
-                    acc.pop(col, None)
+        for j, c in kvec.items():
+            if j < r:
+                axpy(acc, c, ker_d1[j])
         if not mult_ech.contains(acc):
             injective = CheckResult(False, {"cocycle": acc})
             break

@@ -1,4 +1,4 @@
-"""Coboundary operators and their exact matrices.
+"""The coboundary operator and the complexes it acts on.
 
 Degree bookkeeping: a degree-n cochain is an (n+1)-linear map and the
 coboundary takes degree n to degree n+1.  The formulas, by source degree:
@@ -11,28 +11,32 @@ coboundary takes degree n to degree n+1.  The formulas, by source degree:
                 arguments of P(x_{s1}*x_{s2}, x_{s3}, .., x_{s(n+2)})
 
 The coboundary never touches the value coordinate of the cochain (it only
-multiplies and permutes arguments), so its matrix on flattened cochains is
-an "index-level" matrix, acting on argument index tuples, tensored with the
-identity on output coordinates.  All heavy computations (d o d = 0 checks,
-kernel and image dimensions of the full complex) run at the index level;
-the flat matrix is expanded from it on demand.
+multiplies and permutes arguments), so on flattened cochains it is an
+"index-level" matrix, acting on argument index tuples, tensored with the
+identity on output coordinates.  That matrix, built once per algebra and
+degree, is the only coboundary operator: every application of d is a
+sparse product with it.  The full complex is eliminated at the index level
+itself.  The ideal and band complexes are given by a basis of flat
+cochains (their tag basis), and d is applied to those rows.
 
 The symmetric-group sum is evaluated by grouping permutations per distinct
-rearrangement of the index tuple (each arises the same number of times); a
-naive per-permutation evaluator is kept as an independent oracle.
+rearrangement of the index tuple (each arises the same number of times).
+A naive per-permutation evaluator, apply_d(..., naive=True), is kept only
+as an independent oracle for tests and audits.
 """
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import AlgebraSpec, ORDER_ATOMIC, add, sub, zero_element
-from .linalg import Mat, Echelon, solve_in_basis
+from .algebra import (
+    AlgebraSpec, DOMAIN_ASSERTED, ORDER_NONE, add, zero_element,
+)
+from .linalg import Mat, Echelon, axpy
 from .multilinear import (
-    MultilinearMap, SubspaceBasis, all_tuples, canonical_basis,
-    subspace_band_preserving, subspace_ideal_preserving, tuple_index,
+    MultilinearMap, all_tuples, from_flat, subspace_band_preserving,
+    subspace_ideal_preserving, tuple_index,
 )
 
 DEFAULT_DEGREE_CAP = 5
@@ -110,54 +114,56 @@ def _output_terms(spec: AlgebraSpec, n: int, t: tuple, naive: bool = False):
 
 def apply_d(spec: AlgebraSpec, f: MultilinearMap, cap: int = DEFAULT_DEGREE_CAP,
             naive: bool = False) -> MultilinearMap:
-    """The coboundary of a degree-(arity-1) cochain; output arity + 1."""
+    """The coboundary of a degree-(arity-1) cochain; output arity + 1.
+
+    naive=True evaluates the defining formula term by term, one
+    permutation at a time, as an oracle for the index matrix.
+    """
     n = f.arity - 1
     check_cap(n + 1, cap)
     d = spec.dim
+    if not naive:
+        (image,) = coboundary_images(spec, n, [f.flatten()], cap)
+        return from_flat(d, f.arity + 1, image)
     coeffs = []
     for t in all_tuples(d, f.arity + 1):
         acc = zero_element(d)
-        for idx, v in _output_terms(spec, n, t, naive=naive):
+        for idx, v in _output_terms(spec, n, t, naive=True):
             acc = add(acc, tuple(v * c for c in f.coeffs[tuple_index(idx, d)]))
         coeffs.append(acc)
     return MultilinearMap(f.arity + 1, d, tuple(coeffs))
 
 
 def index_coboundary_matrix(spec: AlgebraSpec, n: int, cap: int = DEFAULT_DEGREE_CAP) -> Mat:
-    """Index-level matrix of d_n: d^{n+2} rows by d^{n+1} columns."""
+    """Index-level matrix of d_n: d^{n+2} rows by d^{n+1} columns.
+
+    Built once per (algebra, degree) and shared: callers must not mutate it.
+    """
+    if n < 0:
+        raise ValueError(f"cochain degrees start at 0, so d_{n} is undefined")
     check_cap(n + 1, cap)
+    return _index_matrix(spec, n)
+
+
+@lru_cache(maxsize=None)
+def _index_matrix(spec: AlgebraSpec, n: int) -> Mat:
     d = spec.dim
-    m = n + 1
+    # in even degree >= 2 a row depends on its output tuple only through
+    # the multiset of its indices, and equal rows share one dict
+    symmetric = n >= 2 and n % 2 == 0
+    by_key = {}
     rows = []
-    if n >= 2 and n % 2 == 0:
-        # rows depend on the output tuple only through its multiset
-        cache = {}
-        for t in all_tuples(d, m + 1):
-            key = tuple(sorted(t))
-            row = cache.get(key)
-            if row is None:
-                row = {}
-                for idx, v in _output_terms(spec, n, t):
-                    col = tuple_index(idx, d)
-                    nv = row.get(col, 0) + v
-                    if nv:
-                        row[col] = nv
-                    else:
-                        row.pop(col, None)
-                cache[key] = row
-            rows.append(dict(row))
-    else:
-        for t in all_tuples(d, m + 1):
-            row = {}
+    for t in all_tuples(d, n + 2):
+        key = tuple(sorted(t)) if symmetric else t
+        row = by_key.get(key)
+        if row is None:
+            acc = {}
             for idx, v in _output_terms(spec, n, t):
                 col = tuple_index(idx, d)
-                nv = row.get(col, 0) + v
-                if nv:
-                    row[col] = nv
-                else:
-                    row.pop(col, None)
-            rows.append(row)
-    return Mat(d ** (m + 1), d ** m, rows)
+                acc[col] = acc.get(col, 0) + v
+            row = by_key[key] = {c: v for c, v in acc.items() if v}
+        rows.append(row)
+    return Mat(d ** (n + 2), d ** (n + 1), rows)
 
 
 def expand_index_matrix(mat: Mat, d: int) -> Mat:
@@ -169,19 +175,45 @@ def expand_index_matrix(mat: Mat, d: int) -> Mat:
     return Mat(mat.nrows * d, mat.ncols * d, rows)
 
 
-def tag_subspace(spec: AlgebraSpec, arity: int, tag: str) -> SubspaceBasis:
+def coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_DEGREE_CAP) -> list:
+    """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows.
+
+    Each image is (index matrix (x) identity) times the row: the entries
+    of the row with output coordinate k form one index-level vector, and
+    the index matrix maps it to the entries of the image with coordinate k.
+    """
+    d = spec.dim
+    columns = index_coboundary_matrix(spec, n, cap).transpose().rows
+    images = []
+    for x in rows:
+        parts = [{} for _ in range(d)]
+        for col, v in x.items():
+            c, k = divmod(col, d)
+            axpy(parts[k], v, columns[c])
+        images.append({r * d + k: v for k, part in enumerate(parts) for r, v in part.items()})
+    return images
+
+
+def tag_basis(spec: AlgebraSpec, degree: int, tag: str):
+    """Basis of the tag complex at `degree`, or None when it is every cochain.
+
+    This is the one place that decides between the whole cochain space,
+    whose coboundary is eliminated at the index level, and a tag basis
+    fed to coboundary_images.  A field has only trivial ideals, so the
+    ideal complex of an asserted domain is the full complex.  Raises
+    OrderStructureRequired or UnsupportedAlgebra where the tag is not
+    defined for the algebra.
+    """
+    arity = degree + 1
     if tag == TAG_FULL:
-        return canonical_basis(spec.dim, arity)
+        return None
     if tag == TAG_IDEAL:
+        if spec.order_mode == ORDER_NONE and spec.domain_status == DOMAIN_ASSERTED:
+            return None
         return subspace_ideal_preserving(spec, arity)
     if tag == TAG_BAND:
         return subspace_band_preserving(spec, arity)
     raise ValueError(f"unknown complex tag {tag!r}")
-
-
-def _tag_is_full(spec: AlgebraSpec, tag: str) -> bool:
-    """Ideal-preserving cochains on a field fill the whole space."""
-    return tag == TAG_FULL or (tag == TAG_IDEAL and spec.order_mode != ORDER_ATOMIC)
 
 
 def coboundary_matrix(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
@@ -192,18 +224,11 @@ def coboundary_matrix(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
     rows are indexed by the degree-(n+1) ambient canonical basis, so the
     shape is d^{n+3} by (tag dimension at degree n).
     """
-    if _tag_is_full(spec, tag):
-        if tag == TAG_IDEAL:
-            tag_subspace(spec, n + 1, tag)  # raises Unsupported where applicable
+    basis = tag_basis(spec, n, tag)
+    if basis is None:
         return expand_index_matrix(index_coboundary_matrix(spec, n, cap), spec.dim)
-    basis = tag_subspace(spec, n + 1, tag)
-    cols = [apply_d(spec, m, cap=cap).flatten() for m in basis.members]
-    nrows = spec.dim ** (n + 3)
-    rows = [dict() for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows[i][j] = v
-    return Mat(nrows, len(cols), rows)
+    return Mat.from_columns(spec.dim ** (n + 3),
+                            coboundary_images(spec, n, basis.flat_rows(), cap))
 
 
 @dataclass(frozen=True)
@@ -218,49 +243,26 @@ class ComplexLawReport:
 
 def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
                    cap: int = DEFAULT_DEGREE_CAP) -> ComplexLawReport:
-    """Multiply consecutive coboundary matrices and report zero products."""
+    """Multiply consecutive coboundary matrices and report zero products.
+
+    On a tag basis the product's columns are d(d(member)), one per basis
+    member at degree n, over the flat degree-(n+2) coordinates.
+    """
     check_cap(max_n + 2, cap)
     results = []
-    if _tag_is_full(spec, tag):
-        mats = [index_coboundary_matrix(spec, n, cap) for n in range(max_n + 2)]
-        for n in range(max_n + 1):
-            prod = mats[n + 1].matmul(mats[n])
-            results.append((n, prod.is_zero(), prod.first_nonzero()))
-    else:
-        for n in range(max_n + 1):
-            src = tag_subspace(spec, n + 1, tag)
-            mid = tag_subspace(spec, n + 2, tag)
-            mid_rows = [m.flatten() for m in mid.members]
-            mid_ech = Echelon(mid_rows).rows()
-            # coordinates of d_n images in the degree-(n+1) subspace basis
-            coord_cols = []
-            for member in src.members:
-                img = apply_d(spec, member, cap=cap).flatten()
-                coords = solve_in_basis(mid_ech, img)
-                if coords is None:
-                    raise ValueError(f"subcomplex {tag} is not closed at degree {n}")
-                coord_cols.append(coords)
-            coord_mat = Mat(len(mid_ech), len(src.members),
-                            [{j: coord_cols[j][i] for j in range(len(coord_cols))
-                              if coord_cols[j][i]} for i in range(len(mid_ech))])
-            # change of basis: echelon rows vs subspace members span the same
-            # space, so the product below is zero iff d_{n+1} o d_n is zero
-            next_cols = [apply_d(spec, from_rows(spec, n + 1, r), cap=cap).flatten()
-                         for r in mid_ech]
-            nrows = spec.dim ** (n + 4)
-            rows = [dict() for _ in range(nrows)]
-            for j, col in enumerate(next_cols):
-                for i, v in col.items():
-                    rows[i][j] = v
-            next_mat = Mat(nrows, len(next_cols), rows)
-            prod = next_mat.matmul(coord_mat)
-            results.append((n, prod.is_zero(), prod.first_nonzero()))
+    for n in range(max_n + 1):
+        basis = tag_basis(spec, n, tag)
+        if basis is None:
+            prod = index_coboundary_matrix(spec, n + 1, cap).matmul(
+                index_coboundary_matrix(spec, n, cap))
+        else:
+            if not verify_subcomplex_closure(spec, n, tag, cap)[0]:
+                raise ValueError(f"subcomplex {tag} is not closed at degree {n}")
+            images = coboundary_images(spec, n, basis.flat_rows(), cap)
+            prod = Mat.from_columns(spec.dim ** (n + 4),
+                                    coboundary_images(spec, n + 1, images, cap))
+        results.append((n, prod.is_zero(), prod.first_nonzero()))
     return ComplexLawReport(tag, tuple(results))
-
-
-def from_rows(spec: AlgebraSpec, degree: int, flat_row: dict) -> MultilinearMap:
-    from .multilinear import from_flat
-    return from_flat(spec.dim, degree + 1, flat_row)
 
 
 def verify_subcomplex_closure(spec: AlgebraSpec, n: int, tag: str,
@@ -271,10 +273,12 @@ def verify_subcomplex_closure(spec: AlgebraSpec, n: int, tag: str,
     """
     if tag not in (TAG_IDEAL, TAG_BAND):
         raise ValueError("closure check applies to the ideal and band tags")
-    src = tag_subspace(spec, n + 1, tag)
-    dst = Echelon(m.flatten() for m in tag_subspace(spec, n + 2, tag).members)
-    for member in src.members:
-        img = apply_d(spec, member, cap=cap).flatten()
-        if not dst.contains(img):
+    check_cap(n + 1, cap)
+    src = tag_basis(spec, n, tag)
+    if src is None:
+        return (True, None)
+    dst = Echelon(tag_basis(spec, n + 1, tag).flat_rows())
+    for member, image in zip(src.members, coboundary_images(spec, n, src.flat_rows(), cap)):
+        if not dst.contains(image):
             return (False, member)
     return (True, None)

@@ -14,6 +14,16 @@ from math import gcd, lcm
 Row = dict
 
 
+def axpy(acc: Row, a, x: Row) -> None:
+    """acc += a * x in place, keeping only nonzero entries."""
+    for c, v in x.items():
+        nv = acc.get(c, 0) + a * v
+        if nv:
+            acc[c] = nv
+        else:
+            acc.pop(c, None)
+
+
 @dataclass
 class Mat:
     nrows: int
@@ -25,6 +35,15 @@ class Mat:
         rows = [{j: Fraction(v) for j, v in enumerate(r) if v} for r in dense]
         ncols = len(dense[0]) if dense else 0
         return Mat(len(dense), ncols, rows)
+
+    @staticmethod
+    def from_columns(nrows: int, columns) -> "Mat":
+        """The matrix whose j-th column is the sparse vector columns[j]."""
+        rows = [dict() for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        return Mat(nrows, len(columns), rows)
 
     def to_dense(self):
         return [
@@ -48,21 +67,12 @@ class Mat:
         for r in self.rows:
             acc: Row = {}
             for k, v in r.items():
-                for j, w in other.rows[k].items():
-                    nv = acc.get(j, 0) + v * w
-                    if nv:
-                        acc[j] = nv
-                    else:
-                        acc.pop(j, None)
+                axpy(acc, v, other.rows[k])
             out.append(acc)
         return Mat(self.nrows, other.ncols, out)
 
     def transpose(self) -> "Mat":
-        rows = [dict() for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                rows[j][i] = v
-        return Mat(self.ncols, self.nrows, rows)
+        return Mat.from_columns(self.ncols, self.rows)
 
 
 def row_to_primitive(row: Row) -> Row:
@@ -83,15 +93,7 @@ def _reduce(row: Row, pivots: dict) -> Row:
     """Subtract pivot rows to clear every pivot column present in row."""
     r = dict(row)
     for pc in sorted(set(r) & set(pivots)):
-        f = r.pop(pc)
-        for c, v in pivots[pc].items():
-            if c == pc:
-                continue
-            nv = r.get(c, 0) - f * v
-            if nv:
-                r[c] = nv
-            else:
-                r.pop(c, None)
+        axpy(r, -r[pc], pivots[pc])
     return r
 
 
@@ -113,15 +115,7 @@ class Echelon:
         r = {c: v / lv for c, v in r.items()}
         for pr in self.pivots.values():
             if lead in pr:
-                f = pr.pop(lead)
-                for c, v in r.items():
-                    if c == lead:
-                        continue
-                    nv = pr.get(c, 0) - f * v
-                    if nv:
-                        pr[c] = nv
-                    else:
-                        pr.pop(c, None)
+                axpy(pr, -pr[lead], r)
         self.pivots[lead] = r
         return True
 
@@ -208,26 +202,3 @@ def complete_basis(inner_rows, ambient_rows) -> list:
             reps.append(dict(r))
     return reps
 
-
-def solve_in_basis(basis_rows, vec: Row):
-    """Coordinates of vec in an echelonized basis, or None if outside.
-
-    basis_rows must be echelon rows (distinct pivot columns, as produced
-    by Echelon.rows()).
-    """
-    r = dict(vec)
-    coords = []
-    for b in basis_rows:
-        p = min(b)
-        c = Fraction(r.get(p, 0), 1) / b[p]
-        coords.append(c)
-        if c:
-            for col, v in b.items():
-                nv = r.get(col, 0) - c * v
-                if nv:
-                    r[col] = nv
-                else:
-                    r.pop(col, None)
-    if r:
-        return None
-    return coords

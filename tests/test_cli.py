@@ -72,6 +72,29 @@ def test_cohomology_band_complex(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_ideal_complex_needs_asserted_domain(capsys, tmp_path):
+    # dual numbers Q[e]/(e^2): not atomic, and e is a zero divisor
+    dual = tmp_path / "dual.alg"
+    dual.write_text("name dual\ndim 2\nunit 1 0\n"
+                    "mult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = 0 0\n")
+    for argv in (["verify-complex", str(dual), "--complex", "ideal"],
+                 ["cohomology", str(dual), "--degree", "1", "--complex", "ideal"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "ideal-preserving subspace is only defined" in err
+    assert run_cli(capsys, "verify-complex", str(dual))[0] == 0
+
+
+def test_negative_degree(capsys):
+    for argv in (["--degree", "-2"], ["--degree", "-1", "--convention", "standard"]):
+        code, out, err = run_cli(capsys, "cohomology", Q, *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
+    # shifted degree -1 is ker d_0
+    code, out, _ = run_cli(capsys, "cohomology", Q, "--degree", "-1")
+    assert code == 0
+    assert json.loads(out)["dim_cocycles"] == 0
+
+
 def test_degree_cap_exit_code(capsys):
     code, out, err = run_cli(capsys, "cohomology", QSQRT2, "--degree", "9")
     assert code == 3 and out == "" and "error:" in err

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import basis_element, multiply
 from cohomolab.complex import (
@@ -10,8 +11,11 @@ from cohomolab.complex import (
     apply_d, coboundary_matrix, expand_index_matrix, index_coboundary_matrix,
     verify_dd_zero, verify_subcomplex_closure,
 )
-from cohomolab.linalg import rank
-from cohomolab.multilinear import from_coeff_function, zero_map
+from cohomolab.cohomology import cocycle_space
+from cohomolab.linalg import intersection, rank, rref
+from cohomolab.multilinear import (
+    from_coeff_function, from_flat, subspace_band_preserving, zero_map,
+)
 from cohomolab.cohomology import build_K
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 
@@ -74,6 +78,36 @@ def test_apply_d_grouped_matches_naive(qsqrt2, atomic3):
         grouped = apply_d(spec, psi)
         naive = apply_d(spec, psi, naive=True)
         assert grouped == naive
+
+
+ORACLE_CASES = [(fix, n)
+                for fix in ("q", "qsqrt2", "cubic2", "atomic2", "atomic3", "atomic4")
+                for n in range(4) if fix != "atomic4" or n <= 2]
+
+
+@pytest.mark.parametrize("fix,n", ORACLE_CASES)
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_apply_d_matches_naive_oracle(fix, n, data, request):
+    """The index-matrix operator agrees with the per-permutation evaluator."""
+    spec = request.getfixturevalue(fix)
+    entries = data.draw(st.dictionaries(
+        st.integers(0, spec.dim ** (n + 2) - 1),
+        st.integers(-3, 3).filter(bool), max_size=6))
+    f = from_flat(spec.dim, n + 1, {c: F(v) for c, v in entries.items()})
+    assert apply_d(spec, f) == apply_d(spec, f, naive=True)
+
+
+@pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])
+def test_band_cocycles_are_full_cocycles_in_band(fix, request):
+    """Band cocycles, against a Zassenhaus intersection of two independent spaces."""
+    spec = request.getfixturevalue(fix)
+    for n in range(3):
+        band = subspace_band_preserving(spec, n + 1).flat_rows()
+        full = cocycle_space(spec, n, TAG_FULL)
+        expected = rref(intersection(full, band, spec.dim ** (n + 2)))
+        assert cocycle_space(spec, n, TAG_BAND) == expected
 
 
 def test_apply_d_linear(qsqrt2):
@@ -139,6 +173,11 @@ def test_subcomplex_closure(atomic3, qsqrt2):
         assert verify_subcomplex_closure(atomic3, n, TAG_IDEAL) == (True, None)
     with pytest.raises(ValueError):
         verify_subcomplex_closure(qsqrt2, 1, TAG_FULL)
+
+
+def test_negative_degree_rejected(qsqrt2):
+    with pytest.raises(ValueError):
+        index_coboundary_matrix(qsqrt2, -1)
 
 
 def test_degree_cap(qsqrt2):

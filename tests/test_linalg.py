@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohomolab.linalg import (
     Echelon, Mat, column_space, complete_basis, intersection, kernel, rank,
-    row_to_primitive, rref, solve_in_basis, span_contains, span_dim, span_leq,
+    row_to_primitive, rref, span_contains, span_dim, span_leq,
 )
 
 F = Fraction
@@ -121,13 +121,6 @@ def test_complete_basis():
     assert len(extra) == 1
     assert span_dim(inner + extra) == 2
     assert complete_basis(inner, inner) == []
-
-
-def test_solve_in_basis():
-    basis = [{0: F(1), 1: F(1)}, {1: F(1), 2: F(1)}]
-    coords = solve_in_basis(basis, {0: F(2), 1: F(5), 2: F(3)})
-    assert coords == [F(2), F(3)]
-    assert solve_in_basis(basis, {0: F(1)}) is None
 
 
 matrices = st.lists(
