@@ -163,7 +163,8 @@ def _run(args) -> tuple:
             "dim_coboundaries": report.dim_coboundaries,
             "dim_cocycles": report.dim_cocycles,
             "representatives": [
-                [_rat(x) for e in m.coeffs for x in e]
+                [_rat(m.vec[i]) if i in m.vec else "0"
+                 for i in range(m.dim ** (m.arity + 1))]
                 for m in report.representatives.members
             ],
         })

@@ -1,4 +1,5 @@
-"""Kernel/image bases, cohomology reports, distinguished quotients, chain maps.
+"""Cocycle and coboundary spaces, cohomology reports, distinguished quotients,
+chain maps.
 
 Conventions: under "shifted" the degree-n group is ker d_{n+1} / im d_n
 (cocycles are (n+2)-linear), under "standard" it is ker d_n / im d_{n-1}.
@@ -13,12 +14,15 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import (
-    AlgebraSpec, ORDER_ATOMIC, add, basis_element, multiply, sub,
+    AlgebraSpec, ORDER_ATOMIC, add, basis_element, multiply, sub, zero_element,
 )
 from .linalg import (
     Mat, Echelon, axpy, column_space, complete_basis, kernel, rref, span_dim,
 )
-from .multilinear import MultilinearMap, SubspaceBasis, all_tuples, from_flat
+from .multilinear import (
+    MultilinearMap, OrderStructureRequired, SubspaceBasis, from_coeff_function,
+    from_flat, unit_tensor,
+)
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_BAND, TAG_FULL, apply_d, check_cap,
     coboundary_images, expand_index_matrix, index_coboundary_matrix, tag_basis,
@@ -111,28 +115,18 @@ def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
 
 def multiplier_space(spec: AlgebraSpec) -> SubspaceBasis:
     """Multiplication operators x -> x*w, one per basis w, as arity-1 cochains."""
-    d = spec.dim
-    members = []
-    for k in range(d):
-        coeffs = tuple(spec.structure[k][i] for i in range(d))
-        members.append(MultilinearMap(1, d, coeffs))
-    return SubspaceBasis(1, tuple(members))
+    return SubspaceBasis(1, tuple(
+        from_coeff_function(spec, 1, lambda idx, k=k: spec.structure[k][idx[0]])
+        for k in range(spec.dim)
+    ))
 
 
 def orthomorphism_space(spec: AlgebraSpec) -> SubspaceBasis:
     """Diagonal operators in the atom basis, as arity-1 cochains."""
     if spec.order_mode != ORDER_ATOMIC:
-        from .multilinear import OrderStructureRequired
         raise OrderStructureRequired("orthomorphisms need the atomic order")
     d = spec.dim
-    members = []
-    for k in range(d):
-        coeffs = tuple(
-            basis_element(d, k) if i == k else tuple(Fraction(0) for _ in range(d))
-            for i in range(d)
-        )
-        members.append(MultilinearMap(1, d, coeffs))
-    return SubspaceBasis(1, tuple(members))
+    return SubspaceBasis(1, tuple(unit_tensor(d, 1, k, k) for k in range(d)))
 
 
 @dataclass(frozen=True)
@@ -164,36 +158,15 @@ def distinguished_quotient(spec: AlgebraSpec, kind: str,
 
 def build_K(spec: AlgebraSpec, psi: MultilinearMap,
             cap: int = DEFAULT_DEGREE_CAP) -> MultilinearMap:
-    """(x1,x2,x3) -> x1*Psi(x2,x3) - x2*Psi(x1,x3)."""
-    if psi.arity != 2:
-        raise ValueError("chain maps take arity-2 cochains")
-    check_cap(2, cap)
-    d = spec.dim
-    coeffs = []
-    for i, j, k in all_tuples(d, 3):
-        coeffs.append(sub(
-            multiply(spec, basis_element(d, i), psi.coeff((j, k))),
-            multiply(spec, basis_element(d, j), psi.coeff((i, k))),
-        ))
-    return MultilinearMap(3, d, tuple(coeffs))
+    """(x1,x2,x3) -> x1*Psi(x2,x3) - x2*Psi(x1,x3), the n = 1 member of build_J_odd."""
+    return build_J_odd(spec, 1, psi, cap)
 
 
 def build_J(spec: AlgebraSpec, psi: MultilinearMap,
             cap: int = DEFAULT_DEGREE_CAP) -> MultilinearMap:
-    """(x1..x4) -> sum over permutations p of slots {2,3,4} of x1*x_{p2}*Psi(x_{p3},x_{p4})."""
-    if psi.arity != 2:
-        raise ValueError("chain maps take arity-2 cochains")
-    check_cap(3, cap)
-    d = spec.dim
-    coeffs = []
-    for t in all_tuples(d, 4):
-        acc = tuple(Fraction(0) for _ in range(d))
-        for p in itertools.permutations(t[1:]):
-            term = multiply(spec, basis_element(d, t[0]), basis_element(d, p[0]))
-            term = multiply(spec, term, psi.coeff((p[1], p[2])))
-            acc = add(acc, term)
-        coeffs.append(acc)
-    return MultilinearMap(4, d, tuple(coeffs))
+    """(x1..x4) -> sum over permutations p of slots {2,3,4} of x1*x_{p2}*Psi(x_{p3},x_{p4}),
+    the n = 1 member of build_J_even."""
+    return build_J_even(spec, 1, psi, cap)
 
 
 def build_J_even(spec: AlgebraSpec, n: int, psi: MultilinearMap,
@@ -201,7 +174,7 @@ def build_J_even(spec: AlgebraSpec, n: int, psi: MultilinearMap,
     """Arity 2n+2: sum over permutations p of slots {2..2n+2} of
     x1 * x_{p(2)} ... x_{p(2n)} * Psi(x_{p(2n+1)}, x_{p(2n+2)}).
 
-    Specializes to build_J at n = 1.
+    build_J is the n = 1 member.
     """
     if psi.arity != 2:
         raise ValueError("chain maps take arity-2 cochains")
@@ -210,20 +183,21 @@ def build_J_even(spec: AlgebraSpec, n: int, psi: MultilinearMap,
     arity = 2 * n + 2
     check_cap(arity - 1, cap)
     d = spec.dim
-    coeffs = []
-    for t in all_tuples(d, arity):
+
+    def value_at(t):
         tail = tuple(sorted(t[1:]))
         perms = sorted(set(itertools.permutations(tail)))
         weight = Fraction(factorial(len(tail)) // len(perms))
-        acc = tuple(Fraction(0) for _ in range(d))
+        acc = zero_element(d)
         for p in perms:
             term = basis_element(d, t[0])
             for q in p[: 2 * n - 1]:
                 term = multiply(spec, term, basis_element(d, q))
             term = multiply(spec, term, psi.coeff((p[2 * n - 1], p[2 * n])))
             acc = add(acc, tuple(weight * c for c in term))
-        coeffs.append(acc)
-    return MultilinearMap(arity, d, tuple(coeffs))
+        return acc
+
+    return from_coeff_function(spec, arity, value_at)
 
 
 def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap,
@@ -240,8 +214,8 @@ def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap,
     arity = 2 * n + 1
     check_cap(arity - 1, cap)
     d = spec.dim
-    coeffs = []
-    for t in all_tuples(d, arity):
+
+    def value_at(t):
         prefix = spec.unit
         for q in t[: 2 * n - 2]:
             prefix = multiply(spec, prefix, basis_element(d, q))
@@ -250,21 +224,24 @@ def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap,
             multiply(spec, basis_element(d, a), psi.coeff((b, c))),
             multiply(spec, basis_element(d, b), psi.coeff((a, c))),
         )
-        coeffs.append(multiply(spec, prefix, bracket))
-    return MultilinearMap(arity, d, tuple(coeffs))
+        return multiply(spec, prefix, bracket)
+
+    return from_coeff_function(spec, arity, value_at)
 
 
 CHAIN_MAPS = ("J", "K", "Jeven", "Jodd")
 
 
 def _chain_map_fn(name: str, n: int):
-    if name == "J":
-        return lambda spec, psi, cap: build_J(spec, psi, cap), 3
-    if name == "K":
-        return lambda spec, psi, cap: build_K(spec, psi, cap), 2
-    if name == "Jeven":
+    """The chain map's builder and the degree its images live in.
+
+    J and K are the n = 1 members of the Jeven and Jodd families.
+    """
+    if name in ("J", "K") and n != 1:
+        raise ValueError(f"{name} is the n = 1 chain map, got n = {n}")
+    if name in ("J", "Jeven"):
         return lambda spec, psi, cap: build_J_even(spec, n, psi, cap), 2 * n + 1
-    if name == "Jodd":
+    if name in ("K", "Jodd"):
         return lambda spec, psi, cap: build_J_odd(spec, n, psi, cap), 2 * n
     raise ValueError(f"unknown chain map {name!r}")
 

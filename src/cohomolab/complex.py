@@ -35,8 +35,8 @@ from .algebra import (
 )
 from .linalg import Mat, Echelon, axpy
 from .multilinear import (
-    MultilinearMap, all_tuples, from_flat, subspace_band_preserving,
-    subspace_ideal_preserving, tuple_index,
+    MultilinearMap, all_tuples, from_coeff_function, from_flat,
+    subspace_band_preserving, subspace_ideal_preserving, tuple_index,
 )
 
 DEFAULT_DEGREE_CAP = 5
@@ -125,13 +125,15 @@ def apply_d(spec: AlgebraSpec, f: MultilinearMap, cap: int = DEFAULT_DEGREE_CAP,
     if not naive:
         (image,) = coboundary_images(spec, n, [f.flatten()], cap)
         return from_flat(d, f.arity + 1, image)
-    coeffs = []
-    for t in all_tuples(d, f.arity + 1):
+    dense = [f.coeff(idx) for idx in all_tuples(d, f.arity)]
+
+    def value_at(t):
         acc = zero_element(d)
         for idx, v in _output_terms(spec, n, t, naive=True):
-            acc = add(acc, tuple(v * c for c in f.coeffs[tuple_index(idx, d)]))
-        coeffs.append(acc)
-    return MultilinearMap(f.arity + 1, d, tuple(coeffs))
+            acc = add(acc, tuple(v * c for c in dense[tuple_index(idx, d)]))
+        return acc
+
+    return from_coeff_function(spec, f.arity + 1, value_at)
 
 
 def index_coboundary_matrix(spec: AlgebraSpec, n: int, cap: int = DEFAULT_DEGREE_CAP) -> Mat:
@@ -248,6 +250,8 @@ def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
     On a tag basis the product's columns are d(d(member)), one per basis
     member at degree n, over the flat degree-(n+2) coordinates.
     """
+    if max_n < 0:
+        raise ValueError(f"cochain degrees start at 0, so max degree {max_n} checks nothing")
     check_cap(max_n + 2, cap)
     results = []
     for n in range(max_n + 1):

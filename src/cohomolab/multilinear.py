@@ -1,10 +1,10 @@
-"""Multilinear cochains on an algebra, stored as exact coefficient tensors.
+"""Multilinear cochains on an algebra, stored as sparse flat vectors.
 
-An arity-m cochain is determined by its values on basis tuples; we store
-those d^m Element values in lexicographic tuple order.  Flattened vectors
-are indexed (i_1, ..., i_m, output-coordinate), row-major with the output
-coordinate fastest, which fixes the column convention for every matrix in
-the chain complex.
+An arity-m cochain is determined by its values on basis tuples.  Its flat
+vector is indexed by (i_1, ..., i_m, output-coordinate), row-major with the
+output coordinate fastest: entry tuple_index(idx) * d + k is coordinate k
+of the value on the basis tuple idx.  This fixes the column convention for
+every matrix in the chain complex.  Only nonzero entries are stored.
 """
 
 import itertools
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraSpec, Element, ORDER_ATOMIC, ORDER_NONE, DOMAIN_ASSERTED,
-    add, basis_element, multiply, scale, zero_element,
+    add, basis_element, multiply, scale,
 )
 from .linalg import span_dim
 
@@ -41,13 +41,17 @@ def all_tuples(d: int, m: int):
 class MultilinearMap:
     arity: int
     dim: int
-    coeffs: tuple  # tuple[Element], length dim**arity, lexicographic
+    vec: dict  # flat index -> nonzero Fraction; a zero is never stored
+
+    def __hash__(self):
+        return hash((self.arity, self.dim, frozenset(self.vec.items())))
 
     def coeff(self, idx: tuple) -> Element:
-        return self.coeffs[tuple_index(idx, self.dim)]
+        base = tuple_index(idx, self.dim) * self.dim
+        return tuple(self.vec.get(base + k, Fraction(0)) for k in range(self.dim))
 
     def eval(self, args) -> Element:
-        """Multilinear expansion over all basis index tuples."""
+        """Multilinear expansion over the stored entries."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
         d = self.dim
@@ -55,57 +59,47 @@ class MultilinearMap:
             if len(a) != d:
                 raise ValueError("argument dimension mismatch")
         out = [Fraction(0)] * d
-        for flat, idx in enumerate(all_tuples(d, self.arity)):
-            f = Fraction(1)
-            for slot, i in enumerate(idx):
-                f *= args[slot][i]
-                if not f:
+        for flat, c in self.vec.items():
+            rest, k = divmod(flat, d)
+            # the last slot's index is the least significant digit
+            for a in reversed(args):
+                rest, i = divmod(rest, d)
+                c *= a[i]
+                if not c:
                     break
-            if not f:
-                continue
-            for k, c in enumerate(self.coeffs[flat]):
-                if c:
-                    out[k] += f * c
+            else:
+                out[k] += c
         return tuple(out)
 
     def flatten(self) -> dict:
         """Sparse flat vector of length dim**arity * dim."""
-        d = self.dim
-        vec = {}
-        for flat, e in enumerate(self.coeffs):
-            base = flat * d
-            for k, c in enumerate(e):
-                if c:
-                    vec[base + k] = c
-        return vec
+        return dict(self.vec)
 
     def is_zero(self) -> bool:
-        return all(not any(e) for e in self.coeffs)
+        return not self.vec
 
 
 def zero_map(d: int, arity: int) -> MultilinearMap:
-    z = zero_element(d)
-    return MultilinearMap(arity, d, tuple(z for _ in range(d ** arity)))
+    return MultilinearMap(arity, d, {})
 
 
 def from_coeff_function(spec: AlgebraSpec, arity: int, fn) -> MultilinearMap:
     """Build a cochain from its values on basis tuples."""
     d = spec.dim
-    return MultilinearMap(arity, d, tuple(fn(idx) for idx in all_tuples(d, arity)))
+    vec = {}
+    for flat, idx in enumerate(all_tuples(d, arity)):
+        for k, c in enumerate(fn(idx)):
+            if c:
+                vec[flat * d + k] = c
+    return MultilinearMap(arity, d, vec)
 
 
 def from_flat(d: int, arity: int, vec: dict) -> MultilinearMap:
-    coeffs = []
-    for flat in range(d ** arity):
-        base = flat * d
-        coeffs.append(tuple(vec.get(base + k, Fraction(0)) for k in range(d)))
-    return MultilinearMap(arity, d, tuple(coeffs))
+    return MultilinearMap(arity, d, {i: c for i, c in vec.items() if c})
 
 
 def unit_tensor(d: int, arity: int, flat: int, coord: int) -> MultilinearMap:
-    coeffs = [zero_element(d)] * (d ** arity)
-    coeffs[flat] = basis_element(d, coord)
-    return MultilinearMap(arity, d, tuple(coeffs))
+    return MultilinearMap(arity, d, {flat * d + coord: Fraction(1)})
 
 
 @dataclass(frozen=True)
@@ -136,13 +130,9 @@ def canonical_basis(d: int, arity: int) -> SubspaceBasis:
 def diagonal_basis(spec: AlgebraSpec, arity: int) -> SubspaceBasis:
     """Cochains supported on a single atom: (b_k, ..., b_k) -> b_k."""
     d = spec.dim
-
-    def member(k):
-        coeffs = [zero_element(d)] * (d ** arity)
-        coeffs[tuple_index((k,) * arity, d)] = basis_element(d, k)
-        return MultilinearMap(arity, d, tuple(coeffs))
-
-    return SubspaceBasis(arity, tuple(member(k) for k in range(d)))
+    return SubspaceBasis(arity, tuple(
+        unit_tensor(d, arity, tuple_index((k,) * arity, d), k) for k in range(d)
+    ))
 
 
 def subspace_ideal_preserving(spec: AlgebraSpec, arity: int) -> SubspaceBasis:
@@ -178,13 +168,12 @@ def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> SubspaceBasis:
             acc = multiply(spec, acc, basis_element(d, i))
         return acc
 
-    products = [product_of(idx) for idx in all_tuples(d, arity)]
-    members = []
-    for k in range(d):
-        w = basis_element(d, k)
-        coeffs = tuple(multiply(spec, p, w) for p in products)
-        members.append(MultilinearMap(arity, d, coeffs))
-    return SubspaceBasis(arity, tuple(members))
+    products = {idx: product_of(idx) for idx in all_tuples(d, arity)}
+    return SubspaceBasis(arity, tuple(
+        from_coeff_function(spec, arity,
+                            lambda idx, w=basis_element(d, k): multiply(spec, products[idx], w))
+        for k in range(d)
+    ))
 
 
 def is_hochschild_2cocycle(spec: AlgebraSpec, psi: MultilinearMap):

@@ -72,11 +72,14 @@ def test_cohomology_band_complex(capsys):
     assert code == 1 and "error:" in err
 
 
+# dual numbers Q[e]/(e^2): not atomic, and e is a zero divisor
+DUAL = ("name dual\ndim 2\nunit 1 0\n"
+        "mult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = 0 0\n")
+
+
 def test_ideal_complex_needs_asserted_domain(capsys, tmp_path):
-    # dual numbers Q[e]/(e^2): not atomic, and e is a zero divisor
     dual = tmp_path / "dual.alg"
-    dual.write_text("name dual\ndim 2\nunit 1 0\n"
-                    "mult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = 0 0\n")
+    dual.write_text(DUAL)
     for argv in (["verify-complex", str(dual), "--complex", "ideal"],
                  ["cohomology", str(dual), "--degree", "1", "--complex", "ideal"]):
         code, out, err = run_cli(capsys, *argv)
@@ -93,6 +96,23 @@ def test_negative_degree(capsys):
     code, out, _ = run_cli(capsys, "cohomology", Q, "--degree", "-1")
     assert code == 0
     assert json.loads(out)["dim_cocycles"] == 0
+
+
+@pytest.mark.parametrize("tag", ["full", "ideal", "band"])
+def test_verify_complex_negative_max_degree(capsys, tmp_path, tag):
+    dual = tmp_path / "dual.alg"
+    dual.write_text(DUAL)
+    code, out, err = run_cli(capsys, "verify-complex", str(dual),
+                             "--complex", tag, "--max-degree", "-1")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_audit_J_and_K_reject_other_n(capsys):
+    for argv in (["--map", "J", "--n", "0"], ["--map", "K", "--n", "2"]):
+        code, out, err = run_cli(capsys, "audit", Q, *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
+    code, out, _ = run_cli(capsys, "audit", Q, "--map", "J", "--n", "1")
+    assert code == 0 and json.loads(out)["n"] == 1
 
 
 def test_degree_cap_exit_code(capsys):

@@ -2,8 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cohomolab.algebra import basis_element, multiply
+from cohomolab.algebra import add, basis_element, multiply, sub, zero_element
 from cohomolab.complex import (
     TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, apply_d,
 )
@@ -13,7 +14,9 @@ from cohomolab.cohomology import (
     cohomology, distinguished_quotient, multiplier_space, orthomorphism_space,
 )
 from cohomolab.linalg import Echelon, span_dim
-from cohomolab.multilinear import OrderStructureRequired, from_flat, zero_map
+from cohomolab.multilinear import (
+    OrderStructureRequired, from_coeff_function, from_flat, zero_map,
+)
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 
 F = Fraction
@@ -146,10 +149,45 @@ def test_build_J_formula(qsqrt2):
     assert j.eval(x) == tuple(6 * c for c in prod)
 
 
+def explicit_K(spec, psi):
+    """(x1,x2,x3) -> x1*Psi(x2,x3) - x2*Psi(x1,x3), tuple by tuple."""
+    d = spec.dim
+    return from_coeff_function(spec, 3, lambda t: sub(
+        multiply(spec, basis_element(d, t[0]), psi.coeff((t[1], t[2]))),
+        multiply(spec, basis_element(d, t[1]), psi.coeff((t[0], t[2]))),
+    ))
+
+
+def explicit_J(spec, psi):
+    """(x1..x4) -> sum over all 6 permutations p of slots {2,3,4} of
+    x1*x_{p2}*Psi(x_{p3},x_{p4}), one permutation at a time."""
+    d = spec.dim
+
+    def value_at(t):
+        acc = zero_element(d)
+        for p in itertools.permutations(t[1:]):
+            term = multiply(spec, basis_element(d, t[0]), basis_element(d, p[0]))
+            acc = add(acc, multiply(spec, term, psi.coeff((p[1], p[2]))))
+        return acc
+
+    return from_coeff_function(spec, 4, value_at)
+
+
+@pytest.mark.parametrize("fix", ["q", "qsqrt2", "cubic2", "atomic2", "atomic3", "atomic4"])
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_families_at_n1_match_explicit_J_and_K(fix, data, request):
+    spec = request.getfixturevalue(fix)
+    entries = data.draw(st.dictionaries(
+        st.integers(0, spec.dim ** 3 - 1), st.integers(-3, 3), max_size=8))
+    psi = from_flat(spec.dim, 2, {c: F(v) for c, v in entries.items()})
+    assert build_J_even(spec, 1, psi) == explicit_J(spec, psi)
+    assert build_J_odd(spec, 1, psi) == explicit_K(spec, psi)
+
+
 def test_j_even_and_odd_specialize(qsqrt2):
     psi = psi_f_times_b(qsqrt2)
-    assert build_J_even(qsqrt2, 1, psi) == build_J(qsqrt2, psi)
-    assert build_J_odd(qsqrt2, 1, psi) == build_K(qsqrt2, psi)
     e = qsqrt2.unit
     j2 = build_J_even(qsqrt2, 2, mult_cochain(qsqrt2), cap=7)
     assert j2.eval([e] * 6) == elem(120, 0)
@@ -186,7 +224,8 @@ def test_audit_K_witness_reproduces(qsqrt2):
     w = r.cocycle_preservation.witness
     psi = from_flat(2, 2, w["input"])
     dd = apply_d(qsqrt2, build_K(qsqrt2, psi))
-    assert dd.coeffs[w["tuple_flat"]][w["coord"]] == w["value"]
+    flat = w["tuple_flat"] * qsqrt2.dim + w["coord"]
+    assert dd.flatten().get(flat) == w["value"]
     assert w["value"] != 0
 
 
@@ -200,5 +239,6 @@ def test_audit_higher_maps(qsqrt2):
     assert jodd2.cocycle_preservation.ok and jodd2.target_degree == 3
     with pytest.raises(DegreeCapExceeded):
         audit_chain_map(qsqrt2, "Jeven", n=2)
-    with pytest.raises(ValueError):
-        audit_chain_map(qsqrt2, "M")
+    for name, n in (("M", 1), ("J", 0), ("K", 2)):
+        with pytest.raises(ValueError):
+            audit_chain_map(qsqrt2, name, n=n)

@@ -1,0 +1,142 @@
+"""CLI stdout pinned byte for byte.
+
+Each entry is a command, with the fixture named by its file stem, and the
+sha256 of its stdout as recorded before cochains were stored as sparse flat
+vectors.  Any change to the bytes of a representative, witness or verdict
+fails here.  The whole set runs in process in about a second.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from cohomolab.cli import main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+GOLDEN = {
+    "cohomology q --degree 0 --complex full":
+        "532a9441aacf4a813c461fa4c87569c43c9a61764621306c82a0f7e4565d576e",
+    "cohomology q --degree 1 --complex full":
+        "79255706bb1783eff575a4f1e60c678680114349a97330a10848b89cb9282504",
+    "cohomology q --degree 2 --complex full":
+        "cf848a015406cfe6df3eec7a87f7a638fade9606d187661e9950e96eb4cea1eb",
+    "cohomology q --degree 0 --complex ideal":
+        "c6a5d38efdea6e18d632c507ad38001866853803a71595123a70e3dcc284f7cf",
+    "cohomology q --degree 1 --complex ideal":
+        "7d831ca46a35e5b11f718f938e817bdd1de0a49b0263c11f394d77b94f146ddc",
+    "cohomology q --degree 2 --complex ideal":
+        "8815da550d76abdd9f3d00e2ddda15e94b71bb52fb6e31ff1e3e07ee7e7731c7",
+    "cohomology qsqrt2 --degree 0 --complex full":
+        "46cc7024a4bb47c3adc156027dae37044e9ff833e3a5e0c7b41680b38d1a1932",
+    "cohomology qsqrt2 --degree 1 --complex full":
+        "a21190c7c2b12da910b52c04f6cd09ed35495f217a9f44fff9f318f689908f43",
+    "cohomology qsqrt2 --degree 2 --complex full":
+        "d61dc50c61267fb1129634502df5987b9e6b1ad1db1ff96016d1e950c54184ba",
+    "cohomology qsqrt2 --degree 0 --complex ideal":
+        "baa24e66435f67ce3d52a19d1b1a3f5ac03612d4504850c32f6e5019b2aee2b8",
+    "cohomology qsqrt2 --degree 1 --complex ideal":
+        "f61a2de7be604328046ae28bdee76f0ab272091288c7e863cb2f547ea1975995",
+    "cohomology qsqrt2 --degree 2 --complex ideal":
+        "c3542d65db752c13bbab8c4b489031f4c5a0ad402b124669a7746cc8ed672105",
+    "cohomology cubic2 --degree 0 --complex full":
+        "c519f48b1e82bd2bc7e25748003881ac1b1cb81ba0cfc0fc1de1e9362ab45a23",
+    "cohomology cubic2 --degree 1 --complex full":
+        "7c4f067dd8f3939e153dcae8bc5abb4b4b457c28d7778cb07ca64deafe7f6c26",
+    "cohomology cubic2 --degree 2 --complex full":
+        "a845b41a718f73f1d3d3097e58cb75ea4a422bc81a47d235227f3a26606777d3",
+    "cohomology cubic2 --degree 0 --complex ideal":
+        "604bd38e915721964be6127e1d75c4fda6fbe1bbd6f1c953020a1bd4c3d61621",
+    "cohomology cubic2 --degree 1 --complex ideal":
+        "1f8ed57eb15b559764018cb53bbecaf3b5cda6b1fbcb09608e098d261b9d99cf",
+    "cohomology cubic2 --degree 2 --complex ideal":
+        "f710645c4e09079836d90c1791771a164f59953b6831cd33fe44faf66dc65268",
+    "cohomology atomic2 --degree 0 --complex full":
+        "7b27c89eb213a0637ed7be11c8691906109ac8fd3742e6fa70bb1bbe809b1617",
+    "cohomology atomic2 --degree 1 --complex full":
+        "41d564e22057d14a7d0394826179ba57dc890a6748f2a1d4297c8259c3c3a31d",
+    "cohomology atomic2 --degree 2 --complex full":
+        "12c27df990d23b615609aa80eb46ec37e7cbd25165fd0fa0db025aeb7dda29d6",
+    "cohomology atomic2 --degree 0 --complex ideal":
+        "a68c13477e8fa017e448403bfef4f54895c6177e910876865991e88562cf8b46",
+    "cohomology atomic2 --degree 1 --complex ideal":
+        "7999381f2bf9e058cdd7614cc85be95b74cf360e467fb540ce1adfeec13e4799",
+    "cohomology atomic2 --degree 2 --complex ideal":
+        "bd9904b045306f42171f7c513012a4be9cce9ceb86341829e94f696a806b38bc",
+    "cohomology atomic2 --degree 0 --complex band":
+        "9c61817e88264cfeaf62a0ff48299caeef621db63724638dc084de820e75e671",
+    "cohomology atomic2 --degree 1 --complex band":
+        "ed52e54bd7734a595e045e3c0f395473a24f62d4f5c7822f902860f4d878fb09",
+    "cohomology atomic2 --degree 2 --complex band":
+        "56a639314101c288f0f6e9bdfad0d7af18096fc52b421c44154249e8e8fd151b",
+    "cohomology atomic3 --degree 0 --complex full":
+        "01bb2987e79384980b65604e896abe3901139210650da4899aafff40bb9c1e1e",
+    "cohomology atomic3 --degree 1 --complex full":
+        "7f6656de09475b2b2381d10d0ccb2c7ca20019d715c88b54d0cf243a34bbc80f",
+    "cohomology atomic3 --degree 2 --complex full":
+        "2c57ea83c7ebc12ddafbc51bc178b9942923c80306a42419551fa444d463831b",
+    "cohomology atomic3 --degree 0 --complex ideal":
+        "8d4ffd3d8a3bde7175f6a04fffed6b77f66c4d3a5a140ecd6607b8c1fa8cf2cd",
+    "cohomology atomic3 --degree 1 --complex ideal":
+        "5bb194c54ee0d9dcdff3bef3a51cd30900f27cb7ae5038ceede082ae06e63123",
+    "cohomology atomic3 --degree 2 --complex ideal":
+        "66d0f6e2ae750ab48fd2258660dd611cc6efeb6c7032f0aaafa85605607fbaa2",
+    "cohomology atomic3 --degree 0 --complex band":
+        "989f81d1b4b744b3d65d58866da50c0016113ebf1519cae51af7d28ceb83b9f8",
+    "cohomology atomic3 --degree 1 --complex band":
+        "f823ae7f5682b01db6cb0cb7b239e2005c38599d95d7509e26e53f6c4add35f1",
+    "cohomology atomic3 --degree 2 --complex band":
+        "e748d4241d98542cc7d1d8924cc1837848e8ca238342f7f808e79c8263c396c1",
+    "cohomology atomic4 --degree 0 --complex full":
+        "744159161c3562203b457932aa9059cf37a0208866df39837d328ff1aeb64893",
+    "cohomology atomic4 --degree 1 --complex full":
+        "ea77a01c8e3ae75df46fb35a50b3879a4d1f37cf54af9f52daaeae99446f3021",
+    "cohomology atomic4 --degree 2 --complex full":
+        "cb2ba6fe09aedc7235d2adb3b7ff82fa7516fadbf3628808b95fa9a031e12301",
+    "cohomology atomic4 --degree 0 --complex ideal":
+        "87aaf257abfc666429a4bacf946a3d9a37735396da1de4c99b43cd9e6e0d3585",
+    "cohomology atomic4 --degree 1 --complex ideal":
+        "aab570407db8958f8059961cc3dc22d59d305e457a34a7dc18e0046b24d6d788",
+    "cohomology atomic4 --degree 2 --complex ideal":
+        "7ec190ff9e92a822cd52aa90ad2a4ce1ff43de0ddbd21ab82d340f672ceb2f79",
+    "cohomology atomic4 --degree 0 --complex band":
+        "71d2da3b80f9eaa25cf10303ef38c47ea41e5e62ff55046f969c8c52fe01ddfe",
+    "cohomology atomic4 --degree 1 --complex band":
+        "b667e4b7529094222e1f492344aa4c183c60d27ce0de3982407297ff6b877d10",
+    "cohomology atomic4 --degree 2 --complex band":
+        "ca1176a31ebe2dd1bb5027b461cc4cd080e4e3d28d247bae5fd5fde33939158b",
+    "cohomology cubic2 --degree 3":
+        "629d7997ef937900e2986ac8e43ff60735a04289d9505119b14a3df9d9388bcf",
+    "audit qsqrt2 --map K":
+        "6f7fb82fc4d0d5c82e856342edf0e487d7fe631e6b171cbb8c4e8dc2a60a9424",
+    "audit qsqrt2 --map J":
+        "1f26797020509d4467a6e94f127abcfc1ce22d83e0b72104c3959270ba067fdc",
+    "audit qsqrt2 --map Jeven --n 1":
+        "31cf96f0a21fed6fb685b470ee4075fa4a0076381a51c7af803e72498af89638",
+    "audit qsqrt2 --map Jodd --n 1":
+        "1dbfba3c2579f02dc68ab4d6f43bf881a1105ac2ddd7cb6661a3375a4f6941fb",
+    "verify-complex atomic3 --complex band --max-degree 2":
+        "cbcbeecfa80fb5fafe977b5ead49d7a48d24a6761655e5ff3c0fc0ee5440f64d",
+    "classify q":
+        "0836b051e89106c8171d00983df87ff52a69e6289ad0588ddb6b54c439f37fd9",
+    "classify qsqrt2":
+        "873fa09e9ec3762075e01022ab768a305c7de755b2dd05d934ecca3d1f5c79da",
+    "classify cubic2":
+        "a8f977ded8d17d2fc05ffda00c7a2c6b89d4fbc45404f86afc2ce4413d334973",
+    "classify atomic2":
+        "018100f947e1e5f62bce6c73751b4aecf21269e4a13c39469d774ed9c93b8456",
+    "classify atomic3":
+        "2f72c9514bd5cf97b7b2a7d406b79aba07e48327a8c0b8d1afed96b6a753f892",
+    "classify atomic4":
+        "ecaf63fa89c0c6de29cd27fa2f8385c7c48e30a4f45f2710fcdc14575115b36b",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_stdout_is_pinned(command, capsys):
+    argv = command.split()
+    argv[1] = str(FIXTURES / f"{argv[1]}.alg")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

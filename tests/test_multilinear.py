@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import basis_element, build_number_field, multiply
 from cohomolab.multilinear import (
@@ -45,6 +45,7 @@ def test_eval_arity_and_dim_checks(qsqrt2):
 def test_flatten_roundtrip(qsqrt2):
     psi = psi_f_times_b(qsqrt2)
     assert from_flat(2, 2, psi.flatten()) == psi
+    assert hash(from_flat(2, 2, psi.flatten())) == hash(psi)
     assert zero_map(3, 2).flatten() == {}
     assert zero_map(3, 2).is_zero()
     assert not psi.is_zero()
@@ -148,3 +149,27 @@ def test_eval_linear_in_each_slot(x, y, z, c):
         lhs = psi.eval(args_sum)
         va, vb = psi.eval(args_a), psi.eval(args_b)
         assert lhs == tuple(a + c * b for a, b in zip(va, vb))
+
+
+@pytest.mark.parametrize("fix", ["qsqrt2", "cubic2", "atomic3"])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sparse_eval_matches_dense_expansion(fix, arity, data, request):
+    spec = request.getfixturevalue(fix)
+    d = spec.dim
+    entries = data.draw(st.dictionaries(
+        st.integers(0, d ** (arity + 1) - 1), st.integers(-3, 3), max_size=d ** (arity + 1)))
+    args = data.draw(st.lists(st.tuples(*[coords] * d), min_size=arity, max_size=arity))
+    m = from_flat(d, arity, {c: F(v) for c, v in entries.items()})
+    # dense tensor: one value per basis tuple, tuples in lexicographic order
+    dense = [[F(entries.get(t * d + k, 0)) for k in range(d)] for t in range(d ** arity)]
+    expected = [F(0)] * d
+    for values, idx in zip(dense, itertools.product(range(d), repeat=arity)):
+        w = F(1)
+        for slot, i in enumerate(idx):
+            w *= args[slot][i]
+        for k in range(d):
+            expected[k] += w * values[k]
+    assert m.eval(args) == tuple(expected)
