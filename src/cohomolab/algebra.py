@@ -114,6 +114,14 @@ def multiply(spec: AlgebraSpec, x: Element, y: Element) -> Element:
     return tuple(out)
 
 
+def basis_product(spec: AlgebraSpec, idx: tuple) -> Element:
+    """b_{i_1} ... b_{i_m} multiplied left to right; the unit when idx is empty."""
+    acc = spec.unit
+    for i in idx:
+        acc = multiply(spec, acc, basis_element(spec.dim, i))
+    return acc
+
+
 def validate_algebra(spec: AlgebraSpec) -> list:
     """All violated algebra laws, each with a witnessing index tuple."""
     _check_shape(spec)
@@ -203,9 +211,7 @@ def build_number_field(min_poly, name: str = "", trials: int = 64, seed: int = 0
         unit=basis_element(d, 0),
         order_mode=ORDER_NONE,
     )
-    witness = zero_divisor_falsifier(spec, trials=trials, seed=seed)
-    status = DOMAIN_REFUTED if witness is not None else DOMAIN_ASSERTED
-    return replace(spec, domain_status=status)
+    return assess_domain(spec, trials=trials, seed=seed)
 
 
 def build_atomic(d: int, name: str = "") -> AlgebraSpec:

@@ -20,7 +20,7 @@ from .cohomology import (
     CONVENTION_SHIFTED, CONVENTIONS, audit_chain_map, cohomology,
     distinguished_quotient,
 )
-from .fileformat import ParseError, parse_algebra_text
+from .fileformat import ParseError, parse_algebra_file
 from .multilinear import OrderStructureRequired, UnsupportedAlgebra
 from .operators import classify
 
@@ -32,14 +32,6 @@ EXIT_CAP = 3
 
 def _rat(x) -> str:
     return str(Fraction(x))
-
-
-def _element(e):
-    return [_rat(x) for x in e]
-
-
-def _matrix(m):
-    return [[_rat(x) for x in row] for row in m]
 
 
 def _jsonable(obj):
@@ -126,14 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
-    with open(args.file, "r", encoding="utf-8") as fh:
-        return parse_algebra_text(fh.read(), trials=args.trials, seed=args.seed)
-
-
 def _run(args) -> tuple:
     cap = _resolve_cap(args)
-    spec = _load(args)
+    spec = parse_algebra_file(args.file, trials=args.trials, seed=args.seed,
+                              validate=args.command != "validate")
     base = {"algebra": spec.name, "command": args.command, "dim": spec.dim,
             "seed": args.seed}
 
@@ -146,11 +134,6 @@ def _run(args) -> tuple:
             for v in violations
         ]
         return base, EXIT_OK if not violations else EXIT_INPUT
-
-    violations = validate_algebra(spec)
-    if violations:
-        v = violations[0]
-        raise ParseError(f"algebra law violated: {v.law} at {v.indices}")
 
     if args.command == "cohomology":
         report = cohomology(spec, args.degree, tag=args.complex,

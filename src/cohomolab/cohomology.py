@@ -8,13 +8,11 @@ Shifted is the default because the chain maps J and K produce 4- and
 cocycle spaces.
 """
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .algebra import (
-    AlgebraSpec, ORDER_ATOMIC, add, basis_element, multiply, sub, zero_element,
+    AlgebraSpec, ORDER_ATOMIC, add, basis_product, multiply, scale, zero_element,
 )
 from .linalg import (
     Mat, Echelon, axpy, column_space, complete_basis, kernel, rref, span_dim,
@@ -24,7 +22,7 @@ from .multilinear import (
     from_flat, unit_tensor,
 )
 from .complex import (
-    DEFAULT_DEGREE_CAP, TAG_BAND, TAG_FULL, apply_d, check_cap,
+    DEFAULT_DEGREE_CAP, TAG_BAND, TAG_FULL, apply_d, arrangements, check_cap,
     coboundary_images, expand_index_matrix, index_coboundary_matrix, tag_basis,
 )
 
@@ -174,30 +172,17 @@ def build_J_even(spec: AlgebraSpec, n: int, psi: MultilinearMap,
     """Arity 2n+2: sum over permutations p of slots {2..2n+2} of
     x1 * x_{p(2)} ... x_{p(2n)} * Psi(x_{p(2n+1)}, x_{p(2n+2)}).
 
-    build_J is the n = 1 member.
+    build_J is the n = 1 member.  The sum is symmetric in slots 2..2n+2,
+    so it runs once per multiset of their indices, over its distinct
+    arrangements, each weighted by how many permutations give it.
     """
-    if psi.arity != 2:
-        raise ValueError("chain maps take arity-2 cochains")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    arity = 2 * n + 2
-    check_cap(arity - 1, cap)
-    d = spec.dim
-
-    def value_at(t):
-        tail = tuple(sorted(t[1:]))
-        perms = sorted(set(itertools.permutations(tail)))
-        weight = Fraction(factorial(len(tail)) // len(perms))
-        acc = zero_element(d)
+    def terms(t):
+        perms, weight = arrangements(t[1:])
         for p in perms:
-            term = basis_element(d, t[0])
-            for q in p[: 2 * n - 1]:
-                term = multiply(spec, term, basis_element(d, q))
-            term = multiply(spec, term, psi.coeff((p[2 * n - 1], p[2 * n])))
-            acc = add(acc, tuple(weight * c for c in term))
-        return acc
+            yield weight, (t[0],) + p[:2 * n - 1], p[2 * n - 1:]
 
-    return from_coeff_function(spec, arity, value_at)
+    return _chain_map(spec, n, 2 * n + 2, psi, cap, terms,
+                      key=lambda t: (t[0],) + tuple(sorted(t[1:])))
 
 
 def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap,
@@ -207,24 +192,43 @@ def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap,
 
     The empty product is the unit, so n = 1 recovers build_K.
     """
+    def terms(t):
+        a, b, c = t[2 * n - 2:]
+        return ((1, t[:2 * n - 2] + (a,), (b, c)),
+                (-1, t[:2 * n - 2] + (b,), (a, c)))
+
+    return _chain_map(spec, n, 2 * n + 1, psi, cap, terms)
+
+
+def _chain_map(spec: AlgebraSpec, n: int, arity: int, psi: MultilinearMap,
+               cap: int, terms, key=lambda t: t) -> MultilinearMap:
+    """The arity-`arity` cochain whose value on the basis tuple t is the sum
+    of w * (b_{m_1} ... b_{m_k}) * Psi(b_a, b_b) over the terms (w, m, (a, b))
+    of terms(key(t)).
+
+    Tuples with equal key share one value, so key must only join tuples
+    on which the family's sum is equal.
+    """
     if psi.arity != 2:
         raise ValueError("chain maps take arity-2 cochains")
     if n < 1:
         raise ValueError("n must be >= 1")
-    arity = 2 * n + 1
     check_cap(arity - 1, cap)
-    d = spec.dim
+    products = {}
+    values = {}
 
     def value_at(t):
-        prefix = spec.unit
-        for q in t[: 2 * n - 2]:
-            prefix = multiply(spec, prefix, basis_element(d, q))
-        a, b, c = t[2 * n - 2], t[2 * n - 1], t[2 * n]
-        bracket = sub(
-            multiply(spec, basis_element(d, a), psi.coeff((b, c))),
-            multiply(spec, basis_element(d, b), psi.coeff((a, c))),
-        )
-        return multiply(spec, prefix, bracket)
+        k = key(t)
+        acc = values.get(k)
+        if acc is None:
+            acc = zero_element(spec.dim)
+            for w, m, ab in terms(k):
+                prod = products.get(m)
+                if prod is None:
+                    prod = products[m] = basis_product(spec, m)
+                acc = add(acc, scale(w, multiply(spec, prod, psi.coeff(ab))))
+            values[k] = acc
+        return acc
 
     return from_coeff_function(spec, arity, value_at)
 

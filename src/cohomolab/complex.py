@@ -61,7 +61,7 @@ def check_cap(degree: int, cap: int):
 
 
 @lru_cache(maxsize=None)
-def _arrangements(sorted_tuple: tuple):
+def arrangements(sorted_tuple: tuple):
     """Distinct rearrangements of a multiset and the per-arrangement weight.
 
     Every distinct arrangement is hit by the same number of permutations,
@@ -106,7 +106,7 @@ def _output_terms(spec: AlgebraSpec, n: int, t: tuple, naive: bool = False):
                 for idx, v in _term_indices(spec, sigma):
                     yield idx, v
         else:
-            perms, weight = _arrangements(tuple(sorted(t)))
+            perms, weight = arrangements(tuple(sorted(t)))
             for sigma in perms:
                 for idx, v in _term_indices(spec, sigma):
                     yield idx, v * weight

@@ -28,15 +28,13 @@ class ParseError(ValueError):
 
 def parse_rational(tok: str) -> Fraction:
     try:
-        if "/" in tok:
-            num, den = tok.split("/")
-            d = int(den)
-            if d <= 0:
-                raise ParseError(f"rational {tok!r} must have a positive denominator")
-            return Fraction(int(num), d)
-        return Fraction(int(tok))
+        num, den = tok.split("/") if "/" in tok else (tok, "1")
+        num, den = int(num), int(den)
     except ValueError as exc:
         raise ParseError(f"malformed rational {tok!r}") from exc
+    if den <= 0:
+        raise ParseError(f"rational {tok!r} must have a positive denominator")
+    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:
@@ -65,8 +63,9 @@ def parse_algebra_text(text: str, trials: int = 64, seed: int = 0) -> AlgebraSpe
             if dim is not None:
                 raise ParseError(f"line {lineno}: duplicate dim")
             try:
-                dim = int(toks[1])
-            except (IndexError, ValueError):
+                (value,) = toks[1:]
+                dim = int(value)
+            except ValueError:
                 raise ParseError(f"line {lineno}: dim takes one integer")
             if dim < 1:
                 raise ParseError(f"line {lineno}: dim must be >= 1")

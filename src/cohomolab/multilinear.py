@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import (
     AlgebraSpec, Element, ORDER_ATOMIC, ORDER_NONE, DOMAIN_ASSERTED,
-    add, basis_element, multiply, scale,
+    add, basis_element, basis_product, multiply, scale,
 )
 from .linalg import span_dim
 
@@ -161,14 +161,7 @@ def subspace_band_preserving(spec: AlgebraSpec, arity: int) -> SubspaceBasis:
 def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> SubspaceBasis:
     """The d-dimensional space {(x_1..x_m) -> (prod x_i) * w}, one member per basis w."""
     d = spec.dim
-
-    def product_of(idx) -> Element:
-        acc = spec.unit
-        for i in idx:
-            acc = multiply(spec, acc, basis_element(d, i))
-        return acc
-
-    products = {idx: product_of(idx) for idx in all_tuples(d, arity)}
+    products = {idx: basis_product(spec, idx) for idx in all_tuples(d, arity)}
     return SubspaceBasis(arity, tuple(
         from_coeff_function(spec, arity,
                             lambda idx, w=basis_element(d, k): multiply(spec, products[idx], w))

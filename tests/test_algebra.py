@@ -3,10 +3,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import (
-    AlgebraSpec, ShapeError, basis_element, build_atomic, build_number_field,
+    AlgebraSpec, ShapeError, basis_element, basis_product, build_atomic,
+    build_number_field,
     invert, multiply, regular_representation, validate_algebra,
     zero_divisor_falsifier,
 )
@@ -150,6 +151,21 @@ def test_basis_products_commute_and_associate(fix, request):
         left = multiply(spec, multiply(spec, bi, bj), bk)
         right = multiply(spec, bi, multiply(spec, bj, bk))
         assert left == right
+
+
+@pytest.mark.parametrize("fix", ["q", "qsqrt2", "cubic2", "atomic2"])
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_basis_product_is_left_to_right_chain(fix, data, request):
+    spec = request.getfixturevalue(fix)
+    d = spec.dim
+    assert basis_product(spec, ()) == spec.unit
+    idx = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=5)))
+    chain = basis_element(d, idx[0])
+    for i in idx[1:]:
+        chain = multiply(spec, chain, basis_element(d, i))
+    assert basis_product(spec, idx) == chain
 
 
 def test_atomic_idempotents(atomic4):

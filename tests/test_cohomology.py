@@ -15,7 +15,8 @@ from cohomolab.cohomology import (
 )
 from cohomolab.linalg import Echelon, span_dim
 from cohomolab.multilinear import (
-    OrderStructureRequired, from_coeff_function, from_flat, zero_map,
+    OrderStructureRequired, from_coeff_function, from_flat, symmetry_check,
+    zero_map,
 )
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 
@@ -184,6 +185,58 @@ def test_families_at_n1_match_explicit_J_and_K(fix, data, request):
     psi = from_flat(spec.dim, 2, {c: F(v) for c, v in entries.items()})
     assert build_J_even(spec, 1, psi) == explicit_J(spec, psi)
     assert build_J_odd(spec, 1, psi) == explicit_K(spec, psi)
+
+
+def permutation_J_even(spec, n, psi):
+    """Jeven(n) one permutation of slots 2..2n+2 at a time, with no
+    grouping of equal arrangements and no memo."""
+    d = spec.dim
+
+    def value_at(t):
+        acc = zero_element(d)
+        for p in itertools.permutations(t[1:]):
+            term = basis_element(d, t[0])
+            for q in p[:2 * n - 1]:
+                term = multiply(spec, term, basis_element(d, q))
+            acc = add(acc, multiply(spec, term, psi.coeff(p[2 * n - 1:])))
+        return acc
+
+    return from_coeff_function(spec, 2 * n + 2, value_at)
+
+
+def explicit_J_odd(spec, n, psi):
+    """Jodd(n) tuple by tuple: (x1...x_{2n-2}) * (x_{2n-1}Psi(x_{2n},x_{2n+1})
+    - x_{2n}Psi(x_{2n-1},x_{2n+1}))."""
+    d = spec.dim
+
+    def value_at(t):
+        prefix = spec.unit
+        for q in t[:2 * n - 2]:
+            prefix = multiply(spec, prefix, basis_element(d, q))
+        a, b, c = t[2 * n - 2:]
+        return multiply(spec, prefix, sub(
+            multiply(spec, basis_element(d, a), psi.coeff((b, c))),
+            multiply(spec, basis_element(d, b), psi.coeff((a, c))),
+        ))
+
+    return from_coeff_function(spec, 2 * n + 1, value_at)
+
+
+@pytest.mark.parametrize("fix", ["q", "qsqrt2", "atomic2"])
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_families_match_permutation_formulas(fix, n, data, request):
+    spec = request.getfixturevalue(fix)
+    entries = data.draw(st.dictionaries(
+        st.integers(0, spec.dim ** 3 - 1), st.integers(-3, 3), max_size=8))
+    psi = from_flat(spec.dim, 2, {c: F(v) for c, v in entries.items()})
+    j_even = build_J_even(spec, n, psi)
+    assert j_even == permutation_J_even(spec, n, psi)
+    assert build_J_odd(spec, n, psi) == explicit_J_odd(spec, n, psi)
+    for slots in ((2, 3), (3, 4)):
+        assert symmetry_check(j_even, slots) == "symmetric"
 
 
 def test_j_even_and_odd_specialize(qsqrt2):

@@ -18,6 +18,9 @@ def test_parse_rational():
     for bad in ("1/0", "2/-3", "x", "1.5", "1/2/3"):
         with pytest.raises(ParseError):
             parse_rational(bad)
+    for bad in ("1/0", "1/-2"):
+        with pytest.raises(ParseError, match="positive denominator"):
+            parse_rational(bad)
 
 
 def test_format_rational():
@@ -75,6 +78,7 @@ def test_parse_errors_carry_line_numbers():
         (base.replace("mult 1 1 = 2 0", "mult 1 1 = 2"), "has 1 coordinates"),
         (base + "order diffuse\n", "order must be"),
         (base.replace("mult 0 0 = 1 0", "mult 0 0 1 0"), "expected 'mult i j ="),
+        (base.replace("dim 2", "dim 2 7"), "line 2: dim takes one integer"),
     ]
     for text, needle in cases:
         with pytest.raises(ParseError, match=needle):

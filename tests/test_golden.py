@@ -1,9 +1,12 @@
 """CLI stdout pinned byte for byte.
 
 Each entry is a command, with the fixture named by its file stem, and the
-sha256 of its stdout as recorded before cochains were stored as sparse flat
-vectors.  Any change to the bytes of a representative, witness or verdict
-fails here.  The whole set runs in process in about a second.
+sha256 of its stdout.  The cohomology, verify-complex, classify and qsqrt2
+audit entries were recorded before cochains were stored as sparse flat
+vectors; the atomic4, cubic2, atomic3 and q audit entries were recorded
+before the chain maps were written as sums of terms.  Any change to the
+bytes of a representative, witness or verdict fails here.  The whole set
+runs in process in about three seconds.
 """
 
 import hashlib
@@ -116,6 +119,18 @@ GOLDEN = {
         "31cf96f0a21fed6fb685b470ee4075fa4a0076381a51c7af803e72498af89638",
     "audit qsqrt2 --map Jodd --n 1":
         "1dbfba3c2579f02dc68ab4d6f43bf881a1105ac2ddd7cb6661a3375a4f6941fb",
+    "audit atomic4 --map J":
+        "8e56e0abafa9db4ae33ec97258215c50cdca0405a46fd018b539c32674e9cb20",
+    "audit atomic4 --map Jeven --n 1":
+        "6d6fe307dd061c247ab2cc40e47c690ee8b663aa669c03f4cce2477d5270b5b7",
+    "audit cubic2 --map J":
+        "210a799a3e61fc2029fae86f5dbf11ce1610260d62a799f4551e2e5761362f21",
+    "audit cubic2 --map Jodd --n 1":
+        "3a3de190f1d847ac0ec3c7d0e541ec11789ba15679b0d6335b182fe53c7f36ce",
+    "audit atomic3 --map K":
+        "6eeaf66e992519f212e2da2fd45ff732790eb5f1d655230cca548782bd4f753d",
+    "audit q --map Jodd --n 2":
+        "f86b9798efef4fa10b8d252232a3e52b9db4bec9f4909fd3038d93ec62c522d1",
     "verify-complex atomic3 --complex band --max-degree 2":
         "cbcbeecfa80fb5fafe977b5ead49d7a48d24a6761655e5ff3c0fc0ee5440f64d",
     "classify q":
