@@ -169,11 +169,11 @@ def invert(spec: AlgebraSpec, x: Element):
     if kernel(m):
         return None
     # solve M y = unit by augmented elimination
-    aug = Mat(d, d + 1, [dict(m.rows[i]) for i in range(d)])
+    rows = [dict(r) for r in m.rows]
     for i in range(d):
         if spec.unit[i]:
-            aug.rows[i][d] = spec.unit[i]
-    ker = kernel(aug)
+            rows[i][d] = spec.unit[i]
+    ker = kernel(Mat(d, d + 1, rows))
     for vec in ker:
         t = vec.get(d)
         if t:

@@ -151,7 +151,8 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int, cap: int = DEFAULT_DEGREE
 def _index_matrix(spec: AlgebraSpec, n: int) -> Mat:
     d = spec.dim
     # in even degree >= 2 a row depends on its output tuple only through
-    # the multiset of its indices, and equal rows share one dict
+    # the multiset of its indices, and equal rows share one dict; linalg
+    # relies on shared rows never being mutated and handles each once
     symmetric = n >= 2 and n % 2 == 0
     by_key = {}
     rows = []

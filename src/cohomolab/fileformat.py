@@ -8,12 +8,15 @@ Grammar (tokens whitespace-separated, '#' starts a comment):
     order none|atomic
     mult <i> <j> = <d rationals>     # one per unordered pair
 
-Rationals are written `p` or `p/q` with q > 0.  The symmetric half of the
-mult table may be omitted; for atomic algebras missing off-diagonal entries
-default to zero.  Serialization emits the canonical form, so
-parse -> serialize -> parse is the identity.
+Integers (dim, mult indices, and p and q of a rational) are an optional
+sign followed by ASCII digits 0-9.  Rationals are written `p` or `p/q`
+with q > 0.  The symmetric half of the mult table may be omitted; for
+atomic algebras missing off-diagonal entries default to zero.
+Serialization emits the canonical form, so parse -> serialize -> parse is
+the identity.
 """
 
+import re
 from fractions import Fraction
 
 from .algebra import (
@@ -26,10 +29,20 @@ class ParseError(ValueError):
     pass
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(tok: str) -> int:
+    """The grammar's integer: int() alone would also take '1_0' and '٣'."""
+    if not _INTEGER.fullmatch(tok):
+        raise ValueError(f"not an integer: {tok!r}")
+    return int(tok)
+
+
 def parse_rational(tok: str) -> Fraction:
     try:
         num, den = tok.split("/") if "/" in tok else (tok, "1")
-        num, den = int(num), int(den)
+        num, den = _integer(num), _integer(den)
     except ValueError as exc:
         raise ParseError(f"malformed rational {tok!r}") from exc
     if den <= 0:
@@ -64,7 +77,7 @@ def parse_algebra_text(text: str, trials: int = 64, seed: int = 0) -> AlgebraSpe
                 raise ParseError(f"line {lineno}: duplicate dim")
             try:
                 (value,) = toks[1:]
-                dim = int(value)
+                dim = _integer(value)
             except ValueError:
                 raise ParseError(f"line {lineno}: dim takes one integer")
             if dim < 1:
@@ -83,7 +96,7 @@ def parse_algebra_text(text: str, trials: int = 64, seed: int = 0) -> AlgebraSpe
             if len(toks) < 5 or toks[3] != "=":
                 raise ParseError(f"line {lineno}: expected 'mult i j = <values>'")
             try:
-                i, j = int(toks[1]), int(toks[2])
+                i, j = _integer(toks[1]), _integer(toks[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: mult indices must be integers")
             value = tuple(parse_rational(t) for t in toks[4:])

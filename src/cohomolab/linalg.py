@@ -5,6 +5,13 @@ holding only nonzero entries.  Everything is computed over the rationals
 with no floating point; row-space bases are canonicalized to the reduced
 echelon form scaled to primitive integer rows with positive leading entry,
 so equal subspaces always produce identical bases.
+
+A Mat's rows may be shared: one dict object can stand at several row
+positions (the index-level coboundary in even degree stores equal rows
+once).  Nothing mutates a Mat row in place, so sharing is safe, and
+`Mat.matmul` and elimination compute each distinct row object once.
+Rows are told apart by `id()` only while a list or map holds them, so an
+id is never reused by a different row during the loop that tests it.
 """
 
 from dataclasses import dataclass
@@ -62,12 +69,26 @@ class Mat:
         return None
 
     def matmul(self, other: "Mat") -> "Mat":
+        """The product; positions sharing a left row share its product row.
+
+        A left row's coefficients on one shared right-row object are summed
+        before any axpy, so terms that cancel cost no Fraction work.
+        """
         assert self.ncols == other.nrows
+        products = {}  # id(left row) -> product row
         out = []
         for r in self.rows:
-            acc: Row = {}
-            for k, v in r.items():
-                axpy(acc, v, other.rows[k])
+            acc = products.get(id(r))
+            if acc is None:
+                weights = {}  # id(right row) -> (right row, summed coefficient)
+                for k, v in r.items():
+                    x = other.rows[k]
+                    _, w = weights.get(id(x), (x, 0))
+                    weights[id(x)] = (x, w + v)
+                acc = products[id(r)] = {}
+                for x, w in weights.values():
+                    if w:
+                        axpy(acc, w, x)
             out.append(acc)
         return Mat(self.nrows, other.ncols, out)
 
@@ -101,9 +122,13 @@ class Echelon:
     """Incremental reduced row echelon form of a growing row set."""
 
     def __init__(self, rows=()):
+        """Feed each distinct row object once: a repeat adds nothing."""
         self.pivots: dict = {}  # pivot column -> row with that pivot == 1
+        seen = {}  # id -> row; holding the row keeps its id from being reused
         for r in rows:
-            self.add(r)
+            if id(r) not in seen:
+                seen[id(r)] = r
+                self.add(r)
 
     def add(self, row: Row) -> bool:
         """Insert a row; True if it increased the rank."""

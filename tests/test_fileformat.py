@@ -15,8 +15,13 @@ def test_parse_rational():
     assert parse_rational("3") == F(3)
     assert parse_rational("-7/2") == F(-7, 2)
     assert parse_rational("4/6") == F(2, 3)
+    assert parse_rational("+3/+4") == F(3, 4)
     for bad in ("1/0", "2/-3", "x", "1.5", "1/2/3"):
         with pytest.raises(ParseError):
+            parse_rational(bad)
+    # only an optional sign and ASCII digits, in numerator and denominator
+    for bad in ("1_0", "\u0663", "1/2_0", "1/\u0662", "--1", "+", "1/", "0x10"):
+        with pytest.raises(ParseError, match="malformed rational"):
             parse_rational(bad)
     for bad in ("1/0", "1/-2"):
         with pytest.raises(ParseError, match="positive denominator"):
@@ -79,6 +84,10 @@ def test_parse_errors_carry_line_numbers():
         (base + "order diffuse\n", "order must be"),
         (base.replace("mult 0 0 = 1 0", "mult 0 0 1 0"), "expected 'mult i j ="),
         (base.replace("dim 2", "dim 2 7"), "line 2: dim takes one integer"),
+        (base.replace("dim 2", "dim 0_2"), "line 2: dim takes one integer"),
+        (base.replace("dim 2", "dim \u0662"), "line 2: dim takes one integer"),
+        (base.replace("mult 1 1", "mult 1 \u0661"), "mult indices must be integers"),
+        (base.replace("unit 1 0", "unit 1 0_0"), "malformed rational"),
     ]
     for text, needle in cases:
         with pytest.raises(ParseError, match=needle):

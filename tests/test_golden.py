@@ -1,15 +1,26 @@
 """CLI stdout pinned byte for byte.
 
 Each entry is a command, with the fixture named by its file stem, and the
-sha256 of its stdout.  The cohomology, verify-complex, classify and qsqrt2
-audit entries were recorded before cochains were stored as sparse flat
-vectors; the atomic4, cubic2, atomic3 and q audit entries were recorded
-before the chain maps were written as sums of terms.  Any change to the
-bytes of a representative, witness or verdict fails here.  The whole set
-runs in process in about three seconds.
+sha256 of its stdout.  The cohomology, `verify-complex atomic3`, classify
+and qsqrt2 audit entries were recorded before cochains were stored as
+sparse flat vectors; the atomic4, cubic2, atomic3 and q audit entries were
+recorded before the chain maps were written as sums of terms; the
+`verify-complex cubic2` and `verify-complex atomic4` entries, full
+complexes through d_4 o d_3, were recorded before matrix products and
+elimination computed each shared row once.  Any change to the bytes of a
+representative, witness or verdict fails here.  The whole set runs in
+process in about three seconds.
+
+Run as a script to record pins: `python tests/test_golden.py "<command>" …`
+prints one ready-to-paste entry per command, through the same fixture path
+rule and the same in-process `main` as the test.  Put the `src` of the
+commit to record on PYTHONPATH.
 """
 
+import contextlib
 import hashlib
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,6 +144,10 @@ GOLDEN = {
         "f86b9798efef4fa10b8d252232a3e52b9db4bec9f4909fd3038d93ec62c522d1",
     "verify-complex atomic3 --complex band --max-degree 2":
         "cbcbeecfa80fb5fafe977b5ead49d7a48d24a6761655e5ff3c0fc0ee5440f64d",
+    "verify-complex cubic2 --max-degree 3":
+        "dd392641d147d6ff8018840b6ffcee86a95c4b9275335970e462352d03d01a2c",
+    "verify-complex atomic4 --max-degree 3":
+        "dd6c2223e07e796cd0b6e91dfa12d28c9d52b05602703394e4ea502cbc1c5585",
     "classify q":
         "0836b051e89106c8171d00983df87ff52a69e6289ad0588ddb6b54c439f37fd9",
     "classify qsqrt2":
@@ -148,10 +163,24 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", list(GOLDEN))
-def test_stdout_is_pinned(command, capsys):
+def run(command):
+    """Exit code and sha256 of stdout of one command run in process."""
     argv = command.split()
     argv[1] = str(FIXTURES / f"{argv[1]}.alg")
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_stdout_is_pinned(command):
+    assert run(command) == (0, GOLDEN[command])
+
+
+if __name__ == "__main__":
+    for command in sys.argv[1:]:
+        code, digest = run(command)
+        if code:
+            sys.exit(f"{command!r} exited with code {code}")
+        print(f'    "{command}":\n        "{digest}",')
