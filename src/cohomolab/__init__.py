@@ -9,14 +9,10 @@ from .algebra import (
     multiply, regular_representation, validate_algebra, zero_divisor_falsifier,
 )
 from .multilinear import (
-    MultilinearMap, SubspaceBasis, canonical_basis, is_hochschild_2cocycle,
-    product_cochain_subspace, subspace_band_preserving,
-    subspace_ideal_preserving, symmetry_check,
+    MultilinearMap, SubspaceBasis, is_hochschild_2cocycle,
+    product_cochain_subspace, symmetry_check,
 )
-from .complex import (
-    DEFAULT_DEGREE_CAP, DegreeCapExceeded, apply_d, coboundary_matrix,
-    verify_dd_zero, verify_subcomplex_closure,
-)
+from .complex import DEFAULT_DEGREE_CAP, DegreeCapExceeded, apply_d, verify_dd_zero
 from .cohomology import (
     audit_chain_map, build_J, build_J_even, build_J_odd, build_K, cohomology,
     distinguished_quotient,

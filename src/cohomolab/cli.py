@@ -78,6 +78,17 @@ def _resolve_cap(args) -> int:
     return DEFAULT_DEGREE_CAP
 
 
+def _budget(text: str) -> int:
+    """A sampling budget: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohomolab",
@@ -86,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=64)
+    parser.add_argument("--trials", type=_budget, default=64)
     parser.add_argument("--degree-cap", type=int, default=None,
                         help=f"highest materialized cochain degree (default "
                              f"{DEFAULT_DEGREE_CAP}, or COHOMOLAB_MAX_DEGREE)")

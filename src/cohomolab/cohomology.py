@@ -23,7 +23,7 @@ from .multilinear import (
 )
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_BAND, TAG_FULL, apply_d, arrangements, check_cap,
-    coboundary_images, expand_index_matrix, index_coboundary_matrix, tag_basis,
+    coboundary, coboundary_images, lift,
 )
 
 CONVENTION_SHIFTED = "shifted"
@@ -35,16 +35,7 @@ def cocycle_space(spec: AlgebraSpec, degree: int, tag: str,
                   cap: int = DEFAULT_DEGREE_CAP) -> list:
     """Flat basis rows of the degree-`degree` cocycles of the tag complex."""
     check_cap(degree + 1, cap)
-    basis = tag_basis(spec, degree, tag)
-    if basis is None:
-        m = index_coboundary_matrix(spec, degree, cap)
-        z = kernel(m)
-        return expand_index_matrix(Mat(len(z), m.ncols, z), spec.dim).rows
-    rows = basis.flat_rows()
-    images = coboundary_images(spec, degree, rows, cap)
-    coeffs = kernel(Mat.from_columns(spec.dim ** (degree + 3), images))
-    members = Mat(len(rows), spec.dim ** (degree + 2), rows)
-    return rref(Mat(len(coeffs), len(rows), coeffs).matmul(members).rows)
+    return lift(spec, degree, tag, kernel(coboundary(spec, degree, tag, cap)))
 
 
 def coboundary_space(spec: AlgebraSpec, degree: int, tag: str,
@@ -53,12 +44,7 @@ def coboundary_space(spec: AlgebraSpec, degree: int, tag: str,
     if degree == 0:
         return []
     check_cap(degree, cap)
-    basis = tag_basis(spec, degree - 1, tag)
-    if basis is None:
-        m = index_coboundary_matrix(spec, degree - 1, cap)
-        b = column_space(m)
-        return expand_index_matrix(Mat(len(b), m.nrows, b), spec.dim).rows
-    return rref(coboundary_images(spec, degree - 1, basis.flat_rows(), cap))
+    return lift(spec, degree, tag, column_space(coboundary(spec, degree - 1, tag, cap)))
 
 
 @dataclass(frozen=True)
@@ -84,26 +70,15 @@ def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
     else:
         z_degree = n
     check_cap(z_degree + 1, cap)
-    if tag_basis(spec, z_degree, tag) is None:
-        # stay at the index level; both spaces factor through it
-        d = spec.dim
-        z_idx = kernel(index_coboundary_matrix(spec, z_degree, cap))
-        b_idx = (column_space(index_coboundary_matrix(spec, z_degree - 1, cap))
-                 if z_degree else [])
-        dim_z = d * len(z_idx)
-        dim_b = d * len(b_idx)
-        reps_idx = complete_basis(b_idx, z_idx)
-        rep_rows = expand_index_matrix(Mat(len(reps_idx), d ** (z_degree + 1), reps_idx), d).rows
-    else:
-        z_rows = cocycle_space(spec, z_degree, tag, cap)
-        b_rows = coboundary_space(spec, z_degree, tag, cap)
-        rep_rows = complete_basis(b_rows, z_rows)
-        dim_z = len(z_rows)
-        dim_b = len(b_rows)
-    reps = SubspaceBasis(
-        z_degree + 1,
-        tuple(from_flat(spec.dim, z_degree + 1, r) for r in rep_rows),
-    )
+    # eliminate in the complex's own coordinates; lift only the representatives
+    z = kernel(coboundary(spec, z_degree, tag, cap))
+    b = column_space(coboundary(spec, z_degree - 1, tag, cap)) if z_degree else []
+    per_row = len(lift(spec, z_degree, tag, [{}]))  # flat rows per coordinate row
+    reps = SubspaceBasis(z_degree + 1, tuple(
+        from_flat(spec.dim, z_degree + 1, r)
+        for r in lift(spec, z_degree, tag, complete_basis(b, z))))
+    dim_z = per_row * len(z)
+    dim_b = per_row * len(b)
     return CohomologyReport(
         algebra=spec.name, degree=n, tag=tag, convention=convention,
         dim_cocycles=dim_z, dim_coboundaries=dim_b,

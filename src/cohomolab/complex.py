@@ -15,9 +15,14 @@ multiplies and permutes arguments), so on flattened cochains it is an
 "index-level" matrix, acting on argument index tuples, tensored with the
 identity on output coordinates.  That matrix, built once per algebra and
 degree, is the only coboundary operator: every application of d is a
-sparse product with it.  The full complex is eliminated at the index level
-itself.  The ideal and band complexes are given by a basis of flat
-cochains (their tag basis), and d is applied to those rows.
+sparse product with it.
+
+Every complex is described the same way, degree by degree: d_n as a
+matrix in the complex's own coordinates (coboundary), and one map that
+turns rows in those coordinates into flat cochains (lift).  The full
+complex's coordinates are the index tuples, and lift tensors with the
+identity; the ideal and band complexes are spanned by unit cochains at
+the flat coordinates tag_coords lists, and lift re-indexes onto them.
 
 The symmetric-group sum is evaluated by grouping permutations per distinct
 rearrangement of the index tuple (each arises the same number of times).
@@ -27,16 +32,17 @@ as an independent oracle for tests and audits.
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .algebra import (
-    AlgebraSpec, DOMAIN_ASSERTED, ORDER_NONE, add, zero_element,
+    AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE, add, zero_element,
 )
-from .linalg import Mat, Echelon, axpy
+from .linalg import Mat, axpy
 from .multilinear import (
-    MultilinearMap, all_tuples, from_coeff_function, from_flat,
-    subspace_band_preserving, subspace_ideal_preserving, tuple_index,
+    MultilinearMap, OrderStructureRequired, UnsupportedAlgebra, all_tuples,
+    from_coeff_function, from_flat, tuple_index,
 )
 
 DEFAULT_DEGREE_CAP = 5
@@ -169,15 +175,6 @@ def _index_matrix(spec: AlgebraSpec, n: int) -> Mat:
     return Mat(d ** (n + 2), d ** (n + 1), rows)
 
 
-def expand_index_matrix(mat: Mat, d: int) -> Mat:
-    """Kronecker product with the identity on the d output coordinates."""
-    rows = []
-    for r in mat.rows:
-        for k in range(d):
-            rows.append({c * d + k: v for c, v in r.items()})
-    return Mat(mat.nrows * d, mat.ncols * d, rows)
-
-
 def coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_DEGREE_CAP) -> list:
     """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows.
 
@@ -197,41 +194,64 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_DEGREE
     return images
 
 
-def tag_basis(spec: AlgebraSpec, degree: int, tag: str):
-    """Basis of the tag complex at `degree`, or None when it is every cochain.
+def tag_coords(spec: AlgebraSpec, degree: int, tag: str):
+    """Flat coordinates of the tag complex at `degree`, or None for every cochain.
 
-    This is the one place that decides between the whole cochain space,
-    whose coboundary is eliminated at the index level, and a tag basis
-    fed to coboundary_images.  A field has only trivial ideals, so the
-    ideal complex of an asserted domain is the full complex.  Raises
-    OrderStructureRequired or UnsupportedAlgebra where the tag is not
-    defined for the algebra.
+    This is the one place that decides which complex a tag names.  A field
+    has only trivial ideals, so the ideal complex of an asserted domain is
+    the full complex.  On an atomic algebra the ideals and the bands are
+    coordinate subspaces, and both complexes are spanned by the diagonal
+    cochains (b_k, ..., b_k) -> b_k, listed in ascending flat order.
+    Raises OrderStructureRequired or UnsupportedAlgebra where the tag is
+    not defined for the algebra.
     """
-    arity = degree + 1
     if tag == TAG_FULL:
         return None
     if tag == TAG_IDEAL:
         if spec.order_mode == ORDER_NONE and spec.domain_status == DOMAIN_ASSERTED:
             return None
-        return subspace_ideal_preserving(spec, arity)
-    if tag == TAG_BAND:
-        return subspace_band_preserving(spec, arity)
-    raise ValueError(f"unknown complex tag {tag!r}")
+        if spec.order_mode != ORDER_ATOMIC:
+            raise UnsupportedAlgebra("ideal-preserving subspace is only defined for "
+                                     "asserted domains and atomic algebras")
+    elif tag == TAG_BAND:
+        if spec.order_mode != ORDER_ATOMIC:
+            raise OrderStructureRequired("band structure requires atomic order")
+    else:
+        raise ValueError(f"unknown complex tag {tag!r}")
+    d = spec.dim
+    return [tuple_index((k,) * (degree + 1), d) * d + k for k in range(d)]
 
 
-def coboundary_matrix(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
-                      cap: int = DEFAULT_DEGREE_CAP) -> Mat:
-    """Flat matrix of d_n on the tag subspace at degree n.
+def coboundary(spec: AlgebraSpec, n: int, tag: str, cap: int = DEFAULT_DEGREE_CAP) -> Mat:
+    """d_n of the tag complex in its own coordinates: degree n+1 rows, degree n columns.
 
-    Columns are the flattened images of the tag's degree-n basis members;
-    rows are indexed by the degree-(n+1) ambient canonical basis, so the
-    shape is d^{n+3} by (tag dimension at degree n).
+    For every cochain these are index tuples (lift tensors with the
+    identity on output coordinates); otherwise they are the positions in
+    tag_coords.  Raises ValueError if an image leaves the subcomplex.
     """
-    basis = tag_basis(spec, n, tag)
-    if basis is None:
-        return expand_index_matrix(index_coboundary_matrix(spec, n, cap), spec.dim)
-    return Mat.from_columns(spec.dim ** (n + 3),
-                            coboundary_images(spec, n, basis.flat_rows(), cap))
+    src = tag_coords(spec, n, tag)
+    if src is None:
+        return index_coboundary_matrix(spec, n, cap)
+    dst = {c: i for i, c in enumerate(tag_coords(spec, n + 1, tag))}
+    columns = []
+    for image in coboundary_images(spec, n, [{c: Fraction(1)} for c in src], cap):
+        if not dst.keys() >= image.keys():
+            raise ValueError(f"subcomplex {tag} is not closed at degree {n}")
+        columns.append({dst[c]: v for c, v in image.items()})
+    return Mat.from_columns(len(dst), columns)
+
+
+def lift(spec: AlgebraSpec, degree: int, tag: str, rows) -> list:
+    """Flat degree-`degree` cochains of rows given in the tag complex's coordinates.
+
+    An index-level row gives d flat rows, one per output coordinate.  Both
+    maps keep column order, so canonical echelon rows stay canonical.
+    """
+    coords = tag_coords(spec, degree, tag)
+    if coords is None:
+        d = spec.dim
+        return [{c * d + k: v for c, v in r.items()} for r in rows for k in range(d)]
+    return [{coords[c]: v for c, v in r.items()} for r in rows]
 
 
 @dataclass(frozen=True)
@@ -246,44 +266,12 @@ class ComplexLawReport:
 
 def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
                    cap: int = DEFAULT_DEGREE_CAP) -> ComplexLawReport:
-    """Multiply consecutive coboundary matrices and report zero products.
-
-    On a tag basis the product's columns are d(d(member)), one per basis
-    member at degree n, over the flat degree-(n+2) coordinates.
-    """
+    """Multiply consecutive coboundary matrices and report zero products."""
     if max_n < 0:
         raise ValueError(f"cochain degrees start at 0, so max degree {max_n} checks nothing")
     check_cap(max_n + 2, cap)
     results = []
     for n in range(max_n + 1):
-        basis = tag_basis(spec, n, tag)
-        if basis is None:
-            prod = index_coboundary_matrix(spec, n + 1, cap).matmul(
-                index_coboundary_matrix(spec, n, cap))
-        else:
-            if not verify_subcomplex_closure(spec, n, tag, cap)[0]:
-                raise ValueError(f"subcomplex {tag} is not closed at degree {n}")
-            images = coboundary_images(spec, n, basis.flat_rows(), cap)
-            prod = Mat.from_columns(spec.dim ** (n + 4),
-                                    coboundary_images(spec, n + 1, images, cap))
+        prod = coboundary(spec, n + 1, tag, cap).matmul(coboundary(spec, n, tag, cap))
         results.append((n, prod.is_zero(), prod.first_nonzero()))
     return ComplexLawReport(tag, tuple(results))
-
-
-def verify_subcomplex_closure(spec: AlgebraSpec, n: int, tag: str,
-                              cap: int = DEFAULT_DEGREE_CAP):
-    """True iff d maps the tag subspace at degree n into it at degree n+1.
-
-    Returns (bool, counterexample member or None).
-    """
-    if tag not in (TAG_IDEAL, TAG_BAND):
-        raise ValueError("closure check applies to the ideal and band tags")
-    check_cap(n + 1, cap)
-    src = tag_basis(spec, n, tag)
-    if src is None:
-        return (True, None)
-    dst = Echelon(tag_basis(spec, n + 1, tag).flat_rows())
-    for member, image in zip(src.members, coboundary_images(spec, n, src.flat_rows(), cap)):
-        if not dst.contains(image):
-            return (False, member)
-    return (True, None)

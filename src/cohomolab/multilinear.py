@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    AlgebraSpec, Element, ORDER_ATOMIC, ORDER_NONE, DOMAIN_ASSERTED,
-    add, basis_element, basis_product, multiply, scale,
+    AlgebraSpec, Element, add, basis_element, basis_product, multiply, scale,
 )
 from .linalg import span_dim
 
@@ -115,47 +114,6 @@ class SubspaceBasis:
 
     def verify_independent(self) -> bool:
         return span_dim(self.flat_rows()) == len(self.members)
-
-
-def canonical_basis(d: int, arity: int) -> SubspaceBasis:
-    """The d^{arity+1} unit tensors in lexicographic (tuple, coord) order."""
-    members = [
-        unit_tensor(d, arity, flat, k)
-        for flat in range(d ** arity)
-        for k in range(d)
-    ]
-    return SubspaceBasis(arity, tuple(members))
-
-
-def diagonal_basis(spec: AlgebraSpec, arity: int) -> SubspaceBasis:
-    """Cochains supported on a single atom: (b_k, ..., b_k) -> b_k."""
-    d = spec.dim
-    return SubspaceBasis(arity, tuple(
-        unit_tensor(d, arity, tuple_index((k,) * arity, d), k) for k in range(d)
-    ))
-
-
-def subspace_ideal_preserving(spec: AlgebraSpec, arity: int) -> SubspaceBasis:
-    """Cochains mapping ideal tuples into the product of the ideals.
-
-    A field has only trivial ideals, so the constraint is vacuous; in an
-    atomic algebra the ideals are the coordinate subspaces and the
-    constraint forces the diagonal support.
-    """
-    if spec.order_mode == ORDER_ATOMIC:
-        return diagonal_basis(spec, arity)
-    if spec.order_mode == ORDER_NONE and spec.domain_status == DOMAIN_ASSERTED:
-        return canonical_basis(spec.dim, arity)
-    raise UnsupportedAlgebra(
-        "ideal-preserving subspace is only defined for asserted domains and atomic algebras"
-    )
-
-
-def subspace_band_preserving(spec: AlgebraSpec, arity: int) -> SubspaceBasis:
-    """Separately band preserving cochains; atomic bands are coordinate subspaces."""
-    if spec.order_mode != ORDER_ATOMIC:
-        raise OrderStructureRequired("band structure requires atomic order")
-    return diagonal_basis(spec, arity)
 
 
 def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> SubspaceBasis:

@@ -47,6 +47,10 @@ def test_usage_error(capsys):
     assert run_cli(capsys, "cohomology", QSQRT2)[0] == 2  # missing --degree
     assert run_cli(capsys, "frobnicate", QSQRT2)[0] == 2
     assert run_cli(capsys, "--help")[0] == 0
+    # a negative sampling budget is a usage error, not an empty budget
+    code, out, err = run_cli(capsys, "--trials", "-5", "classify", QSQRT2)
+    assert code == 2 and out == "" and "--trials" in err
+    assert run_cli(capsys, "--trials", "0", "classify", QSQRT2)[0] == 0
 
 
 def test_cohomology_output(capsys):

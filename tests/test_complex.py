@@ -6,18 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cohomolab import complex as cx
 from cohomolab.algebra import basis_element, build_number_field, multiply
 from cohomolab.complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAG_BAND, TAG_FULL, TAG_IDEAL,
-    apply_d, coboundary_matrix, expand_index_matrix, index_coboundary_matrix,
-    verify_dd_zero, verify_subcomplex_closure,
+    apply_d, coboundary, index_coboundary_matrix, lift, tag_coords,
+    verify_dd_zero,
 )
-from cohomolab.cohomology import cocycle_space
-from cohomolab.linalg import intersection, rank, rref
+from cohomolab.cohomology import CONVENTIONS, build_K, cocycle_space, cohomology
+from cohomolab.linalg import intersection, rref
 from cohomolab.multilinear import (
-    from_coeff_function, from_flat, subspace_band_preserving, zero_map,
+    OrderStructureRequired, UnsupportedAlgebra, from_coeff_function, from_flat,
+    tuple_index, zero_map,
 )
-from cohomolab.cohomology import build_K
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 
 F = Fraction
@@ -104,8 +105,10 @@ def test_apply_d_matches_naive_oracle(fix, n, data, request):
 def test_band_cocycles_are_full_cocycles_in_band(fix, request):
     """Band cocycles, against a Zassenhaus intersection of two independent spaces."""
     spec = request.getfixturevalue(fix)
+    d = spec.dim
     for n in range(3):
-        band = subspace_band_preserving(spec, n + 1).flat_rows()
+        # the diagonal cochains (b_k, ..., b_k) -> b_k
+        band = [{tuple_index((k,) * (n + 1), d) * d + k: F(1)} for k in range(d)]
         full = cocycle_space(spec, n, TAG_FULL)
         expected = rref(intersection(full, band, spec.dim ** (n + 2)))
         assert cocycle_space(spec, n, TAG_BAND) == expected
@@ -124,28 +127,52 @@ def test_apply_d_linear(qsqrt2):
 
 
 def test_index_matrix_shapes_and_expansion(qsqrt2):
+    """The index matrix lifted to flat coordinates applies d entry by entry."""
     m = index_coboundary_matrix(qsqrt2, 1)
     assert (m.nrows, m.ncols) == (8, 4)
-    full = expand_index_matrix(m, 2)
-    assert (full.nrows, full.ncols) == (16, 8)
-    direct = coboundary_matrix(qsqrt2, 1)
-    assert (direct.nrows, direct.ncols) == (16, 8)
-    assert full.to_dense() == direct.to_dense()
-
-
-def test_coboundary_matrix_columns_are_images(qsqrt2):
-    m = coboundary_matrix(qsqrt2, 1)
+    flat = lift(qsqrt2, 2, TAG_FULL, m.rows)
+    assert len(flat) == 16
     psi = psi_f_times_b(qsqrt2)
     vec = psi.flatten()
     image = apply_d(qsqrt2, psi).flatten()
-    for i in range(m.nrows):
-        got = sum(m.rows[i].get(j, F(0)) * vec.get(j, F(0)) for j in range(m.ncols))
+    for i, row in enumerate(flat):
+        got = sum(v * vec.get(j, F(0)) for j, v in row.items())
         assert got == image.get(i, F(0))
 
 
-def test_band_matrix_shape(atomic3):
-    m = coboundary_matrix(atomic3, 1, tag=TAG_BAND)
-    assert (m.nrows, m.ncols) == (3 ** 4, 3)
+def _diagonal_constant(n):
+    """d_n on the diagonal cochains of an atomic algebra is this times I."""
+    if n == 0:
+        return 1
+    return 0 if n % 2 else math.factorial(n + 2)
+
+
+@pytest.mark.parametrize("tag", [TAG_BAND, TAG_IDEAL])
+@pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])
+def test_diagonal_coboundary_is_scalar(fix, tag, request):
+    """Closed form: c_0 = 1, c_n = 0 for odd n, c_n = (n+2)! for even n >= 2."""
+    spec = request.getfixturevalue(fix)
+    for n in range(5):
+        c = _diagonal_constant(n)
+        expected = [{i: c} if c else {} for i in range(spec.dim)]
+        assert coboundary(spec, n, tag, cap=6).rows == expected
+    for convention in CONVENTIONS:
+        for degree in range(4):
+            assert cohomology(spec, degree, tag=tag, convention=convention,
+                              cap=6).dim_H == 0
+
+
+def test_tag_coords(qsqrt2, atomic3):
+    assert tag_coords(qsqrt2, 1, TAG_IDEAL) is None
+    assert tag_coords(qsqrt2, 1, TAG_FULL) is None
+    diagonal = [tuple_index((k, k), 3) * 3 + k for k in range(3)]
+    assert tag_coords(atomic3, 1, TAG_IDEAL) == diagonal == [0, 13, 26]
+    assert tag_coords(atomic3, 1, TAG_BAND) == diagonal
+    with pytest.raises(OrderStructureRequired):
+        tag_coords(qsqrt2, 1, TAG_BAND)
+    unchecked = build_number_field([0, 0, 1], name="dual")  # zero divisors
+    with pytest.raises(UnsupportedAlgebra):
+        tag_coords(unchecked, 1, TAG_IDEAL)
 
 
 @pytest.mark.parametrize("fix", ["q", "qsqrt2", "cubic2", "atomic2", "atomic3"])
@@ -178,12 +205,16 @@ def test_dd_zero_ideal_on_field_matches_full(qsqrt2):
     assert full.all_zero and ideal.all_zero
 
 
-def test_subcomplex_closure(atomic3, qsqrt2):
-    for n in range(3):
-        assert verify_subcomplex_closure(atomic3, n, TAG_BAND) == (True, None)
-        assert verify_subcomplex_closure(atomic3, n, TAG_IDEAL) == (True, None)
-    with pytest.raises(ValueError):
-        verify_subcomplex_closure(qsqrt2, 1, TAG_FULL)
+def test_subcomplex_closure(atomic3, monkeypatch):
+    real = cx.tag_coords
+
+    def shifted(spec, degree, tag):
+        coords = real(spec, degree, tag)
+        return [c + 1 for c in coords] if degree == 1 else coords
+
+    monkeypatch.setattr(cx, "tag_coords", shifted)
+    with pytest.raises(ValueError, match="not closed at degree 0"):
+        coboundary(atomic3, 0, TAG_BAND)
 
 
 def test_negative_degree_rejected(qsqrt2):

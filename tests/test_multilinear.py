@@ -6,11 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import basis_element, build_number_field, multiply
 from cohomolab.multilinear import (
-    MultilinearMap, OrderStructureRequired, SubspaceBasis, UnsupportedAlgebra,
-    all_tuples, canonical_basis, diagonal_basis, from_coeff_function,
-    from_flat, is_hochschild_2cocycle, product_cochain_subspace,
-    subspace_band_preserving, subspace_ideal_preserving, symmetry_check,
-    tuple_index, unit_tensor, zero_map,
+    all_tuples, from_coeff_function, from_flat, is_hochschild_2cocycle,
+    product_cochain_subspace, symmetry_check, tuple_index, unit_tensor, zero_map,
 )
 from conftest import elem, mult_cochain, psi_f_times_b, sqrt2_coefficient
 
@@ -56,36 +53,6 @@ def test_unit_tensor():
     assert t.coeff((1, 1)) == elem(0, 1)
     assert t.coeff((0, 1)) == elem(0, 0)
     assert t.flatten() == {3 * 2 + 1: F(1)}
-
-
-def test_canonical_basis_order_and_size():
-    basis = canonical_basis(2, 2)
-    assert len(basis) == 8
-    assert basis.verify_independent()
-    # tuple-major, coordinate-minor
-    assert basis.members[0].flatten() == {0: F(1)}
-    assert basis.members[1].flatten() == {1: F(1)}
-    assert basis.members[7].flatten() == {7: F(1)}
-
-
-def test_diagonal_basis(atomic3):
-    basis = diagonal_basis(atomic3, 2)
-    assert len(basis) == 3
-    assert basis.verify_independent()
-    m = basis.members[1]
-    assert m.coeff((1, 1)) == elem(0, 1, 0)
-    assert all(not any(m.coeff(idx)) for idx in all_tuples(3, 2) if idx != (1, 1))
-
-
-def test_subspace_selectors(qsqrt2, atomic3):
-    assert len(subspace_ideal_preserving(qsqrt2, 2)) == 8
-    assert len(subspace_ideal_preserving(atomic3, 2)) == 3
-    assert len(subspace_band_preserving(atomic3, 2)) == 3
-    with pytest.raises(OrderStructureRequired):
-        subspace_band_preserving(qsqrt2, 2)
-    unchecked = build_number_field([0, 0, 1], name="dual")  # zero divisors
-    with pytest.raises(UnsupportedAlgebra):
-        subspace_ideal_preserving(unchecked, 2)
 
 
 def test_product_cochain_subspace(qsqrt2):
