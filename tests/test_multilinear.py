@@ -5,8 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import basis_element, build_number_field, multiply
+from cohomolab.complex import TAG_BAND, TAG_IDEAL, lift, tag_coords
 from cohomolab.multilinear import (
-    all_tuples, from_coeff_function, from_flat, is_hochschild_2cocycle,
+    OrderStructureRequired, SubspaceBasis, UnsupportedAlgebra, all_tuples,
+    from_coeff_function, from_flat, is_hochschild_2cocycle,
     product_cochain_subspace, symmetry_check, tuple_index, unit_tensor, zero_map,
 )
 from conftest import elem, mult_cochain, psi_f_times_b, sqrt2_coefficient
@@ -53,6 +55,33 @@ def test_unit_tensor():
     assert t.coeff((1, 1)) == elem(0, 1)
     assert t.coeff((0, 1)) == elem(0, 0)
     assert t.flatten() == {3 * 2 + 1: F(1)}
+
+
+def _unit_rows(size):
+    return [{i: F(1)} for i in range(size)]
+
+
+def test_diagonal_basis(atomic3):
+    """The ideal complex of an atomic algebra is spanned by (b_k, b_k) -> b_k."""
+    members = tuple(from_flat(3, 2, r) for r in lift(atomic3, 1, TAG_IDEAL, _unit_rows(3)))
+    basis = SubspaceBasis(2, members)
+    assert len(basis) == 3
+    assert basis.verify_independent()
+    m = basis.members[1]
+    assert m.coeff((1, 1)) == elem(0, 1, 0)
+    assert all(not any(m.coeff(idx)) for idx in all_tuples(3, 2) if idx != (1, 1))
+
+
+def test_subspace_selectors(qsqrt2, atomic3):
+    assert tag_coords(qsqrt2, 1, TAG_IDEAL) is None  # a field: every cochain
+    assert len(lift(qsqrt2, 1, TAG_IDEAL, _unit_rows(4))) == 8
+    assert len(tag_coords(atomic3, 1, TAG_IDEAL)) == 3
+    assert len(tag_coords(atomic3, 1, TAG_BAND)) == 3
+    with pytest.raises(OrderStructureRequired):
+        tag_coords(qsqrt2, 1, TAG_BAND)
+    unchecked = build_number_field([0, 0, 1], name="dual")  # zero divisors
+    with pytest.raises(UnsupportedAlgebra):
+        tag_coords(unchecked, 1, TAG_IDEAL)
 
 
 def test_product_cochain_subspace(qsqrt2):
