@@ -18,7 +18,6 @@ from .cohomology import (
     distinguished_quotient,
 )
 from .operators import (
-    classify, is_band_preserving, is_local_multiplier, is_multiplier,
-    is_n_multiplier, is_orthomorphism, local_n_multiplier_audit,
+    classify, is_band_preserving, is_local_multiplier, is_multiplier, is_orthomorphism,
 )
 from .fileformat import parse_algebra_file, parse_algebra_text, serialize_algebra

@@ -10,7 +10,7 @@ all-ones unit) carrying the lattice order.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .linalg import Mat, kernel, column_space, span_contains
+from .linalg import Echelon, Mat, kernel
 from .rng import Lcg64
 
 Element = tuple  # tuple[Fraction, ...]
@@ -163,22 +163,19 @@ def regular_representation(spec: AlgebraSpec, x: Element) -> list:
 
 
 def invert(spec: AlgebraSpec, x: Element):
-    """Multiplicative inverse of x, or None when x is not invertible."""
+    """Multiplicative inverse of x, or None when x is not invertible.
+
+    x is invertible exactly when the unit lies in the image of M_x, so the
+    kernel of [M_x | e] alone decides: a kernel vector (y, t) with t != 0
+    gives x^{-1} = -y/t.
+    """
     d = spec.dim
-    m = Mat.from_dense(regular_representation(spec, x))
-    if kernel(m):
-        return None
-    # solve M y = unit by augmented elimination
-    rows = [dict(r) for r in m.rows]
-    for i in range(d):
-        if spec.unit[i]:
-            rows[i][d] = spec.unit[i]
-    ker = kernel(Mat(d, d + 1, rows))
-    for vec in ker:
+    augmented = [row + [u] for row, u in zip(regular_representation(spec, x), spec.unit)]
+    for vec in kernel(Mat.from_dense(augmented)):
         t = vec.get(d)
         if t:
             return tuple(-vec.get(j, Fraction(0)) / t for j in range(d))
-    raise AssertionError("invertible regular representation must solve")
+    return None
 
 
 def build_number_field(min_poly, name: str = "", trials: int = 64, seed: int = 0) -> AlgebraSpec:
@@ -264,7 +261,8 @@ def assess_domain(spec: AlgebraSpec, trials: int = 64, seed: int = 0) -> Algebra
 
 
 def principal_ideal_contains(spec: AlgebraSpec, a: Element, y: Element) -> bool:
-    """Exact membership test y in a*A (column space of multiplication by a)."""
-    cols = column_space(Mat.from_dense(regular_representation(spec, a)))
-    vec = {i: v for i, v in enumerate(y) if v}
-    return span_contains(cols, vec)
+    """Exact membership test y in a*A, the span of the products a*b_j."""
+    d = spec.dim
+    ech = Echelon({i: v for i, v in enumerate(multiply(spec, a, basis_element(d, j))) if v}
+                  for j in range(d))
+    return ech.contains({i: v for i, v in enumerate(y) if v})

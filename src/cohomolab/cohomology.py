@@ -9,17 +9,15 @@ cocycle spaces.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 
-from .algebra import (
-    AlgebraSpec, ORDER_ATOMIC, add, basis_product, multiply, scale, zero_element,
-)
+from .algebra import AlgebraSpec, add, basis_product, multiply, scale, zero_element
 from .linalg import (
     Mat, Echelon, axpy, column_space, complete_basis, kernel, rref, span_dim,
 )
 from .multilinear import (
-    MultilinearMap, OrderStructureRequired, SubspaceBasis, from_coeff_function,
-    from_flat, unit_tensor,
+    MultilinearMap, SubspaceBasis, from_coeff_function, from_flat, product_cochain_subspace,
 )
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_BAND, TAG_FULL, apply_d, arrangements, check_cap,
@@ -86,22 +84,6 @@ def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
     )
 
 
-def multiplier_space(spec: AlgebraSpec) -> SubspaceBasis:
-    """Multiplication operators x -> x*w, one per basis w, as arity-1 cochains."""
-    return SubspaceBasis(1, tuple(
-        from_coeff_function(spec, 1, lambda idx, k=k: spec.structure[k][idx[0]])
-        for k in range(spec.dim)
-    ))
-
-
-def orthomorphism_space(spec: AlgebraSpec) -> SubspaceBasis:
-    """Diagonal operators in the atom basis, as arity-1 cochains."""
-    if spec.order_mode != ORDER_ATOMIC:
-        raise OrderStructureRequired("orthomorphisms need the atomic order")
-    d = spec.dim
-    return SubspaceBasis(1, tuple(unit_tensor(d, 1, k, k) for k in range(d)))
-
-
 @dataclass(frozen=True)
 class DistinguishedQuotient:
     kind: str  # "mc" | "oo"
@@ -115,13 +97,14 @@ def distinguished_quotient(spec: AlgebraSpec, kind: str,
     """ker d_1 (within the band subspace for kind=oo) over the restricted d_0 image."""
     if kind == "mc":
         dim_kernel = len(cocycle_space(spec, 1, TAG_FULL, cap))
-        restricted = multiplier_space(spec)
+        restricted = product_cochain_subspace(spec, 1).flat_rows()  # the multipliers
     elif kind == "oo":
         dim_kernel = len(cocycle_space(spec, 1, TAG_BAND, cap))
-        restricted = orthomorphism_space(spec)
+        # the orthomorphisms: every operator in the band complex's coordinates
+        restricted = lift(spec, 0, TAG_BAND, [{k: Fraction(1)} for k in range(spec.dim)])
     else:
         raise ValueError(f"unknown quotient kind {kind!r}")
-    dim_image = span_dim(coboundary_images(spec, 0, restricted.flat_rows(), cap))
+    dim_image = span_dim(coboundary_images(spec, 0, restricted, cap))
     return DistinguishedQuotient(kind, dim_kernel, dim_image, dim_kernel - dim_image)
 
 
@@ -260,7 +243,8 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     d = spec.dim
 
     ker_d1 = cocycle_space(spec, 1, TAG_FULL, cap)
-    mult_images = rref(coboundary_images(spec, 0, multiplier_space(spec).flat_rows(), cap))
+    multipliers = product_cochain_subspace(spec, 1).flat_rows()
+    mult_images = rref(coboundary_images(spec, 0, multipliers, cap))
 
     def image_of(flat_row):
         psi = from_flat(d, 2, flat_row)

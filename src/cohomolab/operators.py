@@ -1,5 +1,10 @@
 """Operator predicates (multiplier, local multiplier, band preserving,
-orthomorphism, n-multiplier) and algebra-level classification verdicts.
+orthomorphism) and algebra-level classification verdicts.
+
+A linear operator T is the arity-1 cochain x -> T(x), a MultilinearMap
+like every other cochain, and the n-ary properties are the same
+predicates at arity n.  "Band preserving" means lying in the band
+complex's coordinates, the diagonal cochains of complex.tag_coords.
 
 Local properties quantify over all elements, so a sampled search can only
 refute; the verdict "yes" is returned only when a finite proof exists
@@ -14,9 +19,9 @@ from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE,
     add, basis_element, invert, is_zero, multiply, principal_ideal_contains,
 )
-from .multilinear import MultilinearMap, OrderStructureRequired, all_tuples
+from .multilinear import MultilinearMap, all_tuples, from_coeff_function
 from .rng import Lcg64
-from .complex import DEFAULT_DEGREE_CAP
+from .complex import DEFAULT_DEGREE_CAP, TAG_BAND, tag_coords
 from .cohomology import distinguished_quotient
 
 YES = "yes"
@@ -32,103 +37,33 @@ class OperatorVerdict:
     certificate: object = None
 
 
-def apply_operator(matrix, x):
-    d = len(matrix)
-    return tuple(
-        sum((matrix[i][j] * x[j] for j in range(d)), Fraction(0))
-        for i in range(d)
-    )
+def _check_shape(spec: AlgebraSpec, psi: MultilinearMap):
+    if psi.dim != spec.dim or psi.arity < 1:
+        raise ValueError(f"operator must be a cochain of dim {spec.dim} and arity >= 1, "
+                         f"got dim {psi.dim} and arity {psi.arity}")
 
 
-def sample_elements(spec: AlgebraSpec, trials: int, seed: int):
-    """Deterministic sample: basis, pairwise basis sums, seeded random."""
+def sample_tuples(spec: AlgebraSpec, m: int, trials: int, seed: int):
+    """Deterministic argument m-tuples: the basis tuples, each pairwise basis
+    sum in every slot, then `trials` tuples of m seeded random elements."""
     d = spec.dim
-    out = [basis_element(d, i) for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            out.append(add(basis_element(d, i), basis_element(d, j)))
+    basis = [basis_element(d, i) for i in range(d)]
+    out = [tuple(basis[i] for i in idx) for idx in all_tuples(d, m)]
+    out.extend((add(basis[i], basis[j]),) * m for i in range(d) for j in range(i + 1, d))
     rng = Lcg64(seed)
     for _ in range(trials):
-        out.append(tuple(Fraction(rng.randint(-8, 8)) for _ in range(d)))
+        out.append(tuple(tuple(Fraction(rng.randint(-8, 8)) for _ in range(d))
+                         for _ in range(m)))
     return out
 
 
-def is_multiplier(spec: AlgebraSpec, matrix) -> OperatorVerdict:
-    """T(a) = a * T(e); checking the basis suffices by linearity."""
-    d = spec.dim
-    if len(matrix) != d or any(len(r) != d for r in matrix):
-        raise ValueError("operator matrix dimension mismatch")
-    w = apply_operator(matrix, spec.unit)
-    for i in range(d):
-        b = basis_element(d, i)
-        if apply_operator(matrix, b) != multiply(spec, b, w):
-            return OperatorVerdict("multiplier", NO, witness=b)
-    return OperatorVerdict("multiplier", YES, certificate=w)
+def is_multiplier(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
+    """Psi(.., a, ..) = a * Psi(.., e, ..) in every slot; by multilinearity
+    the basis suffices, with the other slots frozen at basis tuples.
 
-
-def _is_diagonal(matrix) -> bool:
-    return all(not v for i, row in enumerate(matrix) for j, v in enumerate(row) if i != j)
-
-
-def is_local_multiplier(spec: AlgebraSpec, matrix, trials: int = 64,
-                        seed: int = 0) -> OperatorVerdict:
-    """T(a) in a*A for every a; decision ladder per algebra structure.
-
-    Fields: every nonzero element is invertible, so locality is automatic
-    once the sampled invertibility probe backs the domain assertion.
-    Atomic: locality is equivalent to diagonality.  Otherwise: sampled
-    membership tests, refutation-only.
+    At arity 1 this is T(a) = a * T(e).  The certificate is Psi(e, .., e).
     """
-    d = spec.dim
-    samples = sample_elements(spec, trials, seed)
-    if spec.order_mode == ORDER_NONE and spec.domain_status == DOMAIN_ASSERTED:
-        if all(is_zero(a) or invert(spec, a) is not None for a in samples):
-            return OperatorVerdict("local_multiplier", YES)
-    if spec.order_mode == ORDER_ATOMIC:
-        if _is_diagonal(matrix):
-            return OperatorVerdict("local_multiplier", YES)
-        for i in range(d):
-            b = basis_element(d, i)
-            if not principal_ideal_contains(spec, b, apply_operator(matrix, b)):
-                return OperatorVerdict("local_multiplier", NO, witness=b)
-        # non-diagonal but basis-locally fine cannot happen in atomic mode
-        return OperatorVerdict("local_multiplier", YES)
-    for a in samples:
-        if not principal_ideal_contains(spec, a, apply_operator(matrix, a)):
-            return OperatorVerdict("local_multiplier", NO, witness=a)
-    return OperatorVerdict("local_multiplier", UNKNOWN)
-
-
-def is_band_preserving(spec: AlgebraSpec, matrix) -> OperatorVerdict:
-    """T(x) disjoint from y whenever x is disjoint from y; diagonal in the atom basis."""
-    if spec.order_mode != ORDER_ATOMIC:
-        raise OrderStructureRequired("band preservation needs the atomic order")
-    d = spec.dim
-    for j in range(d):
-        col = apply_operator(matrix, basis_element(d, j))
-        for i in range(d):
-            if i != j and col[i]:
-                return OperatorVerdict(
-                    "band_preserving", NO,
-                    witness=(basis_element(d, j), basis_element(d, i)),
-                )
-    return OperatorVerdict("band_preserving", YES)
-
-
-def is_orthomorphism(spec: AlgebraSpec, matrix) -> OperatorVerdict:
-    """Order bounded band preserving; in the finite atomic setting the
-    entrywise absolute matrix always certifies order boundedness."""
-    bp = is_band_preserving(spec, matrix)
-    if bp.verdict != YES:
-        return OperatorVerdict("orthomorphism", NO, witness=bp.witness)
-    bound = [[abs(v) for v in row] for row in matrix]
-    return OperatorVerdict("orthomorphism", YES, certificate=bound)
-
-
-def is_n_multiplier(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
-    """Every slot map frozen at basis tuples must be a multiplier."""
-    if psi.arity < 2:
-        raise ValueError("n-multiplier needs arity >= 2")
+    _check_shape(spec, psi)
     d = spec.dim
     for slot in range(psi.arity):
         for frozen in all_tuples(d, psi.arity - 1):
@@ -139,48 +74,73 @@ def is_n_multiplier(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
                 idx = frozen[:slot] + (i,) + frozen[slot:]
                 if psi.coeff(idx) != multiply(spec, basis_element(d, i), unit_val):
                     return OperatorVerdict(
-                        "n_multiplier", NO, witness={"slot": slot + 1, "tuple": frozen,
-                                                     "basis": i},
+                        "multiplier", NO, witness={"slot": slot + 1, "tuple": frozen,
+                                                   "basis": i},
                     )
     return OperatorVerdict(
-        "n_multiplier", YES,
-        certificate=psi.eval([spec.unit] * psi.arity),
+        "multiplier", YES, certificate=psi.eval([spec.unit] * psi.arity),
     )
 
 
-def local_n_multiplier_audit(spec: AlgebraSpec, psi: MultilinearMap,
-                             trials: int = 64, seed: int = 0) -> OperatorVerdict:
-    """Necessary-condition audit: Psi(a_1..a_m) in (prod a_i)*A on sampled tuples."""
-    if psi.arity < 2:
-        raise ValueError("local n-multiplier needs arity >= 2")
-    d = spec.dim
-    m = psi.arity
+def is_local_multiplier(spec: AlgebraSpec, psi: MultilinearMap, trials: int = 64,
+                        seed: int = 0) -> OperatorVerdict:
+    """Psi(a_1, .., a_m) in (a_1 ... a_m) * A for all arguments; a decision
+    ladder per algebra structure.
 
-    def check(args):
+    Fields: membership cannot fail when the product is invertible, so
+    locality is automatic once the sampled invertibility probe backs the
+    domain assertion.  Atomic: the basis tuples decide, since they pass
+    exactly when psi is diagonal, and a diagonal psi is the multiplier
+    (a_1, .., a_m) -> (a_1 ... a_m) * psi(e, .., e).  Otherwise: sampled
+    membership tests, refutation-only; the witness is the argument tuple.
+    """
+    _check_shape(spec, psi)
+    samples = sample_tuples(spec, psi.arity, trials, seed)
+    if spec.order_mode == ORDER_NONE and spec.domain_status == DOMAIN_ASSERTED:
+        elements = dict.fromkeys(a for args in samples for a in args)
+        if all(is_zero(a) or invert(spec, a) is not None for a in elements):
+            return OperatorVerdict("local_multiplier", YES)
+    decided = spec.order_mode == ORDER_ATOMIC
+    if decided:
+        samples = samples[:spec.dim ** psi.arity]  # the basis tuples
+    for args in samples:
         prod = spec.unit
         for a in args:
             prod = multiply(spec, prod, a)
-        return principal_ideal_contains(spec, prod, psi.eval(list(args)))
+        if not principal_ideal_contains(spec, prod, psi.eval(list(args))):
+            return OperatorVerdict("local_multiplier", NO, witness=args)
+    return OperatorVerdict("local_multiplier", YES if decided else UNKNOWN)
 
-    tuples = [tuple(basis_element(d, i) for i in idx) for idx in all_tuples(d, m)]
-    sums = [add(basis_element(d, i), basis_element(d, j))
-            for i in range(d) for j in range(i + 1, d)]
-    tuples.extend((s,) * m for s in sums)
-    rng = Lcg64(seed)
-    pool = sample_elements(spec, trials, seed)
-    for _ in range(trials):
-        tuples.append(tuple(pool[rng.randint(0, len(pool) - 1)] for _ in range(m)))
-    for args in tuples:
-        if not check(args):
-            return OperatorVerdict("local_n_multiplier", NO, witness=args)
-    if spec.order_mode == ORDER_NONE and spec.domain_status == DOMAIN_ASSERTED:
-        if all(is_zero(a) or invert(spec, a) is not None
-               for a in sample_elements(spec, trials, seed)):
-            return OperatorVerdict("local_n_multiplier", YES)
-    if spec.order_mode == ORDER_ATOMIC:
-        # basis tuples were checked exhaustively, which decides atomic locality
-        return OperatorVerdict("local_n_multiplier", YES)
-    return OperatorVerdict("local_n_multiplier", UNKNOWN)
+
+def is_band_preserving(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
+    """Psi(x_1, .., x_m) disjoint from y whenever some x_l is disjoint from y:
+    psi lies in the band complex's coordinates, the diagonal cochains.
+
+    The witness (b_{j_1}, .., b_{j_m}, b_i) names the first basis tuple, in
+    flat order, whose value has a nonzero b_i coordinate off the diagonal.
+    """
+    _check_shape(spec, psi)
+    d = spec.dim
+    band = set(tag_coords(spec, psi.arity - 1, TAG_BAND))
+    outside = [flat for flat in psi.vec if flat not in band]
+    if outside:
+        flat, i = divmod(min(outside), d)
+        m = psi.arity
+        idx = [flat // d ** (m - 1 - s) % d for s in range(m)] + [i]
+        return OperatorVerdict(
+            "band_preserving", NO, witness=tuple(basis_element(d, k) for k in idx),
+        )
+    return OperatorVerdict("band_preserving", YES)
+
+
+def is_orthomorphism(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
+    """Order bounded band preserving; in the finite atomic setting the
+    entrywise absolute cochain always certifies order boundedness."""
+    bp = is_band_preserving(spec, psi)
+    if bp.verdict != YES:
+        return OperatorVerdict("orthomorphism", NO, witness=bp.witness)
+    bound = MultilinearMap(psi.arity, psi.dim, {i: abs(v) for i, v in psi.vec.items()})
+    return OperatorVerdict("orthomorphism", YES, certificate=bound)
 
 
 @dataclass(frozen=True)
@@ -219,8 +179,9 @@ def classify(spec: AlgebraSpec, trials: int = 64, seed: int = 0,
         kadison = OperatorVerdict("kadison", YES)
     elif spec.domain_status == DOMAIN_ASSERTED:
         witness = _conjugation_like(d)
-        local = is_local_multiplier(spec, witness, trials, seed)
-        mult = is_multiplier(spec, witness)
+        psi = from_coeff_function(spec, 1, lambda idx: tuple(row[idx[0]] for row in witness))
+        local = is_local_multiplier(spec, psi, trials, seed)
+        mult = is_multiplier(spec, psi)
         if local.verdict == YES and mult.verdict == NO:
             kadison = OperatorVerdict("kadison", NO, witness=witness)
         else:

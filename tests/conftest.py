@@ -69,3 +69,8 @@ def psi_f_of_ab(spec):
 def mult_cochain(spec):
     """The multiplication cochain (a, b) -> a*b."""
     return from_coeff_function(spec, 2, lambda idx: spec.structure[idx[0]][idx[1]])
+
+
+def operator(spec, matrix):
+    """The linear operator x -> matrix @ x as an arity-1 cochain."""
+    return from_coeff_function(spec, 1, lambda idx: tuple(F(row[idx[0]]) for row in matrix))

@@ -6,17 +6,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import add, basis_element, multiply, sub, zero_element
 from cohomolab.complex import (
-    TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, apply_d,
+    TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, apply_d, lift, tag_coords,
 )
 from cohomolab.cohomology import (
     CONVENTION_SHIFTED, CONVENTION_STANDARD, audit_chain_map, build_J,
     build_J_even, build_J_odd, build_K, coboundary_space, cocycle_space,
-    cohomology, distinguished_quotient, multiplier_space, orthomorphism_space,
+    cohomology, distinguished_quotient,
 )
 from cohomolab.linalg import Echelon, span_dim
 from cohomolab.multilinear import (
-    OrderStructureRequired, from_coeff_function, from_flat, symmetry_check,
-    zero_map,
+    OrderStructureRequired, from_coeff_function, from_flat, product_cochain_subspace,
+    symmetry_check, zero_map,
 )
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 
@@ -94,7 +94,8 @@ def test_cohomology_degree_cap(qsqrt2):
 
 
 def test_multiplier_space(qsqrt2):
-    basis = multiplier_space(qsqrt2)
+    # the multipliers x -> x * w are the arity-1 product cochains
+    basis = product_cochain_subspace(qsqrt2, 1)
     assert len(basis) == 2
     assert basis.verify_independent()
     # member k is x -> x * b_k
@@ -106,11 +107,12 @@ def test_multiplier_space(qsqrt2):
 
 
 def test_orthomorphism_space(atomic3, qsqrt2):
-    basis = orthomorphism_space(atomic3)
-    assert len(basis) == 3
-    assert basis.members[0].eval([elem(2, 5, 7)]) == elem(2, 0, 0)
+    # the orthomorphisms are the band complex's degree-0 cochains
+    rows = lift(atomic3, 0, TAG_BAND, [{k: F(1)} for k in range(3)])
+    assert len(rows) == 3
+    assert from_flat(3, 1, rows[0]).eval([elem(2, 5, 7)]) == elem(2, 0, 0)
     with pytest.raises(OrderStructureRequired):
-        orthomorphism_space(qsqrt2)
+        tag_coords(qsqrt2, 0, TAG_BAND)
 
 
 def test_distinguished_quotients(qsqrt2, cubic2, atomic2, atomic3):

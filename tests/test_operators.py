@@ -1,15 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cohomolab.algebra import basis_element, build_number_field, multiply
-from cohomolab.multilinear import OrderStructureRequired, from_coeff_function
+from cohomolab.algebra import basis_element, build_atomic, build_number_field, multiply
+from cohomolab.multilinear import MultilinearMap, OrderStructureRequired, from_coeff_function
 from cohomolab.operators import (
-    NO, UNKNOWN, YES, apply_operator, classify, is_band_preserving,
-    is_local_multiplier, is_multiplier, is_n_multiplier, is_orthomorphism,
-    local_n_multiplier_audit, sample_elements,
+    NO, UNKNOWN, YES, classify, is_band_preserving, is_local_multiplier,
+    is_multiplier, is_orthomorphism, sample_tuples,
 )
-from conftest import elem, mult_cochain, psi_f_times_b
+from conftest import elem, mult_cochain, operator, psi_f_times_b
 
 F = Fraction
 
@@ -26,75 +26,94 @@ def conjugation(d):
     return m
 
 
-def test_apply_operator():
+def test_apply_operator(qsqrt2):
+    # an operator is applied as its arity-1 cochain
     m = [[F(1), F(2)], [F(0), F(3)]]
-    assert apply_operator(m, elem(1, 1)) == elem(3, 3)
+    assert operator(qsqrt2, m).eval([elem(1, 1)]) == elem(3, 3)
 
 
 def test_sample_elements_deterministic(qsqrt2):
-    a = sample_elements(qsqrt2, 8, 3)
-    b = sample_elements(qsqrt2, 8, 3)
+    a = sample_tuples(qsqrt2, 1, 8, 3)
+    b = sample_tuples(qsqrt2, 1, 8, 3)
     assert a == b
-    assert a[:2] == [elem(1, 0), elem(0, 1)]
-    assert a[2] == elem(1, 1)
+    assert a[:2] == [(elem(1, 0),), (elem(0, 1),)]
+    assert a[2] == (elem(1, 1),)
     assert len(a) == 2 + 1 + 8
-    assert sample_elements(qsqrt2, 8, 4) != a
+    assert sample_tuples(qsqrt2, 1, 8, 4) != a
+    # at arity m: the d^m basis tuples, each sum in every slot, m fresh elements per trial
+    pairs = sample_tuples(qsqrt2, 2, 8, 3)
+    assert len(pairs) == 4 + 1 + 8
+    assert pairs[1] == (elem(1, 0), elem(0, 1))
+    assert pairs[4] == (elem(1, 1), elem(1, 1))
+    assert pairs[5][0] == a[3][0] and pairs[5][1] == a[4][0]
 
 
 def test_is_multiplier(qsqrt2):
-    v = is_multiplier(qsqrt2, regmat(qsqrt2, elem(2, 3)))
+    v = is_multiplier(qsqrt2, operator(qsqrt2, regmat(qsqrt2, elem(2, 3))))
     assert v.verdict == YES
     assert v.certificate == elem(2, 3)
-    v = is_multiplier(qsqrt2, conjugation(2))
+    v = is_multiplier(qsqrt2, operator(qsqrt2, conjugation(2)))
     assert v.verdict == NO
-    assert v.witness == elem(0, 1)
+    assert v.witness == {"slot": 1, "tuple": (), "basis": 1}
     with pytest.raises(ValueError):
-        is_multiplier(qsqrt2, [[F(1)]])
+        is_multiplier(qsqrt2, MultilinearMap(1, 1, {0: F(1)}))
+
+
+@pytest.mark.parametrize("predicate", [
+    is_multiplier, is_local_multiplier, is_band_preserving, is_orthomorphism,
+])
+def test_predicates_reject_wrong_shape(predicate, atomic3, qsqrt2):
+    one_by_one = MultilinearMap(1, 1, {0: F(1)})  # the operator [[1]]
+    for spec, other in ((atomic3, qsqrt2), (qsqrt2, atomic3)):
+        for psi in (one_by_one, operator(other, conjugation(other.dim)),
+                    MultilinearMap(0, spec.dim, {0: F(1)})):
+            with pytest.raises(ValueError, match="operator must be a cochain"):
+                predicate(spec, psi)
 
 
 def test_conjugation_local_but_not_multiplier(qsqrt2):
     # the nontrivial field automorphism: T(a) = sigma(a) = (sigma(a)/a) * a
-    v = is_local_multiplier(qsqrt2, conjugation(2))
+    v = is_local_multiplier(qsqrt2, operator(qsqrt2, conjugation(2)))
     assert v.verdict == YES
-    assert is_multiplier(qsqrt2, conjugation(2)).verdict == NO
+    assert is_multiplier(qsqrt2, operator(qsqrt2, conjugation(2))).verdict == NO
 
 
 def test_local_multiplier_atomic(atomic3):
     diag = [[F(2 if i == j and i == 1 else (1 if i == j else 0))
              for j in range(3)] for i in range(3)]
-    assert is_local_multiplier(atomic3, diag).verdict == YES
+    assert is_local_multiplier(atomic3, operator(atomic3, diag)).verdict == YES
     off = [[F(0)] * 3 for _ in range(3)]
     off[0][1] = F(1)
-    v = is_local_multiplier(atomic3, off)
+    v = is_local_multiplier(atomic3, operator(atomic3, off))
     assert v.verdict == NO
-    assert v.witness == elem(0, 1, 0)
+    assert v.witness == (elem(0, 1, 0),)
 
 
 def test_local_multiplier_unknown_without_structure():
     dual = build_number_field([0, 0, 1], name="dual")  # t^2 = 0, not a domain
     d = dual.dim
     ident = [[F(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    assert is_local_multiplier(dual, ident).verdict == UNKNOWN
+    assert is_local_multiplier(dual, operator(dual, ident)).verdict == UNKNOWN
     shift = [[F(0), F(0)], [F(1), F(0)]]  # 1 -> t, t -> 0 = t*t
-    assert is_local_multiplier(dual, shift).verdict == UNKNOWN
+    assert is_local_multiplier(dual, operator(dual, shift)).verdict == UNKNOWN
     bad = [[F(0), F(1)], [F(0), F(0)]]  # t -> 1, not in t*A
-    assert is_local_multiplier(dual, bad).verdict == NO
+    assert is_local_multiplier(dual, operator(dual, bad)).verdict == NO
 
 
 def test_band_preserving_and_orthomorphism(atomic3, qsqrt2):
     diag = [[F(i + 1 if i == j else 0) for j in range(3)] for i in range(3)]
-    assert is_band_preserving(atomic3, diag).verdict == YES
-    orth = is_orthomorphism(atomic3, diag)
+    assert is_band_preserving(atomic3, operator(atomic3, diag)).verdict == YES
+    orth = is_orthomorphism(atomic3, operator(atomic3, diag))
     assert orth.verdict == YES
-    assert orth.certificate == [[abs(v) for v in row] for row in diag]
+    assert orth.certificate == operator(atomic3, [[abs(v) for v in row] for row in diag])
     off = [[F(0)] * 3 for _ in range(3)]
     off[2][0] = F(5)
-    v = is_band_preserving(atomic3, off)
+    v = is_band_preserving(atomic3, operator(atomic3, off))
     assert v.verdict == NO
     assert v.witness == (elem(1, 0, 0), elem(0, 0, 1))
-    assert is_orthomorphism(atomic3, off).verdict == NO
+    assert is_orthomorphism(atomic3, operator(atomic3, off)).verdict == NO
     with pytest.raises(OrderStructureRequired):
-        is_band_preserving(qsqrt2, conjugation(2))
+        is_band_preserving(qsqrt2, operator(qsqrt2, conjugation(2)))
 
 
 def test_is_n_multiplier(qsqrt2):
@@ -103,26 +122,73 @@ def test_is_n_multiplier(qsqrt2):
     psi = from_coeff_function(
         qsqrt2, 2,
         lambda idx: multiply(qsqrt2, qsqrt2.structure[idx[0]][idx[1]], w))
-    v = is_n_multiplier(qsqrt2, psi)
+    v = is_multiplier(qsqrt2, psi)
     assert v.verdict == YES
     assert v.certificate == w
-    v = is_n_multiplier(qsqrt2, psi_f_times_b(qsqrt2))
+    v = is_multiplier(qsqrt2, psi_f_times_b(qsqrt2))
     assert v.verdict == NO
     assert v.witness["slot"] in (1, 2)
     with pytest.raises(ValueError):
-        is_n_multiplier(qsqrt2, from_coeff_function(qsqrt2, 1, lambda i: elem(0, 0)))
+        is_multiplier(qsqrt2, from_coeff_function(qsqrt2, 0, lambda i: elem(0, 0)))
 
 
 def test_local_n_multiplier_audit(qsqrt2, atomic3):
-    assert local_n_multiplier_audit(qsqrt2, mult_cochain(qsqrt2)).verdict == YES
-    assert local_n_multiplier_audit(atomic3, mult_cochain(atomic3)).verdict == YES
-    v = local_n_multiplier_audit(qsqrt2, psi_f_times_b(qsqrt2))
+    assert is_local_multiplier(qsqrt2, mult_cochain(qsqrt2)).verdict == YES
+    assert is_local_multiplier(atomic3, mult_cochain(atomic3)).verdict == YES
+    v = is_local_multiplier(qsqrt2, psi_f_times_b(qsqrt2))
     # Psi(1,1) = 0 lies in 1*A, but Psi(sqrt2, 1) = 1 is still in sqrt2*A;
     # in a field the necessary condition can never refute
     assert v.verdict == YES
     bad = from_coeff_function(
         atomic3, 2, lambda idx: basis_element(3, (idx[0] + 1) % 3))
-    assert local_n_multiplier_audit(atomic3, bad).verdict == NO
+    assert is_local_multiplier(atomic3, bad).verdict == NO
+
+
+ORACLE_ALGEBRAS = {
+    "atomic2": build_atomic(2), "atomic3": build_atomic(3), "atomic4": build_atomic(4),
+    "qsqrt2": build_number_field([-2, 0, 1]), "cubic2": build_number_field([-2, 0, 0, 1]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(ORACLE_ALGEBRAS)), data=st.data())
+def test_arity1_predicates_match_dense_definitions(name, data):
+    """At arity 1 is_multiplier and is_band_preserving agree with the dense
+    definitions for a d x d operator matrix T, written out here."""
+    spec = ORACLE_ALGEBRAS[name]
+    d = spec.dim
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    noise = data.draw(st.one_of(
+        st.just([0] * (d * d)),
+        st.lists(st.sampled_from([0, 0, 0, 0, 1, -2]), min_size=d * d, max_size=d * d)))
+    # a multiplier (diagonal on atomic algebras), perhaps plus sparse noise
+    mult = regmat(spec, elem(*w))
+    t = [[mult[i][j] + noise[i * d + j] for j in range(d)] for i in range(d)]
+
+    def apply(x):
+        return tuple(sum((t[i][j] * x[j] for j in range(d)), F(0)) for i in range(d))
+
+    te = apply(spec.unit)
+    bad = [i for i in range(d)
+           if apply(basis_element(d, i)) != multiply(spec, basis_element(d, i), te)]
+    v = is_multiplier(spec, operator(spec, t))
+    if bad:
+        assert v.verdict == NO and v.witness == {"slot": 1, "tuple": (), "basis": bad[0]}
+    else:
+        assert v.verdict == YES and v.certificate == te
+
+    if spec.order_mode != "atomic":
+        with pytest.raises(OrderStructureRequired):
+            is_band_preserving(spec, operator(spec, t))
+        return
+    off = [(j, i) for j in range(d) for i in range(d) if i != j and t[i][j]]
+    v = is_band_preserving(spec, operator(spec, t))
+    if off:
+        j, i = off[0]
+        assert v.verdict == NO
+        assert v.witness == (basis_element(d, j), basis_element(d, i))
+    else:
+        assert v.verdict == YES
 
 
 def test_classify_field(qsqrt2):
