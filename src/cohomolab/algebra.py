@@ -8,12 +8,11 @@ all-ones unit) carrying the lattice order.
 """
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-from .linalg import Echelon, Mat, kernel
+from .linalg import Echelon, Mat, div, kernel, scalar
 from .rng import Lcg64
 
-Element = tuple  # tuple[Fraction, ...]
+Element = tuple  # exact scalars: an int when integral, else a Fraction, never a float
 
 ORDER_NONE = "none"
 ORDER_ATOMIC = "atomic"
@@ -27,20 +26,12 @@ class ShapeError(ValueError):
     """Structure tensor has the wrong shape."""
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def element(coords) -> Element:
-    return tuple(frac(x) for x in coords)
-
-
 def zero_element(d: int) -> Element:
-    return (Fraction(0),) * d
+    return (0,) * d
 
 
 def basis_element(d: int, i: int) -> Element:
-    return tuple(Fraction(1 if j == i else 0) for j in range(d))
+    return tuple(1 if j == i else 0 for j in range(d))
 
 
 def add(x: Element, y: Element) -> Element:
@@ -52,7 +43,6 @@ def sub(x: Element, y: Element) -> Element:
 
 
 def scale(c, x: Element) -> Element:
-    c = frac(c)
     return tuple(c * a for a in x)
 
 
@@ -98,7 +88,7 @@ def multiply(spec: AlgebraSpec, x: Element, y: Element) -> Element:
     d = spec.dim
     if len(x) != d or len(y) != d:
         raise ValueError("element dimension mismatch")
-    out = [Fraction(0)] * d
+    out = [0] * d
     for i, xi in enumerate(x):
         if not xi:
             continue
@@ -150,7 +140,7 @@ def validate_algebra(spec: AlgebraSpec) -> list:
                 if spec.structure[i][j] != want:
                     out.append(Violation("atomic", (i, j),
                                          f"atomic law fails at c[{i}][{j}]"))
-        if spec.unit != tuple(Fraction(1) for _ in range(d)):
+        if spec.unit != (1,) * d:
             out.append(Violation("atomic", (), "atomic unit must be all-ones"))
     return out
 
@@ -174,7 +164,7 @@ def invert(spec: AlgebraSpec, x: Element):
     for vec in kernel(Mat.from_dense(augmented)):
         t = vec.get(d)
         if t:
-            return tuple(-vec.get(j, Fraction(0)) / t for j in range(d))
+            return tuple(div(-vec.get(j, 0), t) for j in range(d))
     return None
 
 
@@ -184,7 +174,7 @@ def build_number_field(min_poly, name: str = "", trials: int = 64, seed: int = 0
     min_poly is the coefficient list of p in ascending degree order,
     including the leading coefficient, which must be 1.
     """
-    coeffs = [frac(c) for c in min_poly]
+    coeffs = [scalar(c) for c in min_poly]
     d = len(coeffs) - 1
     if d < 1:
         raise ValueError("minimal polynomial must have degree >= 1")
@@ -194,7 +184,7 @@ def build_number_field(min_poly, name: str = "", trials: int = 64, seed: int = 0
     powers = [basis_element(d, k) for k in range(d)]
     for _ in range(d, 2 * d - 1):
         prev = powers[-1]
-        shifted = [Fraction(0)] + list(prev[: d - 1])
+        shifted = [0] + list(prev[: d - 1])
         top = prev[d - 1]
         nxt = [shifted[k] - top * coeffs[k] for k in range(d)]
         powers.append(tuple(nxt))
@@ -224,7 +214,7 @@ def build_atomic(d: int, name: str = "") -> AlgebraSpec:
         name=name or f"atomic_{d}",
         dim=d,
         structure=structure,
-        unit=tuple(Fraction(1) for _ in range(d)),
+        unit=(1,) * d,
         order_mode=ORDER_ATOMIC,
         domain_status=status,
     )
@@ -244,8 +234,8 @@ def zero_divisor_falsifier(spec: AlgebraSpec, trials: int = 64, seed: int = 0):
                 return (basis_element(d, i), basis_element(d, j))
     rng = Lcg64(seed)
     for _ in range(trials):
-        x = tuple(Fraction(rng.randint(-8, 8)) for _ in range(d))
-        y = tuple(Fraction(rng.randint(-8, 8)) for _ in range(d))
+        x = tuple(rng.randint(-8, 8) for _ in range(d))
+        y = tuple(rng.randint(-8, 8) for _ in range(d))
         if is_zero(x) or is_zero(y):
             continue
         if is_zero(multiply(spec, x, y)):

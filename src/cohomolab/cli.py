@@ -8,9 +8,9 @@ inputs.  Exit codes: 0 success, 1 file/validation error, 2 usage error,
 
 import argparse
 import json
+import numbers
 import os
 import sys
-from fractions import Fraction
 
 from .algebra import validate_algebra
 from .complex import (
@@ -20,7 +20,7 @@ from .cohomology import (
     CONVENTION_SHIFTED, CONVENTIONS, audit_chain_map, cohomology,
     distinguished_quotient,
 )
-from .fileformat import ParseError, parse_algebra_file
+from .fileformat import ParseError, format_rational, parse_algebra_file
 from .multilinear import OrderStructureRequired, UnsupportedAlgebra
 from .operators import classify
 
@@ -30,18 +30,26 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _rat(x) -> str:
-    return str(Fraction(x))
+_rat = format_rational  # every scalar the CLI prints is a string made here
+
+# the printed witness and certificate fields that hold indices or counts,
+# which stay JSON numbers; every other number in them is an exact scalar
+_INDEX_FIELDS = frozenset({"coord", "h0oo_dim", "tuple_flat"})
 
 
 def _jsonable(obj):
-    """Recursively convert report values to JSON-stable primitives."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    """Recursively convert witness values to JSON-stable primitives.
+
+    A scalar and an index can both be an int, so the field name, not the
+    type, tells them apart: numbers print through _rat unless their field
+    is in _INDEX_FIELDS.  Dict keys are flat indices and print as strings.
+    """
+    if obj is None or isinstance(obj, (bool, str)):
         return obj
-    if isinstance(obj, Fraction):
+    if isinstance(obj, numbers.Rational):
         return _rat(obj)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): v if k in _INDEX_FIELDS else _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return str(obj)

@@ -9,7 +9,6 @@ cocycle spaces.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .algebra import AlgebraSpec, add, basis_product, multiply, scale, zero_element
@@ -101,7 +100,7 @@ def distinguished_quotient(spec: AlgebraSpec, kind: str,
     elif kind == "oo":
         dim_kernel = len(cocycle_space(spec, 1, TAG_BAND, cap))
         # the orthomorphisms: every operator in the band complex's coordinates
-        restricted = lift(spec, 0, TAG_BAND, [{k: Fraction(1)} for k in range(spec.dim)])
+        restricted = lift(spec, 0, TAG_BAND, [{k: 1} for k in range(spec.dim)])
     else:
         raise ValueError(f"unknown quotient kind {kind!r}")
     dim_image = span_dim(coboundary_images(spec, 0, restricted, cap))

@@ -32,7 +32,6 @@ as an independent oracle for tests and audits.
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -234,7 +233,7 @@ def coboundary(spec: AlgebraSpec, n: int, tag: str, cap: int = DEFAULT_DEGREE_CA
         return index_coboundary_matrix(spec, n, cap)
     dst = {c: i for i, c in enumerate(tag_coords(spec, n + 1, tag))}
     columns = []
-    for image in coboundary_images(spec, n, [{c: Fraction(1)} for c in src], cap):
+    for image in coboundary_images(spec, n, [{c: 1} for c in src], cap):
         if not dst.keys() >= image.keys():
             raise ValueError(f"subcomplex {tag} is not closed at degree {n}")
         columns.append({dst[c]: v for c, v in image.items()})

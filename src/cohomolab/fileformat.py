@@ -17,12 +17,12 @@ the identity.
 """
 
 import re
-from fractions import Fraction
 
 from .algebra import (
     AlgebraSpec, ORDER_ATOMIC, ORDER_NONE, assess_domain, validate_algebra,
     zero_element,
 )
+from .linalg import div
 
 
 class ParseError(ValueError):
@@ -39,7 +39,8 @@ def _integer(tok: str) -> int:
     return int(tok)
 
 
-def parse_rational(tok: str) -> Fraction:
+def parse_rational(tok: str):
+    """The rational as an exact scalar: an int when integral, else a Fraction."""
     try:
         num, den = tok.split("/") if "/" in tok else (tok, "1")
         num, den = _integer(num), _integer(den)
@@ -47,10 +48,11 @@ def parse_rational(tok: str) -> Fraction:
         raise ParseError(f"malformed rational {tok!r}") from exc
     if den <= 0:
         raise ParseError(f"rational {tok!r} must have a positive denominator")
-    return Fraction(num, den)
+    return div(num, den)
 
 
-def format_rational(x: Fraction) -> str:
+def format_rational(x) -> str:
+    """An exact scalar as `p` or `p/q`: the one formatter for every emitted scalar."""
     return str(x)
 
 

@@ -1,10 +1,15 @@
 """Exact rational linear algebra on sparse row matrices.
 
-Matrices are stored as a list of rows, each row a dict {column: Fraction}
-holding only nonzero entries.  Everything is computed over the rationals
-with no floating point; row-space bases are canonicalized to the reduced
-echelon form scaled to primitive integer rows with positive leading entry,
-so equal subspaces always produce identical bases.
+Matrices are stored as a list of rows, each row a dict {column: scalar}
+holding only nonzero entries.  An exact scalar is an int when it is
+integral and a Fraction otherwise, never a float: outside values enter
+through `scalar`, and every division goes through `div`, since int / int
+would be a float.  Sums and products of ints stay ints, so integral
+inputs keep every entry an int and cost no Fraction arithmetic; mixing in
+a non-integral Fraction may leave an integral Fraction, which compares and
+hashes equal to its int.  Row-space bases are canonicalized to the
+reduced echelon form scaled to primitive int rows with positive leading
+entry, so equal subspaces always produce identical bases.
 
 A Mat's rows may be shared: one dict object can stand at several row
 positions (the index-level coboundary in even degree stores equal rows
@@ -21,6 +26,27 @@ from math import gcd, lcm
 Row = dict
 
 
+def scalar(x):
+    """The exact-scalar rule: x as an int when integral, else as a Fraction.
+
+    x is an int, a Fraction, or anything else Fraction() reads exactly,
+    such as '-7/2'; a float is refused rather than taken at its binary value.
+    """
+    if isinstance(x, float):
+        raise TypeError(f"exact scalars are never floats, got {x!r}")
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def div(a, b):
+    """Exact a / b of two scalars, as a scalar."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return scalar(Fraction(a) / b)
+
+
 def axpy(acc: Row, a, x: Row) -> None:
     """acc += a * x in place, keeping only nonzero entries."""
     for c, v in x.items():
@@ -35,11 +61,11 @@ def axpy(acc: Row, a, x: Row) -> None:
 class Mat:
     nrows: int
     ncols: int
-    rows: list  # list[dict[int, Fraction]]
+    rows: list  # list[dict[int, scalar]]
 
     @staticmethod
     def from_dense(dense):
-        rows = [{j: Fraction(v) for j, v in enumerate(r) if v} for r in dense]
+        rows = [{j: scalar(v) for j, v in enumerate(r) if v} for r in dense]
         ncols = len(dense[0]) if dense else 0
         return Mat(len(dense), ncols, rows)
 
@@ -51,12 +77,6 @@ class Mat:
             for i, v in col.items():
                 rows[i][j] = v
         return Mat(nrows, len(columns), rows)
-
-    def to_dense(self):
-        return [
-            [self.rows[i].get(j, Fraction(0)) for j in range(self.ncols)]
-            for i in range(self.nrows)
-        ]
 
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
@@ -72,7 +92,7 @@ class Mat:
         """The product; positions sharing a left row share its product row.
 
         A left row's coefficients on one shared right-row object are summed
-        before any axpy, so terms that cancel cost no Fraction work.
+        before any axpy, so terms that cancel cost no arithmetic.
         """
         assert self.ncols == other.nrows
         products = {}  # id(left row) -> product row
@@ -97,17 +117,15 @@ class Mat:
 
 
 def row_to_primitive(row: Row) -> Row:
-    """Scale a row to coprime integers with positive leading entry."""
+    """Scale a row to coprime ints with positive leading entry."""
     if not row:
         return {}
     scale = lcm(*(v.denominator for v in row.values()))
     ints = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
+    g = gcd(*ints.values())
     if ints[min(ints)] < 0:
         g = -g
-    return {c: Fraction(v // g) for c, v in ints.items()}
+    return {c: v // g for c, v in ints.items()}
 
 
 def _reduce(row: Row, pivots: dict) -> Row:
@@ -137,7 +155,8 @@ class Echelon:
             return False
         lead = min(r)
         lv = r[lead]
-        r = {c: v / lv for c, v in r.items()}
+        if lv != 1:
+            r = {c: div(v, lv) for c, v in r.items()}
         for pr in self.pivots.values():
             if lead in pr:
                 axpy(pr, -pr[lead], r)
@@ -172,7 +191,7 @@ def kernel(mat: Mat) -> list:
     for f in range(mat.ncols):
         if f in piv:
             continue
-        vec: Row = {f: Fraction(1)}
+        vec: Row = {f: 1}
         for p, prow in piv.items():
             v = prow.get(f)
             if v:
@@ -186,32 +205,8 @@ def column_space(mat: Mat) -> list:
     return rref(mat.transpose().rows)
 
 
-def span_contains(basis_rows, vec: Row) -> bool:
-    return Echelon(basis_rows).contains(vec)
-
-
-def span_leq(sub_rows, super_rows) -> bool:
-    ech = Echelon(super_rows)
-    return all(ech.contains(r) for r in sub_rows)
-
-
 def span_dim(rows) -> int:
     return Echelon(rows).rank
-
-
-def intersection(a_rows, b_rows, ncols: int) -> list:
-    """Zassenhaus: basis of span(a) ∩ span(b), rows over ncols."""
-    stacked = []
-    for r in a_rows:
-        row = dict(r)
-        row.update({c + ncols: v for c, v in r.items()})
-        stacked.append(row)
-    stacked.extend(dict(r) for r in b_rows)
-    out = []
-    for row in rref(stacked):
-        if min(row) >= ncols:
-            out.append(row_to_primitive({c - ncols: v for c, v in row.items()}))
-    return out
 
 
 def complete_basis(inner_rows, ambient_rows) -> list:

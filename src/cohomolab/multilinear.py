@@ -4,16 +4,14 @@ An arity-m cochain is determined by its values on basis tuples.  Its flat
 vector is indexed by (i_1, ..., i_m, output-coordinate), row-major with the
 output coordinate fastest: entry tuple_index(idx) * d + k is coordinate k
 of the value on the basis tuple idx.  This fixes the column convention for
-every matrix in the chain complex.  Only nonzero entries are stored.
+every matrix in the chain complex.  Only nonzero entries are stored, each
+an exact scalar: an int when integral, else a Fraction, never a float.
 """
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import (
-    AlgebraSpec, Element, add, basis_element, basis_product, multiply, scale,
-)
+from .algebra import AlgebraSpec, Element, add, basis_element, basis_product, multiply
 from .linalg import span_dim
 
 
@@ -40,14 +38,14 @@ def all_tuples(d: int, m: int):
 class MultilinearMap:
     arity: int
     dim: int
-    vec: dict  # flat index -> nonzero Fraction; a zero is never stored
+    vec: dict  # flat index -> nonzero exact scalar; a zero is never stored
 
     def __hash__(self):
         return hash((self.arity, self.dim, frozenset(self.vec.items())))
 
     def coeff(self, idx: tuple) -> Element:
         base = tuple_index(idx, self.dim) * self.dim
-        return tuple(self.vec.get(base + k, Fraction(0)) for k in range(self.dim))
+        return tuple(self.vec.get(base + k, 0) for k in range(self.dim))
 
     def eval(self, args) -> Element:
         """Multilinear expansion over the stored entries."""
@@ -57,7 +55,7 @@ class MultilinearMap:
         for a in args:
             if len(a) != d:
                 raise ValueError("argument dimension mismatch")
-        out = [Fraction(0)] * d
+        out = [0] * d
         for flat, c in self.vec.items():
             rest, k = divmod(flat, d)
             # the last slot's index is the least significant digit
@@ -95,10 +93,6 @@ def from_coeff_function(spec: AlgebraSpec, arity: int, fn) -> MultilinearMap:
 
 def from_flat(d: int, arity: int, vec: dict) -> MultilinearMap:
     return MultilinearMap(arity, d, {i: c for i, c in vec.items() if c})
-
-
-def unit_tensor(d: int, arity: int, flat: int, coord: int) -> MultilinearMap:
-    return MultilinearMap(arity, d, {flat * d + coord: Fraction(1)})
 
 
 @dataclass(frozen=True)
@@ -149,26 +143,3 @@ def is_hochschild_2cocycle(spec: AlgebraSpec, psi: MultilinearMap):
             return (False, (i, j, k))
     return (True, None)
 
-
-def symmetry_check(m: MultilinearMap, positions: tuple) -> str:
-    """Classify behavior under swapping two slots: symmetric/antisymmetric/neither.
-
-    positions are 1-based slot indices.
-    """
-    p, q = positions
-    if not (1 <= p <= m.arity and 1 <= q <= m.arity and p != q):
-        raise ValueError(f"invalid slot pair {positions} for arity {m.arity}")
-    sym = True
-    antisym = True
-    for idx in all_tuples(m.dim, m.arity):
-        swapped = list(idx)
-        swapped[p - 1], swapped[q - 1] = swapped[q - 1], swapped[p - 1]
-        a = m.coeff(idx)
-        b = m.coeff(tuple(swapped))
-        if a != b:
-            sym = False
-        if a != scale(-1, b):
-            antisym = False
-        if not sym and not antisym:
-            return "neither"
-    return "symmetric" if sym else "antisymmetric"

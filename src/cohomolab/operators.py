@@ -13,7 +13,6 @@ refute; the verdict "yes" is returned only when a finite proof exists
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE,
@@ -52,7 +51,7 @@ def sample_tuples(spec: AlgebraSpec, m: int, trials: int, seed: int):
     out.extend((add(basis[i], basis[j]),) * m for i in range(d) for j in range(i + 1, d))
     rng = Lcg64(seed)
     for _ in range(trials):
-        out.append(tuple(tuple(Fraction(rng.randint(-8, 8)) for _ in range(d))
+        out.append(tuple(tuple(rng.randint(-8, 8) for _ in range(d))
                          for _ in range(m)))
     return out
 
@@ -155,8 +154,8 @@ class ClassificationReport:
 
 def _conjugation_like(d: int):
     """Identity with the second basis direction negated."""
-    m = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
-    m[1][1] = Fraction(-1)
+    m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    m[1][1] = -1
     return m
 
 

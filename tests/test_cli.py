@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from cohomolab.cli import main
+from cohomolab.cli import _jsonable, main
 
 QSQRT2 = "fixtures/qsqrt2.alg"
 ATOMIC3 = "fixtures/atomic3.alg"
@@ -209,3 +210,12 @@ def test_text_format(capsys):
 def test_seed_recorded(capsys):
     _, out, _ = run_cli(capsys, "--seed", "9", "validate", Q)
     assert json.loads(out)["seed"] == 9
+
+
+def test_witness_scalars_print_as_strings_and_indices_as_numbers():
+    witness = {"input": {2: 1, 4: Fraction(1, 2)}, "tuple_flat": 1, "coord": 0, "value": -6}
+    assert _jsonable(witness) == {"input": {"2": "1", "4": "1/2"}, "tuple_flat": 1,
+                                  "coord": 0, "value": "-6"}
+    assert _jsonable([[1, 0], [0, Fraction(-1)]]) == [["1", "0"], ["0", "-1"]]
+    assert _jsonable({"h0oo_dim": 2, "ok": True, "none": None}) == {
+        "h0oo_dim": 2, "ok": True, "none": None}

@@ -16,9 +16,10 @@ from cohomolab.cohomology import (
 from cohomolab.linalg import Echelon, span_dim
 from cohomolab.multilinear import (
     OrderStructureRequired, from_coeff_function, from_flat, product_cochain_subspace,
-    symmetry_check, zero_map,
+    zero_map,
 )
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
+from oracles import symmetry_check
 
 F = Fraction
 

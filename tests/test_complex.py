@@ -14,9 +14,10 @@ from cohomolab.complex import (
     verify_dd_zero,
 )
 from cohomolab.cohomology import CONVENTIONS, build_K, cocycle_space, cohomology
-from cohomolab.linalg import intersection, rref
+from cohomolab.linalg import rref
 from cohomolab.multilinear import from_coeff_function, from_flat, tuple_index, zero_map
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
+from oracles import intersection
 
 F = Fraction
 

@@ -8,7 +8,8 @@ sparse flat vectors; the atomic4, cubic2, atomic3 and q audit entries were
 recorded before the chain maps were written as sums of terms; the
 `verify-complex cubic2` and `verify-complex atomic4` entries, full
 complexes through d_4 o d_3, were recorded before matrix products and
-elimination computed each shared row once.  Any change to the bytes of a
+elimination computed each shared row once; the qhalf entries were
+recorded while every exact scalar was still a Fraction.  Any change to the bytes of a
 representative, witness or verdict fails here.  The whole set runs in
 process in about three seconds.
 
@@ -149,6 +150,22 @@ GOLDEN = {
         "dd392641d147d6ff8018840b6ffcee86a95c4b9275335970e462352d03d01a2c",
     "verify-complex atomic4 --max-degree 3":
         "dd6c2223e07e796cd0b6e91dfa12d28c9d52b05602703394e4ea502cbc1c5585",
+    # qhalf has the one non-integral structure constant among the fixtures
+    # (u^2 = 1/2); these pin the Fraction half of the exact-scalar rule
+    "cohomology qhalf --degree 0":
+        "c4b59d63a2b6c20eee489cd991d7f350af055d479f983d4581499579a28e04ac",
+    "cohomology qhalf --degree 1":
+        "539ffd243a8a90e93f56ac33bff79aa27f17b5c4a1534d067ad53c2b88ad1f98",
+    "cohomology qhalf --degree 2":
+        "6c02077944a6306d07a4473d622bd3dce6bff024066d6a0f60db3c9c847a5769",
+    "audit qhalf --map K":
+        "64f91ac013a58ba60b3b0f0b9bfc92e0a663a170c2ef0592217ff8d0a4773911",
+    "audit qhalf --map Jodd --n 1":
+        "c1e6d3f24d00627c9114518bfbea719ba0e45eb6650c87a1d7c81f3995fe602d",
+    "classify qhalf":
+        "fc5e95204f37d5bb6f73329e9aa8aab5a3e5c5d704aa36b2d64d9d5d4ae746ce",
+    "verify-complex qhalf --max-degree 3":
+        "b59dc50021271ba687111689704db8403b51e349d3c92d9a00ca2d3056bcf438",
     "classify q":
         "0836b051e89106c8171d00983df87ff52a69e6289ad0588ddb6b54c439f37fd9",
     "classify qsqrt2":

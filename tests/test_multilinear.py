@@ -9,9 +9,10 @@ from cohomolab.complex import TAG_BAND, TAG_IDEAL, lift, tag_coords
 from cohomolab.multilinear import (
     OrderStructureRequired, SubspaceBasis, UnsupportedAlgebra, all_tuples,
     from_coeff_function, from_flat, is_hochschild_2cocycle,
-    product_cochain_subspace, symmetry_check, tuple_index, unit_tensor, zero_map,
+    product_cochain_subspace, tuple_index, zero_map,
 )
 from conftest import elem, mult_cochain, psi_f_times_b, sqrt2_coefficient
+from oracles import symmetry_check, unit_tensor
 
 F = Fraction
 
