@@ -2,12 +2,16 @@
 
 Commands: validate, cohomology, classify, audit, verify-complex.
 Output is JSON (default) or text, byte-identical across runs with equal
-inputs.  Exit codes: 0 success, 1 file/validation error, 2 usage error,
-3 degree cap exceeded.  COHOMOLAB_MAX_DEGREE overrides the default cap.
+inputs.  JSON is written to stdout as a stream, piece by piece, with the
+bytes of `json.dumps(payload, sort_keys=True, indent=2)`, so printing a
+large report never holds its whole text in memory.  Exit codes: 0
+success, 1 file/validation error, 2 usage error, 3 degree cap exceeded.
+COHOMOLAB_MAX_DEGREE overrides the default cap.
 """
 
 import argparse
 import json
+from json.encoder import encode_basestring_ascii
 import numbers
 import os
 import sys
@@ -55,6 +59,14 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _dense(m) -> list:
+    """A cochain's flat vector as a dense list of printed scalars."""
+    out = ["0"] * m.dim ** (m.arity + 1)
+    for i, v in m.vec.items():
+        out[i] = _rat(v)
+    return out
+
+
 def _verdict_json(v):
     if v is None:
         return "not_applicable"
@@ -65,9 +77,47 @@ def _verdict_json(v):
     }
 
 
-def _emit(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write_json(obj, write, indent="") -> None:
+    """Pass obj to write in pieces, as json.dumps(obj, sort_keys=True, indent=2).
+
+    Dict keys are strings.  A list of strings, such as a dense
+    representative, is written with one join.
+    """
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(obj):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], write, inner)
+            sep = ",\n" + inner
+        write("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = indent + "  "
+        try:  # raises TypeError at the first item that is not a string
+            items = (",\n" + inner).join(map(encode_basestring_ascii, obj))
+        except TypeError:
+            sep = "[\n" + inner
+            for item in obj:
+                write(sep)
+                _write_json(item, write, inner)
+                sep = ",\n" + inner
+        else:
+            write("[\n" + inner + items)
+        write("\n" + indent + "]")
+    else:
+        write(json.dumps(obj))
+
+
+def _emit(payload: dict) -> str:
+    """The --format text report: one sorted `key: compact JSON` line per field."""
     lines = []
     for key in sorted(payload):
         lines.append(f"{key}: {json.dumps(payload[key], sort_keys=True)}")
@@ -165,9 +215,7 @@ def _run(args) -> tuple:
             "dim_coboundaries": report.dim_coboundaries,
             "dim_cocycles": report.dim_cocycles,
             "representatives": [
-                [_rat(m.vec[i]) if i in m.vec else "0"
-                 for i in range(m.dim ** (m.arity + 1))]
-                for m in report.representatives.members
+                _dense(m) for m in report.representatives.members
             ],
         })
         return base, EXIT_OK
@@ -240,7 +288,11 @@ def main(argv=None) -> int:
             ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    sys.stdout.write(_emit(payload, args.format))
+    if args.format == "json":
+        _write_json(payload, sys.stdout.write)
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.write(_emit(payload))
     return code
 
 

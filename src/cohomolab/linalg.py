@@ -185,17 +185,19 @@ def rank(mat: Mat) -> int:
 
 def kernel(mat: Mat) -> list:
     """Canonical basis of {x : mat @ x = 0}, as rows over mat.ncols."""
-    ech = Echelon(mat.rows)
-    piv = ech.pivots
+    piv = Echelon(mat.rows).pivots
+    # column -> [(pivot, -entry)], in pivot insertion order; one pass over
+    # the pivot rows' entries (entries on pivot columns are never read)
+    entries = {}
+    for p, prow in piv.items():
+        for c, v in prow.items():
+            entries.setdefault(c, []).append((p, -v))
     basis = []
     for f in range(mat.ncols):
         if f in piv:
             continue
         vec: Row = {f: 1}
-        for p, prow in piv.items():
-            v = prow.get(f)
-            if v:
-                vec[p] = -v
+        vec.update(entries.get(f, ()))
         basis.append(row_to_primitive(vec))
     return basis
 

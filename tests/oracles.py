@@ -18,6 +18,22 @@ def unit_tensor(d: int, arity: int, flat: int, coord: int) -> MultilinearMap:
     return MultilinearMap(arity, d, {flat * d + coord: 1})
 
 
+def kernel_double_loop(mat) -> list:
+    """Kernel basis by probing every pivot row for every free column."""
+    piv = Echelon(mat.rows).pivots
+    basis = []
+    for f in range(mat.ncols):
+        if f in piv:
+            continue
+        vec = {f: 1}
+        for p, prow in piv.items():
+            v = prow.get(f)
+            if v:
+                vec[p] = -v
+        basis.append(row_to_primitive(vec))
+    return basis
+
+
 def span_contains(basis_rows, vec) -> bool:
     return Echelon(basis_rows).contains(vec)
 

@@ -1,13 +1,21 @@
+import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cohomolab.cli import _jsonable, main
+from cohomolab.cli import _jsonable, _write_json, main
 
 QSQRT2 = "fixtures/qsqrt2.alg"
 ATOMIC3 = "fixtures/atomic3.alg"
 Q = "fixtures/q.alg"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -219,3 +227,46 @@ def test_witness_scalars_print_as_strings_and_indices_as_numbers():
     assert _jsonable([[1, 0], [0, Fraction(-1)]]) == [["1", "0"], ["0", "-1"]]
     assert _jsonable({"h0oo_dim": 2, "ok": True, "none": None}) == {
         "h0oo_dim": 2, "ok": True, "none": None}
+
+
+# strings that need every kind of JSON escape, beside arbitrary text
+texts = st.one_of(st.text(), st.text(st.sampled_from('a "\\/\n\t\x00\x1f\x7fé√\U0001f600')))
+payloads = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), texts),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(texts, inner)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads)
+def test_streamed_json_equals_dumps(obj):
+    pieces = []
+    _write_json(obj, pieces.append)
+    assert "".join(pieces) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+# sha256 of `cohomology fixtures/atomic4.alg --degree 3` stdout (152,153,182
+# bytes), recorded with no memory limit while the JSON was built whole
+ATOMIC4_DEGREE3_SHA256 = "9c1726fdbe9b65c89347ce958128a0cdd8741d6d43678dfabf62a80b4497635e"
+
+
+def test_large_report_streams_under_512_mib():
+    limit = 512 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cohomolab.cli", "cohomology",
+         str(ROOT / "fixtures" / "atomic4.alg"), "--degree", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+        preexec_fn=cap_address_space)
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+        digest.update(chunk)
+    proc.stdout.close()
+    assert proc.wait() == 0
+    assert digest.hexdigest() == ATOMIC4_DEGREE3_SHA256

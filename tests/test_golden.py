@@ -9,7 +9,9 @@ recorded before the chain maps were written as sums of terms; the
 `verify-complex cubic2` and `verify-complex atomic4` entries, full
 complexes through d_4 o d_3, were recorded before matrix products and
 elimination computed each shared row once; the qhalf entries were
-recorded while every exact scalar was still a Fraction.  Any change to the bytes of a
+recorded while every exact scalar was still a Fraction; the escname
+entries were recorded while the JSON was still built whole by
+`json.dumps`.  Any change to the bytes of a
 representative, witness or verdict fails here.  The whole set runs in
 process in about three seconds.
 
@@ -185,6 +187,14 @@ GOLDEN = {
         "a530ff632eacdb379b5e039c3c4d61b585f118557afeac7e8b2ed1d5dfee831f",
     "--seed 1 --trials 8 classify t2m49":
         "13a73284f47c42ed346a519cafbbc585d3161f389561dc14ae22447dd2e65e11",
+    # escname's name holds a quote, a backslash and non-ASCII letters: these
+    # pin the JSON string escapes
+    "validate escname":
+        "7d06252b7f2117e34862298398c13884976ea4e80c30c92f3b583d2d79b0fdb2",
+    "classify escname":
+        "8b755a42d599fe7901b8eb7fc09ec2f22ade8a85cf73f5431751cca52f5e665f",
+    "cohomology escname --degree 1":
+        "cd1d0d8e4f31847bfc901d09c9fd526bef0f11c34b846e74adb1dfa6d78da14b",
 }
 
 

@@ -8,7 +8,7 @@ from cohomolab.linalg import (
     Echelon, Mat, column_space, complete_basis, kernel, rank, row_to_primitive, rref,
     span_dim,
 )
-from oracles import intersection, span_contains, span_leq, to_dense
+from oracles import intersection, kernel_double_loop, span_contains, span_leq, to_dense
 
 F = Fraction
 
@@ -145,6 +145,29 @@ def test_kernel_vectors_annihilated(rows):
     for v in kernel(m):
         for row in rows:
             assert sum(row[j] * v.get(j, F(0)) for j in range(len(row))) == 0
+
+
+sparse_scalars = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+).filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), sparse_scalars,
+                                         max_size=4),
+                         max_size=7))
+    return Mat(len(rows), ncols, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_kernel_matches_double_loop(m):
+    got, want = kernel(m), kernel_double_loop(m)
+    # equal vectors, built in the same key order
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
 
 
 # Shared rows: one dict object at several row positions, as the index-level
