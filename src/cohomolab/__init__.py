@@ -9,7 +9,7 @@ from .algebra import (
     multiply, regular_representation, validate_algebra, zero_divisor_falsifier,
 )
 from .multilinear import (
-    MultilinearMap, SubspaceBasis, is_hochschild_2cocycle, product_cochain_subspace,
+    MultilinearMap, is_hochschild_2cocycle, product_cochain_subspace,
 )
 from .complex import DEFAULT_DEGREE_CAP, DegreeCapExceeded, apply_d, verify_dd_zero
 from .cohomology import (

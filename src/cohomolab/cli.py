@@ -2,9 +2,12 @@
 
 Commands: validate, cohomology, classify, audit, verify-complex.
 Output is JSON (default) or text, byte-identical across runs with equal
-inputs.  JSON is written to stdout as a stream, piece by piece, with the
-bytes of `json.dumps(payload, sort_keys=True, indent=2)`, so printing a
-large report never holds its whole text in memory.  Exit codes: 0
+inputs.  One writer streams both to stdout, piece by piece: JSON with the
+bytes of `json.dumps(payload, sort_keys=True, indent=2)`, text as one
+`key: ` line per sorted field with the bytes of `json.dumps(value,
+sort_keys=True)`.  Each representative is made a dense list only while
+it is written, so printing a large report holds neither its whole text
+nor more than one dense representative in memory.  Exit codes: 0
 success, 1 file/validation error, 2 usage error, 3 degree cap exceeded.
 COHOMOLAB_MAX_DEGREE overrides the default cap.
 """
@@ -21,11 +24,10 @@ from .complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAGS, verify_dd_zero,
 )
 from .cohomology import (
-    CONVENTION_SHIFTED, CONVENTIONS, audit_chain_map, cohomology,
-    distinguished_quotient,
+    CHAIN_MAPS, CONVENTION_SHIFTED, CONVENTIONS, audit_chain_map, cohomology,
 )
 from .fileformat import ParseError, format_rational, parse_algebra_file
-from .multilinear import OrderStructureRequired, UnsupportedAlgebra
+from .multilinear import MultilinearMap, OrderStructureRequired, UnsupportedAlgebra
 from .operators import classify
 
 EXIT_OK = 0
@@ -80,48 +82,42 @@ def _verdict_json(v):
 def _write_json(obj, write, indent="") -> None:
     """Pass obj to write in pieces, as json.dumps(obj, sort_keys=True, indent=2).
 
-    Dict keys are strings.  A list of strings, such as a dense
-    representative, is written with one join.
+    indent is the indentation of the line obj starts on; None writes the
+    one-line json.dumps(obj, sort_keys=True) instead.  Dict keys are
+    strings.  A MultilinearMap is written as its dense list, made only
+    now, and a list of strings is written with one join.
     """
+    if isinstance(obj, MultilinearMap):
+        obj = _dense(obj)
     if isinstance(obj, str):
         write(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key in sorted(obj):
-            write(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(obj[key], write, inner)
-            sep = ",\n" + inner
-        write("\n" + indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
-        inner = indent + "  "
-        try:  # raises TypeError at the first item that is not a string
-            items = (",\n" + inner).join(map(encode_basestring_ascii, obj))
-        except TypeError:
-            sep = "[\n" + inner
-            for item in obj:
-                write(sep)
-                _write_json(item, write, inner)
-                sep = ",\n" + inner
-        else:
-            write("[\n" + inner + items)
-        write("\n" + indent + "]")
-    else:
+        return
+    if not isinstance(obj, (dict, list, tuple)):
         write(json.dumps(obj))
-
-
-def _emit(payload: dict) -> str:
-    """The --format text report: one sorted `key: compact JSON` line per field."""
-    lines = []
-    for key in sorted(payload):
-        lines.append(f"{key}: {json.dumps(payload[key], sort_keys=True)}")
-    return "\n".join(lines) + "\n"
+        return
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        write(opening + closing)
+        return
+    if indent is None:
+        inner, first, sep, last = None, opening, ", ", closing
+    else:
+        inner = indent + "  "
+        first, sep, last = opening + "\n" + inner, ",\n" + inner, "\n" + indent + closing
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            write(first + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], write, inner)
+            first = sep
+    else:
+        try:  # raises TypeError at the first item that is not a string
+            write(first + sep.join(map(encode_basestring_ascii, obj)))
+        except TypeError:
+            for item in obj:
+                write(first)
+                _write_json(item, write, inner)
+                first = sep
+    write(last)
 
 
 def _resolve_cap(args) -> int:
@@ -176,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit a chain map")
     p.add_argument("file")
     p.add_argument("--map", dest="map_name", required=True,
-                   choices=("J", "K", "Jeven", "Jodd"))
+                   choices=CHAIN_MAPS)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--convention", choices=CONVENTIONS, default=CONVENTION_SHIFTED)
 
@@ -214,9 +210,7 @@ def _run(args) -> tuple:
             "dim_H": report.dim_H,
             "dim_coboundaries": report.dim_coboundaries,
             "dim_cocycles": report.dim_cocycles,
-            "representatives": [
-                _dense(m) for m in report.representatives.members
-            ],
+            "representatives": report.representatives,
         })
         return base, EXIT_OK
 
@@ -288,11 +282,15 @@ def main(argv=None) -> int:
             ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    write = sys.stdout.write
     if args.format == "json":
-        _write_json(payload, sys.stdout.write)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(_emit(payload))
+        _write_json(payload, write)
+        write("\n")
+    else:  # one `key: compact JSON` line per field
+        for key in sorted(payload):
+            write(key + ": ")
+            _write_json(payload[key], write, None)
+            write("\n")
     return code
 
 

@@ -13,10 +13,10 @@ from math import factorial
 
 from .algebra import AlgebraSpec, add, basis_product, multiply, scale, zero_element
 from .linalg import (
-    Mat, Echelon, axpy, column_space, complete_basis, kernel, rref, span_dim,
+    Mat, Echelon, axpy, column_space, complete_basis, kernel, span_dim,
 )
 from .multilinear import (
-    MultilinearMap, SubspaceBasis, from_coeff_function, from_flat, product_cochain_subspace,
+    MultilinearMap, from_coeff_function, from_flat, product_cochain_subspace,
 )
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_BAND, TAG_FULL, apply_d, arrangements, check_cap,
@@ -53,7 +53,7 @@ class CohomologyReport:
     dim_cocycles: int
     dim_coboundaries: int
     dim_H: int
-    representatives: SubspaceBasis
+    representatives: tuple  # tuple[MultilinearMap], independent modulo coboundaries
 
 
 def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
@@ -71,9 +71,8 @@ def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
     z = kernel(coboundary(spec, z_degree, tag, cap))
     b = column_space(coboundary(spec, z_degree - 1, tag, cap)) if z_degree else []
     per_row = len(lift(spec, z_degree, tag, [{}]))  # flat rows per coordinate row
-    reps = SubspaceBasis(z_degree + 1, tuple(
-        from_flat(spec.dim, z_degree + 1, r)
-        for r in lift(spec, z_degree, tag, complete_basis(b, z))))
+    reps = tuple(from_flat(spec.dim, z_degree + 1, r)
+                 for r in lift(spec, z_degree, tag, complete_basis(b, z)))
     dim_z = per_row * len(z)
     dim_b = per_row * len(b)
     return CohomologyReport(
@@ -96,7 +95,7 @@ def distinguished_quotient(spec: AlgebraSpec, kind: str,
     """ker d_1 (within the band subspace for kind=oo) over the restricted d_0 image."""
     if kind == "mc":
         dim_kernel = len(cocycle_space(spec, 1, TAG_FULL, cap))
-        restricted = product_cochain_subspace(spec, 1).flat_rows()  # the multipliers
+        restricted = [m.flatten() for m in product_cochain_subspace(spec, 1)]  # the multipliers
     elif kind == "oo":
         dim_kernel = len(cocycle_space(spec, 1, TAG_BAND, cap))
         # the orthomorphisms: every operator in the band complex's coordinates
@@ -242,8 +241,8 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     d = spec.dim
 
     ker_d1 = cocycle_space(spec, 1, TAG_FULL, cap)
-    multipliers = product_cochain_subspace(spec, 1).flat_rows()
-    mult_images = rref(coboundary_images(spec, 0, multipliers, cap))
+    multipliers = [m.flatten() for m in product_cochain_subspace(spec, 1)]
+    mult_ech = Echelon(coboundary_images(spec, 0, multipliers, cap))
 
     def image_of(flat_row):
         psi = from_flat(d, 2, flat_row)
@@ -268,19 +267,19 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
             break
 
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
-    b_target = Echelon(coboundary_space(spec, g, TAG_FULL, cap))
+    b_target = coboundary_space(spec, g, TAG_FULL, cap)  # canonical rows, stacked below
+    b_ech = Echelon(b_target)
     coboundary = CheckResult(True)
-    for row in mult_images:
+    for row in mult_ech.rows():
         img_flat = image_of(row).flatten()
-        if not b_target.contains(img_flat):
+        if not b_ech.contains(img_flat):
             coboundary = CheckResult(False, {"input": row, "image": img_flat})
             break
 
     # injectivity: {v in ker d_1 : image(v) in im d_{g-1}} must lie in d_0(multipliers)
     r = len(ker_d1)
-    stacked = Mat.from_columns(d ** (g + 2), img_rows + b_target.rows())
+    stacked = Mat.from_columns(d ** (g + 2), img_rows + b_target)
     injective = CheckResult(True)
-    mult_ech = Echelon(mult_images)
     for kvec in kernel(stacked):
         acc = {}
         for j, c in kvec.items():

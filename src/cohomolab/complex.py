@@ -92,14 +92,8 @@ def _output_terms(spec: AlgebraSpec, n: int, t: tuple, naive: bool = False):
     """
     m = n + 1  # source arity
     if n == 0:
-        for pair in _term_indices(spec, t):
-            yield pair
-    elif n == 1:
-        for idx, v in _term_indices(spec, (t[0], t[1], t[2])):
-            yield idx, v
-        for idx, v in _term_indices(spec, (t[0], t[2], t[1])):
-            yield idx, -v
-    elif n % 2 == 1:
+        yield from _term_indices(spec, t)
+    elif n % 2 == 1:  # n = 1 included: swapping t[1] and t[2] gives P(x1*x3, x2)
         swapped = t[:m - 1] + (t[m], t[m - 1])
         for idx, v in _term_indices(spec, t):
             yield idx, v

@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import AlgebraSpec, Element, add, basis_element, basis_product, multiply
-from .linalg import span_dim
 
 
 class OrderStructureRequired(ValueError):
@@ -95,30 +94,15 @@ def from_flat(d: int, arity: int, vec: dict) -> MultilinearMap:
     return MultilinearMap(arity, d, {i: c for i, c in vec.items() if c})
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    arity: int
-    members: tuple  # tuple[MultilinearMap], linearly independent
-
-    def __len__(self):
-        return len(self.members)
-
-    def flat_rows(self):
-        return [m.flatten() for m in self.members]
-
-    def verify_independent(self) -> bool:
-        return span_dim(self.flat_rows()) == len(self.members)
-
-
-def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> SubspaceBasis:
-    """The d-dimensional space {(x_1..x_m) -> (prod x_i) * w}, one member per basis w."""
+def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> tuple:
+    """A basis of the space {(x_1..x_m) -> (prod x_i) * w}, one cochain per basis w."""
     d = spec.dim
     products = {idx: basis_product(spec, idx) for idx in all_tuples(d, arity)}
-    return SubspaceBasis(arity, tuple(
+    return tuple(
         from_coeff_function(spec, arity,
                             lambda idx, w=basis_element(d, k): multiply(spec, products[idx], w))
         for k in range(d)
-    ))
+    )
 
 
 def is_hochschild_2cocycle(spec: AlgebraSpec, psi: MultilinearMap):

@@ -212,7 +212,7 @@ def test_criterion_6_chain_map_audits(fixture_specs):
 def test_criterion_7_hochschild_subspace(fixture_specs):
     ok = True
     for name, spec in fixture_specs.items():
-        for m in product_cochain_subspace(spec, 2).members:
+        for m in product_cochain_subspace(spec, 2):
             passed, witness = is_hochschild_2cocycle(spec, m)
             ok = ok and passed and witness is None
     report("7 hochschild-subspace", ok)

@@ -245,6 +245,9 @@ def test_streamed_json_equals_dumps(obj):
     pieces = []
     _write_json(obj, pieces.append)
     assert "".join(pieces) == json.dumps(obj, sort_keys=True, indent=2)
+    pieces = []
+    _write_json(obj, pieces.append, None)
+    assert "".join(pieces) == json.dumps(obj, sort_keys=True)
 
 
 # sha256 of `cohomology fixtures/atomic4.alg --degree 3` stdout (152,153,182
@@ -270,3 +273,32 @@ def test_large_report_streams_under_512_mib():
     proc.stdout.close()
     assert proc.wait() == 0
     assert digest.hexdigest() == ATOMIC4_DEGREE3_SHA256
+
+
+# sha256 of `--format text cohomology fixtures/atomic4.alg --degree 3` stdout
+# (69,150,784 bytes), recorded while the text report was built whole
+ATOMIC4_DEGREE3_TEXT_SHA256 = "de3f7ab9817422b704cbb4d4faa6e2cc9dffe884b091a68907f2b15f4bff3415"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_large_report_streams_in_constant_memory(fmt):
+    """96 MiB of address space holds the interpreter and the elimination,
+    but not the report's dense representatives all at once."""
+    limit = 96 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cohomolab.cli", "--format", fmt, "cohomology",
+         str(ROOT / "fixtures" / "atomic4.alg"), "--degree", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+        preexec_fn=cap_address_space)
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+        digest.update(chunk)
+    proc.stdout.close()
+    assert proc.wait() == 0
+    assert digest.hexdigest() == {"json": ATOMIC4_DEGREE3_SHA256,
+                                  "text": ATOMIC4_DEGREE3_TEXT_SHA256}[fmt]

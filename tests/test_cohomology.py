@@ -73,7 +73,7 @@ def test_representatives_independent_mod_coboundaries(qsqrt2):
     b_rows = coboundary_space(qsqrt2, 2, TAG_FULL)
     z = Echelon(cocycle_space(qsqrt2, 2, TAG_FULL))
     ech = Echelon(b_rows)
-    for m in r.representatives.members:
+    for m in r.representatives:
         row = m.flatten()
         assert z.contains(row)
         assert ech.add(row)  # each rep grows the span beyond the coboundaries
@@ -98,12 +98,12 @@ def test_multiplier_space(qsqrt2):
     # the multipliers x -> x * w are the arity-1 product cochains
     basis = product_cochain_subspace(qsqrt2, 1)
     assert len(basis) == 2
-    assert basis.verify_independent()
+    assert span_dim([m.flatten() for m in basis]) == len(basis)
     # member k is x -> x * b_k
     x = elem(3, 5)
-    assert basis.members[1].eval([x]) == multiply(qsqrt2, x, elem(0, 1))
+    assert basis[1].eval([x]) == multiply(qsqrt2, x, elem(0, 1))
     # multipliers are d_0-closed into ker d_1 after one step
-    for m in basis.members:
+    for m in basis:
         assert apply_d(qsqrt2, apply_d(qsqrt2, m)).is_zero()
 
 

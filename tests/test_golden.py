@@ -11,9 +11,10 @@ complexes through d_4 o d_3, were recorded before matrix products and
 elimination computed each shared row once; the qhalf entries were
 recorded while every exact scalar was still a Fraction; the escname
 entries were recorded while the JSON was still built whole by
-`json.dumps`.  Any change to the bytes of a
-representative, witness or verdict fails here.  The whole set runs in
-process in about three seconds.
+`json.dumps`; the `--format text` entries were recorded while the text
+report was still built whole by a second, compact `json.dumps` encoder.
+Any change to the bytes of a representative, witness or verdict fails
+here.  The whole set runs in process in about three seconds.
 
 Run as a script to record pins: `python tests/test_golden.py "<command>" …`
 prints one ready-to-paste entry per command, through the same fixture path
@@ -195,6 +196,18 @@ GOLDEN = {
         "8b755a42d599fe7901b8eb7fc09ec2f22ade8a85cf73f5431751cca52f5e665f",
     "cohomology escname --degree 1":
         "cd1d0d8e4f31847bfc901d09c9fd526bef0f11c34b846e74adb1dfa6d78da14b",
+    # the text layout, one `key: compact JSON` line per field, on every
+    # command: escapes, verdicts, representatives, witnesses and results
+    "--format text validate escname":
+        "4abb03427893da8c877f3be52513873a763564b09dabb96279d276a5f6482722",
+    "--format text classify t2m49":
+        "400b68653473fb3b5bf506584ea1fda09c9eadc9bed167ed681a84ce8e1667ea",
+    "--format text cohomology qsqrt2 --degree 1":
+        "102d9b70d63cec65dd0e56e3015ba07d10703ee1fb686e00676ffab348944763",
+    "--format text audit qsqrt2 --map K":
+        "65b9793e677f397f59048b035da3cf2a60bfde780b93bdf6f109726825c745db",
+    "--format text verify-complex atomic3 --max-degree 2 --complex band":
+        "c8b326567c67bbb4a074937a03fc7a03324b7d3ec46c5e4b0e23433685a81333",
 }
 
 
