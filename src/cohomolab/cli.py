@@ -227,7 +227,8 @@ def _run(args) -> tuple:
 
     if args.command == "audit":
         report = audit_chain_map(spec, args.map_name, n=args.n,
-                                 convention=args.convention, cap=cap)
+                                 convention=args.convention, cap=cap,
+                                 trials=args.trials, seed=args.seed)
         base.update({
             "map": report.map_name,
             "n": report.n,

@@ -26,8 +26,10 @@ the flat coordinates tag_coords lists, and lift re-indexes onto them.
 
 The symmetric-group sum is evaluated by grouping permutations per distinct
 rearrangement of the index tuple (each arises the same number of times).
-A naive per-permutation evaluator, apply_d(..., naive=True), is kept only
-as an independent oracle for tests and audits.
+A naive per-permutation evaluator, naive_coboundary_images (and
+apply_d(..., naive=True), its one-row call), is kept only as an
+independent oracle for tests and audits.  It forms each output tuple's
+permutation sum once, for all the rows it is given.
 """
 
 import itertools
@@ -36,12 +38,12 @@ from functools import lru_cache
 from math import factorial
 
 from .algebra import (
-    AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE, add, zero_element,
+    AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE,
 )
 from .linalg import Mat, axpy
 from .multilinear import (
     MultilinearMap, OrderStructureRequired, UnsupportedAlgebra, all_tuples,
-    from_coeff_function, from_flat, tuple_index,
+    from_flat, tuple_index,
 )
 
 DEFAULT_DEGREE_CAP = 5
@@ -116,23 +118,12 @@ def apply_d(spec: AlgebraSpec, f: MultilinearMap, cap: int = DEFAULT_DEGREE_CAP,
     """The coboundary of a degree-(arity-1) cochain; output arity + 1.
 
     naive=True evaluates the defining formula term by term, one
-    permutation at a time, as an oracle for the index matrix.
+    permutation at a time (naive_coboundary_images), as an oracle for the
+    index matrix.
     """
-    n = f.arity - 1
-    check_cap(n + 1, cap)
-    d = spec.dim
-    if not naive:
-        (image,) = coboundary_images(spec, n, [f.flatten()], cap)
-        return from_flat(d, f.arity + 1, image)
-    dense = [f.coeff(idx) for idx in all_tuples(d, f.arity)]
-
-    def value_at(t):
-        acc = zero_element(d)
-        for idx, v in _output_terms(spec, n, t, naive=True):
-            acc = add(acc, tuple(v * c for c in dense[tuple_index(idx, d)]))
-        return acc
-
-    return from_coeff_function(spec, f.arity + 1, value_at)
+    images = naive_coboundary_images if naive else coboundary_images
+    (image,) = images(spec, f.arity - 1, [f.flatten()], cap)
+    return from_flat(spec.dim, f.arity + 1, image)
 
 
 def index_coboundary_matrix(spec: AlgebraSpec, n: int, cap: int = DEFAULT_DEGREE_CAP) -> Mat:
@@ -184,6 +175,42 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_DEGREE
             c, k = divmod(col, d)
             axpy(parts[k], v, columns[c])
         images.append({r * d + k: v for k, part in enumerate(parts) for r, v in part.items()})
+    return images
+
+
+def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_DEGREE_CAP,
+                            tuples=None) -> list:
+    """coboundary_images by the defining formula: the oracle for the index matrix.
+
+    At each output tuple the terms of d are summed one permutation at a
+    time, once, into an index-level term list, which is then applied to
+    every row.  Neither arrangements nor the index matrix is used.  Given
+    tuples, an iterable of output index tuples, the images hold only the
+    entries at those tuples.
+    """
+    check_cap(n + 1, cap)
+    d = spec.dim
+    grouped = []  # per row: input column -> {output coordinate: value}
+    for x in rows:
+        by_col = {}
+        for col, v in x.items():
+            c, k = divmod(col, d)
+            by_col.setdefault(c, {})[k] = v
+        grouped.append(by_col)
+    images = [{} for _ in rows]
+    for t in all_tuples(d, n + 2) if tuples is None else tuples:
+        terms = {}
+        for idx, v in _output_terms(spec, n, t, naive=True):
+            col = tuple_index(idx, d)
+            terms[col] = terms.get(col, 0) + v
+        base = tuple_index(t, d) * d
+        for by_col, image in zip(grouped, images):
+            part = {}
+            for col, w in terms.items():
+                if col in by_col:
+                    axpy(part, w, by_col[col])
+            for k, v in part.items():
+                image[base + k] = v
     return images
 
 

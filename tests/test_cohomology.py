@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -298,3 +299,41 @@ def test_audit_higher_maps(qsqrt2):
     for name, n in (("M", 1), ("J", 0), ("K", 2)):
         with pytest.raises(ValueError):
             audit_chain_map(qsqrt2, name, n=n)
+
+
+# the module audit_chain_map looks its names up in (the package's
+# `cohomology` attribute is the function of that name)
+AUDIT = sys.modules[audit_chain_map.__module__]
+
+
+def perturb_degree_2_images(monkeypatch, at):
+    """Make the fast path's d_2 images, as audit_chain_map sees them, wrong
+    by 1 at coordinate 0 of the flat output tuples `at` of the first image."""
+    real = AUDIT.coboundary_images
+
+    def perturbed(spec, n, rows, cap):
+        images = real(spec, n, rows, cap)
+        if n == 2:
+            images[0] = dict(images[0])
+            for t in at(spec):
+                c = t * spec.dim
+                images[0][c] = images[0].get(c, 0) + 1
+        return images
+
+    monkeypatch.setattr(AUDIT, "coboundary_images", perturbed)
+
+
+def test_audit_catches_disagreement_whole(qsqrt2, monkeypatch):
+    assert audit_chain_map(qsqrt2, "K").evaluator_agreement
+    perturb_degree_2_images(monkeypatch, lambda spec: [5])
+    assert not audit_chain_map(qsqrt2, "K").evaluator_agreement
+
+
+def test_audit_catches_disagreement_sampled(qsqrt2, monkeypatch):
+    """Above the budget a sample of output tuples is compared, never none."""
+    monkeypatch.setattr(AUDIT, "NAIVE_TERM_BUDGET", 0)
+    assert audit_chain_map(qsqrt2, "K", trials=0).evaluator_agreement
+    perturb_degree_2_images(monkeypatch, lambda spec: range(spec.dim ** 4))
+    for trials, seed in ((0, 0), (1, 5), (64, 0)):
+        assert not audit_chain_map(qsqrt2, "K", trials=trials,
+                                   seed=seed).evaluator_agreement

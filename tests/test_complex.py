@@ -10,8 +10,8 @@ from cohomolab import complex as cx
 from cohomolab.algebra import basis_element, build_number_field, multiply
 from cohomolab.complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAG_BAND, TAG_FULL, TAG_IDEAL,
-    apply_d, coboundary, index_coboundary_matrix, lift, tag_coords,
-    verify_dd_zero,
+    apply_d, coboundary, coboundary_images, index_coboundary_matrix, lift,
+    naive_coboundary_images, tag_coords, verify_dd_zero,
 )
 from cohomolab.cohomology import CONVENTIONS, build_K, cocycle_space, cohomology
 from cohomolab.linalg import rref
@@ -97,6 +97,22 @@ def test_apply_d_matches_naive_oracle(fix, n, data, request):
         st.integers(-3, 3).filter(bool), max_size=6))
     f = from_flat(spec.dim, n + 1, {c: F(v) for c, v in entries.items()})
     assert apply_d(spec, f) == apply_d(spec, f, naive=True)
+
+
+@pytest.mark.parametrize("fix,n", [("qsqrt2", 2), ("cubic2", 2), ("atomic3", 1)])
+def test_naive_images_all_rows_and_tuple_subsets(fix, n, request):
+    """One pass over the output tuples serves every row, and a tuple subset
+    gives the fast images' entries at exactly those tuples."""
+    spec = request.getfixturevalue(fix)
+    d = spec.dim
+    rows = [{(7 * i + j) % d ** (n + 2): F(j - i) for j in range(i + 2)} for i in range(4)]
+    fast = coboundary_images(spec, n, rows)
+    assert naive_coboundary_images(spec, n, rows) == fast
+    tuples = [(0,) * (n + 2), (d - 1,) + (0,) * (n + 1), tuple(range(n + 2))[::-1]]
+    tuples = [tuple(i % d for i in t) for t in tuples]
+    keep = {tuple_index(t, d) for t in tuples}
+    assert naive_coboundary_images(spec, n, rows, tuples=tuples) == [
+        {c: v for c, v in image.items() if c // d in keep} for image in fast]
 
 
 @pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])

@@ -12,7 +12,9 @@ elimination computed each shared row once; the qhalf entries were
 recorded while every exact scalar was still a Fraction; the escname
 entries were recorded while the JSON was still built whole by
 `json.dumps`; the `--format text` entries were recorded while the text
-report was still built whole by a second, compact `json.dumps` encoder.
+report was still built whole by a second, compact `json.dumps` encoder;
+the qsqrt2 and cubic2 `Jodd --n 2` audit entries were recorded while the
+naive evaluator walked every permutation once per audited cochain.
 Any change to the bytes of a representative, witness or verdict fails
 here.  The whole set runs in process in about three seconds.
 
@@ -147,6 +149,10 @@ GOLDEN = {
         "6eeaf66e992519f212e2da2fd45ff732790eb5f1d655230cca548782bd4f753d",
     "audit q --map Jodd --n 2":
         "f86b9798efef4fa10b8d252232a3e52b9db4bec9f4909fd3038d93ec62c522d1",
+    "audit qsqrt2 --map Jodd --n 2":
+        "3a21910e086335cadfc18f00a511f04201cd38f69a1d0680fb4a49be5e591cad",
+    "audit cubic2 --map Jodd --n 2":
+        "79d86e739378877eb747ebf4f921c50fd61dbc5476a7d3e64ebb05561a0383fc",
     "verify-complex atomic3 --complex band --max-degree 2":
         "cbcbeecfa80fb5fafe977b5ead49d7a48d24a6761655e5ff3c0fc0ee5440f64d",
     "verify-complex cubic2 --max-degree 3":
