@@ -9,7 +9,7 @@ all-ones unit) carrying the lattice order.
 
 from dataclasses import dataclass, replace
 
-from .linalg import Echelon, Mat, div, kernel, scalar
+from .linalg import Echelon, scalar
 from .rng import Lcg64
 
 Element = tuple  # exact scalars: an int when integral, else a Fraction, never a float
@@ -36,10 +36,6 @@ def basis_element(d: int, i: int) -> Element:
 
 def add(x: Element, y: Element) -> Element:
     return tuple(a + b for a, b in zip(x, y))
-
-
-def sub(x: Element, y: Element) -> Element:
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def scale(c, x: Element) -> Element:
@@ -143,29 +139,6 @@ def validate_algebra(spec: AlgebraSpec) -> list:
         if spec.unit != (1,) * d:
             out.append(Violation("atomic", (), "atomic unit must be all-ones"))
     return out
-
-
-def regular_representation(spec: AlgebraSpec, x: Element) -> list:
-    """Matrix M (dense rows) with M @ y = x*y for all y."""
-    d = spec.dim
-    cols = [multiply(spec, x, basis_element(d, j)) for j in range(d)]
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def invert(spec: AlgebraSpec, x: Element):
-    """Multiplicative inverse of x, or None when x is not invertible.
-
-    x is invertible exactly when the unit lies in the image of M_x, so the
-    kernel of [M_x | e] alone decides: a kernel vector (y, t) with t != 0
-    gives x^{-1} = -y/t.
-    """
-    d = spec.dim
-    augmented = [row + [u] for row, u in zip(regular_representation(spec, x), spec.unit)]
-    for vec in kernel(Mat.from_dense(augmented)):
-        t = vec.get(d)
-        if t:
-            return tuple(div(-vec.get(j, 0), t) for j in range(d))
-    return None
 
 
 def build_number_field(min_poly, name: str = "", trials: int = 64, seed: int = 0) -> AlgebraSpec:

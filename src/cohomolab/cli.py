@@ -21,13 +21,14 @@ import sys
 
 from .algebra import validate_algebra
 from .complex import (
-    DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAGS, verify_dd_zero,
+    DEFAULT_DEGREE_CAP, DegreeCapExceeded, OrderStructureRequired, TAGS,
+    UnsupportedAlgebra, verify_dd_zero,
 )
 from .cohomology import (
     CHAIN_MAPS, CONVENTION_SHIFTED, CONVENTIONS, audit_chain_map, cohomology,
 )
 from .fileformat import ParseError, format_rational, parse_algebra_file
-from .multilinear import MultilinearMap, OrderStructureRequired, UnsupportedAlgebra
+from .multilinear import MultilinearMap
 from .operators import classify
 
 EXIT_OK = 0
@@ -126,14 +127,15 @@ def _resolve_cap(args) -> int:
     env = os.environ.get("COHOMOLAB_MAX_DEGREE")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"COHOMOLAB_MAX_DEGREE must be an integer, got {env!r}")
+            return _non_negative(env)
+        except argparse.ArgumentTypeError:
+            raise ParseError(f"COHOMOLAB_MAX_DEGREE must be a non-negative integer, "
+                             f"got {env!r}")
     return DEFAULT_DEGREE_CAP
 
 
-def _budget(text: str) -> int:
-    """A sampling budget: a non-negative int."""
+def _non_negative(text: str) -> int:
+    """A non-negative int: a sampling budget or a degree cap."""
     try:
         value = int(text)
     except ValueError:
@@ -151,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=_budget, default=64)
-    parser.add_argument("--degree-cap", type=int, default=None,
+    parser.add_argument("--trials", type=_non_negative, default=64)
+    parser.add_argument("--degree-cap", type=_non_negative, default=None,
                         help=f"highest materialized cochain degree (default "
                              f"{DEFAULT_DEGREE_CAP}, or COHOMOLAB_MAX_DEGREE)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -92,19 +92,26 @@ class DistinguishedQuotient:
     dim_H: int
 
 
+def _multiplier_coboundaries(spec: AlgebraSpec, cap: int) -> list:
+    """d_0 of the multipliers x -> x * w, one flat row per basis w."""
+    multipliers = [m.flatten() for m in product_cochain_subspace(spec, 1)]
+    return coboundary_images(spec, 0, multipliers, cap)
+
+
 def distinguished_quotient(spec: AlgebraSpec, kind: str,
                            cap: int = DEFAULT_DEGREE_CAP) -> DistinguishedQuotient:
     """ker d_1 (within the band subspace for kind=oo) over the restricted d_0 image."""
     if kind == "mc":
         dim_kernel = len(cocycle_space(spec, 1, TAG_FULL, cap))
-        restricted = [m.flatten() for m in product_cochain_subspace(spec, 1)]  # the multipliers
+        image = _multiplier_coboundaries(spec, cap)
     elif kind == "oo":
         dim_kernel = len(cocycle_space(spec, 1, TAG_BAND, cap))
         # the orthomorphisms: every operator in the band complex's coordinates
-        restricted = lift(spec, 0, TAG_BAND, [{k: 1} for k in range(spec.dim)])
+        orthomorphisms = lift(spec, 0, TAG_BAND, [{k: 1} for k in range(spec.dim)])
+        image = coboundary_images(spec, 0, orthomorphisms, cap)
     else:
         raise ValueError(f"unknown quotient kind {kind!r}")
-    dim_image = span_dim(coboundary_images(spec, 0, restricted, cap))
+    dim_image = span_dim(image)
     return DistinguishedQuotient(kind, dim_kernel, dim_image, dim_kernel - dim_image)
 
 
@@ -271,8 +278,7 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     d = spec.dim
 
     ker_d1 = cocycle_space(spec, 1, TAG_FULL, cap)
-    multipliers = [m.flatten() for m in product_cochain_subspace(spec, 1)]
-    mult_ech = Echelon(coboundary_images(spec, 0, multipliers, cap))
+    mult_ech = Echelon(_multiplier_coboundaries(spec, cap))
 
     def image_of(flat_row):
         psi = from_flat(d, 2, flat_row)

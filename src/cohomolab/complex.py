@@ -41,10 +41,7 @@ from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE,
 )
 from .linalg import Mat, axpy
-from .multilinear import (
-    MultilinearMap, OrderStructureRequired, UnsupportedAlgebra, all_tuples,
-    from_flat, tuple_index,
-)
+from .multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
 
 DEFAULT_DEGREE_CAP = 5
 
@@ -52,6 +49,14 @@ TAG_FULL = "full"
 TAG_IDEAL = "ideal"
 TAG_BAND = "band"
 TAGS = (TAG_FULL, TAG_IDEAL, TAG_BAND)
+
+
+class OrderStructureRequired(ValueError):
+    """Operation needs the atomic lattice order."""
+
+
+class UnsupportedAlgebra(ValueError):
+    """Ideal lattice is not representable for this algebra."""
 
 
 class DegreeCapExceeded(ValueError):

@@ -64,12 +64,6 @@ class Mat:
     rows: list  # list[dict[int, scalar]]
 
     @staticmethod
-    def from_dense(dense):
-        rows = [{j: scalar(v) for j, v in enumerate(r) if v} for r in dense]
-        ncols = len(dense[0]) if dense else 0
-        return Mat(len(dense), ncols, rows)
-
-    @staticmethod
     def from_columns(nrows: int, columns) -> "Mat":
         """The matrix whose j-th column is the sparse vector columns[j]."""
         rows = [dict() for _ in range(nrows)]
@@ -177,10 +171,6 @@ class Echelon:
 
 def rref(rows) -> list:
     return Echelon(rows).rows()
-
-
-def rank(mat: Mat) -> int:
-    return Echelon(mat.rows).rank
 
 
 def kernel(mat: Mat) -> list:

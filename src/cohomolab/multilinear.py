@@ -11,15 +11,7 @@ an exact scalar: an int when integral, else a Fraction, never a float.
 import itertools
 from dataclasses import dataclass
 
-from .algebra import AlgebraSpec, Element, add, basis_element, basis_product, multiply
-
-
-class OrderStructureRequired(ValueError):
-    """Operation needs the atomic lattice order."""
-
-
-class UnsupportedAlgebra(ValueError):
-    """Ideal lattice is not representable for this algebra."""
+from .algebra import AlgebraSpec, Element, basis_element, basis_product, multiply
 
 
 def tuple_index(idx: tuple, d: int) -> int:
@@ -75,10 +67,6 @@ class MultilinearMap:
         return not self.vec
 
 
-def zero_map(d: int, arity: int) -> MultilinearMap:
-    return MultilinearMap(arity, d, {})
-
-
 def from_coeff_function(spec: AlgebraSpec, arity: int, fn) -> MultilinearMap:
     """Build a cochain from its values on basis tuples."""
     d = spec.dim
@@ -103,27 +91,3 @@ def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> tuple:
                             lambda idx, w=basis_element(d, k): multiply(spec, products[idx], w))
         for k in range(d)
     )
-
-
-def is_hochschild_2cocycle(spec: AlgebraSpec, psi: MultilinearMap):
-    """Check a*Psi(b,c) + Psi(a,bc) - Psi(ab,c) - c*Psi(a,b) = 0 on basis triples.
-
-    Returns (True, None) or (False, first_failing_triple).
-    """
-    if psi.arity != 2:
-        raise ValueError("Hochschild 2-cocycle test needs an arity-2 cochain")
-    d = spec.dim
-    for i, j, k in all_tuples(d, 3):
-        a, b, c = (basis_element(d, t) for t in (i, j, k))
-        lhs = add(
-            multiply(spec, a, psi.coeff((j, k))),
-            psi.eval([a, spec.structure[j][k]]),
-        )
-        rhs = add(
-            psi.eval([spec.structure[i][j], c]),
-            multiply(spec, c, psi.coeff((i, j))),
-        )
-        if lhs != rhs:
-            return (False, (i, j, k))
-    return (True, None)
-

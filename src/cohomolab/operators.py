@@ -1,10 +1,10 @@
-"""Operator predicates (multiplier, local multiplier, band preserving,
-orthomorphism) and algebra-level classification verdicts.
+"""Operator predicates (multiplier, local multiplier) and algebra-level
+classification verdicts.
 
 A linear operator T is the arity-1 cochain x -> T(x), a MultilinearMap
 like every other cochain, and the n-ary properties are the same
-predicates at arity n.  "Band preserving" means lying in the band
-complex's coordinates, the diagonal cochains of complex.tag_coords.
+predicates at arity n.  Wickstead's question is answered by the
+orthomorphism quotient (cohomology.distinguished_quotient "oo").
 
 Local properties quantify over all elements, so a sampled search can only
 refute; the verdict "yes" is returned only when a finite proof exists
@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE,
-    add, basis_element, invert, is_zero, multiply, principal_ideal_contains,
+    add, basis_element, is_zero, multiply, principal_ideal_contains,
 )
 from .multilinear import MultilinearMap, all_tuples, from_coeff_function
 from .rng import Lcg64
-from .complex import DEFAULT_DEGREE_CAP, TAG_BAND, tag_coords
+from .complex import DEFAULT_DEGREE_CAP
 from .cohomology import distinguished_quotient
 
 YES = "yes"
@@ -88,16 +88,17 @@ def is_local_multiplier(spec: AlgebraSpec, psi: MultilinearMap, trials: int = 64
 
     Fields: membership cannot fail when the product is invertible, so
     locality is automatic once the sampled invertibility probe backs the
-    domain assertion.  Atomic: the basis tuples decide, since they pass
-    exactly when psi is diagonal, and a diagonal psi is the multiplier
-    (a_1, .., a_m) -> (a_1 ... a_m) * psi(e, .., e).  Otherwise: sampled
-    membership tests, refutation-only; the witness is the argument tuple.
+    domain assertion; a is a unit exactly when e lies in a * A.  Atomic:
+    the basis tuples decide, since they pass exactly when psi is diagonal,
+    and a diagonal psi is the multiplier (a_1, .., a_m) -> (a_1 ... a_m) *
+    psi(e, .., e).  Otherwise: sampled membership tests, refutation-only;
+    the witness is the argument tuple.
     """
     _check_shape(spec, psi)
     samples = sample_tuples(spec, psi.arity, trials, seed)
     if spec.order_mode == ORDER_NONE and spec.domain_status == DOMAIN_ASSERTED:
         elements = dict.fromkeys(a for args in samples for a in args)
-        if all(is_zero(a) or invert(spec, a) is not None for a in elements):
+        if all(is_zero(a) or principal_ideal_contains(spec, a, spec.unit) for a in elements):
             return OperatorVerdict("local_multiplier", YES)
     decided = spec.order_mode == ORDER_ATOMIC
     if decided:
@@ -109,37 +110,6 @@ def is_local_multiplier(spec: AlgebraSpec, psi: MultilinearMap, trials: int = 64
         if not principal_ideal_contains(spec, prod, psi.eval(list(args))):
             return OperatorVerdict("local_multiplier", NO, witness=args)
     return OperatorVerdict("local_multiplier", YES if decided else UNKNOWN)
-
-
-def is_band_preserving(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
-    """Psi(x_1, .., x_m) disjoint from y whenever some x_l is disjoint from y:
-    psi lies in the band complex's coordinates, the diagonal cochains.
-
-    The witness (b_{j_1}, .., b_{j_m}, b_i) names the first basis tuple, in
-    flat order, whose value has a nonzero b_i coordinate off the diagonal.
-    """
-    _check_shape(spec, psi)
-    d = spec.dim
-    band = set(tag_coords(spec, psi.arity - 1, TAG_BAND))
-    outside = [flat for flat in psi.vec if flat not in band]
-    if outside:
-        flat, i = divmod(min(outside), d)
-        m = psi.arity
-        idx = [flat // d ** (m - 1 - s) % d for s in range(m)] + [i]
-        return OperatorVerdict(
-            "band_preserving", NO, witness=tuple(basis_element(d, k) for k in idx),
-        )
-    return OperatorVerdict("band_preserving", YES)
-
-
-def is_orthomorphism(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
-    """Order bounded band preserving; in the finite atomic setting the
-    entrywise absolute cochain always certifies order boundedness."""
-    bp = is_band_preserving(spec, psi)
-    if bp.verdict != YES:
-        return OperatorVerdict("orthomorphism", NO, witness=bp.witness)
-    bound = MultilinearMap(psi.arity, psi.dim, {i: abs(v) for i, v in psi.vec.items()})
-    return OperatorVerdict("orthomorphism", YES, certificate=bound)
 
 
 @dataclass(frozen=True)

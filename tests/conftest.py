@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cohomolab import build_atomic, build_number_field
-from cohomolab.algebra import basis_element, multiply
+from cohomolab.algebra import basis_element, build_atomic, build_number_field, multiply
 from cohomolab.multilinear import from_coeff_function
 
 

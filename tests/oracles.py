@@ -4,8 +4,17 @@ Each is written directly from its definition, so a test can check the
 package against it.
 """
 
-from cohomolab.linalg import Echelon, rref, row_to_primitive
+from cohomolab.algebra import AlgebraSpec, add, basis_element, multiply
+from cohomolab.complex import TAG_BAND, tag_coords
+from cohomolab.linalg import Echelon, Mat, rref, row_to_primitive, scalar
 from cohomolab.multilinear import MultilinearMap, all_tuples
+from cohomolab.operators import NO, YES, OperatorVerdict, _check_shape
+
+
+def from_dense(dense) -> Mat:
+    """The matrix with these dense rows, each entry read through linalg.scalar."""
+    rows = [{j: scalar(v) for j, v in enumerate(r) if v} for r in dense]
+    return Mat(len(dense), len(dense[0]) if dense else 0, rows)
 
 
 def to_dense(mat):
@@ -80,3 +89,57 @@ def symmetry_check(m: MultilinearMap, positions: tuple) -> str:
         if not sym and not antisym:
             return "neither"
     return "symmetric" if sym else "antisymmetric"
+
+
+def is_hochschild_2cocycle(spec: AlgebraSpec, psi: MultilinearMap):
+    """Check a*Psi(b,c) + Psi(a,bc) - Psi(ab,c) - c*Psi(a,b) = 0 on basis triples.
+
+    Returns (True, None) or (False, first_failing_triple).
+    """
+    if psi.arity != 2:
+        raise ValueError("Hochschild 2-cocycle test needs an arity-2 cochain")
+    d = spec.dim
+    for i, j, k in all_tuples(d, 3):
+        a, b, c = (basis_element(d, t) for t in (i, j, k))
+        lhs = add(
+            multiply(spec, a, psi.coeff((j, k))),
+            psi.eval([a, spec.structure[j][k]]),
+        )
+        rhs = add(
+            psi.eval([spec.structure[i][j], c]),
+            multiply(spec, c, psi.coeff((i, j))),
+        )
+        if lhs != rhs:
+            return (False, (i, j, k))
+    return (True, None)
+
+
+def is_band_preserving(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
+    """Psi(x_1, .., x_m) disjoint from y whenever some x_l is disjoint from y:
+    psi lies in the band complex's coordinates, the diagonal cochains.
+
+    The witness (b_{j_1}, .., b_{j_m}, b_i) names the first basis tuple, in
+    flat order, whose value has a nonzero b_i coordinate off the diagonal.
+    """
+    _check_shape(spec, psi)
+    d = spec.dim
+    band = set(tag_coords(spec, psi.arity - 1, TAG_BAND))
+    outside = [flat for flat in psi.vec if flat not in band]
+    if outside:
+        flat, i = divmod(min(outside), d)
+        m = psi.arity
+        idx = [flat // d ** (m - 1 - s) % d for s in range(m)] + [i]
+        return OperatorVerdict(
+            "band_preserving", NO, witness=tuple(basis_element(d, k) for k in idx),
+        )
+    return OperatorVerdict("band_preserving", YES)
+
+
+def is_orthomorphism(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
+    """Order bounded band preserving; in the finite atomic setting the
+    entrywise absolute cochain always certifies order boundedness."""
+    bp = is_band_preserving(spec, psi)
+    if bp.verdict != YES:
+        return OperatorVerdict("orthomorphism", NO, witness=bp.witness)
+    bound = MultilinearMap(psi.arity, psi.dim, {i: abs(v) for i, v in psi.vec.items()})
+    return OperatorVerdict("orthomorphism", YES, certificate=bound)

@@ -3,13 +3,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import (
-    AlgebraSpec, ShapeError, basis_element, basis_product, build_atomic,
-    build_number_field,
-    invert, multiply, regular_representation, validate_algebra,
-    zero_divisor_falsifier,
+    ShapeError, basis_element, basis_product, build_atomic, build_number_field,
+    multiply, principal_ideal_contains, validate_algebra, zero_divisor_falsifier,
 )
 from conftest import elem
 
@@ -54,47 +53,43 @@ def test_multiply_dimension_mismatch(qsqrt2):
         multiply(qsqrt2, elem(1, 2, 3), elem(1, 0))
 
 
+def is_unit(spec, x):
+    return principal_ideal_contains(spec, x, spec.unit)
+
+
 def test_invert_examples(qsqrt2, atomic2):
-    assert invert(qsqrt2, elem(1, 1)) == elem(-1, 1)
-    assert invert(atomic2, elem(1, 0)) is None
-    assert invert(qsqrt2, qsqrt2.unit) == qsqrt2.unit
-    assert invert(atomic2, atomic2.unit) == atomic2.unit
+    assert is_unit(qsqrt2, elem(1, 1))
+    assert not is_unit(atomic2, elem(1, 0))
+    assert is_unit(qsqrt2, qsqrt2.unit)
+    assert is_unit(atomic2, atomic2.unit)
 
 
 def test_invert_iff_nonzero_on_grid(qsqrt2):
     rng = range(-2, 3)
     for a, b in itertools.product(rng, rng):
-        x = elem(a, b)
-        y = invert(qsqrt2, x)
-        if a == 0 and b == 0:
-            assert y is None
-        else:
-            assert y is not None
-            assert multiply(qsqrt2, x, y) == qsqrt2.unit
+        assert is_unit(qsqrt2, elem(a, b)) == (a != 0 or b != 0)
 
 
-def test_regular_representation(qsqrt2, atomic3):
-    m = regular_representation(qsqrt2, elem(0, 1))
-    assert m == [[Fraction(0), Fraction(2)], [Fraction(1), Fraction(0)]]
-    x = elem(3, -1, 7)
-    m = regular_representation(atomic3, x)
-    for i in range(3):
-        for j in range(3):
-            assert m[i][j] == (x[i] if i == j else 0)
-    m = regular_representation(qsqrt2, qsqrt2.unit)
-    assert m == [[1, 0], [0, 1]]
+# monic factors of degree 1 and 2 with small coefficients, repeats allowed
+monic_factors = st.lists(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=2).map(lambda c: c + [1]),
+    min_size=1, max_size=3,
+)
 
 
-def test_regular_representation_linear(qsqrt2):
-    d = qsqrt2.dim
-    for i in range(d):
-        for j in range(d):
-            x = basis_element(d, i)
-            y = basis_element(d, j)
-            both = regular_representation(qsqrt2, tuple(a + b for a, b in zip(x, y)))
-            mx = regular_representation(qsqrt2, x)
-            my = regular_representation(qsqrt2, y)
-            assert both == [[mx[r][c] + my[r][c] for c in range(d)] for r in range(d)]
+@settings(max_examples=60, deadline=None)
+@given(factors=monic_factors, data=st.data())
+def test_unit_iff_coprime_to_modulus(factors, data):
+    """x is a unit of Q[t]/(p) exactly when gcd(x(t), p) = 1, by sympy."""
+    factors += factors[:data.draw(st.integers(0, len(factors)))]  # repeated factors
+    t = sympy.Symbol("t")
+    p = sympy.Mul(*(sympy.Poly(list(reversed(c)), t).as_expr() for c in factors))
+    coeffs = [int(c) for c in reversed(sympy.Poly(p, t).all_coeffs())]
+    spec = build_number_field(coeffs, trials=0)
+    x = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=spec.dim,
+                                 max_size=spec.dim)))
+    x_of_t = sum(c * t ** k for k, c in enumerate(x))
+    assert is_unit(spec, x) == (sympy.gcd(x_of_t, p) == 1)
 
 
 def test_build_number_field(qsqrt2, cubic2):

@@ -134,6 +134,8 @@ def test_degree_cap_exit_code(capsys):
     code, _, _ = run_cli(capsys, "--degree-cap", "8",
                          "cohomology", QSQRT2, "--degree", "6")
     assert code == 0
+    code, out, err = run_cli(capsys, "--degree-cap", "-1", "classify", QSQRT2)
+    assert code == 2 and out == "" and "--degree-cap" in err
 
 
 def test_degree_cap_env(capsys, monkeypatch):
@@ -147,6 +149,9 @@ def test_degree_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("COHOMOLAB_MAX_DEGREE", "zzz")
     code, _, err = run_cli(capsys, "cohomology", QSQRT2, "--degree", "1")
     assert code == 1 and "COHOMOLAB_MAX_DEGREE" in err
+    monkeypatch.setenv("COHOMOLAB_MAX_DEGREE", "-1")  # bad input, not a cap every command exceeds
+    code, out, err = run_cli(capsys, "classify", QSQRT2)
+    assert code == 1 and out == "" and "COHOMOLAB_MAX_DEGREE" in err
 
 
 def test_classify_output(capsys):

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cohomolab.algebra import add, basis_element, multiply, sub, zero_element
+from cohomolab.algebra import add, basis_element, multiply, zero_element
 from cohomolab.complex import (
-    TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, apply_d, lift, tag_coords,
+    TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, OrderStructureRequired, apply_d,
+    lift, tag_coords,
 )
 from cohomolab.cohomology import (
     CONVENTION_SHIFTED, CONVENTION_STANDARD, audit_chain_map, build_J,
@@ -16,8 +17,7 @@ from cohomolab.cohomology import (
 )
 from cohomolab.linalg import Echelon, span_dim
 from cohomolab.multilinear import (
-    OrderStructureRequired, from_coeff_function, from_flat, product_cochain_subspace,
-    zero_map,
+    from_coeff_function, from_flat, product_cochain_subspace,
 )
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 from oracles import symmetry_check
@@ -139,7 +139,7 @@ def test_build_K_formula(qsqrt2):
     assert k.eval([one, one, r2]) == elem(0, 0)
     assert build_K(qsqrt2, mult_cochain(qsqrt2)).is_zero()
     with pytest.raises(ValueError):
-        build_K(qsqrt2, zero_map(2, 3))
+        build_K(qsqrt2, from_flat(2, 3, {}))
 
 
 def test_build_J_formula(qsqrt2):
@@ -152,6 +152,10 @@ def test_build_J_formula(qsqrt2):
     for y in x[1:]:
         prod = multiply(qsqrt2, prod, y)
     assert j.eval(x) == tuple(6 * c for c in prod)
+
+
+def sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def explicit_K(spec, psi):

@@ -15,7 +15,7 @@ from cohomolab.complex import (
 )
 from cohomolab.cohomology import CONVENTIONS, build_K, cocycle_space, cohomology
 from cohomolab.linalg import rref
-from cohomolab.multilinear import from_coeff_function, from_flat, tuple_index, zero_map
+from cohomolab.multilinear import from_coeff_function, from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 from oracles import intersection
 
@@ -237,13 +237,13 @@ def test_negative_degree_rejected(qsqrt2):
 
 def test_degree_cap(qsqrt2):
     with pytest.raises(DegreeCapExceeded):
-        apply_d(qsqrt2, zero_map(2, DEFAULT_DEGREE_CAP + 1))
+        apply_d(qsqrt2, from_flat(2, DEFAULT_DEGREE_CAP + 1, {}))
     with pytest.raises(DegreeCapExceeded):
         index_coboundary_matrix(qsqrt2, DEFAULT_DEGREE_CAP)
     with pytest.raises(DegreeCapExceeded):
         verify_dd_zero(qsqrt2, DEFAULT_DEGREE_CAP - 1)
     # raising the cap unlocks the degree
-    assert apply_d(qsqrt2, zero_map(2, 5), cap=6).is_zero()
+    assert apply_d(qsqrt2, from_flat(2, 5, {}), cap=6).is_zero()
 
 
 def test_even_degree_row_weights(qsqrt2):

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import basis_element, build_number_field, multiply
-from cohomolab.complex import TAG_BAND, TAG_IDEAL, lift, tag_coords
+from cohomolab.complex import (
+    TAG_BAND, TAG_IDEAL, OrderStructureRequired, UnsupportedAlgebra, lift, tag_coords,
+)
 from cohomolab.linalg import span_dim
 from cohomolab.multilinear import (
-    OrderStructureRequired, UnsupportedAlgebra, all_tuples,
-    from_coeff_function, from_flat, is_hochschild_2cocycle,
-    product_cochain_subspace, tuple_index, zero_map,
+    all_tuples, from_coeff_function, from_flat, product_cochain_subspace, tuple_index,
 )
 from conftest import elem, mult_cochain, psi_f_times_b, sqrt2_coefficient
-from oracles import symmetry_check, unit_tensor
+from oracles import is_hochschild_2cocycle, symmetry_check, unit_tensor
 
 F = Fraction
 
@@ -47,8 +47,8 @@ def test_flatten_roundtrip(qsqrt2):
     psi = psi_f_times_b(qsqrt2)
     assert from_flat(2, 2, psi.flatten()) == psi
     assert hash(from_flat(2, 2, psi.flatten())) == hash(psi)
-    assert zero_map(3, 2).flatten() == {}
-    assert zero_map(3, 2).is_zero()
+    assert from_flat(3, 2, {}).flatten() == {}
+    assert from_flat(3, 2, {}).is_zero()
     assert not psi.is_zero()
 
 
@@ -102,7 +102,7 @@ def test_hochschild_cocycle(qsqrt2):
     assert not ok
     assert witness == (1, 0, 0)
     with pytest.raises(ValueError):
-        is_hochschild_2cocycle(qsqrt2, zero_map(2, 3))
+        is_hochschild_2cocycle(qsqrt2, from_flat(2, 3, {}))
 
 
 def test_symmetry_check(qsqrt2):
@@ -123,7 +123,7 @@ def test_symmetry_check(qsqrt2):
 
 
 def test_zero_map_symmetric_everywhere():
-    z = zero_map(2, 3)
+    z = from_flat(2, 3, {})
     for pair in itertools.combinations((1, 2, 3), 2):
         assert symmetry_check(z, pair) == "symmetric"
 

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomolab.algebra import basis_element, build_atomic, build_number_field, multiply
-from cohomolab.multilinear import MultilinearMap, OrderStructureRequired, from_coeff_function
+from cohomolab.complex import OrderStructureRequired
+from cohomolab.multilinear import MultilinearMap, from_coeff_function
 from cohomolab.operators import (
-    NO, UNKNOWN, YES, classify, is_band_preserving, is_local_multiplier,
-    is_multiplier, is_orthomorphism, sample_tuples,
+    NO, UNKNOWN, YES, classify, is_local_multiplier, is_multiplier, sample_tuples,
 )
 from conftest import elem, mult_cochain, operator, psi_f_times_b
+from oracles import is_band_preserving, is_orthomorphism
 
 F = Fraction
 
