@@ -27,7 +27,7 @@ from .complex import (
 from .cohomology import (
     CHAIN_MAPS, CONVENTION_SHIFTED, CONVENTIONS, audit_chain_map, cohomology,
 )
-from .fileformat import ParseError, format_rational, parse_algebra_file
+from .fileformat import ParseError, format_rational, parse_algebra_file, parse_integer
 from .multilinear import MultilinearMap
 from .operators import classify
 
@@ -134,12 +134,17 @@ def _resolve_cap(args) -> int:
     return DEFAULT_DEGREE_CAP
 
 
-def _non_negative(text: str) -> int:
-    """A non-negative int: a sampling budget or a degree cap."""
+def _int(text: str) -> int:
+    """An integer option, spelled as the algebra file grammar spells integers."""
     try:
-        value = int(text)
+        return parse_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _non_negative(text: str) -> int:
+    """A non-negative int: a sampling budget or a degree cap."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
@@ -152,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite-dimensional commutative unital algebras.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int, default=0)
     parser.add_argument("--trials", type=_non_negative, default=64)
     parser.add_argument("--degree-cap", type=_non_negative, default=None,
                         help=f"highest materialized cochain degree (default "
@@ -164,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="quotient dimensions at a degree")
     p.add_argument("file")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int, required=True)
     p.add_argument("--complex", choices=TAGS, default="full")
     p.add_argument("--convention", choices=CONVENTIONS, default=CONVENTION_SHIFTED)
 
@@ -175,12 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--map", dest="map_name", required=True,
                    choices=CHAIN_MAPS)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_int, default=1)
     p.add_argument("--convention", choices=CONVENTIONS, default=CONVENTION_SHIFTED)
 
     p = sub.add_parser("verify-complex", help="check d_{n+1} o d_n = 0")
     p.add_argument("file")
-    p.add_argument("--max-degree", dest="max_n", type=int, default=3)
+    p.add_argument("--max-degree", dest="max_n", type=_int, default=3)
     p.add_argument("--complex", choices=TAGS, default="full")
     return parser
 

@@ -30,20 +30,16 @@ CONVENTION_STANDARD = "standard"
 CONVENTIONS = (CONVENTION_SHIFTED, CONVENTION_STANDARD)
 
 
-def cocycle_space(spec: AlgebraSpec, degree: int, tag: str,
-                  cap: int = DEFAULT_DEGREE_CAP) -> list:
+def cocycle_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
     """Flat basis rows of the degree-`degree` cocycles of the tag complex."""
-    check_cap(degree + 1, cap)
-    return lift(spec, degree, tag, kernel(coboundary(spec, degree, tag, cap)))
+    return lift(spec, degree, tag, kernel(coboundary(spec, degree, tag)))
 
 
-def coboundary_space(spec: AlgebraSpec, degree: int, tag: str,
-                     cap: int = DEFAULT_DEGREE_CAP) -> list:
+def coboundary_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
     """Flat basis rows of d(degree-1 cochains) inside degree `degree`."""
     if degree == 0:
         return []
-    check_cap(degree, cap)
-    return lift(spec, degree, tag, column_space(coboundary(spec, degree - 1, tag, cap)))
+    return lift(spec, degree, tag, column_space(coboundary(spec, degree - 1, tag)))
 
 
 @dataclass(frozen=True)
@@ -70,8 +66,8 @@ def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
         z_degree = n
     check_cap(z_degree + 1, cap)
     # eliminate in the complex's own coordinates; lift only the representatives
-    z = kernel(coboundary(spec, z_degree, tag, cap))
-    b = column_space(coboundary(spec, z_degree - 1, tag, cap)) if z_degree else []
+    z = kernel(coboundary(spec, z_degree, tag))
+    b = column_space(coboundary(spec, z_degree - 1, tag)) if z_degree else []
     per_row = len(lift(spec, z_degree, tag, [{}]))  # flat rows per coordinate row
     reps = tuple(from_flat(spec.dim, z_degree + 1, r)
                  for r in lift(spec, z_degree, tag, complete_basis(b, z)))
@@ -92,23 +88,22 @@ class DistinguishedQuotient:
     dim_H: int
 
 
-def _multiplier_coboundaries(spec: AlgebraSpec, cap: int) -> list:
+def _multiplier_coboundaries(spec: AlgebraSpec) -> list:
     """d_0 of the multipliers x -> x * w, one flat row per basis w."""
     multipliers = [m.flatten() for m in product_cochain_subspace(spec, 1)]
-    return coboundary_images(spec, 0, multipliers, cap)
+    return coboundary_images(spec, 0, multipliers)
 
 
-def distinguished_quotient(spec: AlgebraSpec, kind: str,
-                           cap: int = DEFAULT_DEGREE_CAP) -> DistinguishedQuotient:
+def distinguished_quotient(spec: AlgebraSpec, kind: str) -> DistinguishedQuotient:
     """ker d_1 (within the band subspace for kind=oo) over the restricted d_0 image."""
     if kind == "mc":
-        dim_kernel = len(cocycle_space(spec, 1, TAG_FULL, cap))
-        image = _multiplier_coboundaries(spec, cap)
+        dim_kernel = len(cocycle_space(spec, 1, TAG_FULL))
+        image = _multiplier_coboundaries(spec)
     elif kind == "oo":
-        dim_kernel = len(cocycle_space(spec, 1, TAG_BAND, cap))
+        dim_kernel = len(cocycle_space(spec, 1, TAG_BAND))
         # the orthomorphisms: every operator in the band complex's coordinates
         orthomorphisms = lift(spec, 0, TAG_BAND, [{k: 1} for k in range(spec.dim)])
-        image = coboundary_images(spec, 0, orthomorphisms, cap)
+        image = coboundary_images(spec, 0, orthomorphisms)
     else:
         raise ValueError(f"unknown quotient kind {kind!r}")
     dim_image = span_dim(image)
@@ -119,21 +114,18 @@ def distinguished_quotient(spec: AlgebraSpec, kind: str,
 # chain maps
 
 
-def build_K(spec: AlgebraSpec, psi: MultilinearMap,
-            cap: int = DEFAULT_DEGREE_CAP) -> MultilinearMap:
+def build_K(spec: AlgebraSpec, psi: MultilinearMap) -> MultilinearMap:
     """(x1,x2,x3) -> x1*Psi(x2,x3) - x2*Psi(x1,x3), the n = 1 member of build_J_odd."""
-    return build_J_odd(spec, 1, psi, cap)
+    return build_J_odd(spec, 1, psi)
 
 
-def build_J(spec: AlgebraSpec, psi: MultilinearMap,
-            cap: int = DEFAULT_DEGREE_CAP) -> MultilinearMap:
+def build_J(spec: AlgebraSpec, psi: MultilinearMap) -> MultilinearMap:
     """(x1..x4) -> sum over permutations p of slots {2,3,4} of x1*x_{p2}*Psi(x_{p3},x_{p4}),
     the n = 1 member of build_J_even."""
-    return build_J_even(spec, 1, psi, cap)
+    return build_J_even(spec, 1, psi)
 
 
-def build_J_even(spec: AlgebraSpec, n: int, psi: MultilinearMap,
-                 cap: int = DEFAULT_DEGREE_CAP) -> MultilinearMap:
+def build_J_even(spec: AlgebraSpec, n: int, psi: MultilinearMap) -> MultilinearMap:
     """Arity 2n+2: sum over permutations p of slots {2..2n+2} of
     x1 * x_{p(2)} ... x_{p(2n)} * Psi(x_{p(2n+1)}, x_{p(2n+2)}).
 
@@ -146,12 +138,11 @@ def build_J_even(spec: AlgebraSpec, n: int, psi: MultilinearMap,
         for p in perms:
             yield weight, (t[0],) + p[:2 * n - 1], p[2 * n - 1:]
 
-    return _chain_map(spec, n, 2 * n + 2, psi, cap, terms,
+    return _chain_map(spec, n, 2 * n + 2, psi, terms,
                       key=lambda t: (t[0],) + tuple(sorted(t[1:])))
 
 
-def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap,
-                cap: int = DEFAULT_DEGREE_CAP) -> MultilinearMap:
+def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap) -> MultilinearMap:
     """Arity 2n+1: (prod_{i<=2n-2} x_i) * (x_{2n-1}Psi(x_{2n},x_{2n+1})
     - x_{2n}Psi(x_{2n-1},x_{2n+1})).
 
@@ -162,11 +153,11 @@ def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap,
         return ((1, t[:2 * n - 2] + (a,), (b, c)),
                 (-1, t[:2 * n - 2] + (b,), (a, c)))
 
-    return _chain_map(spec, n, 2 * n + 1, psi, cap, terms)
+    return _chain_map(spec, n, 2 * n + 1, psi, terms)
 
 
 def _chain_map(spec: AlgebraSpec, n: int, arity: int, psi: MultilinearMap,
-               cap: int, terms, key=lambda t: t) -> MultilinearMap:
+               terms, key=lambda t: t) -> MultilinearMap:
     """The arity-`arity` cochain whose value on the basis tuple t is the sum
     of w * (b_{m_1} ... b_{m_k}) * Psi(b_a, b_b) over the terms (w, m, (a, b))
     of terms(key(t)).
@@ -178,7 +169,6 @@ def _chain_map(spec: AlgebraSpec, n: int, arity: int, psi: MultilinearMap,
         raise ValueError("chain maps take arity-2 cochains")
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_cap(arity - 1, cap)
     products = {}
     values = {}
 
@@ -208,10 +198,12 @@ def _chain_map_fn(name: str, n: int):
     """
     if name in ("J", "K") and n != 1:
         raise ValueError(f"{name} is the n = 1 chain map, got n = {n}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if name in ("J", "Jeven"):
-        return lambda spec, psi, cap: build_J_even(spec, n, psi, cap), 2 * n + 1
+        return lambda spec, psi: build_J_even(spec, n, psi), 2 * n + 1
     if name in ("K", "Jodd"):
-        return lambda spec, psi, cap: build_J_odd(spec, n, psi, cap), 2 * n
+        return lambda spec, psi: build_J_odd(spec, n, psi), 2 * n
     raise ValueError(f"unknown chain map {name!r}")
 
 
@@ -221,7 +213,7 @@ NAIVE_TERM_BUDGET = 2_000_000
 
 
 def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images, trials: int,
-                         seed: int, cap: int) -> bool:
+                         seed: int) -> bool:
     """Whether the naive evaluator gives d_g of rows as images, the fast path's.
 
     Only even g has a permutation sum to check; odd g returns True.  Within
@@ -232,13 +224,13 @@ def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images, trials: int,
         return True
     d = spec.dim
     if d ** (g + 2) * factorial(g + 2) <= NAIVE_TERM_BUDGET:
-        return naive_coboundary_images(spec, g, rows, cap) == images
+        return naive_coboundary_images(spec, g, rows) == images
     rng = Lcg64(seed)
     tuples = {tuple(rng.randint(0, d - 1) for _ in range(g + 2))
               for _ in range(max(1, trials))}
     keep = {tuple_index(t, d) for t in tuples}
     sampled = [{c: v for c, v in image.items() if c // d in keep} for image in images]
-    return naive_coboundary_images(spec, g, rows, cap, tuples) == sampled
+    return naive_coboundary_images(spec, g, rows, tuples) == sampled
 
 
 @dataclass(frozen=True)
@@ -277,17 +269,17 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     check_cap(g + 1, cap)
     d = spec.dim
 
-    ker_d1 = cocycle_space(spec, 1, TAG_FULL, cap)
-    mult_ech = Echelon(_multiplier_coboundaries(spec, cap))
+    ker_d1 = cocycle_space(spec, 1, TAG_FULL)
+    mult_ech = Echelon(_multiplier_coboundaries(spec))
 
     def image_of(flat_row):
         psi = from_flat(d, 2, flat_row)
-        return fn(spec, psi, cap)
+        return fn(spec, psi)
 
     img_rows = [image_of(row).flatten() for row in ker_d1]
 
     # cocycle preservation: images of ker d_1 must be killed by d_g
-    dd_rows = coboundary_images(spec, g, img_rows, cap)
+    dd_rows = coboundary_images(spec, g, img_rows)
     cocycle = CheckResult(True)
     for row, dd in zip(ker_d1, dd_rows):
         if dd:
@@ -297,10 +289,10 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
                 "input": row, "tuple_flat": flat, "coord": coord, "value": dd[first],
             })
             break
-    agreement = _evaluator_agreement(spec, g, img_rows, dd_rows, trials, seed, cap)
+    agreement = _evaluator_agreement(spec, g, img_rows, dd_rows, trials, seed)
 
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
-    b_target = coboundary_space(spec, g, TAG_FULL, cap)  # canonical rows, stacked below
+    b_target = coboundary_space(spec, g, TAG_FULL)  # canonical rows, stacked below
     b_ech = Echelon(b_target)
     coboundary = CheckResult(True)
     for row in mult_ech.rows():

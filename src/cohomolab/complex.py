@@ -67,7 +67,9 @@ class DegreeCapExceeded(ValueError):
 
 
 def check_cap(degree: int, cap: int):
-    """Reject any computation that would materialize cochains above the cap."""
+    """Reject a command whose top cochain degree exceeds the cap: cohomology,
+    audit_chain_map, verify_dd_zero and classify each call it once, before
+    any work, and no layer below them takes a cap."""
     if degree > cap:
         raise DegreeCapExceeded(degree, cap)
 
@@ -118,8 +120,7 @@ def _output_terms(spec: AlgebraSpec, n: int, t: tuple, naive: bool = False):
                     yield idx, v * weight
 
 
-def apply_d(spec: AlgebraSpec, f: MultilinearMap, cap: int = DEFAULT_DEGREE_CAP,
-            naive: bool = False) -> MultilinearMap:
+def apply_d(spec: AlgebraSpec, f: MultilinearMap, naive: bool = False) -> MultilinearMap:
     """The coboundary of a degree-(arity-1) cochain; output arity + 1.
 
     naive=True evaluates the defining formula term by term, one
@@ -127,23 +128,18 @@ def apply_d(spec: AlgebraSpec, f: MultilinearMap, cap: int = DEFAULT_DEGREE_CAP,
     index matrix.
     """
     images = naive_coboundary_images if naive else coboundary_images
-    (image,) = images(spec, f.arity - 1, [f.flatten()], cap)
+    (image,) = images(spec, f.arity - 1, [f.flatten()])
     return from_flat(spec.dim, f.arity + 1, image)
 
 
-def index_coboundary_matrix(spec: AlgebraSpec, n: int, cap: int = DEFAULT_DEGREE_CAP) -> Mat:
+@lru_cache(maxsize=None)
+def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
     """Index-level matrix of d_n: d^{n+2} rows by d^{n+1} columns.
 
     Built once per (algebra, degree) and shared: callers must not mutate it.
     """
     if n < 0:
         raise ValueError(f"cochain degrees start at 0, so d_{n} is undefined")
-    check_cap(n + 1, cap)
-    return _index_matrix(spec, n)
-
-
-@lru_cache(maxsize=None)
-def _index_matrix(spec: AlgebraSpec, n: int) -> Mat:
     d = spec.dim
     # in even degree >= 2 a row depends on its output tuple only through
     # the multiset of its indices, and equal rows share one dict; linalg
@@ -164,7 +160,7 @@ def _index_matrix(spec: AlgebraSpec, n: int) -> Mat:
     return Mat(d ** (n + 2), d ** (n + 1), rows)
 
 
-def coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_DEGREE_CAP) -> list:
+def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows.
 
     Each image is (index matrix (x) identity) times the row: the entries
@@ -172,7 +168,7 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_DEGREE
     the index matrix maps it to the entries of the image with coordinate k.
     """
     d = spec.dim
-    columns = index_coboundary_matrix(spec, n, cap).transpose().rows
+    columns = index_coboundary_matrix(spec, n).transpose().rows
     images = []
     for x in rows:
         parts = [{} for _ in range(d)]
@@ -183,8 +179,7 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_DEGREE
     return images
 
 
-def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_DEGREE_CAP,
-                            tuples=None) -> list:
+def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> list:
     """coboundary_images by the defining formula: the oracle for the index matrix.
 
     At each output tuple the terms of d are summed one permutation at a
@@ -193,7 +188,6 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, cap: int = DEFAULT_
     tuples, an iterable of output index tuples, the images hold only the
     entries at those tuples.
     """
-    check_cap(n + 1, cap)
     d = spec.dim
     grouped = []  # per row: input column -> {output coordinate: value}
     for x in rows:
@@ -247,7 +241,7 @@ def tag_coords(spec: AlgebraSpec, degree: int, tag: str):
     return [tuple_index((k,) * (degree + 1), d) * d + k for k in range(d)]
 
 
-def coboundary(spec: AlgebraSpec, n: int, tag: str, cap: int = DEFAULT_DEGREE_CAP) -> Mat:
+def coboundary(spec: AlgebraSpec, n: int, tag: str) -> Mat:
     """d_n of the tag complex in its own coordinates: degree n+1 rows, degree n columns.
 
     For every cochain these are index tuples (lift tensors with the
@@ -256,10 +250,10 @@ def coboundary(spec: AlgebraSpec, n: int, tag: str, cap: int = DEFAULT_DEGREE_CA
     """
     src = tag_coords(spec, n, tag)
     if src is None:
-        return index_coboundary_matrix(spec, n, cap)
+        return index_coboundary_matrix(spec, n)
     dst = {c: i for i, c in enumerate(tag_coords(spec, n + 1, tag))}
     columns = []
-    for image in coboundary_images(spec, n, [{c: 1} for c in src], cap):
+    for image in coboundary_images(spec, n, [{c: 1} for c in src]):
         if not dst.keys() >= image.keys():
             raise ValueError(f"subcomplex {tag} is not closed at degree {n}")
         columns.append({dst[c]: v for c, v in image.items()})
@@ -297,6 +291,6 @@ def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
     check_cap(max_n + 2, cap)
     results = []
     for n in range(max_n + 1):
-        prod = coboundary(spec, n + 1, tag, cap).matmul(coboundary(spec, n, tag, cap))
+        prod = coboundary(spec, n + 1, tag).matmul(coboundary(spec, n, tag))
         results.append((n, prod.is_zero(), prod.first_nonzero()))
     return ComplexLawReport(tag, tuple(results))

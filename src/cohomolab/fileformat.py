@@ -32,7 +32,7 @@ class ParseError(ValueError):
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _integer(tok: str) -> int:
+def parse_integer(tok: str) -> int:
     """The grammar's integer: int() alone would also take '1_0' and '٣'."""
     if not _INTEGER.fullmatch(tok):
         raise ValueError(f"not an integer: {tok!r}")
@@ -43,7 +43,7 @@ def parse_rational(tok: str):
     """The rational as an exact scalar: an int when integral, else a Fraction."""
     try:
         num, den = tok.split("/") if "/" in tok else (tok, "1")
-        num, den = _integer(num), _integer(den)
+        num, den = parse_integer(num), parse_integer(den)
     except ValueError as exc:
         raise ParseError(f"malformed rational {tok!r}") from exc
     if den <= 0:
@@ -79,7 +79,7 @@ def parse_algebra_text(text: str, trials: int = 64, seed: int = 0) -> AlgebraSpe
                 raise ParseError(f"line {lineno}: duplicate dim")
             try:
                 (value,) = toks[1:]
-                dim = _integer(value)
+                dim = parse_integer(value)
             except ValueError:
                 raise ParseError(f"line {lineno}: dim takes one integer")
             if dim < 1:
@@ -98,7 +98,7 @@ def parse_algebra_text(text: str, trials: int = 64, seed: int = 0) -> AlgebraSpe
             if len(toks) < 5 or toks[3] != "=":
                 raise ParseError(f"line {lineno}: expected 'mult i j = <values>'")
             try:
-                i, j = _integer(toks[1]), _integer(toks[2])
+                i, j = parse_integer(toks[1]), parse_integer(toks[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: mult indices must be integers")
             value = tuple(parse_rational(t) for t in toks[4:])

@@ -5,11 +5,14 @@ holding only nonzero entries.  An exact scalar is an int when it is
 integral and a Fraction otherwise, never a float: outside values enter
 through `scalar`, and every division goes through `div`, since int / int
 would be a float.  Sums and products of ints stay ints, so integral
-inputs keep every entry an int and cost no Fraction arithmetic; mixing in
-a non-integral Fraction may leave an integral Fraction, which compares and
-hashes equal to its int.  Row-space bases are canonicalized to the
-reduced echelon form scaled to primitive int rows with positive leading
-entry, so equal subspaces always produce identical bases.
+inputs keep structure constants, cochains, index matrices and chain-map
+images ints; mixing in a non-integral Fraction may leave an integral
+Fraction, which compares and hashes equal to its int.  Elimination divides
+each new pivot row by its lead, so it works in Fractions even on int rows
+(fraction-free elimination, ROADMAP item 3, would not).  Row-space bases
+are canonicalized to the reduced echelon form scaled to primitive int rows
+with positive leading entry, so equal subspaces always produce identical
+bases: the outputs of rows(), kernel and column_space are int rows again.
 
 A Mat's rows may be shared: one dict object can stand at several row
 positions (the index-level coboundary in even degree stores equal rows

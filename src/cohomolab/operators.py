@@ -20,7 +20,7 @@ from .algebra import (
 )
 from .multilinear import MultilinearMap, all_tuples, from_coeff_function
 from .rng import Lcg64
-from .complex import DEFAULT_DEGREE_CAP
+from .complex import DEFAULT_DEGREE_CAP, check_cap
 from .cohomology import distinguished_quotient
 
 YES = "yes"
@@ -132,12 +132,13 @@ def _conjugation_like(d: int):
 def classify(spec: AlgebraSpec, trials: int = 64, seed: int = 0,
              cap: int = DEFAULT_DEGREE_CAP) -> ClassificationReport:
     """Kadison/Wickstead verdicts with operator witnesses and quotient dims."""
+    check_cap(2, cap)  # d_1 maps degree-1 cochains to degree 2
     d = spec.dim
-    h0mc = distinguished_quotient(spec, "mc", cap).dim_H
+    h0mc = distinguished_quotient(spec, "mc").dim_H
     h0oo = None
     wickstead = None
     if spec.order_mode == ORDER_ATOMIC:
-        h0oo = distinguished_quotient(spec, "oo", cap).dim_H
+        h0oo = distinguished_quotient(spec, "oo").dim_H
         wickstead = OperatorVerdict("wickstead", YES if h0oo == 0 else NO,
                                     certificate={"h0oo_dim": h0oo})
 

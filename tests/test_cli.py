@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cohomolab.cli import _jsonable, _write_json, main
 
 QSQRT2 = "fixtures/qsqrt2.alg"
+ATOMIC2 = "fixtures/atomic2.alg"
 ATOMIC3 = "fixtures/atomic3.alg"
 Q = "fixtures/q.alg"
 ROOT = Path(__file__).resolve().parent.parent
@@ -152,6 +153,52 @@ def test_degree_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("COHOMOLAB_MAX_DEGREE", "-1")  # bad input, not a cap every command exceeds
     code, out, err = run_cli(capsys, "classify", QSQRT2)
     assert code == 1 and out == "" and "COHOMOLAB_MAX_DEGREE" in err
+
+
+@pytest.mark.parametrize("top, argv", [
+    (2, ["classify", QSQRT2]),
+    (3, ["cohomology", QSQRT2, "--degree", "1"]),
+    (2, ["cohomology", QSQRT2, "--degree", "1", "--convention", "standard"]),
+    (3, ["audit", QSQRT2, "--map", "K"]),
+    (4, ["audit", QSQRT2, "--map", "J"]),
+    (3, ["verify-complex", QSQRT2, "--max-degree", "1"]),
+    (3, ["verify-complex", ATOMIC2, "--max-degree", "1", "--complex", "band"]),
+], ids=["classify", "cohomology-shifted", "cohomology-standard", "audit-K", "audit-J",
+        "verify-complex-full", "verify-complex-band"])
+def test_degree_cap_boundary(capsys, top, argv):
+    """A cap one below the command's top degree refuses it, before any output."""
+    code, out, err = run_cli(capsys, "--degree-cap", str(top - 1), *argv)
+    assert (code, out, err) == (3, "", f"error: degree {top} exceeds the cap {top - 1}\n")
+    assert run_cli(capsys, "--degree-cap", str(top), *argv)[0] == 0
+
+
+# spellings Python's int() takes and the algebra file grammar does not
+@pytest.mark.parametrize("flag, argv", [
+    ("--trials", ["--trials", "1_0", "classify", Q]),
+    ("--seed", ["--seed", "\u0663", "classify", Q]),  # an Arabic-Indic three
+    ("--degree-cap", ["--degree-cap", "1_0", "classify", Q]),
+    ("--degree", ["cohomology", Q, "--degree", "1_0"]),
+    ("--n", ["audit", Q, "--map", "J", "--n", "\u0661"]),  # an Arabic-Indic one
+    ("--max-degree", ["verify-complex", Q, "--max-degree", " 3"]),
+], ids=["trials", "seed", "degree-cap", "degree", "n", "max-degree"])
+def test_integer_flags_follow_the_file_grammar(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and f"argument {flag}: invalid int value" in err
+
+
+@pytest.mark.parametrize("value", [" 3", "1_0", "\u0663"])
+def test_degree_cap_env_follows_the_file_grammar(capsys, monkeypatch, value):
+    monkeypatch.setenv("COHOMOLAB_MAX_DEGREE", value)
+    code, out, err = run_cli(capsys, "classify", Q)
+    assert code == 1 and out == "" and "COHOMOLAB_MAX_DEGREE" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "5"])
+@pytest.mark.parametrize("argv", [["--map", "Jeven", "--n", "0"],
+                                  ["--map", "Jodd", "--n", "-1"]], ids=["Jeven", "Jodd"])
+def test_audit_rejects_n_below_1_before_the_cap(capsys, cap, argv):
+    code, out, err = run_cli(capsys, "--degree-cap", cap, "audit", QSQRT2, *argv)
+    assert (code, out, err) == (1, "", "error: n must be >= 1\n")
 
 
 def test_classify_output(capsys):

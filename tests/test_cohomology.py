@@ -19,7 +19,7 @@ from cohomolab.linalg import Echelon, span_dim
 from cohomolab.multilinear import (
     from_coeff_function, from_flat, product_cochain_subspace,
 )
-from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
+from conftest import elem, mult_cochain, psi_f_times_b
 from oracles import symmetry_check
 
 F = Fraction
@@ -250,7 +250,7 @@ def test_families_match_permutation_formulas(fix, n, data, request):
 def test_j_even_and_odd_specialize(qsqrt2):
     psi = psi_f_times_b(qsqrt2)
     e = qsqrt2.unit
-    j2 = build_J_even(qsqrt2, 2, mult_cochain(qsqrt2), cap=7)
+    j2 = build_J_even(qsqrt2, 2, mult_cochain(qsqrt2))
     assert j2.eval([e] * 6) == elem(120, 0)
     with pytest.raises(ValueError):
         build_J_even(qsqrt2, 0, psi)
@@ -315,8 +315,8 @@ def perturb_degree_2_images(monkeypatch, at):
     by 1 at coordinate 0 of the flat output tuples `at` of the first image."""
     real = AUDIT.coboundary_images
 
-    def perturbed(spec, n, rows, cap):
-        images = real(spec, n, rows, cap)
+    def perturbed(spec, n, rows):
+        images = real(spec, n, rows)
         if n == 2:
             images[0] = dict(images[0])
             for t in at(spec):
