@@ -8,7 +8,8 @@ bytes of `json.dumps(payload, sort_keys=True, indent=2)`, text as one
 sort_keys=True)`.  Each representative is made a dense list only while
 it is written, so printing a large report holds neither its whole text
 nor more than one dense representative in memory.  Exit codes: 0
-success, 1 file/validation error, 2 usage error, 3 degree cap exceeded.
+success, 1 file/validation or output error, 2 usage error, 3 degree cap
+exceeded.
 COHOMOLAB_MAX_DEGREE overrides the default cap.
 """
 
@@ -211,9 +212,9 @@ def _run(args) -> tuple:
         report = cohomology(spec, args.degree, tag=args.complex,
                             convention=args.convention, cap=cap)
         base.update({
-            "complex": report.tag,
-            "convention": report.convention,
-            "degree": report.degree,
+            "complex": args.complex,
+            "convention": args.convention,
+            "degree": args.degree,
             "dim_H": report.dim_H,
             "dim_coboundaries": report.dim_coboundaries,
             "dim_cocycles": report.dim_cocycles,
@@ -224,7 +225,7 @@ def _run(args) -> tuple:
     if args.command == "classify":
         report = classify(spec, trials=args.trials, seed=args.seed, cap=cap)
         base.update({
-            "domain_status": report.domain_status,
+            "domain_status": spec.domain_status,
             "h0mc_dim": report.h0mc_dim,
             "h0oo_dim": report.h0oo_dim,
             "kadison": _verdict_json(report.kadison),
@@ -237,9 +238,9 @@ def _run(args) -> tuple:
                                  convention=args.convention, cap=cap,
                                  trials=args.trials, seed=args.seed)
         base.update({
-            "map": report.map_name,
-            "n": report.n,
-            "convention": report.convention,
+            "map": args.map_name,
+            "n": args.n,
+            "convention": args.convention,
             "target_degree": report.target_degree,
             "cocycle_preservation": {
                 "pass": report.cocycle_preservation.ok,
@@ -260,14 +261,14 @@ def _run(args) -> tuple:
     if args.command == "verify-complex":
         report = verify_dd_zero(spec, args.max_n, tag=args.complex, cap=cap)
         base.update({
-            "complex": report.tag,
+            "complex": args.complex,
             "max_degree": args.max_n,
             "all_zero": report.all_zero,
             "results": [
-                {"n": n, "zero": ok,
+                {"n": n, "zero": entry is None,
                  "first_nonzero": None if entry is None else
                  {"row": entry[0], "col": entry[1], "value": _rat(entry[2])}}
-                for n, ok, entry in report.results
+                for n, entry in report.results
             ],
         })
         return base, EXIT_OK
@@ -291,14 +292,21 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     write = sys.stdout.write
-    if args.format == "json":
-        _write_json(payload, write)
-        write("\n")
-    else:  # one `key: compact JSON` line per field
-        for key in sorted(payload):
-            write(key + ": ")
-            _write_json(payload[key], write, None)
+    try:
+        if args.format == "json":
+            _write_json(payload, write)
             write("\n")
+        else:  # one `key: compact JSON` line per field
+            for key in sorted(payload):
+                write(key + ": ")
+                _write_json(payload[key], write, None)
+                write("\n")
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        # what is still buffered goes to the null device at exit, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
     return code
 
 

@@ -44,10 +44,6 @@ def coboundary_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    algebra: str
-    degree: int
-    tag: str
-    convention: str
     dim_cocycles: int
     dim_coboundaries: int
     dim_H: int
@@ -65,24 +61,23 @@ def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
     else:
         z_degree = n
     check_cap(z_degree + 1, cap)
-    # eliminate in the complex's own coordinates; lift only the representatives
+    # eliminate in the complex's own coordinates; lift only the representatives.
+    # The coboundaries are the raw images of d_{z-1}; complete_basis reads
+    # them in the kernel basis's coordinates, so no basis of them is built.
     z = kernel(coboundary(spec, z_degree, tag))
-    b = column_space(coboundary(spec, z_degree - 1, tag)) if z_degree else []
+    images = coboundary(spec, z_degree - 1, tag).transpose().rows if z_degree else []
     per_row = len(lift(spec, z_degree, tag, [{}]))  # flat rows per coordinate row
     reps = tuple(from_flat(spec.dim, z_degree + 1, r)
-                 for r in lift(spec, z_degree, tag, complete_basis(b, z)))
+                 for r in lift(spec, z_degree, tag, complete_basis(images, z)))
     dim_z = per_row * len(z)
-    dim_b = per_row * len(b)
     return CohomologyReport(
-        algebra=spec.name, degree=n, tag=tag, convention=convention,
-        dim_cocycles=dim_z, dim_coboundaries=dim_b,
-        dim_H=dim_z - dim_b, representatives=reps,
+        dim_cocycles=dim_z, dim_coboundaries=dim_z - len(reps),
+        dim_H=len(reps), representatives=reps,
     )
 
 
 @dataclass(frozen=True)
 class DistinguishedQuotient:
-    kind: str  # "mc" | "oo"
     dim_kernel: int
     dim_image: int
     dim_H: int
@@ -107,7 +102,7 @@ def distinguished_quotient(spec: AlgebraSpec, kind: str) -> DistinguishedQuotien
     else:
         raise ValueError(f"unknown quotient kind {kind!r}")
     dim_image = span_dim(image)
-    return DistinguishedQuotient(kind, dim_kernel, dim_image, dim_kernel - dim_image)
+    return DistinguishedQuotient(dim_kernel, dim_image, dim_kernel - dim_image)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +236,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class AuditReport:
-    algebra: str
-    map_name: str
-    n: int
-    convention: str
     target_degree: int
     cocycle_preservation: CheckResult
     coboundary_preservation: CheckResult
@@ -316,7 +307,6 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
 
     target_degree = g - 1 if convention == CONVENTION_SHIFTED else g
     return AuditReport(
-        algebra=spec.name, map_name=map_name, n=n, convention=convention,
         target_degree=target_degree, cocycle_preservation=cocycle,
         coboundary_preservation=coboundary, injectivity=injective,
         evaluator_agreement=agreement,

@@ -275,12 +275,11 @@ def lift(spec: AlgebraSpec, degree: int, tag: str, rows) -> list:
 
 @dataclass(frozen=True)
 class ComplexLawReport:
-    tag: str
-    results: tuple  # tuple[(n, bool, first_nonzero_or_None)]
+    results: tuple  # tuple[(n, first nonzero entry of d_{n+1} d_n or None)]
 
     @property
     def all_zero(self) -> bool:
-        return all(ok for _, ok, _ in self.results)
+        return all(entry is None for _, entry in self.results)
 
 
 def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
@@ -289,8 +288,6 @@ def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
     if max_n < 0:
         raise ValueError(f"cochain degrees start at 0, so max degree {max_n} checks nothing")
     check_cap(max_n + 2, cap)
-    results = []
-    for n in range(max_n + 1):
-        prod = coboundary(spec, n + 1, tag).matmul(coboundary(spec, n, tag))
-        results.append((n, prod.is_zero(), prod.first_nonzero()))
-    return ComplexLawReport(tag, tuple(results))
+    return ComplexLawReport(tuple(
+        (n, coboundary(spec, n + 1, tag).matmul(coboundary(spec, n, tag)).first_nonzero())
+        for n in range(max_n + 1)))

@@ -75,9 +75,6 @@ class Mat:
                 rows[i][j] = v
         return Mat(nrows, len(columns), rows)
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
     def first_nonzero(self):
         for i, r in enumerate(self.rows):
             if r:
@@ -177,7 +174,12 @@ def rref(rows) -> list:
 
 
 def kernel(mat: Mat) -> list:
-    """Canonical basis of {x : mat @ x = 0}, as rows over mat.ncols."""
+    """Canonical basis of {x : mat @ x = 0}, as rows over mat.ncols.
+
+    One row per free (non-pivot) column f, in increasing f: it is nonzero
+    at f and otherwise only at pivot columns, all below f.  So f = max(row),
+    and no other row is nonzero at f.
+    """
     piv = Echelon(mat.rows).pivots
     # column -> [(pivot, -entry)], in pivot insertion order; one pass over
     # the pivot rows' entries (entries on pivot columns are never read)
@@ -205,15 +207,19 @@ def span_dim(rows) -> int:
 
 
 def complete_basis(inner_rows, ambient_rows) -> list:
-    """Members of ambient (in order) that extend inner to a basis of ambient.
+    """Members of ambient (in order) that extend inner to a basis of ambient's span.
 
-    Used to pick quotient representatives: ambient = cocycles, inner =
-    coboundaries; the returned rows are independent modulo inner.
+    ambient must be a canonical kernel basis (see kernel), and every inner
+    row must lie in its span.  Ambient row i alone is nonzero at its free
+    column max(row i), so a vector of the span is read in that basis from
+    its free-column entries.  Row i extends inner and the rows before it
+    exactly when no vector of span(inner) ends, in free-column order, at
+    row i's free column: when that column is not a pivot of inner's
+    free-column entries eliminated with the column order reversed.  These
+    are the rows an echelon of inner fed ambient in order would take.  Used
+    to pick quotient representatives: ambient = cocycles, inner = any
+    spanning set of the coboundaries.
     """
-    ech = Echelon(inner_rows)
-    reps = []
-    for r in ambient_rows:
-        if ech.add(r):
-            reps.append(dict(r))
-    return reps
-
+    free = {max(r) for r in ambient_rows}
+    pivots = Echelon({-c: v for c, v in r.items() if c in free} for r in inner_rows).pivots
+    return [r for r in ambient_rows if -max(r) not in pivots]

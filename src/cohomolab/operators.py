@@ -30,7 +30,6 @@ UNKNOWN = "unknown_sampled"
 
 @dataclass(frozen=True)
 class OperatorVerdict:
-    prop: str
     verdict: str  # yes | no | unknown_sampled
     witness: object = None
     certificate: object = None
@@ -72,13 +71,9 @@ def is_multiplier(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
             for i in range(d):
                 idx = frozen[:slot] + (i,) + frozen[slot:]
                 if psi.coeff(idx) != multiply(spec, basis_element(d, i), unit_val):
-                    return OperatorVerdict(
-                        "multiplier", NO, witness={"slot": slot + 1, "tuple": frozen,
-                                                   "basis": i},
-                    )
-    return OperatorVerdict(
-        "multiplier", YES, certificate=psi.eval([spec.unit] * psi.arity),
-    )
+                    return OperatorVerdict(NO, witness={"slot": slot + 1, "tuple": frozen,
+                                                        "basis": i})
+    return OperatorVerdict(YES, certificate=psi.eval([spec.unit] * psi.arity))
 
 
 def is_local_multiplier(spec: AlgebraSpec, psi: MultilinearMap, trials: int = 64,
@@ -99,7 +94,7 @@ def is_local_multiplier(spec: AlgebraSpec, psi: MultilinearMap, trials: int = 64
     if spec.order_mode == ORDER_NONE and spec.domain_status == DOMAIN_ASSERTED:
         elements = dict.fromkeys(a for args in samples for a in args)
         if all(is_zero(a) or principal_ideal_contains(spec, a, spec.unit) for a in elements):
-            return OperatorVerdict("local_multiplier", YES)
+            return OperatorVerdict(YES)
     decided = spec.order_mode == ORDER_ATOMIC
     if decided:
         samples = samples[:spec.dim ** psi.arity]  # the basis tuples
@@ -108,14 +103,12 @@ def is_local_multiplier(spec: AlgebraSpec, psi: MultilinearMap, trials: int = 64
         for a in args:
             prod = multiply(spec, prod, a)
         if not principal_ideal_contains(spec, prod, psi.eval(list(args))):
-            return OperatorVerdict("local_multiplier", NO, witness=args)
-    return OperatorVerdict("local_multiplier", YES if decided else UNKNOWN)
+            return OperatorVerdict(NO, witness=args)
+    return OperatorVerdict(YES if decided else UNKNOWN)
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    algebra: str
-    domain_status: str
     kadison: OperatorVerdict
     wickstead: OperatorVerdict  # None when the order is trivial
     h0mc_dim: int
@@ -139,27 +132,24 @@ def classify(spec: AlgebraSpec, trials: int = 64, seed: int = 0,
     wickstead = None
     if spec.order_mode == ORDER_ATOMIC:
         h0oo = distinguished_quotient(spec, "oo").dim_H
-        wickstead = OperatorVerdict("wickstead", YES if h0oo == 0 else NO,
-                                    certificate={"h0oo_dim": h0oo})
+        wickstead = OperatorVerdict(YES if h0oo == 0 else NO, certificate={"h0oo_dim": h0oo})
 
     if spec.order_mode == ORDER_ATOMIC:
         # local multipliers are diagonal, hence multipliers
-        kadison = OperatorVerdict("kadison", YES)
+        kadison = OperatorVerdict(YES)
     elif d == 1:
-        kadison = OperatorVerdict("kadison", YES)
+        kadison = OperatorVerdict(YES)
     elif spec.domain_status == DOMAIN_ASSERTED:
         witness = _conjugation_like(d)
         psi = from_coeff_function(spec, 1, lambda idx: tuple(row[idx[0]] for row in witness))
         local = is_local_multiplier(spec, psi, trials, seed)
         mult = is_multiplier(spec, psi)
         if local.verdict == YES and mult.verdict == NO:
-            kadison = OperatorVerdict("kadison", NO, witness=witness)
+            kadison = OperatorVerdict(NO, witness=witness)
         else:
-            kadison = OperatorVerdict("kadison", UNKNOWN)
+            kadison = OperatorVerdict(UNKNOWN)
     else:
-        kadison = OperatorVerdict("kadison", UNKNOWN)
+        kadison = OperatorVerdict(UNKNOWN)
 
-    return ClassificationReport(
-        algebra=spec.name, domain_status=spec.domain_status,
-        kadison=kadison, wickstead=wickstead, h0mc_dim=h0mc, h0oo_dim=h0oo,
-    )
+    return ClassificationReport(kadison=kadison, wickstead=wickstead, h0mc_dim=h0mc,
+                                h0oo_dim=h0oo)

@@ -43,6 +43,13 @@ def kernel_double_loop(mat) -> list:
     return basis
 
 
+def complete_basis_greedy(inner_rows, ambient_rows) -> list:
+    """Members of ambient (in order) that extend inner to a basis of ambient:
+    each row that grows an echelon of inner and the rows kept before it."""
+    ech = Echelon(inner_rows)
+    return [dict(r) for r in ambient_rows if ech.add(r)]
+
+
 def span_contains(basis_rows, vec) -> bool:
     return Echelon(basis_rows).contains(vec)
 
@@ -129,10 +136,8 @@ def is_band_preserving(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdic
         flat, i = divmod(min(outside), d)
         m = psi.arity
         idx = [flat // d ** (m - 1 - s) % d for s in range(m)] + [i]
-        return OperatorVerdict(
-            "band_preserving", NO, witness=tuple(basis_element(d, k) for k in idx),
-        )
-    return OperatorVerdict("band_preserving", YES)
+        return OperatorVerdict(NO, witness=tuple(basis_element(d, k) for k in idx))
+    return OperatorVerdict(YES)
 
 
 def is_orthomorphism(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
@@ -140,6 +145,6 @@ def is_orthomorphism(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
     entrywise absolute cochain always certifies order boundedness."""
     bp = is_band_preserving(spec, psi)
     if bp.verdict != YES:
-        return OperatorVerdict("orthomorphism", NO, witness=bp.witness)
+        return OperatorVerdict(NO, witness=bp.witness)
     bound = MultilinearMap(psi.arity, psi.dim, {i: abs(v) for i, v in psi.vec.items()})
-    return OperatorVerdict("orthomorphism", YES, certificate=bound)
+    return OperatorVerdict(YES, certificate=bound)

@@ -334,3 +334,19 @@ def test_large_report_streams_in_constant_memory(fmt):
     assert proc.wait() == 0
     assert digest.hexdigest() == {"json": ATOMIC4_DEGREE3_SHA256,
                                   "text": ATOMIC4_DEGREE3_TEXT_SHA256}[fmt]
+
+
+def test_closed_stdout_is_one_error_line():
+    """A reader that stops early gets exit 1 and one `error:` line, not a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cohomolab.cli", "cohomology",
+         str(ROOT / "fixtures" / "atomic4.alg"), "--degree", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()  # the report is megabytes: writing the rest fails
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -11,7 +11,7 @@ from cohomolab.complex import (
     lift, tag_coords,
 )
 from cohomolab.cohomology import (
-    CONVENTION_SHIFTED, CONVENTION_STANDARD, audit_chain_map, build_J,
+    CONVENTION_STANDARD, audit_chain_map, build_J,
     build_J_even, build_J_odd, build_K, coboundary_space, cocycle_space,
     cohomology, distinguished_quotient,
 )
@@ -55,7 +55,8 @@ def test_cohomology_dims_shifted(fix, expected, request):
         r = cohomology(spec, n)
         assert (r.dim_cocycles, r.dim_coboundaries, r.dim_H) == (z, b, h)
         assert len(r.representatives) == h
-        assert r.convention == CONVENTION_SHIFTED
+        # the default, shifted, convention: degree-n classes are (n+2)-linear
+        assert all(m.arity == n + 2 for m in r.representatives)
 
 
 def test_standard_convention_offsets(qsqrt2):
@@ -92,7 +93,7 @@ def test_restricted_cohomology(atomic2, atomic3):
 def test_cohomology_degree_cap(qsqrt2):
     with pytest.raises(DegreeCapExceeded):
         cohomology(qsqrt2, 9)
-    assert cohomology(qsqrt2, 5, cap=7).degree == 5
+    assert {m.arity for m in cohomology(qsqrt2, 5, cap=7).representatives} == {7}
 
 
 def test_multiplier_space(qsqrt2):

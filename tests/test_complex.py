@@ -193,8 +193,8 @@ def test_dd_zero_full(fix, request):
     spec = request.getfixturevalue(fix)
     report = verify_dd_zero(spec, 3)
     assert report.all_zero
-    assert [n for n, _, _ in report.results] == [0, 1, 2, 3]
-    assert all(w is None for _, _, w in report.results)
+    assert [n for n, _ in report.results] == [0, 1, 2, 3]
+    assert all(w is None for _, w in report.results)
 
 
 def test_dd_zero_quartic_speed():

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomolab.linalg import (
-    Echelon, Mat, column_space, complete_basis, kernel, row_to_primitive, rref, span_dim,
+    Echelon, Mat, axpy, column_space, complete_basis, kernel, row_to_primitive, rref,
+    span_dim,
 )
 from oracles import (
-    from_dense, intersection, kernel_double_loop, span_contains, span_leq, to_dense,
+    complete_basis_greedy, from_dense, intersection, kernel_double_loop, span_contains,
+    span_leq, to_dense,
 )
 
 F = Fraction
@@ -22,15 +24,15 @@ def test_mat_roundtrip():
     assert to_dense(m) == [[F(1), F(0), F(-2)],
                             [F(0), F(0), F(0)],
                             [F(1, 3), F(5), F(0)]]
-    assert not m.is_zero()
-    assert dense([[0, 0], [0, 0]]).is_zero()
+    assert m.first_nonzero() == (0, 0, 1)
+    assert dense([[0, 0], [0, 0]]).first_nonzero() is None
 
 
 def test_matmul():
     a = dense([[1, 2], [3, 4]])
     b = dense([[0, 1], [1, 0]])
     assert to_dense(a.matmul(b)) == [[F(2), F(1)], [F(4), F(3)]]
-    assert a.matmul(dense([[0, 0], [0, 0]])).is_zero()
+    assert a.matmul(dense([[0, 0], [0, 0]])).first_nonzero() is None
 
 
 def test_matmul_shape_check():
@@ -116,12 +118,13 @@ def test_intersection():
 
 
 def test_complete_basis():
-    inner = [{0: F(1), 1: F(1)}]
-    outer = inner + [{0: F(1)}]
+    outer = kernel(dense([[1, 1, 1]]))  # free columns 1 and 2
+    assert outer == [{0: 1, 1: -1}, {0: 1, 2: -1}]
+    inner = [{0: F(2), 1: F(-1), 2: F(-1)}]  # outer[0] + outer[1]
     extra = complete_basis(inner, outer)
-    assert len(extra) == 1
+    assert extra == [outer[0]]
     assert span_dim(inner + extra) == 2
-    assert complete_basis(inner, inner) == []
+    assert complete_basis(outer, outer) == []
 
 
 matrices = st.lists(
@@ -168,6 +171,35 @@ def test_kernel_matches_double_loop(m):
     got, want = kernel(m), kernel_double_loop(m)
     # equal vectors, built in the same key order
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_kernel_free_columns(m):
+    # row i is nonzero at its free column max(row), and no other row is;
+    # the free columns rise and are exactly the non-pivot columns
+    basis = kernel(m)
+    free = [max(v) for v in basis]
+    assert free == sorted(set(free))
+    assert set(free) == set(range(m.ncols)) - set(Echelon(m.rows).pivots)
+    for i, f in enumerate(free):
+        assert [j for j, v in enumerate(basis) if f in v] == [i]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_complete_basis_matches_greedy(data):
+    # inner: combinations of the canonical kernel basis, zero and repeats included
+    z = kernel(data.draw(sparse_matrices()))
+    inner = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        coeffs = data.draw(st.lists(st.one_of(st.just(0), sparse_scalars),
+                                    min_size=len(z), max_size=len(z)))
+        acc = {}
+        for c, v in zip(coeffs, z):
+            axpy(acc, c, v)
+        inner.append(acc)
+    assert complete_basis(inner, z) == complete_basis_greedy(inner, z)
 
 
 # Shared rows: one dict object at several row positions, as the index-level

@@ -198,7 +198,7 @@ def test_classify_field(qsqrt2):
     assert r.kadison.witness == conjugation(2)
     assert r.wickstead is None and r.h0oo_dim is None
     assert r.h0mc_dim == 2
-    assert r.domain_status == "asserted"
+    assert qsqrt2.domain_status == "asserted"
 
 
 def test_classify_cubic(cubic2):
@@ -219,4 +219,4 @@ def test_classify_trivial_and_unknown(q):
     dual = build_number_field([0, 0, 1], name="dual")
     r = classify(dual)
     assert r.kadison.verdict == UNKNOWN
-    assert r.domain_status == "refuted"
+    assert dual.domain_status == "refuted"
