@@ -217,10 +217,19 @@ def zero_divisor_falsifier(spec: AlgebraSpec, trials: int = 64, seed: int = 0):
 
 
 def assess_domain(spec: AlgebraSpec, trials: int = 64, seed: int = 0) -> AlgebraSpec:
-    """Attach the falsifier outcome to the spec's domain flag."""
-    witness = zero_divisor_falsifier(spec, trials=trials, seed=seed)
-    status = DOMAIN_REFUTED if witness is not None else DOMAIN_ASSERTED
-    return replace(spec, domain_status=status)
+    """Attach the trace-form test and the falsifier outcome to the spec's domain flag.
+
+    In characteristic 0 a singular trace form Tr(b_i b_j) means A is not
+    reduced, so a nilpotent refutes domain-hood exactly; otherwise the
+    falsifier samples for zero divisors.
+    """
+    d = spec.dim
+    trace = [sum(spec.structure[l][k][k] for k in range(d)) for l in range(d)]  # of x -> b_l x
+    form = Echelon({j: v for j, e in enumerate(row)  # Tr(b_i b_j)
+                    if (v := sum(a * t for a, t in zip(e, trace)))} for row in spec.structure)
+    refuted = (form.rank < d
+               or zero_divisor_falsifier(spec, trials=trials, seed=seed) is not None)
+    return replace(spec, domain_status=DOMAIN_REFUTED if refuted else DOMAIN_ASSERTED)
 
 
 def principal_ideal_contains(spec: AlgebraSpec, a: Element, y: Element) -> bool:

@@ -12,7 +12,7 @@ each new pivot row by its lead, so it works in Fractions even on int rows
 (fraction-free elimination, ROADMAP item 3, would not).  Row-space bases
 are canonicalized to the reduced echelon form scaled to primitive int rows
 with positive leading entry, so equal subspaces always produce identical
-bases: the outputs of rows(), kernel and column_space are int rows again.
+bases: the outputs of rows() and kernel are int rows again.
 
 A Mat's rows may be shared: one dict object can stand at several row
 positions (the index-level coboundary in even degree stores equal rows
@@ -122,14 +122,6 @@ def row_to_primitive(row: Row) -> Row:
     return {c: v // g for c, v in ints.items()}
 
 
-def _reduce(row: Row, pivots: dict) -> Row:
-    """Subtract pivot rows to clear every pivot column present in row."""
-    r = dict(row)
-    for pc in sorted(set(r) & set(pivots)):
-        axpy(r, -r[pc], pivots[pc])
-    return r
-
-
 class Echelon:
     """Incremental reduced row echelon form of a growing row set."""
 
@@ -144,7 +136,7 @@ class Echelon:
 
     def add(self, row: Row) -> bool:
         """Insert a row; True if it increased the rank."""
-        r = _reduce(row, self.pivots)
+        r = self.reduce(row)
         if not r:
             return False
         lead = min(r)
@@ -161,16 +153,24 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def reduce(self, row: Row) -> Row:
+        """row minus its pivot-column entries times the pivot rows.
+
+        The pivot rows are reduced (each is zero at the other pivot
+        columns), so the result is linear in row, and it is zero exactly
+        when row lies in the span.
+        """
+        r = dict(row)
+        for pc in sorted(set(r) & set(self.pivots)):
+            axpy(r, -r[pc], self.pivots[pc])
+        return r
+
     def contains(self, row: Row) -> bool:
-        return not _reduce(row, self.pivots)
+        return not self.reduce(row)
 
     def rows(self):
         """Canonical basis rows: pivot order, primitive integer, lead > 0."""
         return [row_to_primitive(self.pivots[c]) for c in sorted(self.pivots)]
-
-
-def rref(rows) -> list:
-    return Echelon(rows).rows()
 
 
 def kernel(mat: Mat) -> list:
@@ -195,11 +195,6 @@ def kernel(mat: Mat) -> list:
         vec.update(entries.get(f, ()))
         basis.append(row_to_primitive(vec))
     return basis
-
-
-def column_space(mat: Mat) -> list:
-    """Canonical basis of the column space, as rows over mat.nrows."""
-    return rref(mat.transpose().rows)
 
 
 def span_dim(rows) -> int:

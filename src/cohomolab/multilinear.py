@@ -11,7 +11,7 @@ an exact scalar: an int when integral, else a Fraction, never a float.
 import itertools
 from dataclasses import dataclass
 
-from .algebra import AlgebraSpec, Element, basis_element, basis_product, multiply
+from .algebra import AlgebraSpec, Element
 
 
 def tuple_index(idx: tuple, d: int) -> int:
@@ -80,14 +80,3 @@ def from_coeff_function(spec: AlgebraSpec, arity: int, fn) -> MultilinearMap:
 
 def from_flat(d: int, arity: int, vec: dict) -> MultilinearMap:
     return MultilinearMap(arity, d, {i: c for i, c in vec.items() if c})
-
-
-def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> tuple:
-    """A basis of the space {(x_1..x_m) -> (prod x_i) * w}, one cochain per basis w."""
-    d = spec.dim
-    products = {idx: basis_product(spec, idx) for idx in all_tuples(d, arity)}
-    return tuple(
-        from_coeff_function(spec, arity,
-                            lambda idx, w=basis_element(d, k): multiply(spec, products[idx], w))
-        for k in range(d)
-    )

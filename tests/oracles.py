@@ -4,10 +4,11 @@ Each is written directly from its definition, so a test can check the
 package against it.
 """
 
-from cohomolab.algebra import AlgebraSpec, add, basis_element, multiply
-from cohomolab.complex import TAG_BAND, tag_coords
-from cohomolab.linalg import Echelon, Mat, rref, row_to_primitive, scalar
-from cohomolab.multilinear import MultilinearMap, all_tuples
+from cohomolab.algebra import AlgebraSpec, add, basis_element, basis_product, multiply
+from cohomolab.cohomology import CheckResult, cocycle_space
+from cohomolab.complex import TAG_BAND, TAG_FULL, apply_d, coboundary, lift, tag_coords
+from cohomolab.linalg import Echelon, Mat, axpy, kernel, row_to_primitive, scalar
+from cohomolab.multilinear import MultilinearMap, all_tuples, from_coeff_function, from_flat
 from cohomolab.operators import NO, YES, OperatorVerdict, _check_shape
 
 
@@ -48,6 +49,70 @@ def complete_basis_greedy(inner_rows, ambient_rows) -> list:
     each row that grows an echelon of inner and the rows kept before it."""
     ech = Echelon(inner_rows)
     return [dict(r) for r in ambient_rows if ech.add(r)]
+
+
+def rref(rows) -> list:
+    """Canonical basis of the span of rows."""
+    return Echelon(rows).rows()
+
+
+def coboundary_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
+    """Canonical flat basis rows of d(degree-1 cochains) inside degree `degree`."""
+    if degree == 0:
+        return []
+    return lift(spec, degree, tag, rref(coboundary(spec, degree - 1, tag).transpose().rows))
+
+
+def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> tuple:
+    """A basis of the space {(x_1..x_m) -> (prod x_i) * w}, one cochain per basis w."""
+    d = spec.dim
+    products = {idx: basis_product(spec, idx) for idx in all_tuples(d, arity)}
+    return tuple(
+        from_coeff_function(spec, arity,
+                            lambda idx, w=basis_element(d, k): multiply(spec, products[idx], w))
+        for k in range(d)
+    )
+
+
+def audit_stacked(spec: AlgebraSpec, fn, g: int) -> tuple:
+    """The cocycle, coboundary and injectivity checks of the chain map
+    fn(spec, psi) into degree g, as CheckResults, each from a canonical
+    basis of im d_{g-1}.
+
+    Injectivity takes the kernel of [images of ker d_1 | that basis] and
+    keeps each kernel vector's part on the images.
+    """
+    d = spec.dim
+    ker_d1 = cocycle_space(spec, 1, TAG_FULL)
+    mult_ech = Echelon(apply_d(spec, m).flatten() for m in product_cochain_subspace(spec, 1))
+    img_rows = [fn(spec, from_flat(d, 2, row)).flatten() for row in ker_d1]
+    cocycle = CheckResult(True)
+    for row, img in zip(ker_d1, img_rows):
+        dd = apply_d(spec, from_flat(d, g + 1, img)).flatten()
+        if dd:
+            flat, coord = divmod(min(dd), d)
+            cocycle = CheckResult(False, {"input": row, "tuple_flat": flat,
+                                          "coord": coord, "value": dd[min(dd)]})
+            break
+    b_target = coboundary_space(spec, g, TAG_FULL)
+    b_ech = Echelon(b_target)
+    cobound = CheckResult(True)
+    for row in mult_ech.rows():
+        img = fn(spec, from_flat(d, 2, row)).flatten()
+        if not b_ech.contains(img):
+            cobound = CheckResult(False, {"input": row, "image": img})
+            break
+    r = len(ker_d1)
+    injective = CheckResult(True)
+    for kvec in kernel(Mat.from_columns(d ** (g + 2), img_rows + b_target)):
+        acc = {}
+        for j, c in kvec.items():
+            if j < r:
+                axpy(acc, c, ker_d1[j])
+        if not mult_ech.contains(acc):
+            injective = CheckResult(False, {"cocycle": acc})
+            break
+    return cocycle, cobound, injective
 
 
 def span_contains(basis_rows, vec) -> bool:

@@ -20,10 +20,10 @@ from cohomolab.cohomology import (
 )
 from cohomolab.complex import TAG_BAND, TAG_FULL, TAG_IDEAL, apply_d, verify_dd_zero
 from cohomolab.linalg import Echelon, span_dim
-from cohomolab.multilinear import from_coeff_function, product_cochain_subspace
+from cohomolab.multilinear import from_coeff_function
 from cohomolab.operators import is_local_multiplier, is_multiplier, classify
 from conftest import elem, operator, psi_f_of_ab
-from oracles import is_hochschild_2cocycle
+from oracles import is_hochschild_2cocycle, product_cochain_subspace
 
 F = Fraction
 

@@ -136,6 +136,49 @@ def test_falsifier_deterministic(qsqrt2):
     assert w1 == w2 is not None
 
 
+@pytest.mark.parametrize("coeffs,status", [
+    ([4, -4, 1], "refuted"),  # (t-2)^2
+    ([1, 0, -2, 0, 1], "refuted"),  # (t^2-1)^2
+    ([0, 0, 1], "refuted"),
+    ([0, 0, 0, 1], "refuted"),
+    ([-2, 0, 0, 0, 1], "asserted"),
+    ([4, 0, 0, 0, 1], "asserted"),  # (t^2+2t+2)(t^2-2t+2): reduced, no zero divisor drawn
+    ([-8, 0, 0, 1], "asserted"),
+    ([-49, 0, 1], "asserted"),
+])
+def test_trace_form_refutes_non_reduced(coeffs, status):
+    assert build_number_field(coeffs).domain_status == status
+
+
+@st.composite
+def factored_monics(draw):
+    """Monic factors of degree 1 or 2, each taken once or twice, of total degree 1 to 4."""
+    factors = []
+    while True:
+        room = 4 - sum(len(c) - 1 for c in factors)
+        if room == 0 or (factors and draw(st.booleans())):
+            return factors
+        deg = draw(st.integers(1, min(2, room)))
+        c = draw(st.lists(st.integers(-3, 3), min_size=deg, max_size=deg)) + [1]
+        factors += [c] * draw(st.integers(1, min(2, room // deg)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(factored_monics())
+def test_domain_status_against_squarefreeness(factors):
+    """Refuted whenever gcd(p, p') has positive degree, by sympy; on
+    squarefree p the status is the falsifier's alone."""
+    t = sympy.Symbol("t")
+    p = sympy.Mul(*(sympy.Poly(list(reversed(c)), t).as_expr() for c in factors))
+    coeffs = [int(c) for c in reversed(sympy.Poly(p, t).all_coeffs())]
+    spec = build_number_field(coeffs)
+    if sympy.degree(sympy.gcd(p, sympy.diff(p, t)), t) > 0:
+        assert spec.domain_status == "refuted"
+    else:
+        sampled = zero_divisor_falsifier(spec) is not None
+        assert spec.domain_status == ("refuted" if sampled else "asserted")
+
+
 @pytest.mark.parametrize("fix", ["q", "qsqrt2", "cubic2", "atomic2", "atomic3"])
 def test_basis_products_commute_and_associate(fix, request):
     spec = request.getfixturevalue(fix)

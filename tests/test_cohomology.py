@@ -1,28 +1,33 @@
 import itertools
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cohomolab.algebra import add, basis_element, multiply, zero_element
+from cohomolab.algebra import (
+    add, basis_element, build_atomic, build_number_field, multiply, zero_element,
+)
 from cohomolab.complex import (
     TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, OrderStructureRequired, apply_d,
     lift, tag_coords,
 )
 from cohomolab.cohomology import (
-    CONVENTION_STANDARD, audit_chain_map, build_J,
-    build_J_even, build_J_odd, build_K, coboundary_space, cocycle_space,
-    cohomology, distinguished_quotient,
+    CHAIN_MAPS, CONVENTION_STANDARD, _chain_map_fn, audit_chain_map, build_J,
+    build_J_even, build_J_odd, build_K, cocycle_space, cohomology,
+    distinguished_quotient,
 )
+from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import Echelon, span_dim
-from cohomolab.multilinear import (
-    from_coeff_function, from_flat, product_cochain_subspace,
-)
+from cohomolab.multilinear import from_coeff_function, from_flat
 from conftest import elem, mult_cochain, psi_f_times_b
-from oracles import symmetry_check
+from oracles import (
+    audit_stacked, coboundary_space, product_cochain_subspace, symmetry_check,
+)
 
 F = Fraction
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.alg"))
 
 
 def test_cocycle_space_dims(qsqrt2, cubic2):
@@ -342,3 +347,90 @@ def test_audit_catches_disagreement_sampled(qsqrt2, monkeypatch):
     for trials, seed in ((0, 0), (1, 5), (64, 0)):
         assert not audit_chain_map(qsqrt2, "K", trials=trials,
                                    seed=seed).evaluator_agreement
+
+
+# The failure branches: chain maps that break injectivity or coboundary
+# preservation, patched in where audit_chain_map looks its chain map up.
+
+
+def patch_map(monkeypatch, fn, g):
+    monkeypatch.setattr(AUDIT, "_chain_map_fn", lambda name, n: (fn, g))
+
+
+def zero_map(g):
+    return lambda spec, psi: from_flat(spec.dim, g + 1, {})
+
+
+def rank_one_map(spec, g):
+    """psi -> psi[c] * h, with h the first representative of shifted degree
+    g - 1 and c the first column of the first multiplier coboundary; None
+    where that cohomology vanishes."""
+    reps = cohomology(spec, g - 1, cap=g + 1).representatives
+    if not reps:
+        return None
+    h, c = reps[0].vec, min(AUDIT._multiplier_coboundaries(spec)[0])
+    return lambda spec, psi: from_flat(spec.dim, g + 1,
+                                       {k: psi.vec.get(c, 0) * v for k, v in h.items()})
+
+
+@pytest.mark.parametrize("name", ["K", "J"])
+def test_audit_zero_map_fails_injectivity(qsqrt2, monkeypatch, name):
+    _, g = _chain_map_fn(name, 1)
+    patch_map(monkeypatch, zero_map(g), g)
+    r = audit_chain_map(qsqrt2, name)
+    assert r.cocycle_preservation.ok and r.coboundary_preservation.ok
+    assert not r.injectivity.ok
+    w = r.injectivity.witness["cocycle"]
+    assert w == {4: 1, 2: 1}
+    assert Echelon(cocycle_space(qsqrt2, 1, TAG_FULL)).contains(w)
+    assert not Echelon(AUDIT._multiplier_coboundaries(qsqrt2)).contains(w)
+
+
+@pytest.mark.parametrize("name", ["K", "J"])
+def test_audit_rank_one_map_fails_coboundary_preservation(qsqrt2, monkeypatch, name):
+    _, g = _chain_map_fn(name, 1)
+    fn = rank_one_map(qsqrt2, g)
+    patch_map(monkeypatch, fn, g)
+    r = audit_chain_map(qsqrt2, name)
+    assert r.cocycle_preservation.ok
+    assert not r.coboundary_preservation.ok
+    w = r.coboundary_preservation.witness
+    assert Echelon(AUDIT._multiplier_coboundaries(qsqrt2)).contains(w["input"])
+    assert w["image"] == fn(qsqrt2, from_flat(2, 2, w["input"])).flatten() != {}
+
+
+@st.composite
+def audited_algebras(draw):
+    """Q[t]/(p), p monic integer of degree 1 to 3, or an atomic algebra of 1 to 3 atoms."""
+    if draw(st.booleans()):
+        return build_atomic(draw(st.integers(1, 3)))
+    k = draw(st.integers(1, 3))
+    return build_number_field(draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)) + [1])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=audited_algebras(), data=st.data())
+def test_audit_matches_stacked_kernel_oracle(spec, data, monkeypatch):
+    """All three verdicts and witnesses equal those read from a stacked
+    [images | coboundary basis] kernel, for the four maps (n = 2 only up
+    to d = 2), the zero map and a rank-one map."""
+    n = 2 if spec.dim <= 2 and data.draw(st.booleans()) else 1
+    name = data.draw(st.sampled_from(CHAIN_MAPS if n == 1 else ("Jeven", "Jodd")))
+    fn, g = _chain_map_fn(name, n)
+    kind = data.draw(st.sampled_from(["map", "zero", "rank one"]))
+    if kind == "zero":
+        fn = zero_map(g)
+    elif kind == "rank one":
+        fn = rank_one_map(spec, g) or zero_map(g)
+    patch_map(monkeypatch, fn, g)
+    r = audit_chain_map(spec, name, n=n, cap=g + 1)
+    assert (r.cocycle_preservation, r.coboundary_preservation, r.injectivity) == \
+        audit_stacked(spec, fn, g)
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_multiplier_coboundaries_match_product_cochains(path):
+    spec = parse_algebra_file(str(path))
+    assert AUDIT._multiplier_coboundaries(spec) == \
+        [apply_d(spec, m).flatten() for m in product_cochain_subspace(spec, 1)]

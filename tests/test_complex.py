@@ -14,10 +14,9 @@ from cohomolab.complex import (
     naive_coboundary_images, tag_coords, verify_dd_zero,
 )
 from cohomolab.cohomology import CONVENTIONS, build_K, cocycle_space, cohomology
-from cohomolab.linalg import rref
 from cohomolab.multilinear import from_coeff_function, from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
-from oracles import intersection
+from oracles import intersection, rref
 
 F = Fraction
 

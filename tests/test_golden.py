@@ -14,7 +14,9 @@ entries were recorded while the JSON was still built whole by
 `json.dumps`; the `--format text` entries were recorded while the text
 report was still built whole by a second, compact `json.dumps` encoder;
 the qsqrt2 and cubic2 `Jodd --n 2` audit entries were recorded while the
-naive evaluator walked every permutation once per audited cochain.
+naive evaluator walked every permutation once per audited cochain; the
+tm2sq entries pin the trace-form refutation of a non-reduced algebra, and
+REFUSED pins the refusal of its ideal complex, by exit code and stderr.
 Any change to the bytes of a representative, witness or verdict fails
 here.  The whole set runs in process in about three seconds.
 
@@ -194,6 +196,11 @@ GOLDEN = {
         "a530ff632eacdb379b5e039c3c4d61b585f118557afeac7e8b2ed1d5dfee831f",
     "--seed 1 --trials 8 classify t2m49":
         "13a73284f47c42ed346a519cafbbc585d3161f389561dc14ae22447dd2e65e11",
+    # Q[t]/((t-2)^2) is not reduced: its singular trace form refutes a domain
+    "validate tm2sq":
+        "b448bea3028f60deca26e7a9f6f2f93849c5a5fed92f5f3cacd61c7e3d15a2bb",
+    "classify tm2sq":
+        "c83b21b812da0b4d97e60743a51b9d13aa3f22de5ea42569e8e61a65eb413d40",
     # escname's name holds a quote, a backslash and non-ASCII letters: these
     # pin the JSON string escapes
     "validate escname":
@@ -217,24 +224,39 @@ GOLDEN = {
 }
 
 
+# commands refused with exit code 1: their stderr, with stdout empty
+REFUSED = {
+    # a refuted non-atomic algebra has no ideal complex; before the trace
+    # form this answered for the full complex
+    "cohomology tm2sq --degree 0 --complex ideal":
+        "error: ideal-preserving subspace is only defined for asserted domains "
+        "and atomic algebras\n",
+}
+
+
 def run(command):
-    """Exit code and sha256 of stdout of one command run in process."""
+    """Exit code, sha256 of stdout and stderr of one command run in process."""
     argv = [str(FIXTURES / f"{a}.alg") if (FIXTURES / f"{a}.alg").is_file() else a
             for a in command.split()]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue()
 
 
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_stdout_is_pinned(command):
-    assert run(command) == (0, GOLDEN[command])
+    assert run(command)[:2] == (0, GOLDEN[command])
+
+
+@pytest.mark.parametrize("command", list(REFUSED))
+def test_refusal_is_pinned(command):
+    assert run(command) == (1, hashlib.sha256(b"").hexdigest(), REFUSED[command])
 
 
 if __name__ == "__main__":
     for command in sys.argv[1:]:
-        code, digest = run(command)
+        code, digest, _ = run(command)
         if code:
             sys.exit(f"{command!r} exited with code {code}")
         print(f'    "{command}":\n        "{digest}",')

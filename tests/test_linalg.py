@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomolab.linalg import (
-    Echelon, Mat, axpy, column_space, complete_basis, kernel, row_to_primitive, rref,
-    span_dim,
+    Echelon, Mat, axpy, complete_basis, kernel, row_to_primitive, span_dim,
 )
 from oracles import (
-    complete_basis_greedy, from_dense, intersection, kernel_double_loop, span_contains,
-    span_leq, to_dense,
+    complete_basis_greedy, from_dense, intersection, kernel_double_loop, rref,
+    span_contains, span_leq, to_dense,
 )
 
 F = Fraction
@@ -80,13 +79,6 @@ def test_kernel():
 def test_rank_nullity():
     m = dense([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]])
     assert span_dim(m.rows) + len(kernel(m)) == m.ncols
-
-
-def test_column_space():
-    cols = column_space(dense([[1, 2], [2, 4]]))
-    assert len(cols) == 1
-    assert span_contains(cols, {0: F(3), 1: F(6)})
-    assert not span_contains(cols, {0: F(1), 1: F(0)})
 
 
 def test_echelon_incremental():
@@ -200,6 +192,30 @@ def test_complete_basis_matches_greedy(data):
             axpy(acc, c, v)
         inner.append(acc)
     assert complete_basis(inner, z) == complete_basis_greedy(inner, z)
+
+
+def combination(coeffs, rows):
+    acc = {}
+    for c, r in zip(coeffs, rows):
+        axpy(acc, c, r)
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_echelon_reduce_is_linear_and_zero_exactly_on_span(data):
+    m = data.draw(sparse_matrices())
+    ech = Echelon(m.rows)
+    vectors = st.dictionaries(st.integers(0, m.ncols - 1), sparse_scalars, max_size=4)
+    x, y = data.draw(vectors), data.draw(vectors)
+    a, b = data.draw(sparse_scalars), data.draw(sparse_scalars)
+    assert ech.reduce(combination((a, b), (x, y))) == \
+        combination((a, b), (ech.reduce(x), ech.reduce(y)))
+    # zero exactly on the span: against the rank, and on combinations of the rows
+    for v in (x, y):
+        assert (not ech.reduce(v)) == (span_dim(m.rows + [v]) == ech.rank) == ech.contains(v)
+    coeffs = data.draw(st.lists(sparse_scalars, min_size=m.nrows, max_size=m.nrows))
+    assert ech.reduce(combination(coeffs, m.rows)) == {}
 
 
 # Shared rows: one dict object at several row positions, as the index-level

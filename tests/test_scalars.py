@@ -15,8 +15,9 @@ from cohomolab.algebra import build_number_field, principal_ideal_contains
 from cohomolab.cohomology import build_J_odd, cocycle_space
 from cohomolab.complex import TAG_FULL, index_coboundary_matrix
 from cohomolab.fileformat import parse_algebra_file, parse_rational
-from cohomolab.linalg import Echelon, Mat, div, kernel, rref, scalar
+from cohomolab.linalg import Echelon, Mat, div, kernel, scalar
 from cohomolab.multilinear import from_flat
+from oracles import rref
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
