@@ -7,7 +7,7 @@ in the power basis, and atomic pointwise algebras (idempotent atoms,
 all-ones unit) carrying the lattice order.
 """
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .linalg import Echelon, scalar
 from .rng import Lcg64
@@ -46,8 +46,7 @@ def is_zero(x: Element) -> bool:
     return not any(x)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(NamedTuple):
     name: str
     dim: int
     structure: tuple  # structure[i][j] = Element, the product b_i * b_j
@@ -56,8 +55,7 @@ class AlgebraSpec:
     domain_status: str = DOMAIN_UNCHECKED
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     law: str  # commutativity | associativity | unit | atomic
     indices: tuple
     detail: str
@@ -229,7 +227,7 @@ def assess_domain(spec: AlgebraSpec, trials: int = 64, seed: int = 0) -> Algebra
                     if (v := sum(a * t for a, t in zip(e, trace)))} for row in spec.structure)
     refuted = (form.rank < d
                or zero_divisor_falsifier(spec, trials=trials, seed=seed) is not None)
-    return replace(spec, domain_status=DOMAIN_REFUTED if refuted else DOMAIN_ASSERTED)
+    return spec._replace(domain_status=DOMAIN_REFUTED if refuted else DOMAIN_ASSERTED)
 
 
 def principal_ideal_contains(spec: AlgebraSpec, a: Element, y: Element) -> bool:

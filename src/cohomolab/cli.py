@@ -20,7 +20,7 @@ import numbers
 import os
 import sys
 
-from .algebra import validate_algebra
+from .algebra import DOMAIN_UNCHECKED, validate_algebra
 from .complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, OrderStructureRequired, TAGS,
     UnsupportedAlgebra, verify_dd_zero,
@@ -201,7 +201,8 @@ def _run(args) -> tuple:
     if args.command == "validate":
         violations = validate_algebra(spec)
         base["valid"] = not violations
-        base["domain_status"] = spec.domain_status
+        # the trace form and the falsifier mean nothing on a tensor that fails the laws
+        base["domain_status"] = DOMAIN_UNCHECKED if violations else spec.domain_status
         base["violations"] = [
             {"law": v.law, "indices": list(v.indices), "detail": v.detail}
             for v in violations

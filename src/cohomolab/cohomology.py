@@ -8,8 +8,8 @@ Shifted is the default because the chain maps J and K produce 4- and
 cocycle spaces.
 """
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, add, basis_product, multiply, scale, zero_element
 from .linalg import Mat, Echelon, axpy, complete_basis, kernel, span_dim
@@ -30,8 +30,7 @@ def cocycle_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
     return lift(spec, degree, tag, kernel(coboundary(spec, degree, tag)))
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     dim_cocycles: int
     dim_coboundaries: int
     dim_H: int
@@ -64,8 +63,7 @@ def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
     )
 
 
-@dataclass(frozen=True)
-class DistinguishedQuotient:
+class DistinguishedQuotient(NamedTuple):
     dim_kernel: int
     dim_image: int
     dim_H: int
@@ -222,14 +220,12 @@ def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images, trials: int,
     return naive_coboundary_images(spec, g, rows, tuples) == sampled
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     witness: object = None  # reproducible by direct evaluation
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     target_degree: int
     cocycle_preservation: CheckResult
     coboundary_preservation: CheckResult

@@ -33,9 +33,9 @@ permutation sum once, for all the rows it is given.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE,
@@ -273,8 +273,7 @@ def lift(spec: AlgebraSpec, degree: int, tag: str, rows) -> list:
     return [{coords[c]: v for c, v in r.items()} for r in rows]
 
 
-@dataclass(frozen=True)
-class ComplexLawReport:
+class ComplexLawReport(NamedTuple):
     results: tuple  # tuple[(n, first nonzero entry of d_{n+1} d_n or None)]
 
     @property

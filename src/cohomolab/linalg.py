@@ -9,7 +9,7 @@ inputs keep structure constants, cochains, index matrices and chain-map
 images ints; mixing in a non-integral Fraction may leave an integral
 Fraction, which compares and hashes equal to its int.  Elimination divides
 each new pivot row by its lead, so it works in Fractions even on int rows
-(fraction-free elimination, ROADMAP item 3, would not).  Row-space bases
+(Bareiss's fraction-free elimination would not).  Row-space bases
 are canonicalized to the reduced echelon form scaled to primitive int rows
 with positive leading entry, so equal subspaces always produce identical
 bases: the outputs of rows() and kernel are int rows again.
@@ -22,9 +22,9 @@ Rows are told apart by `id()` only while a list or map holds them, so an
 id is never reused by a different row during the loop that tests it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 Row = dict
 
@@ -60,8 +60,7 @@ def axpy(acc: Row, a, x: Row) -> None:
             acc.pop(c, None)
 
 
-@dataclass
-class Mat:
+class Mat(NamedTuple):
     nrows: int
     ncols: int
     rows: list  # list[dict[int, scalar]]

@@ -9,7 +9,7 @@ an exact scalar: an int when integral, else a Fraction, never a float.
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Element
 
@@ -25,8 +25,7 @@ def all_tuples(d: int, m: int):
     return itertools.product(range(d), repeat=m)
 
 
-@dataclass(frozen=True)
-class MultilinearMap:
+class MultilinearMap(NamedTuple):
     arity: int
     dim: int
     vec: dict  # flat index -> nonzero exact scalar; a zero is never stored

@@ -12,7 +12,7 @@ refute; the verdict "yes" is returned only when a finite proof exists
 "unknown_sampled" otherwise.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE,
@@ -28,8 +28,7 @@ NO = "no"
 UNKNOWN = "unknown_sampled"
 
 
-@dataclass(frozen=True)
-class OperatorVerdict:
+class OperatorVerdict(NamedTuple):
     verdict: str  # yes | no | unknown_sampled
     witness: object = None
     certificate: object = None
@@ -107,8 +106,7 @@ def is_local_multiplier(spec: AlgebraSpec, psi: MultilinearMap, trials: int = 64
     return OperatorVerdict(YES if decided else UNKNOWN)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     kadison: OperatorVerdict
     wickstead: OperatorVerdict  # None when the order is trivial
     h0mc_dim: int

@@ -48,6 +48,22 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert laws & {"atomic", "unit"}
 
 
+def test_validate_leaves_the_domain_unchecked_when_the_laws_fail(capsys, tmp_path):
+    # the qsqrt2 products with unit 1 + t: the domain tests read a non-algebra
+    bad = tmp_path / "bad.alg"
+    bad.write_text("name b\ndim 2\nunit 1 1\norder none\n"
+                   "mult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = 2 0\n")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    payload = json.loads(out)
+    assert (code, err, payload["valid"]) == (1, "", False)
+    assert payload["domain_status"] == "unchecked"
+    assert {v["law"] for v in payload["violations"]} == {"unit"}
+    code, out, _ = run_cli(capsys, "--format", "text", "validate", str(bad))
+    assert code == 1
+    assert 'domain_status: "unchecked"' in out.splitlines()
+    assert "valid: false" in out.splitlines()
+
+
 def test_missing_file(capsys):
     code, out, err = run_cli(capsys, "validate", "fixtures/nope.alg")
     assert code == 1 and out == "" and "error:" in err

@@ -5,7 +5,6 @@ coboundary matrices, elimination and the chain maps, and every division
 must go through linalg.div, since int / int is a float.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,8 +82,7 @@ def test_elimination_of_int_rows_never_makes_a_float(count):
 def test_invert_of_a_nonunit_integer_element(qsqrt2):
     # 2 is a unit of Q(sqrt 2) but not of Z[sqrt 2], so deciding it divides by 2
     assert principal_ideal_contains(qsqrt2, (2, 0), qsqrt2.unit)
-    as_fractions = replace(
-        qsqrt2,
+    as_fractions = qsqrt2._replace(
         structure=tuple(tuple(tuple(F(v) for v in e) for e in row) for row in qsqrt2.structure),
         unit=tuple(F(v) for v in qsqrt2.unit))
     assert principal_ideal_contains(as_fractions, (F(2), F(0)), as_fractions.unit)
