@@ -180,15 +180,13 @@ def build_atomic(d: int, name: str = "") -> AlgebraSpec:
         tuple(basis_element(d, i) if i == j else zero_element(d) for j in range(d))
         for i in range(d)
     )
-    status = DOMAIN_ASSERTED if d == 1 else DOMAIN_REFUTED
-    return AlgebraSpec(
+    return assess_domain(AlgebraSpec(
         name=name or f"atomic_{d}",
         dim=d,
         structure=structure,
         unit=(1,) * d,
         order_mode=ORDER_ATOMIC,
-        domain_status=status,
-    )
+    ))
 
 
 def zero_divisor_falsifier(spec: AlgebraSpec, trials: int = 64, seed: int = 0):
@@ -219,7 +217,8 @@ def assess_domain(spec: AlgebraSpec, trials: int = 64, seed: int = 0) -> Algebra
 
     In characteristic 0 a singular trace form Tr(b_i b_j) means A is not
     reduced, so a nilpotent refutes domain-hood exactly; otherwise the
-    falsifier samples for zero divisors.
+    falsifier samples for zero divisors.  This is the only code that sets
+    the flag, and it means something only on a spec that passes the laws.
     """
     d = spec.dim
     trace = [sum(spec.structure[l][k][k] for k in range(d)) for l in range(d)]  # of x -> b_l x

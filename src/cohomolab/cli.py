@@ -1,6 +1,10 @@
 """Command line interface.
 
 Commands: validate, cohomology, classify, audit, verify-complex.
+Each command loads its algebra file in one order: the grammar, then the
+algebra laws, then the domain test, which runs only on a lawful spec.
+`validate` reports the violated laws; every other command stops at the
+first with exit 1.
 Output is JSON (default) or text, byte-identical across runs with equal
 inputs.  One writer streams both to stdout, piece by piece: JSON with the
 bytes of `json.dumps(payload, sort_keys=True, indent=2)`, text as one
@@ -20,7 +24,7 @@ import numbers
 import os
 import sys
 
-from .algebra import DOMAIN_UNCHECKED, validate_algebra
+from .algebra import assess_domain, validate_algebra
 from .complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, OrderStructureRequired, TAGS,
     UnsupportedAlgebra, verify_dd_zero,
@@ -193,16 +197,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> tuple:
     cap = _resolve_cap(args)
-    spec = parse_algebra_file(args.file, trials=args.trials, seed=args.seed,
-                              validate=args.command != "validate")
+    spec = parse_algebra_file(args.file)
+    violations = validate_algebra(spec)
+    if violations and args.command != "validate":
+        first = violations[0]
+        raise ParseError(f"algebra law violated: {first.law} at {first.indices}")
+    if not violations:  # the domain tests mean nothing on a tensor that fails the laws
+        spec = assess_domain(spec, trials=args.trials, seed=args.seed)
     base = {"algebra": spec.name, "command": args.command, "dim": spec.dim,
             "seed": args.seed}
 
     if args.command == "validate":
-        violations = validate_algebra(spec)
         base["valid"] = not violations
-        # the trace form and the falsifier mean nothing on a tensor that fails the laws
-        base["domain_status"] = DOMAIN_UNCHECKED if violations else spec.domain_status
+        base["domain_status"] = spec.domain_status
         base["violations"] = [
             {"law": v.law, "indices": list(v.indices), "detail": v.detail}
             for v in violations

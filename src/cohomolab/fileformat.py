@@ -13,15 +13,14 @@ sign followed by ASCII digits 0-9.  Rationals are written `p` or `p/q`
 with q > 0.  The symmetric half of the mult table may be omitted; for
 atomic algebras missing off-diagonal entries default to zero.
 Serialization emits the canonical form, so parse -> serialize -> parse is
-the identity.
+the identity.  Parsing checks the grammar only: the spec it returns has
+domain status `unchecked`, and the caller checks the algebra laws, then
+assesses the domain of a lawful spec.
 """
 
 import re
 
-from .algebra import (
-    AlgebraSpec, ORDER_ATOMIC, ORDER_NONE, assess_domain, validate_algebra,
-    zero_element,
-)
+from .algebra import AlgebraSpec, ORDER_ATOMIC, ORDER_NONE, zero_element
 from .linalg import div
 
 
@@ -56,7 +55,7 @@ def format_rational(x) -> str:
     return str(x)
 
 
-def parse_algebra_text(text: str, trials: int = 64, seed: int = 0) -> AlgebraSpec:
+def parse_algebra_text(text: str) -> AlgebraSpec:
     name = None
     dim = None
     unit = None
@@ -122,6 +121,9 @@ def parse_algebra_text(text: str, trials: int = 64, seed: int = 0) -> AlgebraSpe
     if len(unit) != dim:
         raise ParseError(f"unit has {len(unit)} coordinates, expected {dim}")
     order = order or ORDER_NONE
+    for pair in mult:
+        if not (0 <= pair[0] < dim and 0 <= pair[1] < dim):
+            raise ParseError(f"mult indices {pair} out of range for dim {dim}")
     structure = []
     for i in range(dim):
         row = []
@@ -139,12 +141,8 @@ def parse_algebra_text(text: str, trials: int = 64, seed: int = 0) -> AlgebraSpe
             else:
                 raise ParseError(f"missing mult entry for pair ({pair[0]}, {pair[1]})")
         structure.append(tuple(row))
-    for pair in mult:
-        if not (0 <= pair[0] < dim and 0 <= pair[1] < dim):
-            raise ParseError(f"mult indices {pair} out of range for dim {dim}")
-    spec = AlgebraSpec(name=name, dim=dim, structure=tuple(structure),
+    return AlgebraSpec(name=name, dim=dim, structure=tuple(structure),
                        unit=unit, order_mode=order)
-    return assess_domain(spec, trials=trials, seed=seed)
 
 
 def serialize_algebra(spec: AlgebraSpec) -> str:
@@ -165,13 +163,6 @@ def serialize_algebra(spec: AlgebraSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_algebra_file(path: str, trials: int = 64, seed: int = 0,
-                       validate: bool = True) -> AlgebraSpec:
+def parse_algebra_file(path: str) -> AlgebraSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        spec = parse_algebra_text(fh.read(), trials=trials, seed=seed)
-    if validate:
-        violations = validate_algebra(spec)
-        if violations:
-            first = violations[0]
-            raise ParseError(f"algebra law violated: {first.law} at {first.indices}")
-    return spec
+        return parse_algebra_text(fh.read())

@@ -48,11 +48,14 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert laws & {"atomic", "unit"}
 
 
+# the qsqrt2 products with unit 1 + t: the domain tests would read a non-algebra
+UNLAWFUL = ("name b\ndim 2\nunit 1 1\norder none\n"
+            "mult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = 2 0\n")
+
+
 def test_validate_leaves_the_domain_unchecked_when_the_laws_fail(capsys, tmp_path):
-    # the qsqrt2 products with unit 1 + t: the domain tests read a non-algebra
     bad = tmp_path / "bad.alg"
-    bad.write_text("name b\ndim 2\nunit 1 1\norder none\n"
-                   "mult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = 2 0\n")
+    bad.write_text(UNLAWFUL)
     code, out, err = run_cli(capsys, "validate", str(bad))
     payload = json.loads(out)
     assert (code, err, payload["valid"]) == (1, "", False)
@@ -62,6 +65,22 @@ def test_validate_leaves_the_domain_unchecked_when_the_laws_fail(capsys, tmp_pat
     assert code == 1
     assert 'domain_status: "unchecked"' in out.splitlines()
     assert "valid: false" in out.splitlines()
+
+
+def test_an_unlawful_file_never_reaches_the_domain_test(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the domain test ran on a tensor that fails the laws")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cohomolab") and hasattr(module, "assess_domain"):
+            monkeypatch.setattr(module, "assess_domain", refuse)
+    bad = tmp_path / "bad.alg"
+    bad.write_text(UNLAWFUL)
+    code, out, err = run_cli(capsys, "--format", "text", "validate", str(bad))
+    assert (code, err) == (1, "")
+    assert {'domain_status: "unchecked"', "valid: false"} <= set(out.splitlines())
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert (code, out, err) == (1, "", "error: algebra law violated: unit at (0,)\n")
 
 
 def test_missing_file(capsys):

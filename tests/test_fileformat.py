@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from cohomolab.algebra import DOMAIN_UNCHECKED, assess_domain, validate_algebra
+from cohomolab.cli import main
 from cohomolab.fileformat import (
     ParseError, format_rational, parse_algebra_file, parse_algebra_text,
     parse_rational, serialize_algebra,
@@ -35,17 +37,21 @@ def test_format_rational():
 
 
 def test_parse_fixture_files(qsqrt2, atomic3):
+    # parsing leaves the domain unchecked; the domain test then agrees with the constructors
     parsed = parse_algebra_file("fixtures/qsqrt2.alg")
-    assert parsed == qsqrt2
+    assert parsed.domain_status == DOMAIN_UNCHECKED
+    assert assess_domain(parsed) == qsqrt2
     parsed = parse_algebra_file("fixtures/atomic3.alg")
-    assert parsed == atomic3
-    assert parsed.domain_status == "refuted"
+    assert parsed.domain_status == DOMAIN_UNCHECKED
+    assert assess_domain(parsed) == atomic3
+    assert atomic3.domain_status == "refuted"
 
 
 def test_roundtrip_identity(qsqrt2, cubic2, atomic2, atomic4):
     for spec in (qsqrt2, cubic2, atomic2, atomic4):
         text = serialize_algebra(spec)
-        assert parse_algebra_text(text) == spec
+        assert parse_algebra_text(text) == spec._replace(domain_status=DOMAIN_UNCHECKED)
+        assert assess_domain(parse_algebra_text(text)) == spec
         assert serialize_algebra(parse_algebra_text(text)) == text
 
 
@@ -96,21 +102,36 @@ def test_parse_errors_carry_line_numbers():
         parse_algebra_text("dim 1\nunit 1\nmult 0 0 = 1\n")
 
 
-def test_out_of_range_indices():
-    text = "name x\ndim 1\nunit 1\nmult 0 0 = 1\nmult 0 5 = 1\n"
-    with pytest.raises(ParseError):
-        parse_algebra_text(text)
+def test_out_of_range_indices(tmp_path):
+    # reported before the table is built, so not as the pair a bad index left missing
+    cases = [
+        ("name x\ndim 1\nunit 1\nmult 0 0 = 1\nmult 0 5 = 1\n", "(0, 5)", 1),
+        ("name x\ndim 1\nunit 1\nmult -1 0 = 1\n", "(-1, 0)", 1),
+        # `mult 1 2` typed for `mult 1 1`
+        ("name x\ndim 2\nunit 1 0\nmult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 2 = 2 0\n",
+         "(1, 2)", 2),
+    ]
+    for text, pair, dim in cases:
+        path = tmp_path / "x.alg"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            parse_algebra_file(str(path))
+        assert str(info.value) == f"mult indices {pair} out of range for dim {dim}"
 
 
-def test_validate_flag(tmp_path):
+def test_validate_flag(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     # b1*b1 = b0 with unit (1,0) fails the atomic idempotent law
     bad.write_text("name b\ndim 2\nunit 1 1\norder atomic\n"
                    "mult 0 0 = 1 0\nmult 1 1 = 1 0\n")
-    with pytest.raises(ParseError, match="algebra law violated"):
-        parse_algebra_file(str(bad))
-    spec = parse_algebra_file(str(bad), validate=False)
-    assert spec.dim == 2
+    spec = parse_algebra_file(str(bad))  # the parser reads the laws' violators too
+    assert (spec.dim, spec.domain_status) == (2, DOMAIN_UNCHECKED)
+    assert {v.law for v in validate_algebra(spec)} >= {"atomic"}
+    # every command but validate stops at the first violated law
+    assert main(["classify", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: algebra law violated: ")
 
 
 def test_domain_assessment_runs(tmp_path):
@@ -118,4 +139,6 @@ def test_domain_assessment_runs(tmp_path):
     p.write_text("name dual\ndim 2\nunit 1 0\n"
                  "mult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = 0 0\n")
     spec = parse_algebra_file(str(p))
-    assert spec.domain_status == "refuted"
+    assert spec.domain_status == DOMAIN_UNCHECKED
+    assert validate_algebra(spec) == []
+    assert assess_domain(spec).domain_status == "refuted"

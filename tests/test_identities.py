@@ -8,18 +8,32 @@
   slots, and the canonical kernel basis is the symmetrized unit cochains.
 
 Both are checked on every fixture and on Q[t]/(p) for small monic integer p.
+
+- The rank r_n of the index-level d_n (d^{n+2} rows) has a formula:
+  r_0 = d, r_1 = d^2 - d and, for odd n >= 3, r_n = d^{n-1}·C(d,2).  For
+  even n >= 2, r_n is the dimension of the degree-(n+2) part of the ideal
+  of Q[x_1..x_d] generated by the d coordinate quadrics of x -> x^2, since
+  d_n P is determined by its diagonal P(x^2, x, .., x).  On an étale
+  algebra (nonsingular trace form) that ideal is (x_1^2, .., x_d^2) over
+  the algebraic closure, so r_n = C(d+n+1, n+2) - C(d, n+2).
+
+The rank formula is checked on Q[t]/(p) for random monic p of degree up to 4,
+non-reduced p included.
 """
 
+import itertools
+from math import comb
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from cohomolab.algebra import build_number_field
 from cohomolab.cohomology import distinguished_quotient
 from cohomolab.complex import index_coboundary_matrix
 from cohomolab.fileformat import parse_algebra_file
-from cohomolab.linalg import kernel
+from cohomolab.linalg import kernel, span_dim
 from cohomolab.multilinear import all_tuples, tuple_index
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.alg"))
@@ -85,3 +99,74 @@ def test_symmetric_in_last_two_by_hand():
     # d = 2, n = 3: free columns (0,0,0,0), (0,0,1,0), (0,0,1,1), ...
     assert symmetric_in_last_two(2, 3)[:3] == [{0: 1}, {1: 1, 2: 1}, {3: 1}]
     assert len(symmetric_in_last_two(3, 3)) == 3 ** 2 * 6
+
+
+@st.composite
+def monic_polynomials(draw):
+    """Ascending coefficients of a monic p of degree d <= 4: random integer
+    coefficients (mostly squarefree), (t - a)^2·q for a monic q, or t^d."""
+    kind = draw(st.sampled_from(["random", "square", "power"]))
+    d = draw(st.integers(2 if kind == "square" else 1, 4))
+    if kind == "random":
+        return draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d)) + [1]
+    if kind == "power":
+        return [0] * d + [1]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=d - 2, max_size=d - 2)) + [1]
+    a = draw(st.integers(-3, 3))
+    for _ in range(2):  # multiply by (t - a)
+        coeffs = [c - a * b for c, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def ideal_dim(spec, n: int) -> int:
+    """dim of the degree-(n+2) part of the ideal generated by the coordinate
+    quadrics of x -> x^2: the span of every degree-n monomial times each
+    quadric, as rows over exponent tuples."""
+    d = spec.dim
+    quadrics = []
+    for k in range(d):
+        q = {}
+        for i, j in itertools.product(range(d), repeat=2):
+            e = tuple((m == i) + (m == j) for m in range(d))
+            q[e] = q.get(e, 0) + spec.structure[i][j][k]
+        quadrics.append(q)
+    rows = []
+    for mono in itertools.combinations_with_replacement(range(d), n):
+        shift = [mono.count(m) for m in range(d)]
+        rows += [{tuple(a + b for a, b in zip(e, shift)): v for e, v in q.items() if v}
+                 for q in quadrics]
+    return span_dim(rows)
+
+
+def check_ranks(coeffs, max_rows: int):
+    """Every r_n of Q[t]/(p) with at most max_rows rows, n <= 6, against its formula."""
+    spec = build_number_field(coeffs)
+    d = spec.dim
+    t = sympy.Symbol("t")
+    etale = sympy.discriminant(sympy.Poly(list(reversed(coeffs)), t)) != 0
+    for n in itertools.takewhile(lambda n: d ** (n + 2) <= max_rows, range(7)):
+        rank = span_dim(index_coboundary_matrix(spec, n).rows)
+        if n < 2:
+            assert rank == (d, d * d - d)[n]
+        elif n % 2:
+            assert rank == d ** (n - 1) * comb(d, 2)
+        else:
+            assert rank == ideal_dim(spec, n)
+            if etale:
+                assert rank == comb(d + n + 1, n + 2) - comb(d, n + 2)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-2, 0, 0, 0, 1], [0, 0, 0, 0, 1], [1, 0, -2, 0, 1],
+    [-2, 0, 0, 1], [0, 0, 0, 1], [1, -2, 1],
+], ids=["t4m2", "t4", "t2m1sq", "cubic2", "t3", "tm1sq"])
+def test_coboundary_ranks_by_formula(coeffs):
+    check_ranks(coeffs, 4096)
+
+
+# d_4 of a dense random quartic takes seconds to eliminate, and d_8 on d = 2
+# as long to build, so random draws stop at 1024 rows and n = 6
+@settings(max_examples=30, deadline=None)
+@given(monic_polynomials())
+def test_coboundary_ranks_by_formula_on_random_monics(coeffs):
+    check_ranks(coeffs, 1024)
