@@ -25,10 +25,7 @@ import os
 import sys
 
 from .algebra import assess_domain, validate_algebra
-from .complex import (
-    DEFAULT_DEGREE_CAP, DegreeCapExceeded, OrderStructureRequired, TAGS,
-    UnsupportedAlgebra, verify_dd_zero,
-)
+from .complex import DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAGS, verify_dd_zero
 from .cohomology import (
     CHAIN_MAPS, CONVENTION_SHIFTED, CONVENTIONS, audit_chain_map, cohomology,
 )
@@ -295,8 +292,7 @@ def main(argv=None) -> int:
     except DegreeCapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP
-    except (ParseError, OSError, OrderStructureRequired, UnsupportedAlgebra,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError and the tag errors included
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     write = sys.stdout.write

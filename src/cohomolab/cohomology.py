@@ -1,4 +1,4 @@
-"""Cocycle and coboundary spaces, cohomology reports, distinguished quotients,
+"""Cocycle and coboundary spaces, cohomology reports, the multiplier quotient,
 chain maps.
 
 Conventions: under "shifted" the degree-n group is ker d_{n+1} / im d_n
@@ -15,7 +15,7 @@ from .algebra import AlgebraSpec, add, basis_product, multiply, scale, zero_elem
 from .linalg import Mat, Echelon, axpy, complete_basis, kernel, span_dim
 from .multilinear import MultilinearMap, from_coeff_function, from_flat, tuple_index
 from .complex import (
-    DEFAULT_DEGREE_CAP, TAG_BAND, TAG_FULL, arrangements, check_cap,
+    DEFAULT_DEGREE_CAP, TAG_FULL, arrangements, check_cap,
     coboundary, coboundary_images, lift, naive_coboundary_images,
 )
 from .rng import Lcg64
@@ -81,19 +81,10 @@ def _multiplier_coboundaries(spec: AlgebraSpec) -> list:
     return coboundary_images(spec, 0, multipliers)
 
 
-def distinguished_quotient(spec: AlgebraSpec, kind: str) -> DistinguishedQuotient:
-    """ker d_1 (within the band subspace for kind=oo) over the restricted d_0 image."""
-    if kind == "mc":
-        dim_kernel = len(cocycle_space(spec, 1, TAG_FULL))
-        image = _multiplier_coboundaries(spec)
-    elif kind == "oo":
-        dim_kernel = len(cocycle_space(spec, 1, TAG_BAND))
-        # the orthomorphisms: every operator in the band complex's coordinates
-        orthomorphisms = lift(spec, 0, TAG_BAND, [{k: 1} for k in range(spec.dim)])
-        image = coboundary_images(spec, 0, orthomorphisms)
-    else:
-        raise ValueError(f"unknown quotient kind {kind!r}")
-    dim_image = span_dim(image)
+def multiplier_quotient(spec: AlgebraSpec) -> DistinguishedQuotient:
+    """ker d_1 over the d_0 image of the multipliers."""
+    dim_kernel = len(cocycle_space(spec, 1, TAG_FULL))
+    dim_image = span_dim(_multiplier_coboundaries(spec))
     return DistinguishedQuotient(dim_kernel, dim_image, dim_kernel - dim_image)
 
 

@@ -79,9 +79,11 @@ def arrangements(sorted_tuple: tuple):
     """Distinct rearrangements of a multiset and the per-arrangement weight.
 
     Every distinct arrangement is hit by the same number of permutations,
-    namely the product of the multiplicities' factorials.
+    namely the product of the multiplicities' factorials.  The list is
+    lexicographic: each distinct first value, then the rest's arrangements.
     """
-    perms = sorted(set(itertools.permutations(sorted_tuple)))
+    perms = [(v,) + p for i, v in enumerate(sorted_tuple) if i == 0 or v != sorted_tuple[i - 1]
+             for p in arrangements(sorted_tuple[:i] + sorted_tuple[i + 1:])[0]] or [()]
     weight = factorial(len(sorted_tuple)) // len(perms)
     return perms, weight
 
@@ -93,7 +95,7 @@ def _term_indices(spec: AlgebraSpec, t: tuple):
     return [((c,) + rest, v) for c, v in enumerate(prod) if v]
 
 
-def _output_terms(spec: AlgebraSpec, n: int, t: tuple, naive: bool = False):
+def _output_terms(spec: AlgebraSpec, n: int, t: tuple):
     """Signed index-level terms of d at source degree n, output tuple t.
 
     Yields (input index tuple, rational coefficient); the input tuples index
@@ -109,15 +111,10 @@ def _output_terms(spec: AlgebraSpec, n: int, t: tuple, naive: bool = False):
         for idx, v in _term_indices(spec, swapped):
             yield idx, -v
     else:
-        if naive:
-            for sigma in itertools.permutations(t):
-                for idx, v in _term_indices(spec, sigma):
-                    yield idx, v
-        else:
-            perms, weight = arrangements(tuple(sorted(t)))
-            for sigma in perms:
-                for idx, v in _term_indices(spec, sigma):
-                    yield idx, v * weight
+        perms, weight = arrangements(tuple(sorted(t)))
+        for sigma in perms:
+            for idx, v in _term_indices(spec, sigma):
+                yield idx, v * weight
 
 
 def apply_d(spec: AlgebraSpec, f: MultilinearMap, naive: bool = False) -> MultilinearMap:
@@ -164,19 +161,20 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows.
 
     Each image is (index matrix (x) identity) times the row: the entries
-    of the row with output coordinate k form one index-level vector, and
-    the index matrix maps it to the entries of the image with coordinate k.
+    of row j with output coordinate k form one index-level vector, column
+    j*d + k of one matrix, and a single product with the index matrix maps
+    each such column to the entries of image j with coordinate k.
     """
     d = spec.dim
-    columns = index_coboundary_matrix(spec, n).transpose().rows
-    images = []
-    for x in rows:
-        parts = [{} for _ in range(d)]
+    columns = [{} for _ in range(len(rows) * d)]
+    for j, x in enumerate(rows):
         for col, v in x.items():
             c, k = divmod(col, d)
-            axpy(parts[k], v, columns[c])
-        images.append({r * d + k: v for k, part in enumerate(parts) for r, v in part.items()})
-    return images
+            columns[j * d + k][c] = v
+    stacked = Mat.from_columns(d ** (n + 1), columns)
+    parts = index_coboundary_matrix(spec, n).matmul(stacked).transpose().rows
+    return [{r * d + k: v for k in range(d) for r, v in parts[j * d + k].items()}
+            for j in range(len(rows))]
 
 
 def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> list:
@@ -198,8 +196,12 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> lis
         grouped.append(by_col)
     images = [{} for _ in rows]
     for t in all_tuples(d, n + 2) if tuples is None else tuples:
+        if n >= 2 and n % 2 == 0:
+            pairs = (p for sigma in itertools.permutations(t) for p in _term_indices(spec, sigma))
+        else:
+            pairs = _output_terms(spec, n, t)
         terms = {}
-        for idx, v in _output_terms(spec, n, t, naive=True):
+        for idx, v in pairs:
             col = tuple_index(idx, d)
             terms[col] = terms.get(col, 0) + v
         base = tuple_index(t, d) * d

@@ -3,8 +3,8 @@ classification verdicts.
 
 A linear operator T is the arity-1 cochain x -> T(x), a MultilinearMap
 like every other cochain, and the n-ary properties are the same
-predicates at arity n.  Wickstead's question is answered by the
-orthomorphism quotient (cohomology.distinguished_quotient "oo").
+predicates at arity n.  Wickstead's question is answered by h0oo, H^1 of
+the band complex (its 0-cochains are the orthomorphisms) under "standard".
 
 Local properties quantify over all elements, so a sampled search can only
 refute; the verdict "yes" is returned only when a finite proof exists
@@ -20,8 +20,8 @@ from .algebra import (
 )
 from .multilinear import MultilinearMap, all_tuples, from_coeff_function
 from .rng import Lcg64
-from .complex import DEFAULT_DEGREE_CAP, check_cap
-from .cohomology import distinguished_quotient
+from .complex import DEFAULT_DEGREE_CAP, TAG_BAND, check_cap
+from .cohomology import CONVENTION_STANDARD, cohomology, multiplier_quotient
 
 YES = "yes"
 NO = "no"
@@ -125,11 +125,11 @@ def classify(spec: AlgebraSpec, trials: int = 64, seed: int = 0,
     """Kadison/Wickstead verdicts with operator witnesses and quotient dims."""
     check_cap(2, cap)  # d_1 maps degree-1 cochains to degree 2
     d = spec.dim
-    h0mc = distinguished_quotient(spec, "mc").dim_H
+    h0mc = multiplier_quotient(spec).dim_H
     h0oo = None
     wickstead = None
     if spec.order_mode == ORDER_ATOMIC:
-        h0oo = distinguished_quotient(spec, "oo").dim_H
+        h0oo = cohomology(spec, 1, TAG_BAND, CONVENTION_STANDARD).dim_H
         wickstead = OperatorVerdict(YES if h0oo == 0 else NO, certificate={"h0oo_dim": h0oo})
 
     if spec.order_mode == ORDER_ATOMIC:

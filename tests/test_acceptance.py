@@ -16,7 +16,8 @@ import pytest
 import cohomolab
 from cohomolab.algebra import basis_element, build_atomic, multiply
 from cohomolab.cohomology import (
-    audit_chain_map, build_K, cocycle_space, distinguished_quotient,
+    CONVENTION_STANDARD, audit_chain_map, build_K, cocycle_space, cohomology,
+    multiplier_quotient,
 )
 from cohomolab.complex import TAG_BAND, TAG_FULL, TAG_IDEAL, apply_d, verify_dd_zero
 from cohomolab.linalg import Echelon, span_dim
@@ -125,7 +126,7 @@ def test_criterion_3_distinguished_quotients(fixture_specs):
     ok = True
     for name, expect in want_mc.items():
         spec = fixture_specs[name]
-        got = distinguished_quotient(spec, "mc").dim_H
+        got = multiplier_quotient(spec).dim_H
         # brute-force oracle: direct constraint kernel minus multiplier image
         d = spec.dim
         multipliers = [  # x -> x * b_k
@@ -136,7 +137,7 @@ def test_criterion_3_distinguished_quotients(fixture_specs):
         ok = ok and got == expect == oracle
     for d in range(1, 5):
         spec = build_atomic(d)
-        got = distinguished_quotient(spec, "oo").dim_H
+        got = cohomology(spec, 1, TAG_BAND, CONVENTION_STANDARD).dim_H
         # oracle: band-diagonal kernel vs orthomorphism images, by evaluation
         diag_ker = d  # diagonal 2-cochains all satisfy the kernel constraint
         orthomorphisms = [  # the coordinate projections x -> x_k b_k

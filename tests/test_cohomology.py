@@ -15,8 +15,7 @@ from cohomolab.complex import (
 )
 from cohomolab.cohomology import (
     CHAIN_MAPS, CONVENTION_STANDARD, _chain_map_fn, audit_chain_map, build_J,
-    build_J_even, build_J_odd, build_K, cocycle_space, cohomology,
-    distinguished_quotient,
+    build_J_even, build_J_odd, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import Echelon, span_dim
@@ -125,16 +124,15 @@ def test_orthomorphism_space(atomic3, qsqrt2):
 
 def test_distinguished_quotients(qsqrt2, cubic2, atomic2, atomic3):
     for spec in (qsqrt2, cubic2, atomic3):
-        r = distinguished_quotient(spec, "mc")
+        r = multiplier_quotient(spec)
         assert r.dim_H == spec.dim ** 2 - spec.dim
         assert (r.dim_kernel, r.dim_image) == (spec.dim ** 2, spec.dim)
+    # the orthomorphism quotient is H^1 of the band complex under "standard"
     for spec in (atomic2, atomic3):
-        r = distinguished_quotient(spec, "oo")
-        assert (r.dim_kernel, r.dim_image, r.dim_H) == (spec.dim, spec.dim, 0)
-    with pytest.raises(ValueError):
-        distinguished_quotient(qsqrt2, "zz")
+        r = cohomology(spec, 1, TAG_BAND, CONVENTION_STANDARD)
+        assert (r.dim_cocycles, r.dim_coboundaries, r.dim_H) == (spec.dim, spec.dim, 0)
     with pytest.raises(OrderStructureRequired):
-        distinguished_quotient(qsqrt2, "oo")
+        cohomology(qsqrt2, 1, TAG_BAND, CONVENTION_STANDARD)
 
 
 def test_build_K_formula(qsqrt2):

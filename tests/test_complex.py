@@ -98,12 +98,14 @@ def test_apply_d_matches_naive_oracle(fix, n, data, request):
     assert apply_d(spec, f) == apply_d(spec, f, naive=True)
 
 
-@pytest.mark.parametrize("fix,n", [("qsqrt2", 2), ("cubic2", 2), ("atomic3", 1)])
+@pytest.mark.parametrize("fix,n", [("qsqrt2", 2), ("cubic2", 2), ("atomic3", 1),
+                                   ("cubic2", 0), ("atomic3", 3), ("qsqrt2", 4)])
 def test_naive_images_all_rows_and_tuple_subsets(fix, n, request):
     """One pass over the output tuples serves every row, and a tuple subset
     gives the fast images' entries at exactly those tuples."""
     spec = request.getfixturevalue(fix)
     d = spec.dim
+    assert coboundary_images(spec, n, []) == []
     rows = [{(7 * i + j) % d ** (n + 2): F(j - i) for j in range(i + 2)} for i in range(4)]
     fast = coboundary_images(spec, n, rows)
     assert naive_coboundary_images(spec, n, rows) == fast
@@ -194,6 +196,24 @@ def test_dd_zero_full(fix, request):
     assert report.all_zero
     assert [n for n, _ in report.results] == [0, 1, 2, 3]
     assert all(w is None for _, w in report.results)
+
+
+@given(st.lists(st.integers(0, 3), max_size=7))
+def test_arrangements_are_the_sorted_distinct_permutations(values):
+    t = tuple(sorted(values))
+    perms, weight = cx.arrangements(t)
+    assert perms == sorted(set(itertools.permutations(t)))
+    assert weight * len(perms) == math.factorial(len(t))
+
+
+def test_index_matrix_speed_on_a_repeated_root():
+    # d_8 of Q[t]/((t-1)^2) has 11 distinct rows, each over C(10, k)
+    # arrangements; listing them through all 10! permutations took seconds
+    start = time.perf_counter()
+    matrix = index_coboundary_matrix(build_number_field([1, -2, 1]), 8)
+    elapsed = time.perf_counter() - start
+    assert len({id(r) for r in matrix.rows}) == 11
+    assert elapsed < 1, f"{elapsed:.2f}s"
 
 
 def test_dd_zero_quartic_speed():

@@ -16,9 +16,14 @@ report was still built whole by a second, compact `json.dumps` encoder;
 the qsqrt2 and cubic2 `Jodd --n 2` audit entries were recorded while the
 naive evaluator walked every permutation once per audited cochain; the
 tm2sq entries pin the trace-form refutation of a non-reduced algebra, and
-REFUSED pins the refusal of its ideal complex, by exit code and stderr.
+REFUSED pins the refusal of its ideal complex, by exit code and stderr;
+the standard-convention band cohomology, atomic4 `K` and `Jodd --n 2`
+audit and `verify-complex atomic4 --complex band` entries were recorded
+while `coboundary_images` applied d column by column rather than through
+one matrix product, and `classify` computed the orthomorphism quotient
+apart from `cohomology`.
 Any change to the bytes of a representative, witness or verdict fails
-here.  The whole set runs in process in about three seconds.
+here.  The whole set runs in process in about five seconds.
 
 Run as a script to record pins: `python tests/test_golden.py "<command>" …`
 prints one ready-to-paste entry per command, through the same fixture path
@@ -221,6 +226,20 @@ GOLDEN = {
         "65b9793e677f397f59048b035da3cf2a60bfde780b93bdf6f109726825c745db",
     "--format text verify-complex atomic3 --max-degree 2 --complex band":
         "c8b326567c67bbb4a074937a03fc7a03324b7d3ec46c5e4b0e23433685a81333",
+    # Wickstead's group, H^1 of the band complex under "standard", and the
+    # coboundary images of chain maps and band cochains up through d_4
+    "cohomology atomic3 --degree 1 --complex band --convention standard":
+        "e29791a2bb26e4deac5ac133e78a8cd4d8d344d88e0fa8a025f5848b9ad9f24b",
+    "cohomology atomic4 --degree 1 --complex band --convention standard":
+        "f8057661f2d0917cd53fb9e7e666dadc8398f3bb0e4cd98da790fbd79787cdec",
+    "audit atomic4 --map K":
+        "af246e8a02772f98f0ed9b7011472309f4ff75f7e3dc2d110ba9c5bc98d95cf8",
+    "audit atomic4 --map Jodd --n 2":
+        "5496da4e6966f161b52cfd575f31b2e8f647a83f0eab36de1bb3f1306a1e580b",
+    "--seed 2 --trials 5 audit atomic4 --map Jodd --n 2":
+        "f84cc5a5895528f5e852ff47625e7586bb8c81a94a085ae7c7a9bf6c272b88ad",
+    "verify-complex atomic4 --complex band --max-degree 3":
+        "e5c6cb590787e8a6d35ff527aca04f6e928c818db5afc2d98391607b69347b2e",
 }
 
 

@@ -30,7 +30,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from cohomolab.algebra import build_number_field
-from cohomolab.cohomology import distinguished_quotient
+from cohomolab.cohomology import multiplier_quotient
 from cohomolab.complex import index_coboundary_matrix
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import kernel, span_dim
@@ -72,7 +72,7 @@ def symmetric_in_last_two(d: int, n: int) -> list:
 
 
 def check_h0mc(spec):
-    assert distinguished_quotient(spec, "mc").dim_H == spec.dim ** 2 - spec.dim
+    assert multiplier_quotient(spec).dim_H == spec.dim ** 2 - spec.dim
 
 
 def check_odd_kernels(spec):
@@ -139,12 +139,12 @@ def ideal_dim(spec, n: int) -> int:
 
 
 def check_ranks(coeffs, max_rows: int):
-    """Every r_n of Q[t]/(p) with at most max_rows rows, n <= 6, against its formula."""
+    """Every r_n of Q[t]/(p) with at most max_rows rows, n <= 8, against its formula."""
     spec = build_number_field(coeffs)
     d = spec.dim
     t = sympy.Symbol("t")
     etale = sympy.discriminant(sympy.Poly(list(reversed(coeffs)), t)) != 0
-    for n in itertools.takewhile(lambda n: d ** (n + 2) <= max_rows, range(7)):
+    for n in itertools.takewhile(lambda n: d ** (n + 2) <= max_rows, range(9)):
         rank = span_dim(index_coboundary_matrix(spec, n).rows)
         if n < 2:
             assert rank == (d, d * d - d)[n]
@@ -164,8 +164,8 @@ def test_coboundary_ranks_by_formula(coeffs):
     check_ranks(coeffs, 4096)
 
 
-# d_4 of a dense random quartic takes seconds to eliminate, and d_8 on d = 2
-# as long to build, so random draws stop at 1024 rows and n = 6
+# d_4 of a dense random quartic takes seconds to eliminate, so random draws
+# stop at 1024 rows
 @settings(max_examples=30, deadline=None)
 @given(monic_polynomials())
 def test_coboundary_ranks_by_formula_on_random_monics(coeffs):
