@@ -26,9 +26,7 @@ import sys
 
 from .algebra import assess_domain, validate_algebra
 from .complex import DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAGS, verify_dd_zero
-from .cohomology import (
-    CHAIN_MAPS, CONVENTION_SHIFTED, CONVENTIONS, audit_chain_map, cohomology,
-)
+from .cohomology import CHAIN_MAPS, audit_chain_map, cohomology
 from .fileformat import ParseError, format_rational, parse_algebra_file, parse_integer
 from .multilinear import MultilinearMap
 from .operators import classify
@@ -38,6 +36,12 @@ EXIT_INPUT = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# The library speaks cochain degrees: the degree-z group is ker d_z / im d_{z-1}.
+# --convention names the printed degree, z - 1 under "shifted" (degree-n
+# cocycles are (n+2)-linear) and z under "standard".  Shifted is the default
+# because the chain maps J and K produce 4- and 3-linear cochains, which land
+# exactly in the shifted degree-2 and degree-1 cocycle spaces.
+SHIFTS = {"shifted": 1, "standard": 0}  # cochain degree minus printed degree
 
 _rat = format_rational  # every scalar the CLI prints is a string made here
 
@@ -173,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--degree", type=_int, required=True)
     p.add_argument("--complex", choices=TAGS, default="full")
-    p.add_argument("--convention", choices=CONVENTIONS, default=CONVENTION_SHIFTED)
+    p.add_argument("--convention", choices=tuple(SHIFTS), default="shifted")
 
     p = sub.add_parser("classify", help="Kadison/Wickstead verdicts")
     p.add_argument("file")
@@ -183,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", dest="map_name", required=True,
                    choices=CHAIN_MAPS)
     p.add_argument("--n", type=_int, default=1)
-    p.add_argument("--convention", choices=CONVENTIONS, default=CONVENTION_SHIFTED)
+    p.add_argument("--convention", choices=tuple(SHIFTS), default="shifted")
 
     p = sub.add_parser("verify-complex", help="check d_{n+1} o d_n = 0")
     p.add_argument("file")
@@ -214,8 +218,8 @@ def _run(args) -> tuple:
         return base, EXIT_OK if not violations else EXIT_INPUT
 
     if args.command == "cohomology":
-        report = cohomology(spec, args.degree, tag=args.complex,
-                            convention=args.convention, cap=cap)
+        report = cohomology(spec, args.degree + SHIFTS[args.convention],
+                            tag=args.complex, cap=cap)
         base.update({
             "complex": args.complex,
             "convention": args.convention,
@@ -239,14 +243,13 @@ def _run(args) -> tuple:
         return base, EXIT_OK
 
     if args.command == "audit":
-        report = audit_chain_map(spec, args.map_name, n=args.n,
-                                 convention=args.convention, cap=cap,
+        report = audit_chain_map(spec, args.map_name, n=args.n, cap=cap,
                                  trials=args.trials, seed=args.seed)
         base.update({
             "map": args.map_name,
             "n": args.n,
             "convention": args.convention,
-            "target_degree": report.target_degree,
+            "target_degree": report.degree - SHIFTS[args.convention],
             "cocycle_preservation": {
                 "pass": report.cocycle_preservation.ok,
                 "witness": _jsonable(report.cocycle_preservation.witness),

@@ -1,11 +1,8 @@
 """Cocycle and coboundary spaces, cohomology reports, the multiplier quotient,
 chain maps.
 
-Conventions: under "shifted" the degree-n group is ker d_{n+1} / im d_n
-(cocycles are (n+2)-linear), under "standard" it is ker d_n / im d_{n-1}.
-Shifted is the default because the chain maps J and K produce 4- and
-3-linear cochains, which land exactly in the shifted degree-2 and degree-1
-cocycle spaces.
+Every degree here is a cochain degree: the degree-z group is
+ker d_z / im d_{z-1}, and its cocycles are (z+1)-linear.
 """
 
 from math import factorial
@@ -20,10 +17,6 @@ from .complex import (
 )
 from .rng import Lcg64
 
-CONVENTION_SHIFTED = "shifted"
-CONVENTION_STANDARD = "standard"
-CONVENTIONS = (CONVENTION_SHIFTED, CONVENTION_STANDARD)
-
 
 def cocycle_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
     """Flat basis rows of the degree-`degree` cocycles of the tag complex."""
@@ -37,25 +30,18 @@ class CohomologyReport(NamedTuple):
     representatives: tuple  # tuple[MultilinearMap], independent modulo coboundaries
 
 
-def cohomology(spec: AlgebraSpec, n: int, tag: str = TAG_FULL,
-               convention: str = CONVENTION_SHIFTED,
+def cohomology(spec: AlgebraSpec, degree: int, tag: str = TAG_FULL,
                cap: int = DEFAULT_DEGREE_CAP) -> CohomologyReport:
-    """Exact quotient dimensions and coset representatives at degree n."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    if convention == CONVENTION_SHIFTED:
-        z_degree = n + 1
-    else:
-        z_degree = n
-    check_cap(z_degree + 1, cap)
+    """Dimensions and coset representatives of ker d_degree / im d_{degree-1}."""
+    check_cap(degree + 1, cap)
     # eliminate in the complex's own coordinates; lift only the representatives.
-    # The coboundaries are the raw images of d_{z-1}; complete_basis reads
+    # The coboundaries are the raw images of d_{degree-1}; complete_basis reads
     # them in the kernel basis's coordinates, so no basis of them is built.
-    z = kernel(coboundary(spec, z_degree, tag))
-    images = coboundary(spec, z_degree - 1, tag).transpose().rows if z_degree else []
-    per_row = len(lift(spec, z_degree, tag, [{}]))  # flat rows per coordinate row
-    reps = tuple(from_flat(spec.dim, z_degree + 1, r)
-                 for r in lift(spec, z_degree, tag, complete_basis(images, z)))
+    z = kernel(coboundary(spec, degree, tag))
+    images = coboundary(spec, degree - 1, tag).transpose().rows if degree else []
+    per_row = len(lift(spec, degree, tag, [{}]))  # flat rows per coordinate row
+    reps = tuple(from_flat(spec.dim, degree + 1, r)
+                 for r in lift(spec, degree, tag, complete_basis(images, z)))
     dim_z = per_row * len(z)
     return CohomologyReport(
         dim_cocycles=dim_z, dim_coboundaries=dim_z - len(reps),
@@ -217,7 +203,7 @@ class CheckResult(NamedTuple):
 
 
 class AuditReport(NamedTuple):
-    target_degree: int
+    degree: int  # the cochain degree g the images live in
     cocycle_preservation: CheckResult
     coboundary_preservation: CheckResult
     injectivity: CheckResult
@@ -225,18 +211,14 @@ class AuditReport(NamedTuple):
 
 
 def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
-                    convention: str = CONVENTION_SHIFTED,
                     cap: int = DEFAULT_DEGREE_CAP, trials: int = 64,
                     seed: int = 0) -> AuditReport:
     """Measure cocycle/coboundary preservation and injectivity of a chain map.
 
     The audited spaces are fixed by the image arity (the unique type-correct
-    choice); the convention only relabels the target degree.  Verdicts are
-    measured, never assumed.  trials and seed set the sample of the
-    evaluator-agreement check above NAIVE_TERM_BUDGET.
+    choice).  Verdicts are measured, never assumed.  trials and seed set
+    the sample of the evaluator-agreement check above NAIVE_TERM_BUDGET.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
     fn, g = _chain_map_fn(map_name, n)  # image lives in degree g
     check_cap(g + 1, cap)
     d = spec.dim
@@ -287,9 +269,8 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
             injective = CheckResult(False, {"cocycle": acc})
             break
 
-    target_degree = g - 1 if convention == CONVENTION_SHIFTED else g
     return AuditReport(
-        target_degree=target_degree, cocycle_preservation=cocycle,
+        degree=g, cocycle_preservation=cocycle,
         coboundary_preservation=cobound, injectivity=injective,
         evaluator_agreement=agreement,
     )

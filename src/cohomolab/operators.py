@@ -3,13 +3,15 @@ classification verdicts.
 
 A linear operator T is the arity-1 cochain x -> T(x), a MultilinearMap
 like every other cochain, and the n-ary properties are the same
-predicates at arity n.  Wickstead's question is answered by h0oo, H^1 of
-the band complex (its 0-cochains are the orthomorphisms) under "standard".
+predicates at arity n.  Wickstead's question is answered by h0oo, the
+cohomology at cochain degree 1 of the band complex (its 0-cochains are
+the orthomorphisms).
 
 Local properties quantify over all elements, so a sampled search can only
-refute; the verdict "yes" is returned only when a finite proof exists
-(field or atomic structure shortcut, or an exhaustive basis check), and
-"unknown_sampled" otherwise.
+refute.  A "yes" is a finite proof from an exhaustive basis check or the
+atomic structure, except on a field: there it rests on the sampled
+invertibility probe, over a domain that is only asserted by sampling.  A
+search that proves nothing returns "unknown_sampled".
 """
 
 from typing import NamedTuple
@@ -21,7 +23,7 @@ from .algebra import (
 from .multilinear import MultilinearMap, all_tuples, from_coeff_function
 from .rng import Lcg64
 from .complex import DEFAULT_DEGREE_CAP, TAG_BAND, check_cap
-from .cohomology import CONVENTION_STANDARD, cohomology, multiplier_quotient
+from .cohomology import cohomology, multiplier_quotient
 
 YES = "yes"
 NO = "no"
@@ -129,7 +131,7 @@ def classify(spec: AlgebraSpec, trials: int = 64, seed: int = 0,
     h0oo = None
     wickstead = None
     if spec.order_mode == ORDER_ATOMIC:
-        h0oo = cohomology(spec, 1, TAG_BAND, CONVENTION_STANDARD).dim_H
+        h0oo = cohomology(spec, 1, TAG_BAND).dim_H
         wickstead = OperatorVerdict(YES if h0oo == 0 else NO, certificate={"h0oo_dim": h0oo})
 
     if spec.order_mode == ORDER_ATOMIC:

@@ -16,8 +16,7 @@ import pytest
 import cohomolab
 from cohomolab.algebra import basis_element, build_atomic, multiply
 from cohomolab.cohomology import (
-    CONVENTION_STANDARD, audit_chain_map, build_K, cocycle_space, cohomology,
-    multiplier_quotient,
+    audit_chain_map, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
 from cohomolab.complex import TAG_BAND, TAG_FULL, TAG_IDEAL, apply_d, verify_dd_zero
 from cohomolab.linalg import Echelon, span_dim
@@ -137,7 +136,7 @@ def test_criterion_3_distinguished_quotients(fixture_specs):
         ok = ok and got == expect == oracle
     for d in range(1, 5):
         spec = build_atomic(d)
-        got = cohomology(spec, 1, TAG_BAND, CONVENTION_STANDARD).dim_H
+        got = cohomology(spec, 1, TAG_BAND).dim_H
         # oracle: band-diagonal kernel vs orthomorphism images, by evaluation
         diag_ker = d  # diagonal 2-cochains all satisfy the kernel constraint
         orthomorphisms = [  # the coordinate projections x -> x_k b_k

@@ -268,6 +268,35 @@ def test_audit_output(capsys):
     assert payload["target_degree"] == 1
 
 
+@pytest.mark.parametrize("path, tag", [(QSQRT2, "full"), ("fixtures/cubic2.alg", "full"),
+                                       (ATOMIC3, "band")], ids=["qsqrt2", "cubic2", "atomic3"])
+def test_shifted_degree_n_is_standard_degree_n_plus_1(capsys, path, tag):
+    for n in range(3):
+        groups = []
+        for argv in (["--degree", str(n)], ["--degree", str(n + 1), "--convention", "standard"]):
+            code, out, _ = run_cli(capsys, "cohomology", path, "--complex", tag, *argv)
+            assert code == 0
+            groups.append({k: v for k, v in json.loads(out).items()
+                           if k.startswith("dim_") or k == "representatives"})
+        assert groups[0] == groups[1]
+
+
+def test_unknown_convention_is_a_usage_error(capsys):
+    for argv in (["cohomology", QSQRT2, "--degree", "1"], ["audit", QSQRT2, "--map", "K"]):
+        code, out, err = run_cli(capsys, *argv, "--convention", "sideways")
+        assert code == 2 and out == "" and "--convention" in err
+
+
+@pytest.mark.parametrize("name, n, g", [("K", 1, 2), ("J", 1, 3), ("Jeven", 2, 5), ("Jodd", 2, 4)])
+def test_audit_target_degree_follows_the_convention(capsys, name, n, g):
+    """The images live in cochain degree g: shifted prints g - 1, standard g."""
+    cap = ["--degree-cap", "7"] if n == 2 else []
+    for convention, printed in (("shifted", g - 1), ("standard", g)):
+        code, out, _ = run_cli(capsys, *cap, "audit", QSQRT2, "--map", name, "--n", str(n),
+                               "--convention", convention)
+        assert code == 0 and json.loads(out)["target_degree"] == printed
+
+
 def test_verify_complex(capsys):
     code, out, _ = run_cli(capsys, "verify-complex", QSQRT2,
                            "--max-degree", "2")

@@ -14,7 +14,7 @@ from cohomolab.complex import (
     lift, tag_coords,
 )
 from cohomolab.cohomology import (
-    CHAIN_MAPS, CONVENTION_STANDARD, _chain_map_fn, audit_chain_map, build_J,
+    CHAIN_MAPS, _chain_map_fn, audit_chain_map, build_J,
     build_J_even, build_J_odd, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
 from cohomolab.fileformat import parse_algebra_file
@@ -56,26 +56,15 @@ def test_coboundaries_inside_cocycles(qsqrt2):
 def test_cohomology_dims_shifted(fix, expected, request):
     spec = request.getfixturevalue(fix)
     for n, (z, b, h) in expected.items():
-        r = cohomology(spec, n)
+        r = cohomology(spec, n + 1)
         assert (r.dim_cocycles, r.dim_coboundaries, r.dim_H) == (z, b, h)
         assert len(r.representatives) == h
-        # the default, shifted, convention: degree-n classes are (n+2)-linear
+        # the CLI's shifted degree n is cochain degree n + 1: (n+2)-linear classes
         assert all(m.arity == n + 2 for m in r.representatives)
 
 
-def test_standard_convention_offsets(qsqrt2):
-    # standard degree n+1 looks at the same spaces as shifted degree n
-    shifted = cohomology(qsqrt2, 1)
-    standard = cohomology(qsqrt2, 2, convention=CONVENTION_STANDARD)
-    assert (standard.dim_cocycles, standard.dim_coboundaries, standard.dim_H) \
-        == (shifted.dim_cocycles, shifted.dim_coboundaries, shifted.dim_H)
-    assert cohomology(qsqrt2, 1, convention=CONVENTION_STANDARD).dim_H == 0
-    with pytest.raises(ValueError):
-        cohomology(qsqrt2, 1, convention="sideways")
-
-
 def test_representatives_independent_mod_coboundaries(qsqrt2):
-    r = cohomology(qsqrt2, 1)
+    r = cohomology(qsqrt2, 2)
     b_rows = coboundary_space(qsqrt2, 2, TAG_FULL)
     z = Echelon(cocycle_space(qsqrt2, 2, TAG_FULL))
     ech = Echelon(b_rows)
@@ -89,15 +78,15 @@ def test_representatives_independent_mod_coboundaries(qsqrt2):
 def test_restricted_cohomology(atomic2, atomic3):
     for spec in (atomic2, atomic3):
         for tag in (TAG_BAND, TAG_IDEAL):
-            r = cohomology(spec, 0, tag=tag)
+            r = cohomology(spec, 1, tag=tag)
             assert (r.dim_cocycles, r.dim_coboundaries) == (spec.dim, spec.dim)
             assert r.dim_H == 0
 
 
 def test_cohomology_degree_cap(qsqrt2):
     with pytest.raises(DegreeCapExceeded):
-        cohomology(qsqrt2, 9)
-    assert {m.arity for m in cohomology(qsqrt2, 5, cap=7).representatives} == {7}
+        cohomology(qsqrt2, 10)
+    assert {m.arity for m in cohomology(qsqrt2, 6, cap=7).representatives} == {7}
 
 
 def test_multiplier_space(qsqrt2):
@@ -127,12 +116,12 @@ def test_distinguished_quotients(qsqrt2, cubic2, atomic2, atomic3):
         r = multiplier_quotient(spec)
         assert r.dim_H == spec.dim ** 2 - spec.dim
         assert (r.dim_kernel, r.dim_image) == (spec.dim ** 2, spec.dim)
-    # the orthomorphism quotient is H^1 of the band complex under "standard"
+    # the orthomorphism quotient is H^1 of the band complex
     for spec in (atomic2, atomic3):
-        r = cohomology(spec, 1, TAG_BAND, CONVENTION_STANDARD)
+        r = cohomology(spec, 1, TAG_BAND)
         assert (r.dim_cocycles, r.dim_coboundaries, r.dim_H) == (spec.dim, spec.dim, 0)
     with pytest.raises(OrderStructureRequired):
-        cohomology(qsqrt2, 1, TAG_BAND, CONVENTION_STANDARD)
+        cohomology(qsqrt2, 1, TAG_BAND)
 
 
 def test_build_K_formula(qsqrt2):
@@ -269,7 +258,7 @@ def test_audit_J_passes(q, qsqrt2, atomic3):
         assert r.coboundary_preservation.ok
         assert r.injectivity.ok
         assert r.evaluator_agreement
-        assert r.target_degree == 2
+        assert r.degree == 3
 
 
 def test_audit_K_honest_failure(q, qsqrt2):
@@ -279,9 +268,7 @@ def test_audit_K_honest_failure(q, qsqrt2):
     assert r.coboundary_preservation.ok
     assert r.injectivity.ok
     assert r.evaluator_agreement
-    assert r.target_degree == 1
-    assert audit_chain_map(qsqrt2, "K",
-                           convention=CONVENTION_STANDARD).target_degree == 2
+    assert r.degree == 2
 
 
 def test_audit_K_witness_reproduces(qsqrt2):
@@ -299,9 +286,9 @@ def test_audit_higher_maps(qsqrt2):
     k = audit_chain_map(qsqrt2, "K")
     assert jodd1.cocycle_preservation.ok == k.cocycle_preservation.ok is False
     jeven2 = audit_chain_map(qsqrt2, "Jeven", n=2, cap=7)
-    assert jeven2.cocycle_preservation.ok and jeven2.target_degree == 4
+    assert jeven2.cocycle_preservation.ok and jeven2.degree == 5
     jodd2 = audit_chain_map(qsqrt2, "Jodd", n=2, cap=7)
-    assert jodd2.cocycle_preservation.ok and jodd2.target_degree == 3
+    assert jodd2.cocycle_preservation.ok and jodd2.degree == 4
     with pytest.raises(DegreeCapExceeded):
         audit_chain_map(qsqrt2, "Jeven", n=2)
     for name, n in (("M", 1), ("J", 0), ("K", 2)):
@@ -360,10 +347,10 @@ def zero_map(g):
 
 
 def rank_one_map(spec, g):
-    """psi -> psi[c] * h, with h the first representative of shifted degree
-    g - 1 and c the first column of the first multiplier coboundary; None
-    where that cohomology vanishes."""
-    reps = cohomology(spec, g - 1, cap=g + 1).representatives
+    """psi -> psi[c] * h, with h the first representative of degree g and
+    c the first column of the first multiplier coboundary; None where that
+    cohomology vanishes."""
+    reps = cohomology(spec, g, cap=g + 1).representatives
     if not reps:
         return None
     h, c = reps[0].vec, min(AUDIT._multiplier_coboundaries(spec)[0])
