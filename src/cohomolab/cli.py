@@ -6,12 +6,12 @@ algebra laws, then the domain test, which runs only on a lawful spec.
 `validate` reports the violated laws; every other command stops at the
 first with exit 1.
 Output is JSON (default) or text, byte-identical across runs with equal
-inputs.  One writer streams both to stdout, piece by piece: JSON with the
-bytes of `json.dumps(payload, sort_keys=True, indent=2)`, text as one
-`key: ` line per sorted field with the bytes of `json.dumps(value,
-sort_keys=True)`.  Each representative is made a dense list only while
-it is written, so printing a large report holds neither its whole text
-nor more than one dense representative in memory.  Exit codes: 0
+inputs: JSON with the bytes of `json.dumps(payload, sort_keys=True,
+indent=2)`, text as one `key: ` line per sorted field with the bytes of
+`json.dumps(value, sort_keys=True)`.  Every field's value goes through
+`json.dumps` except the representatives, which are streamed to stdout
+one dense list at a time, so printing a large report holds neither its
+whole text nor more than one dense representative in memory.  Exit codes: 0
 success, 1 file/validation or output error, 2 usage error, 3 degree cap
 exceeded.
 COHOMOLAB_MAX_DEGREE overrides the default cap.
@@ -28,7 +28,6 @@ from .algebra import assess_domain, validate_algebra
 from .complex import DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAGS, verify_dd_zero
 from .cohomology import CHAIN_MAPS, audit_chain_map, cohomology
 from .fileformat import ParseError, format_rational, parse_algebra_file, parse_integer
-from .multilinear import MultilinearMap
 from .operators import classify
 
 EXIT_OK = 0
@@ -86,45 +85,31 @@ def _verdict_json(v):
     }
 
 
-def _write_json(obj, write, indent="") -> None:
-    """Pass obj to write in pieces, as json.dumps(obj, sort_keys=True, indent=2).
+def _write_report(payload, write, pretty) -> None:
+    """Pass payload to write in pieces: if pretty, as json.dumps(payload,
+    sort_keys=True, indent=2) and a newline, else as one `key: ` line per
+    sorted key holding json.dumps(value, sort_keys=True).
 
-    indent is the indentation of the line obj starts on; None writes the
-    one-line json.dumps(obj, sort_keys=True) instead.  Dict keys are
-    strings.  A MultilinearMap is written as its dense list, made only
-    now, and a list of strings is written with one join.
+    Every value goes through json.dumps but the representatives, which are
+    written one dense list at a time, each made only now.
     """
-    if isinstance(obj, MultilinearMap):
-        obj = _dense(obj)
-    if isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-        return
-    if not isinstance(obj, (dict, list, tuple)):
-        write(json.dumps(obj))
-        return
-    opening, closing = "{}" if isinstance(obj, dict) else "[]"
-    if not obj:
-        write(opening + closing)
-        return
-    if indent is None:
-        inner, first, sep, last = None, opening, ", ", closing
-    else:
-        inner = indent + "  "
-        first, sep, last = opening + "\n" + inner, ",\n" + inner, "\n" + indent + closing
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            write(first + encode_basestring_ascii(key) + ": ")
-            _write_json(obj[key], write, inner)
-            first = sep
-    else:
-        try:  # raises TypeError at the first item that is not a string
-            write(first + sep.join(map(encode_basestring_ascii, obj)))
-        except TypeError:
-            for item in obj:
-                write(first)
-                _write_json(item, write, inner)
-                first = sep
-    write(last)
+    first, sep, nl = ("{\n  ", ",\n  ", "\n  ") if pretty else ("", "\n", "")
+    for key in sorted(payload):
+        value = payload[key]
+        write(first + (encode_basestring_ascii(key) if pretty else key) + ": ")
+        first = sep
+        if key == "representatives" and value:
+            outer, inner = (nl + "  ", nl + "    ") if pretty else ("", "")
+            opening = "[" + outer
+            for m in value:
+                scalars = ("," + (inner or " ")).join(map(encode_basestring_ascii, _dense(m)))
+                write(opening + "[" + inner + scalars + outer + "]")
+                opening = "," + (outer or " ")
+            write(nl + "]")
+        else:  # a raw newline never occurs inside a JSON string: this only indents
+            write(json.dumps(value, sort_keys=True, indent=2 if pretty else None)
+                  .replace("\n", nl))
+    write("\n}\n" if pretty else "\n")
 
 
 def _resolve_cap(args) -> int:
@@ -298,16 +283,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # ParseError and the tag errors included
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    write = sys.stdout.write
     try:
-        if args.format == "json":
-            _write_json(payload, write)
-            write("\n")
-        else:  # one `key: compact JSON` line per field
-            for key in sorted(payload):
-                write(key + ": ")
-                _write_json(payload[key], write, None)
-                write("\n")
+        _write_report(payload, sys.stdout.write, args.format == "json")
         sys.stdout.flush()
     except OSError as exc:  # a closed pipe or a full disk
         # what is still buffered goes to the null device at exit, silently

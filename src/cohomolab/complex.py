@@ -131,12 +131,11 @@ def apply_d(spec: AlgebraSpec, f: MultilinearMap, naive: bool = False) -> Multil
 
 @lru_cache(maxsize=None)
 def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
-    """Index-level matrix of d_n: d^{n+2} rows by d^{n+1} columns.
+    """Index-level matrix of d_n, n >= 0: d^{n+2} rows by d^{n+1} columns.
 
-    Built once per (algebra, degree) and shared: callers must not mutate it.
+    coboundary rejects a negative n.  Built once per (algebra, degree) and
+    shared: callers must not mutate it.
     """
-    if n < 0:
-        raise ValueError(f"cochain degrees start at 0, so d_{n} is undefined")
     d = spec.dim
     # in even degree >= 2 a row depends on its output tuple only through
     # the multiset of its indices, and equal rows share one dict; linalg
@@ -250,7 +249,9 @@ def coboundary(spec: AlgebraSpec, n: int, tag: str) -> Mat:
     identity on output coordinates); otherwise they are the positions in
     tag_coords.  Raises ValueError if an image leaves the subcomplex.
     """
-    src = tag_coords(spec, n, tag)
+    src = tag_coords(spec, n, tag)  # a tag's refusal comes before the degree's
+    if n < 0:
+        raise ValueError(f"cochain degrees start at 0, so d_{n} is undefined")
     if src is None:
         return index_coboundary_matrix(spec, n)
     dst = {c: i for i, c in enumerate(tag_coords(spec, n + 1, tag))}

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohomolab.cli import _jsonable, _write_json, main
+from cohomolab.cli import _jsonable, _write_report, main
+from cohomolab.fileformat import format_rational
+from cohomolab.multilinear import MultilinearMap
 
 QSQRT2 = "fixtures/qsqrt2.alg"
 ATOMIC2 = "fixtures/atomic2.alg"
@@ -145,6 +147,14 @@ def test_negative_degree(capsys):
     code, out, _ = run_cli(capsys, "cohomology", Q, "--degree", "-1")
     assert code == 0
     assert json.loads(out)["dim_cocycles"] == 0
+
+
+@pytest.mark.parametrize("tag", ["band", "ideal"])
+@pytest.mark.parametrize("argv", [["--convention", "standard", "--degree", "-2"],
+                                  ["--degree", "-3"]])
+def test_negative_degree_on_a_tag_complex_is_one_error_line(capsys, tag, argv):
+    code, out, err = run_cli(capsys, "cohomology", ATOMIC2, "--complex", tag, *argv)
+    assert (code, out, err) == (1, "", "error: cochain degrees start at 0, so d_-2 is undefined\n")
 
 
 @pytest.mark.parametrize("tag", ["full", "ideal", "band"])
@@ -355,15 +365,34 @@ payloads = st.recursive(
 )
 
 
+# cochains with integral and fractional entries, stored sparse
+cochains = st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(
+    lambda shape: st.dictionaries(
+        st.integers(0, shape[0] ** (shape[1] + 1) - 1),
+        st.one_of(st.integers(), st.fractions()).filter(bool), max_size=4,
+    ).map(lambda vec: MultilinearMap(shape[1], shape[0], vec)))
+
+
+def dense(m):
+    return [format_rational(m.vec.get(i, 0)) for i in range(m.dim ** (m.arity + 1))]
+
+
+# a report is never empty; only `cohomology` reports have representatives
 @settings(max_examples=300, deadline=None)
-@given(payloads)
-def test_streamed_json_equals_dumps(obj):
+@given(st.dictionaries(texts, payloads, min_size=1, max_size=2),
+       st.one_of(st.none(), st.lists(cochains, max_size=3)))
+def test_streamed_json_equals_dumps(fields, representatives):
+    report, expected = dict(fields), dict(fields)
+    if representatives is not None:
+        report["representatives"] = representatives
+        expected["representatives"] = [dense(m) for m in representatives]
     pieces = []
-    _write_json(obj, pieces.append)
-    assert "".join(pieces) == json.dumps(obj, sort_keys=True, indent=2)
+    _write_report(report, pieces.append, True)
+    assert "".join(pieces) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
     pieces = []
-    _write_json(obj, pieces.append, None)
-    assert "".join(pieces) == json.dumps(obj, sort_keys=True)
+    _write_report(report, pieces.append, False)
+    assert "".join(pieces) == "".join(f"{key}: {json.dumps(value, sort_keys=True)}\n"
+                                      for key, value in sorted(expected.items()))
 
 
 # sha256 of `cohomology fixtures/atomic4.alg --degree 3` stdout (152,153,182

@@ -248,8 +248,8 @@ def test_subcomplex_closure(atomic3, monkeypatch):
 
 
 def test_negative_degree_rejected(qsqrt2):
-    with pytest.raises(ValueError):
-        index_coboundary_matrix(qsqrt2, -1)
+    with pytest.raises(ValueError, match=r"cochain degrees start at 0, so d_-1 is undefined"):
+        coboundary(qsqrt2, -1, TAG_FULL)
 
 
 def test_degree_cap(qsqrt2):

@@ -226,6 +226,17 @@ GOLDEN = {
         "65b9793e677f397f59048b035da3cf2a60bfde780b93bdf6f109726825c745db",
     "--format text verify-complex atomic3 --max-degree 2 --complex band":
         "c8b326567c67bbb4a074937a03fc7a03324b7d3ec46c5e4b0e23433685a81333",
+    # recorded while a hand-written encoder rebuilt json.dumps's bytes for
+    # every value: empty and several one-line representatives, a certificate
+    # with an index field, and a list of result objects
+    "--format text cohomology atomic2 --degree 1 --complex band":
+        "64e7f64777ca822fe81f1fad1e940f51037b9781799982919ffdbf72dd5e34f6",
+    "--format text cohomology cubic2 --degree 1":
+        "a11d30254b5656b8f15f7f4409f2c63b6122e56089d06cef60b815099f6a7604",
+    "--format text classify atomic3":
+        "faaf72b56f787ec7ca79e284c575fd586010d2abf29603b37809dcc15240333e",
+    "--format text verify-complex cubic2 --max-degree 2":
+        "8c2585dfbc6b3cf3a194edc2582b44f56a87a14e247b20539614a9c8e446687b",
     # Wickstead's group, H^1 of the band complex under "standard", and the
     # coboundary images of chain maps and band cochains up through d_4
     "cohomology atomic3 --degree 1 --complex band --convention standard":
