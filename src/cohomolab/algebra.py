@@ -38,10 +38,6 @@ def add(x: Element, y: Element) -> Element:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def scale(c, x: Element) -> Element:
-    return tuple(c * a for a in x)
-
-
 def is_zero(x: Element) -> bool:
     return not any(x)
 

@@ -3,14 +3,18 @@ chain maps.
 
 Every degree here is a cochain degree: the degree-z group is
 ker d_z / im d_{z-1}, and its cocycles are (z+1)-linear.
+
+A chain map is one sparse Mat on flat cochains, like the coboundary, and
+each check of an audit maps all its cochains by one product (Mat.images).
 """
 
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, add, basis_product, multiply, scale, zero_element
+from .algebra import AlgebraSpec, basis_product
 from .linalg import Mat, Echelon, axpy, complete_basis, kernel, span_dim
-from .multilinear import MultilinearMap, from_coeff_function, from_flat, tuple_index
+from .multilinear import all_tuples, from_flat, tuple_index
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_FULL, arrangements, check_cap,
     coboundary, coboundary_images, lift, naive_coboundary_images,
@@ -78,18 +82,18 @@ def multiplier_quotient(spec: AlgebraSpec) -> DistinguishedQuotient:
 # chain maps
 
 
-def build_K(spec: AlgebraSpec, psi: MultilinearMap) -> MultilinearMap:
+def build_K(spec: AlgebraSpec) -> Mat:
     """(x1,x2,x3) -> x1*Psi(x2,x3) - x2*Psi(x1,x3), the n = 1 member of build_J_odd."""
-    return build_J_odd(spec, 1, psi)
+    return build_J_odd(spec, 1)
 
 
-def build_J(spec: AlgebraSpec, psi: MultilinearMap) -> MultilinearMap:
+def build_J(spec: AlgebraSpec) -> Mat:
     """(x1..x4) -> sum over permutations p of slots {2,3,4} of x1*x_{p2}*Psi(x_{p3},x_{p4}),
     the n = 1 member of build_J_even."""
-    return build_J_even(spec, 1, psi)
+    return build_J_even(spec, 1)
 
 
-def build_J_even(spec: AlgebraSpec, n: int, psi: MultilinearMap) -> MultilinearMap:
+def build_J_even(spec: AlgebraSpec, n: int) -> Mat:
     """Arity 2n+2: sum over permutations p of slots {2..2n+2} of
     x1 * x_{p(2)} ... x_{p(2n)} * Psi(x_{p(2n+1)}, x_{p(2n+2)}).
 
@@ -102,11 +106,11 @@ def build_J_even(spec: AlgebraSpec, n: int, psi: MultilinearMap) -> MultilinearM
         for p in perms:
             yield weight, (t[0],) + p[:2 * n - 1], p[2 * n - 1:]
 
-    return _chain_map(spec, n, 2 * n + 2, psi, terms,
+    return _chain_map(spec, n, 2 * n + 2, terms,
                       key=lambda t: (t[0],) + tuple(sorted(t[1:])))
 
 
-def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap) -> MultilinearMap:
+def build_J_odd(spec: AlgebraSpec, n: int) -> Mat:
     """Arity 2n+1: (prod_{i<=2n-2} x_i) * (x_{2n-1}Psi(x_{2n},x_{2n+1})
     - x_{2n}Psi(x_{2n-1},x_{2n+1})).
 
@@ -117,39 +121,36 @@ def build_J_odd(spec: AlgebraSpec, n: int, psi: MultilinearMap) -> MultilinearMa
         return ((1, t[:2 * n - 2] + (a,), (b, c)),
                 (-1, t[:2 * n - 2] + (b,), (a, c)))
 
-    return _chain_map(spec, n, 2 * n + 1, psi, terms)
+    return _chain_map(spec, n, 2 * n + 1, terms)
 
 
-def _chain_map(spec: AlgebraSpec, n: int, arity: int, psi: MultilinearMap,
-               terms, key=lambda t: t) -> MultilinearMap:
-    """The arity-`arity` cochain whose value on the basis tuple t is the sum
-    of w * (b_{m_1} ... b_{m_k}) * Psi(b_a, b_b) over the terms (w, m, (a, b))
-    of terms(key(t)).
+def _chain_map(spec: AlgebraSpec, n: int, arity: int, terms, key=lambda t: t) -> Mat:
+    """The Mat taking flat arity-2 cochains Psi to arity-`arity` ones: the
+    value at the basis tuple t sums w * b_{m_1}...b_{m_k} * Psi(b_a, b_b)
+    over the terms (w, m, (a, b)) of terms(key(t)), so row t*d + l holds
+    coordinate l of w * b_{m_1}...b_{m_k} * b_c at column (a*d + b)*d + c.
 
-    Tuples with equal key share one value, so key must only join tuples
+    Tuples with equal key share their rows, so key must only join tuples
     on which the family's sum is equal.
     """
-    if psi.arity != 2:
-        raise ValueError("chain maps take arity-2 cochains")
     if n < 1:
         raise ValueError("n must be >= 1")
-    products = {}
-    values = {}
+    d = spec.dim
 
-    def value_at(t):
-        k = key(t)
-        acc = values.get(k)
-        if acc is None:
-            acc = zero_element(spec.dim)
-            for w, m, ab in terms(k):
-                prod = products.get(m)
-                if prod is None:
-                    prod = products[m] = basis_product(spec, m)
-                acc = add(acc, scale(w, multiply(spec, prod, psi.coeff(ab))))
-            values[k] = acc
-        return acc
+    @lru_cache(maxsize=None)
+    def products(m):  # b_{m_1}...b_{m_k} * b_c for each c, once per build
+        return [basis_product(spec, m + (c,)) for c in range(d)]
 
-    return from_coeff_function(spec, arity, value_at)
+    def row_terms(key_l):
+        k, l = key_l
+        for w, m, (a, b) in terms(k):
+            base = (a * d + b) * d
+            for c, p in enumerate(products(m)):
+                if p[l]:
+                    yield base + c, w * p[l]
+
+    return Mat.keyed(d ** 3, ((key(t), l) for t in all_tuples(d, arity) for l in range(d)),
+                     row_terms)
 
 
 CHAIN_MAPS = ("J", "K", "Jeven", "Jodd")
@@ -165,9 +166,9 @@ def _chain_map_fn(name: str, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     if name in ("J", "Jeven"):
-        return lambda spec, psi: build_J_even(spec, n, psi), 2 * n + 1
+        return lambda spec: build_J_even(spec, n), 2 * n + 1
     if name in ("K", "Jodd"):
-        return lambda spec, psi: build_J_odd(spec, n, psi), 2 * n
+        return lambda spec: build_J_odd(spec, n), 2 * n
     raise ValueError(f"unknown chain map {name!r}")
 
 
@@ -223,14 +224,10 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     check_cap(g + 1, cap)
     d = spec.dim
 
+    chain = fn(spec)
     ker_d1 = cocycle_space(spec, 1, TAG_FULL)
     mult_ech = Echelon(_multiplier_coboundaries(spec))
-
-    def image_of(flat_row):
-        psi = from_flat(d, 2, flat_row)
-        return fn(spec, psi)
-
-    img_rows = [image_of(row).flatten() for row in ker_d1]
+    img_rows = chain.images(ker_d1)
 
     # cocycle preservation: images of ker d_1 must be killed by d_g
     dd_rows = coboundary_images(spec, g, img_rows)
@@ -250,8 +247,8 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
 
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
     cobound = CheckResult(True)
-    for row in mult_ech.rows():
-        img_flat = image_of(row).flatten()
+    mult_rows = mult_ech.rows()
+    for row, img_flat in zip(mult_rows, chain.images(mult_rows)):
         if b_ech.reduce(img_flat):
             cobound = CheckResult(False, {"input": row, "image": img_flat})
             break

@@ -138,31 +138,19 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
     """
     d = spec.dim
     # in even degree >= 2 a row depends on its output tuple only through
-    # the multiset of its indices, and equal rows share one dict; linalg
-    # relies on shared rows never being mutated and handles each once
+    # the multiset of its indices, and equal rows share one dict
     symmetric = n >= 2 and n % 2 == 0
-    by_key = {}
-    rows = []
-    for t in all_tuples(d, n + 2):
-        key = tuple(sorted(t)) if symmetric else t
-        row = by_key.get(key)
-        if row is None:
-            acc = {}
-            for idx, v in _output_terms(spec, n, t):
-                col = tuple_index(idx, d)
-                acc[col] = acc.get(col, 0) + v
-            row = by_key[key] = {c: v for c, v in acc.items() if v}
-        rows.append(row)
-    return Mat(d ** (n + 2), d ** (n + 1), rows)
+    return Mat.keyed(d ** (n + 1),
+                     (tuple(sorted(t)) if symmetric else t for t in all_tuples(d, n + 2)),
+                     lambda t: ((tuple_index(idx, d), v) for idx, v in _output_terms(spec, n, t)))
 
 
 def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows.
 
     Each image is (index matrix (x) identity) times the row: the entries
-    of row j with output coordinate k form one index-level vector, column
-    j*d + k of one matrix, and a single product with the index matrix maps
-    each such column to the entries of image j with coordinate k.
+    of row j with output coordinate k form index-level vector j*d + k, and
+    one Mat.images call maps them all to the entries of the images.
     """
     d = spec.dim
     columns = [{} for _ in range(len(rows) * d)]
@@ -170,8 +158,7 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
         for col, v in x.items():
             c, k = divmod(col, d)
             columns[j * d + k][c] = v
-    stacked = Mat.from_columns(d ** (n + 1), columns)
-    parts = index_coboundary_matrix(spec, n).matmul(stacked).transpose().rows
+    parts = index_coboundary_matrix(spec, n).images(columns)
     return [{r * d + k: v for k in range(d) for r, v in parts[j * d + k].items()}
             for j in range(len(rows))]
 

@@ -14,10 +14,10 @@ are canonicalized to the reduced echelon form scaled to primitive int rows
 with positive leading entry, so equal subspaces always produce identical
 bases: the outputs of rows() and kernel are int rows again.
 
-A Mat's rows may be shared: one dict object can stand at several row
-positions (the index-level coboundary in even degree stores equal rows
-once).  Nothing mutates a Mat row in place, so sharing is safe, and
-`Mat.matmul` and elimination compute each distinct row object once.
+A Mat's rows may be shared: `Mat.keyed`, the one constructor that shares
+them, stores equal rows once (for the even-degree index-level coboundary
+and the chain maps).  Nothing mutates a Mat row in place, so sharing is
+safe, and `Mat.matmul` and elimination compute each distinct row object once.
 Rows are told apart by `id()` only while a list or map holds them, so an
 id is never reused by a different row during the loop that tests it.
 """
@@ -74,6 +74,21 @@ class Mat(NamedTuple):
                 rows[i][j] = v
         return Mat(nrows, len(columns), rows)
 
+    @staticmethod
+    def keyed(ncols: int, keys, terms) -> "Mat":
+        """Row i sums the (column, value) pairs terms(keys[i]), zeros dropped;
+        terms runs once per distinct key, and equal keys share one row object."""
+        by_key = {}
+        rows = []
+        for key in keys:
+            if key not in by_key:
+                acc = {}
+                for c, v in terms(key):
+                    acc[c] = acc.get(c, 0) + v
+                by_key[key] = {c: v for c, v in acc.items() if v}
+            rows.append(by_key[key])
+        return Mat(len(rows), ncols, rows)
+
     def first_nonzero(self):
         for i, r in enumerate(self.rows):
             if r:
@@ -104,6 +119,10 @@ class Mat(NamedTuple):
                         axpy(acc, w, x)
             out.append(acc)
         return Mat(self.nrows, other.ncols, out)
+
+    def images(self, vectors) -> list:
+        """self @ v for each sparse vector v, by one product with the v as columns."""
+        return self.matmul(Mat.from_columns(self.ncols, vectors)).transpose().rows
 
     def transpose(self) -> "Mat":
         return Mat.from_columns(self.ncols, self.rows)

@@ -10,6 +10,7 @@ from cohomolab.complex import TAG_BAND, TAG_FULL, apply_d, coboundary, lift, tag
 from cohomolab.linalg import Echelon, Mat, axpy, kernel, row_to_primitive, scalar
 from cohomolab.multilinear import MultilinearMap, all_tuples, from_coeff_function, from_flat
 from cohomolab.operators import NO, YES, OperatorVerdict, _check_shape
+from conftest import apply_matrix
 
 
 def from_dense(dense) -> Mat:
@@ -76,16 +77,22 @@ def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> tuple:
 
 def audit_stacked(spec: AlgebraSpec, fn, g: int) -> tuple:
     """The cocycle, coboundary and injectivity checks of the chain map
-    fn(spec, psi) into degree g, as CheckResults, each from a canonical
+    matrix fn(spec) into degree g, as CheckResults, each from a canonical
     basis of im d_{g-1}.
 
-    Injectivity takes the kernel of [images of ker d_1 | that basis] and
-    keeps each kernel vector's part on the images.
+    The matrix is applied one cochain at a time, row by row.  Injectivity
+    takes the kernel of [images of ker d_1 | that basis] and keeps each
+    kernel vector's part on the images.
     """
     d = spec.dim
+    chain = fn(spec)
+
+    def image(row):
+        return apply_matrix(chain, from_flat(d, 2, row), g + 1).flatten()
+
     ker_d1 = cocycle_space(spec, 1, TAG_FULL)
     mult_ech = Echelon(apply_d(spec, m).flatten() for m in product_cochain_subspace(spec, 1))
-    img_rows = [fn(spec, from_flat(d, 2, row)).flatten() for row in ker_d1]
+    img_rows = [image(row) for row in ker_d1]
     cocycle = CheckResult(True)
     for row, img in zip(ker_d1, img_rows):
         dd = apply_d(spec, from_flat(d, g + 1, img)).flatten()
@@ -98,7 +105,7 @@ def audit_stacked(spec: AlgebraSpec, fn, g: int) -> tuple:
     b_ech = Echelon(b_target)
     cobound = CheckResult(True)
     for row in mult_ech.rows():
-        img = fn(spec, from_flat(d, 2, row)).flatten()
+        img = image(row)
         if not b_ech.contains(img):
             cobound = CheckResult(False, {"input": row, "image": img})
             break

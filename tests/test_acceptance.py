@@ -22,7 +22,7 @@ from cohomolab.complex import TAG_BAND, TAG_FULL, TAG_IDEAL, apply_d, verify_dd_
 from cohomolab.linalg import Echelon, span_dim
 from cohomolab.multilinear import from_coeff_function
 from cohomolab.operators import is_local_multiplier, is_multiplier, classify
-from conftest import elem, operator, psi_f_of_ab
+from conftest import apply_matrix, elem, operator, psi_f_of_ab
 from oracles import is_hochschild_2cocycle, product_cochain_subspace
 
 F = Fraction
@@ -193,7 +193,7 @@ def test_criterion_6_chain_map_audits(fixture_specs):
     ok = ok and not k.cocycle_preservation.ok and k.evaluator_agreement
 
     # naive 24-permutation oracle at the all-sqrt2 tuple
-    k_psi = build_K(qsqrt2, psi_f_of_ab(qsqrt2))
+    k_psi = apply_matrix(build_K(qsqrt2), psi_f_of_ab(qsqrt2), 3)
     r2 = elem(0, 1)
     total = elem(0, 0)
     for sigma in itertools.permutations(range(4)):

@@ -18,9 +18,9 @@ from cohomolab.cohomology import (
     build_J_even, build_J_odd, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
 from cohomolab.fileformat import parse_algebra_file
-from cohomolab.linalg import Echelon, span_dim
+from cohomolab.linalg import Echelon, Mat, span_dim
 from cohomolab.multilinear import from_coeff_function, from_flat
-from conftest import elem, mult_cochain, psi_f_times_b
+from conftest import apply_matrix, elem, mult_cochain, psi_f_times_b
 from oracles import (
     audit_stacked, coboundary_space, product_cochain_subspace, symmetry_check,
 )
@@ -125,18 +125,20 @@ def test_distinguished_quotients(qsqrt2, cubic2, atomic2, atomic3):
 
 
 def test_build_K_formula(qsqrt2):
-    k = build_K(qsqrt2, psi_f_times_b(qsqrt2))
+    k_mat = build_K(qsqrt2)
+    assert (k_mat.nrows, k_mat.ncols) == (2 ** 4, 2 ** 3)
+    k = apply_matrix(k_mat, psi_f_times_b(qsqrt2), 3)
     r2, one = elem(0, 1), elem(1, 0)
     # x1 Psi(x2,x3) - x2 Psi(x1,x3) with Psi(a,b) = f(a) b
     assert k.eval([r2, one, one]) == elem(-1, 0)
     assert k.eval([one, one, r2]) == elem(0, 0)
-    assert build_K(qsqrt2, mult_cochain(qsqrt2)).is_zero()
-    with pytest.raises(ValueError):
-        build_K(qsqrt2, from_flat(2, 3, {}))
+    assert apply_matrix(k_mat, mult_cochain(qsqrt2), 3).is_zero()
 
 
 def test_build_J_formula(qsqrt2):
-    j = build_J(qsqrt2, mult_cochain(qsqrt2))
+    j_mat = build_J(qsqrt2)
+    assert (j_mat.nrows, j_mat.ncols) == (2 ** 5, 2 ** 3)
+    j = apply_matrix(j_mat, mult_cochain(qsqrt2), 4)
     e = qsqrt2.unit
     assert j.eval([e, e, e, e]) == elem(6, 0)
     # each of the 6 permutations of slots 2..4 contributes x1 x2 x3 x4
@@ -184,8 +186,8 @@ def test_families_at_n1_match_explicit_J_and_K(fix, data, request):
     entries = data.draw(st.dictionaries(
         st.integers(0, spec.dim ** 3 - 1), st.integers(-3, 3), max_size=8))
     psi = from_flat(spec.dim, 2, {c: F(v) for c, v in entries.items()})
-    assert build_J_even(spec, 1, psi) == explicit_J(spec, psi)
-    assert build_J_odd(spec, 1, psi) == explicit_K(spec, psi)
+    assert apply_matrix(build_J_even(spec, 1), psi, 4) == explicit_J(spec, psi)
+    assert apply_matrix(build_J_odd(spec, 1), psi, 3) == explicit_K(spec, psi)
 
 
 def permutation_J_even(spec, n, psi):
@@ -233,22 +235,21 @@ def test_families_match_permutation_formulas(fix, n, data, request):
     entries = data.draw(st.dictionaries(
         st.integers(0, spec.dim ** 3 - 1), st.integers(-3, 3), max_size=8))
     psi = from_flat(spec.dim, 2, {c: F(v) for c, v in entries.items()})
-    j_even = build_J_even(spec, n, psi)
+    j_even = apply_matrix(build_J_even(spec, n), psi, 2 * n + 2)
     assert j_even == permutation_J_even(spec, n, psi)
-    assert build_J_odd(spec, n, psi) == explicit_J_odd(spec, n, psi)
+    assert apply_matrix(build_J_odd(spec, n), psi, 2 * n + 1) == explicit_J_odd(spec, n, psi)
     for slots in ((2, 3), (3, 4)):
         assert symmetry_check(j_even, slots) == "symmetric"
 
 
 def test_j_even_and_odd_specialize(qsqrt2):
-    psi = psi_f_times_b(qsqrt2)
     e = qsqrt2.unit
-    j2 = build_J_even(qsqrt2, 2, mult_cochain(qsqrt2))
+    j2 = apply_matrix(build_J_even(qsqrt2, 2), mult_cochain(qsqrt2), 6)
     assert j2.eval([e] * 6) == elem(120, 0)
     with pytest.raises(ValueError):
-        build_J_even(qsqrt2, 0, psi)
+        build_J_even(qsqrt2, 0)
     with pytest.raises(ValueError):
-        build_J_odd(qsqrt2, 0, psi)
+        build_J_odd(qsqrt2, 0)
 
 
 def test_audit_J_passes(q, qsqrt2, atomic3):
@@ -275,7 +276,7 @@ def test_audit_K_witness_reproduces(qsqrt2):
     r = audit_chain_map(qsqrt2, "K")
     w = r.cocycle_preservation.witness
     psi = from_flat(2, 2, w["input"])
-    dd = apply_d(qsqrt2, build_K(qsqrt2, psi))
+    dd = apply_d(qsqrt2, apply_matrix(build_K(qsqrt2), psi, 3))
     flat = w["tuple_flat"] * qsqrt2.dim + w["coord"]
     assert dd.flatten().get(flat) == w["value"]
     assert w["value"] != 0
@@ -343,7 +344,7 @@ def patch_map(monkeypatch, fn, g):
 
 
 def zero_map(g):
-    return lambda spec, psi: from_flat(spec.dim, g + 1, {})
+    return lambda spec: Mat.keyed(spec.dim ** 3, range(spec.dim ** (g + 2)), lambda i: ())
 
 
 def rank_one_map(spec, g):
@@ -354,8 +355,8 @@ def rank_one_map(spec, g):
     if not reps:
         return None
     h, c = reps[0].vec, min(AUDIT._multiplier_coboundaries(spec)[0])
-    return lambda spec, psi: from_flat(spec.dim, g + 1,
-                                       {k: psi.vec.get(c, 0) * v for k, v in h.items()})
+    return lambda spec: Mat.keyed(spec.dim ** 3, range(spec.dim ** (g + 2)),
+                                  lambda i: [(c, h[i])] if i in h else ())
 
 
 @pytest.mark.parametrize("name", ["K", "J"])
@@ -381,7 +382,8 @@ def test_audit_rank_one_map_fails_coboundary_preservation(qsqrt2, monkeypatch, n
     assert not r.coboundary_preservation.ok
     w = r.coboundary_preservation.witness
     assert Echelon(AUDIT._multiplier_coboundaries(qsqrt2)).contains(w["input"])
-    assert w["image"] == fn(qsqrt2, from_flat(2, 2, w["input"])).flatten() != {}
+    image = apply_matrix(fn(qsqrt2), from_flat(2, 2, w["input"]), g + 1)
+    assert w["image"] == image.flatten() != {}
 
 
 @st.composite

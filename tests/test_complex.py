@@ -13,9 +13,9 @@ from cohomolab.complex import (
     apply_d, coboundary, coboundary_images, index_coboundary_matrix, lift,
     naive_coboundary_images, tag_coords, verify_dd_zero,
 )
-from cohomolab.cohomology import build_K, cocycle_space, cohomology
+from cohomolab.cohomology import build_J_even, build_K, cocycle_space, cohomology
 from cohomolab.multilinear import from_coeff_function, from_flat, tuple_index
-from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
+from conftest import apply_matrix, elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 from oracles import intersection, rref
 
 F = Fraction
@@ -55,7 +55,7 @@ def test_d2_full_permutation_sum_oracle(qsqrt2):
     permutation contributes Phi(2, sqrt2, sqrt2) = 2 f(2) - sqrt2 f(2 sqrt2)
     = -2 sqrt2, so the sum is -48 sqrt2.
     """
-    k_psi = build_K(qsqrt2, psi_f_of_ab(qsqrt2))
+    k_psi = apply_matrix(build_K(qsqrt2), psi_f_of_ab(qsqrt2), 3)
     d2 = apply_d(qsqrt2, k_psi)
     r2 = elem(0, 1)
     total = elem(0, 0)
@@ -212,6 +212,24 @@ def test_index_matrix_speed_on_a_repeated_root():
     elapsed = time.perf_counter() - start
     assert len({id(r) for r in matrix.rows}) == 11
     assert elapsed < 1, f"{elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chain_map_rows_are_shared_per_key(n):
+    # Jeven(n) on Q[t]/(t^4-2) depends on slots 2..2n+2 only through their
+    # multiset: d * d * C(d+2n, 2n+1) distinct row objects, 320 of 1024 at
+    # n = 1, each standing at every tuple of its key, so matmul computes it once
+    d = 4
+    chain = build_J_even(build_number_field([-2, 0, 0, 0, 1]), n)
+    assert chain.nrows == d ** (2 * n + 3)
+    ids = {}  # (x1, multiset of the other slots, output coordinate) -> row ids
+    for t in itertools.product(range(d), repeat=2 * n + 2):
+        for k in range(d):
+            key = (t[0], tuple(sorted(t[1:])), k)
+            ids.setdefault(key, set()).add(id(chain.rows[tuple_index(t, d) * d + k]))
+    assert all(len(s) == 1 for s in ids.values())
+    assert len({id(r) for r in chain.rows}) == len(ids) == \
+        d * d * math.comb(d + 2 * n, 2 * n + 1)
 
 
 def test_dd_zero_quartic_speed():

@@ -14,10 +14,21 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = {"build_number_field", "build_atomic", "serialize_algebra"}
 
 
-def named(node) -> set:
-    """The bare names and attribute names an AST node reads."""
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+def named(node, bound=frozenset()) -> set:
+    """The bare names an AST node reads from module scope.
+
+    A name that an enclosing function binds itself, as an argument or an
+    assignment target, is that function's own, and an attribute such as
+    self.add is not a module-level name: neither counts.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        bound = bound | {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                         + [a.vararg, a.kwarg] if x}
+        bound |= {n.id for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    own = {node.id} if isinstance(node, ast.Name) and node.id not in bound else set()
+    return own.union(*(named(child, bound) for child in ast.iter_child_nodes(node)))
 
 
 def unreferenced(sources, also_named=()) -> list:
@@ -45,12 +56,23 @@ def tracer_functions() -> set:
 
 
 def test_unreferenced_functions_are_found():
-    # a calls only itself, c is named only by the dead e, and f by the live main
+    # a calls only itself, b is read only as the attribute m.b, c is named
+    # only by the dead e, and f by the live main
     sources = ["def a():\n    return a()\n\ndef b():\n    pass\n",
                "import m\n\ndef c():\n    return m.b()\n\ndef e():\n    return c()\n",
                "def f():\n    pass\n\nif __name__ == '__main__':\n    f()\n"]
     assert unreferenced(sources) == ["a", "b", "c", "e"]
-    assert unreferenced(sources, also_named={"e"}) == ["a"]
+    assert unreferenced(sources, also_named={"e"}) == ["a", "b"]
+
+
+def test_homonyms_are_not_uses():
+    # the live g and h only read an argument, a local and an attribute named
+    # scale, so the module-level scale is dead
+    source = ("def scale():\n    pass\n\ndef g(scale):\n    return scale\n\n"
+              "def h(row):\n    scale = row.scale\n    return [scale for _ in row]\n\n"
+              "g(1)\nh([])\n")
+    assert unreferenced([source]) == ["scale"]
+    assert unreferenced([source + "scale()\n"]) == []
 
 
 def test_tracer_table_is_read():

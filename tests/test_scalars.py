@@ -15,7 +15,6 @@ from cohomolab.cohomology import build_J_odd, cocycle_space
 from cohomolab.complex import TAG_FULL, index_coboundary_matrix
 from cohomolab.fileformat import parse_algebra_file, parse_rational
 from cohomolab.linalg import Echelon, Mat, div, kernel, scalar
-from cohomolab.multilinear import from_flat
 from oracles import rref
 
 F = Fraction
@@ -103,8 +102,9 @@ def test_integral_algebras_keep_every_scalar_an_int(integral):
         mat = index_coboundary_matrix(spec, n)
         assert all(type(v) is int for v in scalars(mat.rows))
         assert all(type(v) is int for v in scalars(kernel(mat)))
-    values = [v for row in cocycle_space(spec, 1, TAG_FULL)
-              for v in build_J_odd(spec, 2, from_flat(spec.dim, 2, row)).vec.values()]
+    chain = build_J_odd(spec, 2)
+    assert all(type(v) is int for v in scalars(chain.rows))
+    values = scalars(chain.images(cocycle_space(spec, 1, TAG_FULL)))
     assert values and all(type(v) is int for v in values)
 
 
