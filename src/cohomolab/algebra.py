@@ -4,12 +4,16 @@ An algebra is a dimension d, a structure tensor c[i][j] giving the product
 of basis elements b_i * b_j as a coordinate vector, and a unit element.
 Two constructors cover the representable families: number fields Q[t]/(p)
 in the power basis, and atomic pointwise algebras (idempotent atoms,
-all-ones unit) carrying the lattice order.
+all-ones unit) carrying the lattice order.  `assess_domain` attaches what
+is known of the algebra's shape: whether it is a domain, and, when it is a
+product of number fields, the rational roots of a primitive element's
+minimal polynomial, which count its factors Q.
 """
 
+from math import isqrt
 from typing import NamedTuple
 
-from .linalg import Echelon, scalar
+from .linalg import Echelon, Mat, div, kernel, scalar
 from .rng import Lcg64
 
 Element = tuple  # exact scalars: an int when integral, else a Fraction, never a float
@@ -20,6 +24,8 @@ ORDER_ATOMIC = "atomic"
 DOMAIN_ASSERTED = "asserted"
 DOMAIN_REFUTED = "refuted"
 DOMAIN_UNCHECKED = "unchecked"
+
+ROOT_SEARCH_STEPS = 10_000  # the budget of rational_roots
 
 
 class ShapeError(ValueError):
@@ -34,10 +40,6 @@ def basis_element(d: int, i: int) -> Element:
     return tuple(1 if j == i else 0 for j in range(d))
 
 
-def add(x: Element, y: Element) -> Element:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def is_zero(x: Element) -> bool:
     return not any(x)
 
@@ -49,6 +51,7 @@ class AlgebraSpec(NamedTuple):
     unit: Element
     order_mode: str = ORDER_NONE
     domain_status: str = DOMAIN_UNCHECKED
+    rational_roots: tuple = None  # see assess_domain; None unless known
 
 
 class Violation(NamedTuple):
@@ -208,26 +211,74 @@ def zero_divisor_falsifier(spec: AlgebraSpec, trials: int = 64, seed: int = 0):
     return None
 
 
+def rational_roots(m: list):
+    """The rational roots, in increasing order, of the integer polynomial m
+    (ascending, m[-1] != 0), or None if finding them would take more than
+    ROOT_SEARCH_STEPS steps.
+
+    A nonzero root p/q in lowest terms has p | m_low, the lowest nonzero
+    coefficient, and q | m_d.  Their divisors are found by trial division
+    up to the square root, a step per trial, and each candidate ±p/q is a
+    step more.  Both counts are known before the search, which starts only
+    within budget, so a coefficient of 40 digits costs nothing.
+    """
+    ends = (abs(next(c for c in m if c)), abs(m[-1]))
+    steps = sum(map(isqrt, ends))
+    if steps > ROOT_SEARCH_STEPS:
+        return None
+    tops, bottoms = ({k for i in range(1, isqrt(n) + 1) if n % i == 0 for k in (i, n // i)}
+                     for n in ends)
+    if steps + 2 * len(tops) * len(bottoms) > ROOT_SEARCH_STEPS:
+        return None
+    candidates = {div(s * p, q) for p in tops for q in bottoms for s in (1, -1)} | {0}
+    return tuple(sorted(r for r in candidates if not sum(c * r ** i for i, c in enumerate(m))))
+
+
+def primitive_minimal_polynomial(spec: AlgebraSpec) -> list:
+    """The integer minimal polynomial m, ascending, of a primitive element
+    x of an étale spec: b_1, or else the first primitive x_k = sum_j k^j b_j.
+
+    x is primitive when the kernel of [1 x ... x^d] is one row, m.  Two
+    embeddings into C agree on x_k at the roots in k of a nonzero
+    polynomial of degree < d, so one of k = 0, ..., (d-1)·C(d,2) is primitive.
+    """
+    d = spec.dim
+    tries = [basis_element(d, 1)] if d > 1 else []
+    tries += [tuple(k ** j for j in range(d)) for k in range((d - 1) ** 2 * d // 2 + 1)]
+    for x in tries:
+        powers = [spec.unit]
+        for _ in range(d):
+            powers.append(multiply(spec, powers[-1], x))
+        rows = kernel(Mat.from_columns(d, [{i: v for i, v in enumerate(p) if v}
+                                           for p in powers]))
+        if len(rows) == 1:
+            return [rows[0].get(j, 0) for j in range(d + 1)]
+
+
 def assess_domain(spec: AlgebraSpec, trials: int = 64, seed: int = 0) -> AlgebraSpec:
-    """Attach the trace-form test and the falsifier outcome to the spec's domain flag.
+    """Attach the domain status and, on an étale spec, the rational roots.
 
     In characteristic 0 a singular trace form Tr(b_i b_j) means A is not
-    reduced, so a nilpotent refutes domain-hood exactly; otherwise the
-    falsifier samples for zero divisors.  This is the only code that sets
-    the flag, and it means something only on a spec that passes the laws.
+    reduced, so a nilpotent refutes domain-hood exactly.  A nonsingular one
+    makes A étale: a product of number fields, isomorphic to Q[t]/(m) for
+    the minimal polynomial m of a primitive element, with one field per
+    irreducible factor of m.  So a rational root refutes domain-hood at
+    d >= 2, and no root proves a field at d <= 3, where a reducible m has
+    a linear factor.  The falsifier, which can only refute, decides the
+    rest: an atomic order (its atoms prove the algebra split), a root
+    search past its budget (rational_roots stays None) and a rootless
+    d >= 4, which may be two quadratic fields.  This is the only code that
+    sets either field; both mean something only on a lawful spec.
     """
     d = spec.dim
     trace = [sum(spec.structure[l][k][k] for k in range(d)) for l in range(d)]  # of x -> b_l x
     form = Echelon({j: v for j, e in enumerate(row)  # Tr(b_i b_j)
                     if (v := sum(a * t for a, t in zip(e, trace)))} for row in spec.structure)
-    refuted = (form.rank < d
-               or zero_divisor_falsifier(spec, trials=trials, seed=seed) is not None)
-    return spec._replace(domain_status=DOMAIN_REFUTED if refuted else DOMAIN_ASSERTED)
-
-
-def principal_ideal_contains(spec: AlgebraSpec, a: Element, y: Element) -> bool:
-    """Exact membership test y in a*A, the span of the products a*b_j."""
-    d = spec.dim
-    ech = Echelon({i: v for i, v in enumerate(multiply(spec, a, basis_element(d, j))) if v}
-                  for j in range(d))
-    return ech.contains({i: v for i, v in enumerate(y) if v})
+    roots = None
+    if form.rank == d and spec.order_mode != ORDER_ATOMIC:
+        roots = rational_roots(primitive_minimal_polynomial(spec))
+    refuted = form.rank < d or (d > 1 and bool(roots))
+    if not refuted and (roots is None or d >= 4):
+        refuted = zero_divisor_falsifier(spec, trials=trials, seed=seed) is not None
+    return spec._replace(domain_status=DOMAIN_REFUTED if refuted else DOMAIN_ASSERTED,
+                         rational_roots=roots)

@@ -217,7 +217,7 @@ def _run(args) -> tuple:
         return base, EXIT_OK
 
     if args.command == "classify":
-        report = classify(spec, trials=args.trials, seed=args.seed, cap=cap)
+        report = classify(spec, cap=cap)
         base.update({
             "domain_status": spec.domain_status,
             "h0mc_dim": report.h0mc_dim,

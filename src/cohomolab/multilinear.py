@@ -11,7 +11,7 @@ an exact scalar: an int when integral, else a Fraction, never a float.
 import itertools
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, Element
+from .algebra import Element
 
 
 def tuple_index(idx: tuple, d: int) -> int:
@@ -64,17 +64,6 @@ class MultilinearMap(NamedTuple):
 
     def is_zero(self) -> bool:
         return not self.vec
-
-
-def from_coeff_function(spec: AlgebraSpec, arity: int, fn) -> MultilinearMap:
-    """Build a cochain from its values on basis tuples."""
-    d = spec.dim
-    vec = {}
-    for flat, idx in enumerate(all_tuples(d, arity)):
-        for k, c in enumerate(fn(idx)):
-            if c:
-                vec[flat * d + k] = c
-    return MultilinearMap(arity, d, vec)
 
 
 def from_flat(d: int, arity: int, vec: dict) -> MultilinearMap:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cohomolab.algebra import basis_element, build_atomic, build_number_field, multiply
-from cohomolab.multilinear import from_coeff_function, from_flat
+from oracles import from_coeff_function
 
 
 def F(*args):
@@ -73,10 +73,3 @@ def mult_cochain(spec):
 def operator(spec, matrix):
     """The linear operator x -> matrix @ x as an arity-1 cochain."""
     return from_coeff_function(spec, 1, lambda idx: tuple(F(row[idx[0]]) for row in matrix))
-
-
-def apply_matrix(mat, psi, arity):
-    """The arity-`arity` cochain mat @ psi's flat vector, summed row by row
-    with no Mat method, so it can check Mat.images as well as the matrix."""
-    return from_flat(psi.dim, arity, {i: sum(v * psi.vec.get(c, 0) for c, v in row.items())
-                                      for i, row in enumerate(mat.rows)})

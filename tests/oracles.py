@@ -4,13 +4,93 @@ Each is written directly from its definition, so a test can check the
 package against it.
 """
 
-from cohomolab.algebra import AlgebraSpec, add, basis_element, basis_product, multiply
+from cohomolab.algebra import (
+    ORDER_ATOMIC, AlgebraSpec, Element, basis_element, basis_product, multiply,
+)
 from cohomolab.cohomology import CheckResult, cocycle_space
 from cohomolab.complex import TAG_BAND, TAG_FULL, apply_d, coboundary, lift, tag_coords
 from cohomolab.linalg import Echelon, Mat, axpy, kernel, row_to_primitive, scalar
-from cohomolab.multilinear import MultilinearMap, all_tuples, from_coeff_function, from_flat
-from cohomolab.operators import NO, YES, OperatorVerdict, _check_shape
-from conftest import apply_matrix
+from cohomolab.multilinear import MultilinearMap, all_tuples, from_flat
+from cohomolab.operators import NO, UNKNOWN, YES, OperatorVerdict
+from cohomolab.rng import Lcg64
+
+
+def add(x: Element, y: Element) -> Element:
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def from_coeff_function(spec: AlgebraSpec, arity: int, fn) -> MultilinearMap:
+    """Build a cochain from its values on basis tuples."""
+    d = spec.dim
+    vec = {}
+    for flat, idx in enumerate(all_tuples(d, arity)):
+        for k, c in enumerate(fn(idx)):
+            if c:
+                vec[flat * d + k] = c
+    return MultilinearMap(arity, d, vec)
+
+
+def apply_matrix(mat, psi, arity):
+    """The arity-`arity` cochain mat @ psi's flat vector, summed row by row
+    with no Mat method, so it can check Mat.images as well as the matrix."""
+    return from_flat(psi.dim, arity, {i: sum(v * psi.vec.get(c, 0) for c, v in row.items())
+                                      for i, row in enumerate(mat.rows)})
+
+
+def principal_ideal_contains(spec: AlgebraSpec, a: Element, y: Element) -> bool:
+    """Exact membership test y in a*A, the span of the products a*b_j."""
+    d = spec.dim
+    ech = Echelon({i: v for i, v in enumerate(multiply(spec, a, basis_element(d, j))) if v}
+                  for j in range(d))
+    return ech.contains({i: v for i, v in enumerate(y) if v})
+
+
+def _check_shape(spec: AlgebraSpec, psi: MultilinearMap, arity_one: bool = False):
+    if psi.dim != spec.dim or psi.arity < 1 or (arity_one and psi.arity != 1):
+        want = "1" if arity_one else ">= 1"
+        raise ValueError(f"operator must be a cochain of dim {spec.dim} and arity {want}, "
+                         f"got dim {psi.dim} and arity {psi.arity}")
+
+
+def sample_elements(spec: AlgebraSpec, trials: int, seed: int) -> list:
+    """The basis, each pairwise basis sum, then `trials` seeded random
+    elements with coordinates in [-8, 8]."""
+    d = spec.dim
+    basis = [basis_element(d, i) for i in range(d)]
+    rng = Lcg64(seed)
+    return (basis + [add(basis[i], basis[j]) for i in range(d) for j in range(i + 1, d)]
+            + [tuple(rng.randint(-8, 8) for _ in range(d)) for _ in range(trials)])
+
+
+def is_multiplier(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
+    """T(b_i) = b_i * T(e) for every basis element, so T(a) = a * T(e).
+
+    psi is the operator T as an arity-1 cochain.  The witness names the
+    first failing basis element, the certificate is T(e).
+    """
+    _check_shape(spec, psi, arity_one=True)
+    d = spec.dim
+    te = psi.eval([spec.unit])
+    for i in range(d):
+        if psi.coeff((i,)) != multiply(spec, basis_element(d, i), te):
+            return OperatorVerdict(NO, witness={"slot": 1, "tuple": (), "basis": i})
+    return OperatorVerdict(YES, certificate=te)
+
+
+def is_local_multiplier(spec: AlgebraSpec, psi: MultilinearMap, trials: int = 64,
+                        seed: int = 0) -> OperatorVerdict:
+    """T(a) in a*A for each sampled a (see sample_elements), by exact ideal
+    membership; the witness is the tuple (a,) of the first a that fails.
+
+    Sampling can only refute, except on an atomic order: there the basis
+    passes exactly when T is diagonal, and a diagonal T is the multiplier
+    by T(e).  Elsewhere a pass is "unknown_sampled".
+    """
+    _check_shape(spec, psi, arity_one=True)
+    for a in sample_elements(spec, trials, seed):
+        if not principal_ideal_contains(spec, a, psi.eval([a])):
+            return OperatorVerdict(NO, witness=(a,))
+    return OperatorVerdict(YES if spec.order_mode == ORDER_ATOMIC else UNKNOWN)
 
 
 def from_dense(dense) -> Mat:

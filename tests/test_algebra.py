@@ -1,15 +1,17 @@
 import itertools
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import (
-    ShapeError, basis_element, basis_product, build_atomic, build_number_field,
-    multiply, principal_ideal_contains, validate_algebra, zero_divisor_falsifier,
+    ROOT_SEARCH_STEPS, ShapeError, basis_element, basis_product, build_atomic, build_number_field,
+    multiply, rational_roots, validate_algebra, zero_divisor_falsifier,
 )
 from conftest import elem
+from oracles import principal_ideal_contains
 
 
 def test_qsqrt2_valid(qsqrt2):
@@ -142,11 +144,23 @@ def test_falsifier_deterministic(qsqrt2):
     ([0, 0, 0, 1], "refuted"),
     ([-2, 0, 0, 0, 1], "asserted"),
     ([4, 0, 0, 0, 1], "asserted"),  # (t^2+2t+2)(t^2-2t+2): reduced, no zero divisor drawn
-    ([-8, 0, 0, 1], "asserted"),
-    ([-49, 0, 1], "asserted"),
+    ([-8, 0, 0, 1], "refuted"),  # (t-2)(t^2+2t+4): the root 2
+    ([-49, 0, 1], "refuted"),  # (t-7)(t+7)
 ])
 def test_trace_form_refutes_non_reduced(coeffs, status):
     assert build_number_field(coeffs).domain_status == status
+
+
+def test_rational_roots_and_their_budget():
+    assert rational_roots([6, -5, 1]) == (2, 3)
+    assert rational_roots([0, -1, 0, 1]) == (-1, 0, 1)
+    assert rational_roots([-1, 0, 4]) == (Fraction(-1, 2), Fraction(1, 2))
+    assert rational_roots([2, 0, 1]) == ()
+    assert rational_roots([-(10 ** 39 + 7), 0, 1]) is None  # 3·10^19 trial divisions
+    # 73513440 has 768 divisors: within budget to find, but not to try as roots
+    assert isqrt(73513440) + 1 <= ROOT_SEARCH_STEPS < isqrt(73513440) + 1 + 2 * 768
+    assert rational_roots([-73513440, 0, 1]) is None
+    assert rational_roots([-7351344, 0, 1]) == ()
 
 
 @st.composite
@@ -165,14 +179,19 @@ def factored_monics(draw):
 @settings(max_examples=80, deadline=None)
 @given(factored_monics())
 def test_domain_status_against_squarefreeness(factors):
-    """Refuted whenever gcd(p, p') has positive degree, by sympy; on
-    squarefree p the status is the falsifier's alone."""
+    """Refuted whenever gcd(p, p') has positive degree, by sympy.  On
+    squarefree p a rational root refutes at degree >= 2, no root at degree
+    <= 3 asserts a field, and a rootless quartic's status is the falsifier's."""
     t = sympy.Symbol("t")
     p = sympy.Mul(*(sympy.Poly(list(reversed(c)), t).as_expr() for c in factors))
     coeffs = [int(c) for c in reversed(sympy.Poly(p, t).all_coeffs())]
     spec = build_number_field(coeffs)
     if sympy.degree(sympy.gcd(p, sympy.diff(p, t)), t) > 0:
         assert spec.domain_status == "refuted"
+    elif sympy.roots(p, t, filter="Q"):
+        assert spec.domain_status == ("refuted" if len(coeffs) > 2 else "asserted")
+    elif len(coeffs) <= 4:
+        assert spec.domain_status == "asserted"
     else:
         sampled = zero_divisor_falsifier(spec) is not None
         assert spec.domain_status == ("refuted" if sampled else "asserted")

@@ -75,10 +75,9 @@ def perfbench(monkeypatch):
 
 def test_seed_0_commands_pass_the_benchmark_checks(perfbench, tmp_path, capsys):
     """Every seed-0 command of full-complex, chain-audit and many-small exits
-    0 with stdout that the benchmark's own check accepts.  The one allowed
-    known failure is many-small's Kadison "no" on a split input."""
+    0 with stdout that the benchmark's own check accepts, the known split
+    input Kadison failure included."""
     inputs, workloads, checks = perfbench
-    known = []
     for workload in ("full-complex", "chain-audit", "many-small"):
         commands = workloads.WORKLOADS[workload](0, str(tmp_path / workload))
         inputs.write_algebras({c.alg.path: c.alg for c in commands}.values(), REPO_ROOT)
@@ -87,7 +86,4 @@ def test_seed_0_commands_pass_the_benchmark_checks(perfbench, tmp_path, capsys):
             stdout = capsys.readouterr().out.encode("utf-8")
             assert code == 0, cmd.label
             failure = checks.check(cmd, stdout)
-            assert failure is None or failure.known, (cmd.label, failure.reason)
-            if failure is not None:
-                known.append((workload, cmd.label))
-    assert len(known) <= 1 and all(w == "many-small" for w, _ in known), known
+            assert failure is None, (cmd.label, failure.reason)

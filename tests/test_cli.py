@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +49,45 @@ def test_validate_reports_violations(capsys, tmp_path):
     assert payload["violations"]
     laws = {v["law"] for v in payload["violations"]}
     assert laws & {"atomic", "unit"}
+
+
+ATOMIC12 = "".join(["name atomic_12\ndim 12\nunit" + " 1" * 12 + "\norder atomic\n"]
+                   + [f"mult {i} {i} =" + "".join(f" {int(j == i)}" for j in range(12)) + "\n"
+                      for i in range(12)])
+# Q[t]/(t^2 - (10^39 + 7)): finding the divisors of the constant term by
+# trial division would take about 3·10^19 steps
+BIG_CONSTANT = ("name bigsq\ndim 2\nunit 1 0\norder none\nmult 0 0 = 1 0\n"
+                f"mult 0 1 = 0 1\nmult 1 1 = {10 ** 39 + 7} 0\n")
+
+
+@pytest.mark.parametrize("text,name,dim,status", [
+    (ATOMIC12, "atomic_12", 12, "refuted"), (BIG_CONSTANT, "bigsq", 2, "asserted"),
+], ids=["atomic12", "big-constant"])
+def test_validate_within_the_root_search_budget(capsys, tmp_path, text, name, dim, status):
+    """An atomic order skips the root search, and a search past its budget
+    never starts: both answer at once, with the bytes they had before."""
+    path = tmp_path / "a.alg"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"algebra": name, "command": "validate", "dim": dim,
+                              "domain_status": status, "seed": 0, "valid": True,
+                              "violations": []}, indent=2) + "\n"
+
+
+def test_classify_past_the_root_search_budget(capsys, tmp_path):
+    path = tmp_path / "bigsq.alg"
+    path.write_text(BIG_CONSTANT)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["domain_status"] == "asserted"
+    assert payload["kadison"] == {"certificate": None, "verdict": "unknown_sampled",
+                                  "witness": None}
 
 
 # the qsqrt2 products with unit 1 + t: the domain tests would read a non-algebra

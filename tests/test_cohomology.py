@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cohomolab.algebra import (
-    add, basis_element, build_atomic, build_number_field, multiply, zero_element,
+    basis_element, build_atomic, build_number_field, multiply, zero_element,
 )
 from cohomolab.complex import (
     TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, OrderStructureRequired, apply_d,
@@ -19,10 +19,11 @@ from cohomolab.cohomology import (
 )
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import Echelon, Mat, span_dim
-from cohomolab.multilinear import from_coeff_function, from_flat
-from conftest import apply_matrix, elem, mult_cochain, psi_f_times_b
+from cohomolab.multilinear import from_flat
+from conftest import elem, mult_cochain, psi_f_times_b
 from oracles import (
-    audit_stacked, coboundary_space, product_cochain_subspace, symmetry_check,
+    add, apply_matrix, audit_stacked, coboundary_space, from_coeff_function,
+    product_cochain_subspace, symmetry_check,
 )
 
 F = Fraction

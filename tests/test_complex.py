@@ -14,9 +14,9 @@ from cohomolab.complex import (
     naive_coboundary_images, tag_coords, verify_dd_zero,
 )
 from cohomolab.cohomology import build_J_even, build_K, cocycle_space, cohomology
-from cohomolab.multilinear import from_coeff_function, from_flat, tuple_index
-from conftest import apply_matrix, elem, mult_cochain, psi_f_of_ab, psi_f_times_b
-from oracles import intersection, rref
+from cohomolab.multilinear import from_flat, tuple_index
+from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
+from oracles import apply_matrix, from_coeff_function, intersection, rref
 
 F = Fraction
 

@@ -16,7 +16,9 @@ report was still built whole by a second, compact `json.dumps` encoder;
 the qsqrt2 and cubic2 `Jodd --n 2` audit entries were recorded while the
 naive evaluator walked every permutation once per audited cochain; the
 tm2sq entries pin the trace-form refutation of a non-reduced algebra, and
-REFUSED pins the refusal of its ideal complex, by exit code and stderr;
+REFUSED pins the refusal of its ideal complex, by exit code and stderr, as
+it does t2m49's, whose classify entries were recorded when its rational
+roots first decided Kadison;
 the standard-convention band cohomology, atomic4 `K` and `Jodd --n 2`
 audit and `verify-complex atomic4 --complex band` entries were recorded
 while `coboundary_images` applied d column by column rather than through
@@ -194,13 +196,12 @@ GOLDEN = {
         "2f72c9514bd5cf97b7b2a7d406b79aba07e48327a8c0b8d1afed96b6a753f892",
     "classify atomic4":
         "ecaf63fa89c0c6de29cd27fa2f8385c7c48e30a4f45f2710fcdc14575115b36b",
-    # Q[t]/(t^2-49) is Q x Q, yet the falsifier asserts a domain: these two
-    # pin that known-wrong status, with the invertibility probe passing
-    # (Kadison no) and failing (unknown_sampled)
+    # Q[t]/(t^2-49) is Q x Q: the roots -7 and 7 refute a domain and prove
+    # the algebra split, so Kadison is yes whatever the seed and the trials
     "classify t2m49":
-        "a530ff632eacdb379b5e039c3c4d61b585f118557afeac7e8b2ed1d5dfee831f",
+        "b33f4b6ee47c16a4ef2acb0b1004d557a1cc4fa0d4e5b08bc33bb1839753dc18",
     "--seed 1 --trials 8 classify t2m49":
-        "13a73284f47c42ed346a519cafbbc585d3161f389561dc14ae22447dd2e65e11",
+        "9dc297c34b539fd7db827d909153fbdf563a0d9d6cefac79d65eb27720c61c92",
     # Q[t]/((t-2)^2) is not reduced: its singular trace form refutes a domain
     "validate tm2sq":
         "b448bea3028f60deca26e7a9f6f2f93849c5a5fed92f5f3cacd61c7e3d15a2bb",
@@ -219,7 +220,7 @@ GOLDEN = {
     "--format text validate escname":
         "4abb03427893da8c877f3be52513873a763564b09dabb96279d276a5f6482722",
     "--format text classify t2m49":
-        "400b68653473fb3b5bf506584ea1fda09c9eadc9bed167ed681a84ce8e1667ea",
+        "fdf0538e1279c0f89abbb83f960ab9fb27969b29ec5c6fff10e5c21b864d106c",
     "--format text cohomology qsqrt2 --degree 1":
         "102d9b70d63cec65dd0e56e3015ba07d10703ee1fb686e00676ffab348944763",
     "--format text audit qsqrt2 --map K":
@@ -259,6 +260,12 @@ REFUSED = {
     # a refuted non-atomic algebra has no ideal complex; before the trace
     # form this answered for the full complex
     "cohomology tm2sq --degree 0 --complex ideal":
+        "error: ideal-preserving subspace is only defined for asserted domains "
+        "and atomic algebras\n",
+    # a split non-atomic algebra has none either; before the rational roots
+    # the falsifier missed t2m49's zero divisors and answered dim_H 2 here,
+    # the full complex's
+    "cohomology t2m49 --degree 1 --complex ideal":
         "error: ideal-preserving subspace is only defined for asserted domains "
         "and atomic algebras\n",
 }

@@ -9,10 +9,11 @@ from cohomolab.complex import (
     TAG_BAND, TAG_IDEAL, OrderStructureRequired, UnsupportedAlgebra, lift, tag_coords,
 )
 from cohomolab.linalg import span_dim
-from cohomolab.multilinear import all_tuples, from_coeff_function, from_flat, tuple_index
+from cohomolab.multilinear import all_tuples, from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_times_b, sqrt2_coefficient
 from oracles import (
-    is_hochschild_2cocycle, product_cochain_subspace, symmetry_check, unit_tensor,
+    from_coeff_function, is_hochschild_2cocycle, product_cochain_subspace, symmetry_check,
+    unit_tensor,
 )
 
 F = Fraction

@@ -1,16 +1,17 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from cohomolab.algebra import basis_element, build_atomic, build_number_field, multiply
 from cohomolab.complex import OrderStructureRequired
-from cohomolab.multilinear import MultilinearMap, from_coeff_function
-from cohomolab.operators import (
-    NO, UNKNOWN, YES, classify, is_local_multiplier, is_multiplier, sample_tuples,
+from cohomolab.multilinear import MultilinearMap
+from cohomolab.operators import NO, UNKNOWN, YES, classify
+from conftest import elem, operator
+from oracles import (
+    is_band_preserving, is_local_multiplier, is_multiplier, is_orthomorphism, sample_elements,
 )
-from conftest import elem, mult_cochain, operator, psi_f_times_b
-from oracles import is_band_preserving, is_orthomorphism
 
 F = Fraction
 
@@ -33,20 +34,15 @@ def test_apply_operator(qsqrt2):
     assert operator(qsqrt2, m).eval([elem(1, 1)]) == elem(3, 3)
 
 
-def test_sample_elements_deterministic(qsqrt2):
-    a = sample_tuples(qsqrt2, 1, 8, 3)
-    b = sample_tuples(qsqrt2, 1, 8, 3)
-    assert a == b
-    assert a[:2] == [(elem(1, 0),), (elem(0, 1),)]
-    assert a[2] == (elem(1, 1),)
+def test_sample_elements_deterministic(qsqrt2, atomic3):
+    a = sample_elements(qsqrt2, 8, 3)
+    assert a == sample_elements(qsqrt2, 8, 3)
+    assert a[:3] == [elem(1, 0), elem(0, 1), elem(1, 1)]
     assert len(a) == 2 + 1 + 8
-    assert sample_tuples(qsqrt2, 1, 8, 4) != a
-    # at arity m: the d^m basis tuples, each sum in every slot, m fresh elements per trial
-    pairs = sample_tuples(qsqrt2, 2, 8, 3)
-    assert len(pairs) == 4 + 1 + 8
-    assert pairs[1] == (elem(1, 0), elem(0, 1))
-    assert pairs[4] == (elem(1, 1), elem(1, 1))
-    assert pairs[5][0] == a[3][0] and pairs[5][1] == a[4][0]
+    assert sample_elements(qsqrt2, 8, 4) != a
+    # the basis, then each pairwise sum, then the seeded elements
+    b = sample_elements(atomic3, 8, 3)
+    assert b[3:6] == [elem(1, 1, 0), elem(1, 0, 1), elem(0, 1, 1)] and len(b) == 3 + 3 + 8
 
 
 def test_is_multiplier(qsqrt2):
@@ -73,9 +69,10 @@ def test_predicates_reject_wrong_shape(predicate, atomic3, qsqrt2):
 
 
 def test_conjugation_local_but_not_multiplier(qsqrt2):
-    # the nontrivial field automorphism: T(a) = sigma(a) = (sigma(a)/a) * a
+    # the nontrivial field automorphism: T(a) = sigma(a) = (sigma(a)/a) * a,
+    # local like every operator of a field, which sampling cannot prove
     v = is_local_multiplier(qsqrt2, operator(qsqrt2, conjugation(2)))
-    assert v.verdict == YES
+    assert v.verdict == UNKNOWN
     assert is_multiplier(qsqrt2, operator(qsqrt2, conjugation(2))).verdict == NO
 
 
@@ -115,34 +112,6 @@ def test_band_preserving_and_orthomorphism(atomic3, qsqrt2):
     assert is_orthomorphism(atomic3, operator(atomic3, off)).verdict == NO
     with pytest.raises(OrderStructureRequired):
         is_band_preserving(qsqrt2, operator(qsqrt2, conjugation(2)))
-
-
-def test_is_n_multiplier(qsqrt2):
-    # Psi(a,b) = a*b*w is a 2-multiplier with certificate w
-    w = elem(1, 2)
-    psi = from_coeff_function(
-        qsqrt2, 2,
-        lambda idx: multiply(qsqrt2, qsqrt2.structure[idx[0]][idx[1]], w))
-    v = is_multiplier(qsqrt2, psi)
-    assert v.verdict == YES
-    assert v.certificate == w
-    v = is_multiplier(qsqrt2, psi_f_times_b(qsqrt2))
-    assert v.verdict == NO
-    assert v.witness["slot"] in (1, 2)
-    with pytest.raises(ValueError):
-        is_multiplier(qsqrt2, from_coeff_function(qsqrt2, 0, lambda i: elem(0, 0)))
-
-
-def test_local_n_multiplier_audit(qsqrt2, atomic3):
-    assert is_local_multiplier(qsqrt2, mult_cochain(qsqrt2)).verdict == YES
-    assert is_local_multiplier(atomic3, mult_cochain(atomic3)).verdict == YES
-    v = is_local_multiplier(qsqrt2, psi_f_times_b(qsqrt2))
-    # Psi(1,1) = 0 lies in 1*A, but Psi(sqrt2, 1) = 1 is still in sqrt2*A;
-    # in a field the necessary condition can never refute
-    assert v.verdict == YES
-    bad = from_coeff_function(
-        atomic3, 2, lambda idx: basis_element(3, (idx[0] + 1) % 3))
-    assert is_local_multiplier(atomic3, bad).verdict == NO
 
 
 ORACLE_ALGEBRAS = {
@@ -220,3 +189,61 @@ def test_classify_trivial_and_unknown(q):
     r = classify(dual)
     assert r.kadison.verdict == UNKNOWN
     assert dual.domain_status == "refuted"
+
+
+def test_classify_decides_from_the_rational_roots(qsqrt2):
+    split = build_number_field([-49, 0, 1], name="t2m49")  # Q x Q
+    assert split.rational_roots == (-7, 7) and split.domain_status == "refuted"
+    assert classify(split).kadison == (YES, None, None)
+    assert qsqrt2.rational_roots == ()
+    # Q(i) x Q(i) = Q[t]/((t^2+2t+2)(t^2-2t+2)), rootless at d = 4: no, with
+    # no witness, whatever the falsifier finds; negating the second basis
+    # direction is no local multiplier there
+    two_fields = build_number_field([4, 0, 0, 0, 1])
+    assert two_fields.rational_roots == ()
+    assert classify(two_fields).kadison == (NO, None, None)
+    assert is_local_multiplier(two_fields, operator(two_fields, conjugation(4))).verdict == NO
+    # one root and a quadratic field: no, proved by the count
+    assert classify(build_number_field([-8, 0, 0, 1])).kadison == (NO, None, None)
+
+
+# the linear factors t - r for r in -6..6, then four irreducible ones
+FACTORS = [(-r, 1) for r in range(-6, 7)] + [(-2, 0, 1), (1, 0, 1), (-2, 0, 0, 1), (1, -1, 0, 1)]
+
+
+@st.composite
+def squarefree_products(draw):
+    """Distinct factors from FACTORS, in drawn order, while the degree stays <= 4."""
+    chosen, degree = [], 0
+    for f in draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4, unique=True)):
+        if degree + len(f) - 1 <= 4:
+            chosen.append(f)
+            degree += len(f) - 1
+    return chosen
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree_products())
+def test_roots_and_kadison_against_sympy(factors):
+    """On Q[t]/(p), p squarefree, the roots are sympy's rational roots of p
+    (of the unit's t - 1 at d = 1, where t is no basis element), Kadison is
+    yes exactly when p splits into linear factors, a root at d >= 2 refutes
+    a domain, no root at d <= 3 asserts one, and a printed witness is not
+    refuted as a local multiplier and is refuted as a multiplier."""
+    t = sympy.Symbol("t")
+    p = sympy.Mul(*(sympy.Poly(list(reversed(f)), t).as_expr() for f in factors))
+    spec = build_number_field([int(c) for c in reversed(sympy.Poly(p, t).all_coeffs())])
+    d = spec.dim
+    roots = sympy.roots(p if d > 1 else t - 1, t, filter="Q")
+    assert spec.rational_roots == tuple(sorted(F(int(r.p), int(r.q)) for r in roots))
+    kadison = classify(spec).kadison
+    split = all(sympy.degree(f, t) == 1 for f, _ in sympy.factor_list(p)[1])
+    assert (kadison.verdict == YES) == split
+    if roots and d >= 2:
+        assert spec.domain_status == "refuted"
+    if not roots and d <= 3:
+        assert spec.domain_status == "asserted"
+    if kadison.witness is not None:
+        psi = operator(spec, kadison.witness)
+        assert is_local_multiplier(spec, psi).verdict != NO
+        assert is_multiplier(spec, psi).verdict == NO

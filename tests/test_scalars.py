@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from cohomolab.algebra import build_number_field, principal_ideal_contains
+from cohomolab.algebra import build_number_field
 from cohomolab.cohomology import build_J_odd, cocycle_space
 from cohomolab.complex import TAG_FULL, index_coboundary_matrix
 from cohomolab.fileformat import parse_algebra_file, parse_rational
 from cohomolab.linalg import Echelon, Mat, div, kernel, scalar
-from oracles import rref
+from oracles import principal_ideal_contains, rref
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
