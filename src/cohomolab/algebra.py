@@ -25,7 +25,7 @@ DOMAIN_ASSERTED = "asserted"
 DOMAIN_REFUTED = "refuted"
 DOMAIN_UNCHECKED = "unchecked"
 
-ROOT_SEARCH_STEPS = 10_000  # the budget of rational_roots
+ROOT_SEARCH_STEPS = 10_000  # the budget of rational_roots above degree 2
 
 
 class ShapeError(ValueError):
@@ -216,12 +216,24 @@ def rational_roots(m: list):
     (ascending, m[-1] != 0), or None if finding them would take more than
     ROOT_SEARCH_STEPS steps.
 
-    A nonzero root p/q in lowest terms has p | m_low, the lowest nonzero
-    coefficient, and q | m_d.  Their divisors are found by trial division
-    up to the square root, a step per trial, and each candidate ±p/q is a
-    step more.  Both counts are known before the search, which starts only
-    within budget, so a coefficient of 40 digits costs nothing.
+    At degree <= 2 the roots are exact at any size, with no search: a
+    quadratic a t^2 + b t + c has rational roots exactly when its
+    discriminant b^2 - 4ac is a square s^2, and they are (-b ± s) / 2a.
+    Above, a nonzero root p/q in lowest terms has p | m_low, the lowest
+    nonzero coefficient, and q | m_d.  Their divisors are found by trial
+    division up to the square root, a step per trial, and each candidate
+    ±p/q is a step more.  Both counts are known before the search, which
+    starts only within budget, so a coefficient of 40 digits costs nothing.
     """
+    if len(m) == 2:
+        return (div(-m[0], m[1]),)
+    if len(m) == 3:
+        c, b, a = m
+        disc = b * b - 4 * a * c
+        s = isqrt(max(disc, 0))
+        if s * s != disc:
+            return ()
+        return tuple(sorted({div(-b - s, 2 * a), div(-b + s, 2 * a)}))
     ends = (abs(next(c for c in m if c)), abs(m[-1]))
     steps = sum(map(isqrt, ends))
     if steps > ROOT_SEARCH_STEPS:
@@ -266,9 +278,10 @@ def assess_domain(spec: AlgebraSpec, trials: int = 64, seed: int = 0) -> Algebra
     d >= 2, and no root proves a field at d <= 3, where a reducible m has
     a linear factor.  The falsifier, which can only refute, decides the
     rest: an atomic order (its atoms prove the algebra split), a root
-    search past its budget (rational_roots stays None) and a rootless
-    d >= 4, which may be two quadratic fields.  This is the only code that
-    sets either field; both mean something only on a lawful spec.
+    search past its budget (only at d >= 3; rational_roots stays None)
+    and a rootless d >= 4, which may be two quadratic fields.  This is the
+    only code that sets either field; both mean something only on a lawful
+    spec.
     """
     d = spec.dim
     trace = [sum(spec.structure[l][k][k] for k in range(d)) for l in range(d)]  # of x -> b_l x

@@ -173,7 +173,10 @@ def _chain_map_fn(name: str, n: int):
 
 
 # permutation terms, d^(g+2) * (g+2)!, up to which evaluator agreement
-# compares every output tuple of the degree-g images
+# compares every output tuple of the degree-g images.  The naive evaluator
+# walks the permutations once per multiset of output indices, so this
+# bounds its walk without that sharing: which audits compare every tuple
+# does not depend on how the oracle shares its work.
 NAIVE_TERM_BUDGET = 2_000_000
 
 

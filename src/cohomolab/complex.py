@@ -28,8 +28,10 @@ The symmetric-group sum is evaluated by grouping permutations per distinct
 rearrangement of the index tuple (each arises the same number of times).
 A naive per-permutation evaluator, naive_coboundary_images (and
 apply_d(..., naive=True), its one-row call), is kept only as an
-independent oracle for tests and audits.  It forms each output tuple's
-permutation sum once, for all the rows it is given.
+independent oracle for tests and audits.  It walks every permutation, but
+once per multiset of output indices: for even degree, sigma -> sigma o pi
+permutes the symmetric group, so output tuples that rearrange one another
+have equal sums.  Each sum serves all the rows it is given.
 """
 
 import itertools
@@ -163,14 +165,25 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
             for j in range(len(rows))]
 
 
+def _summed(d: int, pairs) -> dict:
+    """(input index tuple, coefficient) pairs summed per flat input column."""
+    terms = {}
+    for idx, v in pairs:
+        col = tuple_index(idx, d)
+        terms[col] = terms.get(col, 0) + v
+    return terms
+
+
 def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> list:
     """coboundary_images by the defining formula: the oracle for the index matrix.
 
-    At each output tuple the terms of d are summed one permutation at a
-    time, once, into an index-level term list, which is then applied to
-    every row.  Neither arrangements nor the index matrix is used.  Given
-    tuples, an iterable of output index tuples, the images hold only the
-    entries at those tuples.
+    The terms of d are summed one permutation at a time into an
+    index-level term dict, which is then applied to every row.  In even
+    degree >= 2 the dict is built once per multiset, at the first output
+    tuple of it met, and reused at every rearrangement; in the other
+    degrees once per tuple.  Neither arrangements nor the index matrix is
+    used.  Given tuples, an iterable of output index tuples, the images
+    hold only the entries at those tuples.
     """
     d = spec.dim
     grouped = []  # per row: input column -> {output coordinate: value}
@@ -181,15 +194,16 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> lis
             by_col.setdefault(c, {})[k] = v
         grouped.append(by_col)
     images = [{} for _ in rows]
+    shared = {}  # even n >= 2: multiset of an output tuple -> its terms
     for t in all_tuples(d, n + 2) if tuples is None else tuples:
         if n >= 2 and n % 2 == 0:
-            pairs = (p for sigma in itertools.permutations(t) for p in _term_indices(spec, sigma))
+            key = tuple(sorted(t))
+            terms = shared.get(key)
+            if terms is None:
+                terms = shared[key] = _summed(d, (p for sigma in itertools.permutations(t)
+                                                  for p in _term_indices(spec, sigma)))
         else:
-            pairs = _output_terms(spec, n, t)
-        terms = {}
-        for idx, v in pairs:
-            col = tuple_index(idx, d)
-            terms[col] = terms.get(col, 0) + v
+            terms = _summed(d, _output_terms(spec, n, t))
         base = tuple_index(t, d) * d
         for by_col, image in zip(grouped, images):
             part = {}

@@ -156,11 +156,32 @@ def test_rational_roots_and_their_budget():
     assert rational_roots([0, -1, 0, 1]) == (-1, 0, 1)
     assert rational_roots([-1, 0, 4]) == (Fraction(-1, 2), Fraction(1, 2))
     assert rational_roots([2, 0, 1]) == ()
-    assert rational_roots([-(10 ** 39 + 7), 0, 1]) is None  # 3·10^19 trial divisions
+    assert rational_roots([3, 2]) == (Fraction(-3, 2),)
+    # at degree <= 2 the discriminant decides at any size, with no search
+    assert rational_roots([-(10 ** 39 + 7), 0, 1]) == ()
+    assert rational_roots([-(10 ** 40), 0, 1]) == (-10 ** 20, 10 ** 20)
+    assert rational_roots([-73513440, 0, 1]) == ()
+    # above degree 2 the same end coefficients keep the search's step boundary
+    assert rational_roots([-(10 ** 39 + 7), 0, 0, 1]) is None  # 3·10^19 trial divisions
     # 73513440 has 768 divisors: within budget to find, but not to try as roots
     assert isqrt(73513440) + 1 <= ROOT_SEARCH_STEPS < isqrt(73513440) + 1 + 2 * 768
-    assert rational_roots([-73513440, 0, 1]) is None
-    assert rational_roots([-7351344, 0, 1]) == ()
+    assert rational_roots([-73513440, 0, 0, 1]) is None
+    assert rational_roots([-7351344, 0, 0, 1]) == ()
+
+
+big = st.integers(-10 ** 30, 10 ** 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(big, big.filter(bool)),
+                 st.tuples(big, big, big.filter(bool)),
+                 st.tuples(st.integers(-40, 40), big).map(lambda r: (-r[0] * r[1], r[1] - r[0], 1))))
+def test_rational_roots_up_to_degree_2_against_sympy(m):
+    """Linear and quadratic roots need no budget: exact at 30-digit
+    coefficients, with rational roots drawn on purpose as well."""
+    t = sympy.Symbol("t")
+    p = sympy.Poly(list(reversed(m)), t)
+    assert rational_roots(list(m)) == tuple(sorted(sympy.roots(p, filter="Q")))
 
 
 @st.composite

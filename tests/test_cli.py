@@ -6,10 +6,11 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cohomolab.cli import _jsonable, _write_report, main
 from cohomolab.fileformat import format_rational
@@ -54,18 +55,23 @@ def test_validate_reports_violations(capsys, tmp_path):
 ATOMIC12 = "".join(["name atomic_12\ndim 12\nunit" + " 1" * 12 + "\norder atomic\n"]
                    + [f"mult {i} {i} =" + "".join(f" {int(j == i)}" for j in range(12)) + "\n"
                       for i in range(12)])
-# Q[t]/(t^2 - (10^39 + 7)): finding the divisors of the constant term by
-# trial division would take about 3·10^19 steps
+# Q[t]/(t^2 - (10^39 + 7)) and Q[t]/(t^3 - (10^39 + 7)): finding the
+# divisors of the constant term by trial division would take about 3·10^19
+# steps, which the quadratic's discriminant makes needless
 BIG_CONSTANT = ("name bigsq\ndim 2\nunit 1 0\norder none\nmult 0 0 = 1 0\n"
                 f"mult 0 1 = 0 1\nmult 1 1 = {10 ** 39 + 7} 0\n")
+BIG_CUBE = ("name bigcube\ndim 3\nunit 1 0 0\norder none\nmult 0 0 = 1 0 0\n"
+            "mult 0 1 = 0 1 0\nmult 0 2 = 0 0 1\nmult 1 1 = 0 0 1\n"
+            f"mult 1 2 = {10 ** 39 + 7} 0 0\nmult 2 2 = 0 {10 ** 39 + 7} 0\n")
 
 
 @pytest.mark.parametrize("text,name,dim,status", [
     (ATOMIC12, "atomic_12", 12, "refuted"), (BIG_CONSTANT, "bigsq", 2, "asserted"),
-], ids=["atomic12", "big-constant"])
+    (BIG_CUBE, "bigcube", 3, "asserted"),
+], ids=["atomic12", "big-constant", "big-cube"])
 def test_validate_within_the_root_search_budget(capsys, tmp_path, text, name, dim, status):
-    """An atomic order skips the root search, and a search past its budget
-    never starts: both answer at once, with the bytes they had before."""
+    """An atomic order skips the root search, a quadratic needs none, and a
+    search past its budget never starts: each answers at once."""
     path = tmp_path / "a.alg"
     path.write_text(text)
     start = time.perf_counter()
@@ -77,17 +83,27 @@ def test_validate_within_the_root_search_budget(capsys, tmp_path, text, name, di
                               "violations": []}, indent=2) + "\n"
 
 
-def test_classify_past_the_root_search_budget(capsys, tmp_path):
-    path = tmp_path / "bigsq.alg"
-    path.write_text(BIG_CONSTANT)
+def classify_at_once(capsys, tmp_path, text):
+    path = tmp_path / "big.alg"
+    path.write_text(text)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "classify", str(path))
     assert time.perf_counter() - start < 1
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert payload["domain_status"] == "asserted"
-    assert payload["kadison"] == {"certificate": None, "verdict": "unknown_sampled",
-                                  "witness": None}
+    return payload["kadison"]
+
+
+def test_classify_past_the_root_search_budget(capsys, tmp_path):
+    """A quadratic's discriminant decides its roots, so it is a proved field."""
+    assert classify_at_once(capsys, tmp_path, BIG_CONSTANT) == {
+        "certificate": None, "verdict": "no", "witness": [["1", "0"], ["0", "-1"]]}
+
+
+def test_classify_leaves_a_cubic_past_the_budget_unknown(capsys, tmp_path):
+    assert classify_at_once(capsys, tmp_path, BIG_CUBE) == {
+        "certificate": None, "verdict": "unknown_sampled", "witness": None}
 
 
 # the qsqrt2 products with unit 1 + t: the domain tests would read a non-algebra
@@ -417,10 +433,20 @@ def dense(m):
     return [format_rational(m.vec.get(i, 0)) for i in range(m.dim ** (m.arity + 1))]
 
 
+@given(st.one_of(st.integers(), st.fractions()))
+def test_printed_scalars_need_no_json_escape(x):
+    """The writer quotes a nonzero cell itself, without the encoder."""
+    assert encode_basestring_ascii(format_rational(x)) == '"' + format_rational(x) + '"'
+
+
 # a report is never empty; only `cohomology` reports have representatives
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(texts, payloads, min_size=1, max_size=2),
        st.one_of(st.none(), st.lists(cochains, max_size=3)))
+@example({"a": 1}, [MultilinearMap(1, 2, {0: 5})])  # a nonzero at the first cell
+@example({"a": 1}, [MultilinearMap(2, 3, {26: Fraction(-1, 3)})])  # and at the last
+@example({"a": 1}, [MultilinearMap(1, 2, {3: -2, 0: 1}),  # two shapes, one seen twice
+                    MultilinearMap(2, 3, {5: Fraction(7, 2)}), MultilinearMap(1, 2, {})])
 def test_streamed_json_equals_dumps(fields, representatives):
     report, expected = dict(fields), dict(fields)
     if representatives is not None:

@@ -19,7 +19,7 @@ from cohomolab.cohomology import (
 )
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import Echelon, Mat, span_dim
-from cohomolab.multilinear import from_flat
+from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_times_b
 from oracles import (
     add, apply_matrix, audit_stacked, coboundary_space, from_coeff_function,
@@ -322,8 +322,11 @@ def perturb_degree_2_images(monkeypatch, at):
 
 def test_audit_catches_disagreement_whole(qsqrt2, monkeypatch):
     assert audit_chain_map(qsqrt2, "K").evaluator_agreement
-    perturb_degree_2_images(monkeypatch, lambda spec: [5])
-    assert not audit_chain_map(qsqrt2, "K").evaluator_agreement
+    # the naive sum at (1, 0, 0, 0) is the one formed at (0, 0, 0, 1), reused
+    for at in ([5], [tuple_index((1, 0, 0, 0), qsqrt2.dim)]):
+        with monkeypatch.context() as patch:
+            perturb_degree_2_images(patch, lambda spec: at)
+            assert not audit_chain_map(qsqrt2, "K").evaluator_agreement
 
 
 def test_audit_catches_disagreement_sampled(qsqrt2, monkeypatch):

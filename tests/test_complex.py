@@ -114,6 +114,13 @@ def test_naive_images_all_rows_and_tuple_subsets(fix, n, request):
     keep = {tuple_index(t, d) for t in tuples}
     assert naive_coboundary_images(spec, n, rows, tuples=tuples) == [
         {c: v for c, v in image.items() if c // d in keep} for image in fast]
+    if (fix, n) in (("qsqrt2", 4), ("cubic2", 2)):
+        # alone, an unsorted tuple shares no multiset's sum with another
+        for t in itertools.product(range(d), repeat=n + 2):
+            if list(t) != sorted(t):
+                flat = tuple_index(t, d)
+                assert naive_coboundary_images(spec, n, rows, tuples=[t]) == [
+                    {c: v for c, v in image.items() if c // d == flat} for image in fast]
 
 
 @pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])
