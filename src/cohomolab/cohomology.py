@@ -201,6 +201,17 @@ def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images, trials: int,
     return naive_coboundary_images(spec, g, rows, tuples) == sampled
 
 
+def _reduce_flat(ech: Echelon, d: int, x: dict) -> dict:
+    """Flat x reduced by (span of ech's index-level rows) (x) I_d, whose reduced
+    echelon basis is ech's rows (x) e_k: one output coordinate k at a time,
+    so it equals the lifted rows' echelon reduce entry for entry."""
+    parts = [{} for _ in range(d)]
+    for col, v in x.items():
+        c, k = divmod(col, d)
+        parts[k][c] = v
+    return {c * d + k: v for k, part in enumerate(parts) for c, v in ech.reduce(part).items()}
+
+
 class CheckResult(NamedTuple):
     ok: bool
     witness: object = None  # reproducible by direct evaluation
@@ -245,21 +256,21 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
             break
     agreement = _evaluator_agreement(spec, g, img_rows, dd_rows, trials, seed)
 
-    # one echelon of im d_{g-1}, fed the raw images of d_{g-1}
-    b_ech = Echelon(lift(spec, g, TAG_FULL, coboundary(spec, g - 1, TAG_FULL).transpose().rows))
+    # one index-level echelon of im d_{g-1}, fed the raw index-level images of d_{g-1}
+    b_ech = Echelon(coboundary(spec, g - 1, TAG_FULL).transpose().rows)
 
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
     cobound = CheckResult(True)
     mult_rows = mult_ech.rows()
     for row, img_flat in zip(mult_rows, chain.images(mult_rows)):
-        if b_ech.reduce(img_flat):
+        if _reduce_flat(b_ech, d, img_flat):
             cobound = CheckResult(False, {"input": row, "image": img_flat})
             break
 
     # injectivity: {v in ker d_1 : image(v) in im d_{g-1}} must lie in d_0(multipliers).
     # reduce is linear and zero exactly on im d_{g-1}, so that set is the
     # kernel of the reduced images.
-    reduced = Mat.from_columns(d ** (g + 2), [b_ech.reduce(x) for x in img_rows])
+    reduced = Mat.from_columns(d ** (g + 2), [_reduce_flat(b_ech, d, x) for x in img_rows])
     injective = CheckResult(True)
     for kvec in kernel(reduced):
         acc = {}

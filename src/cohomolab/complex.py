@@ -26,12 +26,16 @@ the flat coordinates tag_coords lists, and lift re-indexes onto them.
 
 The symmetric-group sum is evaluated by grouping permutations per distinct
 rearrangement of the index tuple (each arises the same number of times).
+An odd-degree row is built from its flat index: two digits pick the
+product, the rest is the tail.  Only lawful specs reach it, so for n >= 3
+it lets tuples that differ by swapping their first two indices share a row.
 A naive per-permutation evaluator, naive_coboundary_images (and
 apply_d(..., naive=True), its one-row call), is kept only as an
 independent oracle for tests and audits.  It walks every permutation, but
 once per multiset of output indices: for even degree, sigma -> sigma o pi
 permutes the symmetric group, so output tuples that rearrange one another
-have equal sums.  Each sum serves all the rows it is given.
+have equal sums.  Each sum, and each row's part of it, is computed once
+per multiset and written at every rearrangement.
 """
 
 import itertools
@@ -101,7 +105,7 @@ def _output_terms(spec: AlgebraSpec, n: int, t: tuple):
     """Signed index-level terms of d at source degree n, output tuple t.
 
     Yields (input index tuple, rational coefficient); the input tuples index
-    the source cochain's coefficient tensor.
+    the source cochain's coefficient tensor.  Odd n serves the naive oracle only.
     """
     m = n + 1  # source arity
     if n == 0:
@@ -139,11 +143,28 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
     shared: callers must not mutate it.
     """
     d = spec.dim
+    if n % 2:
+        # row (a, b, r), r = i mod d^n: b_a*b_b at tail r minus b_a*b_r at tail b
+        # (n = 1), or minus b_a*b_b at r with its last two digits swapped
+        size = d ** n
+
+        def terms(i):
+            ab, r = divmod(i, size)
+            a, b = divmod(ab, d)
+            if n == 1:
+                p, q, tail, swapped = spec.structure[a][b], spec.structure[a][r], r, b
+            else:
+                p = q = spec.structure[a][b]
+                tail, swapped = r, r + (r % d - r // d % d) * (d - 1)
+            yield from ((c * size + tail, v) for c, v in enumerate(p) if v)
+            yield from ((c * size + swapped, -v) for c, v in enumerate(q) if v)
+
+        return Mat.keyed(d ** (n + 1), ((a * d + b if n == 1 or a <= b else b * d + a) * size + r
+                                        for a in range(d) for b in range(d) for r in range(size)),
+                         terms)
     # in even degree >= 2 a row depends on its output tuple only through
     # the multiset of its indices, and equal rows share one dict
-    symmetric = n >= 2 and n % 2 == 0
-    return Mat.keyed(d ** (n + 1),
-                     (tuple(sorted(t)) if symmetric else t for t in all_tuples(d, n + 2)),
+    return Mat.keyed(d ** (n + 1), (tuple(sorted(t)) if n else t for t in all_tuples(d, n + 2)),
                      lambda t: ((tuple_index(idx, d), v) for idx, v in _output_terms(spec, n, t)))
 
 
@@ -179,11 +200,11 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> lis
 
     The terms of d are summed one permutation at a time into an
     index-level term dict, which is then applied to every row.  In even
-    degree >= 2 the dict is built once per multiset, at the first output
-    tuple of it met, and reused at every rearrangement; in the other
-    degrees once per tuple.  Neither arrangements nor the index matrix is
-    used.  Given tuples, an iterable of output index tuples, the images
-    hold only the entries at those tuples.
+    degree >= 2 the dict and each row's part of it are built once per
+    multiset, at the first output tuple of it met, and written at every
+    rearrangement; in the other degrees once per tuple.  Neither
+    arrangements nor the index matrix is used.  Given tuples, an iterable
+    of output index tuples, the images hold only the entries at those tuples.
     """
     d = spec.dim
     grouped = []  # per row: input column -> {output coordinate: value}
@@ -194,22 +215,23 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> lis
             by_col.setdefault(c, {})[k] = v
         grouped.append(by_col)
     images = [{} for _ in rows]
-    shared = {}  # even n >= 2: multiset of an output tuple -> its terms
+    shared = {}  # key of an output tuple -> its per-row parts
+    symmetric = n >= 2 and n % 2 == 0
     for t in all_tuples(d, n + 2) if tuples is None else tuples:
-        if n >= 2 and n % 2 == 0:
-            key = tuple(sorted(t))
-            terms = shared.get(key)
-            if terms is None:
-                terms = shared[key] = _summed(d, (p for sigma in itertools.permutations(t)
-                                                  for p in _term_indices(spec, sigma)))
-        else:
-            terms = _summed(d, _output_terms(spec, n, t))
+        key = tuple(sorted(t)) if symmetric else t
+        if key not in shared:
+            terms = _summed(d, (p for sigma in itertools.permutations(t)
+                                for p in _term_indices(spec, sigma)) if symmetric
+                            else _output_terms(spec, n, t))
+            shared[key] = []
+            for by_col in grouped:
+                part = {}
+                for col, w in terms.items():
+                    if col in by_col:
+                        axpy(part, w, by_col[col])
+                shared[key].append(part)
         base = tuple_index(t, d) * d
-        for by_col, image in zip(grouped, images):
-            part = {}
-            for col, w in terms.items():
-                if col in by_col:
-                    axpy(part, w, by_col[col])
+        for part, image in zip(shared[key], images):
             for k, v in part.items():
                 image[base + k] = v
     return images

@@ -15,9 +15,10 @@ with positive leading entry, so equal subspaces always produce identical
 bases: the outputs of rows() and kernel are int rows again.
 
 A Mat's rows may be shared: `Mat.keyed`, the one constructor that shares
-them, stores equal rows once (for the even-degree index-level coboundary
-and the chain maps).  Nothing mutates a Mat row in place, so sharing is
-safe, and `Mat.matmul` and elimination compute each distinct row object once.
+them, stores equal rows once (for the index-level coboundary in even
+degree and in odd degree n >= 3, and the chain maps).  Nothing mutates a
+Mat row in place, so sharing is safe, and `Mat.matmul` and elimination
+compute each distinct row object once.
 Rows are told apart by `id()` only while a list or map holds them, so an
 id is never reused by a different row during the loop that tests it.
 """

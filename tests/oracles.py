@@ -8,9 +8,11 @@ from cohomolab.algebra import (
     ORDER_ATOMIC, AlgebraSpec, Element, basis_element, basis_product, multiply,
 )
 from cohomolab.cohomology import CheckResult, cocycle_space
-from cohomolab.complex import TAG_BAND, TAG_FULL, apply_d, coboundary, lift, tag_coords
+from cohomolab.complex import (
+    TAG_BAND, TAG_FULL, _output_terms, apply_d, coboundary, lift, tag_coords,
+)
 from cohomolab.linalg import Echelon, Mat, axpy, kernel, row_to_primitive, scalar
-from cohomolab.multilinear import MultilinearMap, all_tuples, from_flat
+from cohomolab.multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
 from cohomolab.operators import NO, UNKNOWN, YES, OperatorVerdict
 from cohomolab.rng import Lcg64
 
@@ -142,6 +144,20 @@ def coboundary_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
     if degree == 0:
         return []
     return lift(spec, degree, tag, rref(coboundary(spec, degree - 1, tag).transpose().rows))
+
+
+def lifted_coboundary_echelon(spec: AlgebraSpec, g: int) -> Echelon:
+    """Echelon of im d_{g-1} in flat coordinates, fed the lifted images:
+    d flat rows per index-level image of d_{g-1}."""
+    return Echelon(lift(spec, g, TAG_FULL, coboundary(spec, g - 1, TAG_FULL).transpose().rows))
+
+
+def index_matrix_by_tuples(spec: AlgebraSpec, n: int) -> Mat:
+    """The index-level d_n with one row per output tuple, summed from the
+    tuple-level terms of the defining formula."""
+    d = spec.dim
+    return Mat.keyed(d ** (n + 1), all_tuples(d, n + 2),
+                     lambda t: ((tuple_index(idx, d), v) for idx, v in _output_terms(spec, n, t)))
 
 
 def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> tuple:

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cohomolab.algebra import (
     ROOT_SEARCH_STEPS, ShapeError, basis_element, basis_product, build_atomic, build_number_field,
@@ -176,12 +176,16 @@ big = st.integers(-10 ** 30, 10 ** 30)
 @given(st.one_of(st.tuples(big, big.filter(bool)),
                  st.tuples(big, big, big.filter(bool)),
                  st.tuples(st.integers(-40, 40), big).map(lambda r: (-r[0] * r[1], r[1] - r[0], 1))))
+@example((45, -739_717_064_710_973, -739_717_064_710_973))  # sympy.roots raises here
 def test_rational_roots_up_to_degree_2_against_sympy(m):
     """Linear and quadratic roots need no budget: exact at 30-digit
     coefficients, with rational roots drawn on purpose as well."""
     t = sympy.Symbol("t")
     p = sympy.Poly(list(reversed(m)), t)
-    assert rational_roots(list(m)) == tuple(sorted(sympy.roots(p, filter="Q")))
+    # the roots of p's linear factors: sympy.roots can raise on such
+    # coefficients, where its integer factoring meets a composite factor
+    linear = [f for f, _ in p.factor_list()[1] if f.degree() == 1]
+    assert rational_roots(list(m)) == tuple(sorted(-f.nth(0) / f.nth(1) for f in linear))
 
 
 @st.composite

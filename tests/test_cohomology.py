@@ -1,6 +1,7 @@
 import itertools
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -11,19 +12,19 @@ from cohomolab.algebra import (
 )
 from cohomolab.complex import (
     TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, OrderStructureRequired, apply_d,
-    lift, tag_coords,
+    coboundary, lift, tag_coords,
 )
 from cohomolab.cohomology import (
-    CHAIN_MAPS, _chain_map_fn, audit_chain_map, build_J,
+    CHAIN_MAPS, _chain_map_fn, _reduce_flat, audit_chain_map, build_J,
     build_J_even, build_J_odd, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
 from cohomolab.fileformat import parse_algebra_file
-from cohomolab.linalg import Echelon, Mat, span_dim
+from cohomolab.linalg import Echelon, Mat, axpy, span_dim
 from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_times_b
 from oracles import (
     add, apply_matrix, audit_stacked, coboundary_space, from_coeff_function,
-    product_cochain_subspace, symmetry_check,
+    lifted_coboundary_echelon, product_cochain_subspace, symmetry_check,
 )
 
 F = Fraction
@@ -425,3 +426,35 @@ def test_multiplier_coboundaries_match_product_cochains(path):
     spec = parse_algebra_file(str(path))
     assert AUDIT._multiplier_coboundaries(spec) == \
         [apply_d(spec, m).flatten() for m in product_cochain_subspace(spec, 1)]
+
+
+@lru_cache(maxsize=None)
+def reduction_case(name: str, g: int):
+    """A fixture, its index-level echelon of im d_{g-1} as the audit builds
+    it, the lifted echelon, and the lifted images spanning im d_{g-1}."""
+    spec = parse_algebra_file(str(FIXTURES[0].with_name(f"{name}.alg")))
+    images = coboundary(spec, g - 1, TAG_FULL).transpose().rows
+    return (spec, Echelon(images), lifted_coboundary_echelon(spec, g),
+            lift(spec, g, TAG_FULL, images))
+
+
+REDUCTION_CASES = [(name, g) for name, d in (("qsqrt2", 2), ("qhalf", 2), ("cubic2", 3),
+                                             ("atomic3", 3), ("tm2sq", 2))
+                   for g in range(1, 8) if d ** (g + 2) <= 3 ** 6]
+
+
+@pytest.mark.parametrize("name,g", REDUCTION_CASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_index_level_reduction_equals_lifted(name, g, data):
+    """Reducing a flat vector one output coordinate at a time by the
+    index-level echelon gives the lifted echelon's reduce, entry for entry,
+    on vectors inside im d_{g-1} and off it."""
+    spec, index_ech, lifted_ech, lifted_images = reduction_case(name, g)
+    d = spec.dim
+    values = st.fractions(-4, 4, max_denominator=5).filter(bool)
+    x = data.draw(st.dictionaries(st.integers(0, d ** (g + 2) - 1), values, max_size=8))
+    for j, c in data.draw(st.lists(st.tuples(st.integers(0, len(lifted_images) - 1), values),
+                                   max_size=4)):
+        axpy(x, c, lifted_images[j])
+    assert _reduce_flat(index_ech, d, x) == lifted_ech.reduce(x)

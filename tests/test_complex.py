@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,11 +15,15 @@ from cohomolab.complex import (
     naive_coboundary_images, tag_coords, verify_dd_zero,
 )
 from cohomolab.cohomology import build_J_even, build_K, cocycle_space, cohomology
+from cohomolab.fileformat import parse_algebra_file
 from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
-from oracles import apply_matrix, from_coeff_function, intersection, rref
+from oracles import (
+    apply_matrix, from_coeff_function, index_matrix_by_tuples, intersection, rref,
+)
 
 F = Fraction
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.alg"))
 
 
 def test_d0_is_composition_with_multiplication(qsqrt2):
@@ -81,7 +86,7 @@ def test_apply_d_grouped_matches_naive(qsqrt2, atomic3):
 
 ORACLE_CASES = [(fix, n)
                 for fix in ("q", "qsqrt2", "cubic2", "atomic2", "atomic3", "atomic4")
-                for n in range(4) if fix != "atomic4" or n <= 2]
+                for n in range(4) if fix != "atomic4" or n <= 2] + [("qsqrt2", 5)]
 
 
 @pytest.mark.parametrize("fix,n", ORACLE_CASES)
@@ -121,6 +126,19 @@ def test_naive_images_all_rows_and_tuple_subsets(fix, n, request):
                 flat = tuple_index(t, d)
                 assert naive_coboundary_images(spec, n, rows, tuples=[t]) == [
                     {c: v for c, v in image.items() if c // d == flat} for image in fast]
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_odd_index_matrix_equals_tuple_build(path):
+    """The flat-index build of odd d_n equals the one summed per output
+    tuple, and for n >= 3 the rows of (a, b, r) and (b, a, r) are one dict."""
+    spec = parse_algebra_file(str(path))
+    d = spec.dim
+    for n in (1, 3, 5) if d <= 3 else (1, 3):
+        matrix = index_coboundary_matrix(spec, n)
+        assert matrix == index_matrix_by_tuples(spec, n)
+        if n >= 3:
+            assert len({id(r) for r in matrix.rows}) == d * (d + 1) // 2 * d ** n
 
 
 @pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])
