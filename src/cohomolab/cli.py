@@ -18,6 +18,12 @@ and the bytes, not with a per-cell encoder call.  Exit codes: 0
 success, 1 file/validation or output error, 2 usage error, 3 degree cap
 exceeded.
 COHOMOLAB_MAX_DEGREE overrides the default cap.
+
+A CLI process, `python -m cohomolab.cli` or the `cohomolab` script,
+enters through run: it flushes stdout and stderr after main and ends
+with os._exit, skipping interpreter finalization, so atexit handlers
+(coverage's subprocess hook among them) do not run.  Library and test
+callers use main, which returns the exit code.
 """
 
 import argparse
@@ -302,5 +308,20 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """End the process with main's exit code, once stdout and stderr are
+    flushed, and without finalization: module teardown, the last garbage
+    collection and freeing every cached scalar cost more than main on a
+    small algebra."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full disk, as main reports it
+        sys.stderr.write(f"error: {exc}\n")
+        code = EXIT_INPUT
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

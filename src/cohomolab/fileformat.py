@@ -50,6 +50,14 @@ def parse_rational(tok: str):
     return div(num, den)
 
 
+def _rationals(lineno: int, toks) -> tuple:
+    """The line's rationals, or a ParseError that names the line."""
+    try:
+        return tuple(parse_rational(t) for t in toks)
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def format_rational(x) -> str:
     """An exact scalar as `p` or `p/q`: the one formatter for every emitted scalar."""
     return str(x)
@@ -86,7 +94,7 @@ def parse_algebra_text(text: str) -> AlgebraSpec:
         elif key == "unit":
             if unit is not None:
                 raise ParseError(f"line {lineno}: duplicate unit")
-            unit = tuple(parse_rational(t) for t in toks[1:])
+            unit = _rationals(lineno, toks[1:])
         elif key == "order":
             if order is not None:
                 raise ParseError(f"line {lineno}: duplicate order")
@@ -100,7 +108,7 @@ def parse_algebra_text(text: str) -> AlgebraSpec:
                 i, j = parse_integer(toks[1]), parse_integer(toks[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: mult indices must be integers")
-            value = tuple(parse_rational(t) for t in toks[4:])
+            value = _rationals(lineno, toks[4:])
             pair = (min(i, j), max(i, j))
             if pair in mult:
                 if mult[pair] != value:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -509,3 +510,82 @@ def test_closed_stdout_is_one_error_line():
     assert proc.wait() == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+LAWLESS = "name lawless\ndim 1\nunit 2\nmult 0 0 = 1\n"  # 2·e0 = 2e0, not e0
+UNPARSABLE = "name bad\ndim 1\nunit 1/0\nmult 0 0 = 1\n"
+
+
+def process_env(**env) -> dict:
+    """The environment of a CLI process, with stdout block-buffered as by default."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def cli_process(*argv, stdout=subprocess.PIPE, **env):
+    """One `python -m cohomolab.cli` process: its exit code, stdout bytes and stderr."""
+    proc = subprocess.run([sys.executable, "-m", "cohomolab.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, cwd=ROOT, env=process_env(**env))
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("argv, expected, errors", [
+    (["validate", QSQRT2], 0, 0),
+    (["--format", "text", "validate", QSQRT2], 0, 0),
+    (["cohomology", ATOMIC3, "--degree", "1"], 0, 0),
+    (["--format", "text", "cohomology", ATOMIC3, "--degree", "1"], 0, 0),
+    (["cohomology", "fixtures/atomic4.alg", "--degree", "2"], 0, 0),  # megabytes
+    (["--help"], 0, 0),
+    (["validate", "{lawless}"], 1, 0),  # the violations are the report, on stdout
+    (["validate", "{unparsable}"], 1, 1),
+    (["cohomology", QSQRT2], 2, 1),  # no --degree
+    (["cohomology", QSQRT2, "--degree", "9"], 3, 1),
+], ids=["validate", "validate-text", "cohomology", "cohomology-text", "atomic4",
+        "help", "lawless", "unparsable", "usage", "cap"])
+def test_a_cli_process_writes_what_main_writes(capsysbinary, monkeypatch, tmp_path,
+                                               argv, expected, errors):
+    """The process entry flushes everything main wrote and exits with main's code."""
+    (tmp_path / "lawless.alg").write_text(LAWLESS)
+    (tmp_path / "unparsable.alg").write_text(UNPARSABLE)
+    argv = [a.format(lawless=tmp_path / "lawless.alg", unparsable=tmp_path / "unparsable.alg")
+            for a in argv]
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this width
+    code = main(argv)
+    captured = capsysbinary.readouterr()
+    assert code == expected and captured.err.decode().count("error: ") == errors
+    assert cli_process(*argv, COLUMNS="80") == (code, captured.out, captured.err.decode())
+
+
+def test_a_cli_process_skips_finalization():
+    """An atexit handler runs after main returns, but not after the process entry."""
+    marker = ("import atexit, runpy, sys\n"
+              "atexit.register(sys.stderr.write, 'finalized\\n')\n"
+              "sys.argv = ['cohomolab', 'validate', 'fixtures/q.alg']\n")
+    by_main = marker + "from cohomolab.cli import main\nsys.exit(main())\n"
+    by_entry = marker + "runpy.run_module('cohomolab.cli', run_name='__main__')\n"
+    results = [subprocess.run([sys.executable, "-c", source], capture_output=True,
+                              cwd=ROOT, env=process_env()) for source in (by_main, by_entry)]
+    assert [(r.returncode, r.stderr) for r in results] == [(0, b"finalized\n"), (0, b"")]
+    assert results[0].stdout == results[1].stdout
+    assert json.loads(results[1].stdout)["valid"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_help_to_a_full_disk_is_one_error_line():
+    # argparse swallows its write error, and the help text waits in the buffer
+    with open("/dev/full", "wb") as full:
+        code, _, err = cli_process("--help", stdout=full)
+    assert (code, err) == (1, "error: [Errno 28] No space left on device\n")
+
+
+def test_the_console_script_enters_where_the_main_block_does():
+    tomllib = pytest.importorskip("tomllib")  # in the stdlib from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        script = tomllib.load(f)["project"]["scripts"]["cohomolab"]
+    tree = ast.parse((ROOT / "src" / "cohomolab" / "cli.py").read_text(encoding="utf-8"))
+    (block,) = [s for s in tree.body if isinstance(s, ast.If)
+                and ast.unparse(s.test) == "__name__ == '__main__'"]
+    (call,) = [n for n in ast.walk(block) if isinstance(n, ast.Call)]
+    assert script == f"cohomolab.cli:{ast.unparse(call.func)}"

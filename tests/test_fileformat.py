@@ -94,7 +94,12 @@ def test_parse_errors_carry_line_numbers():
         (base.replace("dim 2", "dim 0_2"), "line 2: dim takes one integer"),
         (base.replace("dim 2", "dim \u0662"), "line 2: dim takes one integer"),
         (base.replace("mult 1 1", "mult 1 \u0661"), "mult indices must be integers"),
-        (base.replace("unit 1 0", "unit 1 0_0"), "malformed rational"),
+        (base.replace("unit 1 0", "unit 1 0_0"), "line 3: malformed rational '0_0'"),
+        (base.replace("unit 1 0", "unit 1/0 0"),
+         "line 3: rational '1/0' must have a positive denominator"),
+        (base.replace("mult 0 1 = 0 1", "mult 0 1 = 0 x"), "line 5: malformed rational 'x'"),
+        (base.replace("mult 0 0 = 1 0", "mult 0 0 = 1/0 0"),
+         "line 4: rational '1/0' must have a positive denominator"),
     ]
     for text, needle in cases:
         with pytest.raises(ParseError, match=needle):
