@@ -9,12 +9,12 @@ Output is JSON (default) or text, byte-identical across runs with equal
 inputs: JSON with the bytes of `json.dumps(payload, sort_keys=True,
 indent=2)`, text as one `key: ` line per sorted field with the bytes of
 `json.dumps(value, sort_keys=True)`.  Every field's value goes through
-`json.dumps` except the representatives, which are streamed to stdout
-one dense list at a time, so printing a large report holds neither its
-whole text nor more than one dense representative in memory.  A dense
-list is written as its nonzero cells spliced into one zero row shared by
-every representative of its length, so its cost grows with the nonzeros
-and the bytes, not with a per-cell encoder call.  Exit codes: 0
+`json.dumps` except the representatives, a Mat of flat rows, which are
+streamed to stdout one dense list at a time, so printing a large report
+holds neither its whole text nor more than one dense representative in
+memory.  A dense list is written as its nonzero cells spliced into one
+zero row per report, so its cost grows with the nonzeros and the bytes,
+not with a per-cell encoder call.  Exit codes: 0
 success, 1 file/validation or output error, 2 usage error, 3 degree cap
 exceeded.
 COHOMOLAB_MAX_DEGREE overrides the default cap.
@@ -91,32 +91,32 @@ def _write_report(payload, write, pretty) -> None:
     sort_keys=True, indent=2) and a newline, else as one `key: ` line per
     sorted key holding json.dumps(value, sort_keys=True).
 
-    Every value goes through json.dumps but the representatives, which are
-    written one dense list at a time, each made only now: the nonzero
-    cells spliced into one shared row of "0" cells per length.  The cells
-    of that row have a fixed stride, and format_rational prints nothing
-    that JSON escapes, so a nonzero is its printed scalar in quotes.
+    Every value goes through json.dumps but the representatives, a Mat
+    of flat rows, which are written one dense list at a time, each made
+    only now: the nonzero cells spliced into the report's one row of
+    .ncols "0" cells.  The cells of that row have a fixed stride, and
+    format_rational prints nothing that JSON escapes, so a nonzero is its
+    printed scalar in quotes.
     """
     first, sep, nl = ("{\n  ", ",\n  ", "\n  ") if pretty else ("", "\n", "")
     for key in sorted(payload):
         value = payload[key]
         write(first + (encode_basestring_ascii(key) if pretty else key) + ": ")
         first = sep
-        if key == "representatives" and value:
+        if key == "representatives" and not value.rows:
+            write("[]")
+        elif key == "representatives":
             outer, inner = (nl + "  ", nl + "    ") if pretty else ("", "")
             cell_sep = "," + (inner or " ")
             stride = 3 + len(cell_sep)
-            zeros = {}  # length -> that many "0" cells
+            zeros = cell_sep.join(['"0"'] * value.ncols)
             opening = "[" + outer
-            for m in value:
-                length = m.dim ** (m.arity + 1)
-                if length not in zeros:
-                    zeros[length] = cell_sep.join(['"0"'] * length)
-                row, pieces, at = zeros[length], [], 0
-                for i, v in sorted(m.vec.items()):
-                    pieces += (row[at:i * stride], '"' + _rat(v) + '"')
+            for vec in value.rows:
+                pieces, at = [], 0
+                for i, v in sorted(vec.items()):
+                    pieces += (zeros[at:i * stride], '"' + _rat(v) + '"')
                     at = i * stride + 3
-                pieces.append(row[at:])
+                pieces.append(zeros[at:])
                 write(opening + "[" + inner + "".join(pieces) + outer + "]")
                 opening = "," + (outer or " ")
             write(nl + "]")

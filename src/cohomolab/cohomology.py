@@ -14,10 +14,10 @@ from typing import NamedTuple
 
 from .algebra import AlgebraSpec, basis_product
 from .linalg import Mat, Echelon, axpy, complete_basis, kernel, span_dim
-from .multilinear import all_tuples, from_flat, tuple_index
+from .multilinear import all_tuples, tuple_index
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_FULL, arrangements, check_cap,
-    coboundary, coboundary_images, lift, naive_coboundary_images,
+    coboundary, coboundary_images, lift, naive_coboundary_images, per_coordinate,
 )
 from .rng import Lcg64
 
@@ -31,7 +31,7 @@ class CohomologyReport(NamedTuple):
     dim_cocycles: int
     dim_coboundaries: int
     dim_H: int
-    representatives: tuple  # tuple[MultilinearMap], independent modulo coboundaries
+    representatives: Mat  # flat rows, independent modulo coboundaries
 
 
 def cohomology(spec: AlgebraSpec, degree: int, tag: str = TAG_FULL,
@@ -44,12 +44,11 @@ def cohomology(spec: AlgebraSpec, degree: int, tag: str = TAG_FULL,
     z = kernel(coboundary(spec, degree, tag))
     images = coboundary(spec, degree - 1, tag).transpose().rows if degree else []
     per_row = len(lift(spec, degree, tag, [{}]))  # flat rows per coordinate row
-    reps = tuple(from_flat(spec.dim, degree + 1, r)
-                 for r in lift(spec, degree, tag, complete_basis(images, z)))
+    reps = lift(spec, degree, tag, complete_basis(images, z))
     dim_z = per_row * len(z)
     return CohomologyReport(
         dim_cocycles=dim_z, dim_coboundaries=dim_z - len(reps),
-        dim_H=len(reps), representatives=reps,
+        dim_H=len(reps), representatives=Mat(len(reps), spec.dim ** (degree + 2), reps),
     )
 
 
@@ -73,7 +72,7 @@ def _multiplier_coboundaries(spec: AlgebraSpec) -> list:
 
 def multiplier_quotient(spec: AlgebraSpec) -> DistinguishedQuotient:
     """ker d_1 over the d_0 image of the multipliers."""
-    dim_kernel = len(cocycle_space(spec, 1, TAG_FULL))
+    dim_kernel = spec.dim * len(kernel(coboundary(spec, 1, TAG_FULL)))
     dim_image = span_dim(_multiplier_coboundaries(spec))
     return DistinguishedQuotient(dim_kernel, dim_image, dim_kernel - dim_image)
 
@@ -201,17 +200,6 @@ def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images, trials: int,
     return naive_coboundary_images(spec, g, rows, tuples) == sampled
 
 
-def _reduce_flat(ech: Echelon, d: int, x: dict) -> dict:
-    """Flat x reduced by (span of ech's index-level rows) (x) I_d, whose reduced
-    echelon basis is ech's rows (x) e_k: one output coordinate k at a time,
-    so it equals the lifted rows' echelon reduce entry for entry."""
-    parts = [{} for _ in range(d)]
-    for col, v in x.items():
-        c, k = divmod(col, d)
-        parts[k][c] = v
-    return {c * d + k: v for k, part in enumerate(parts) for c, v in ech.reduce(part).items()}
-
-
 class CheckResult(NamedTuple):
     ok: bool
     witness: object = None  # reproducible by direct evaluation
@@ -259,18 +247,24 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     # one index-level echelon of im d_{g-1}, fed the raw index-level images of d_{g-1}
     b_ech = Echelon(coboundary(spec, g - 1, TAG_FULL).transpose().rows)
 
+    # reduce by (im d_{g-1}) (x) I_d, whose reduced echelon basis is b_ech's
+    # rows (x) e_k: it equals the lifted rows' echelon reduce entry for entry
+    def reduce(rows):
+        return per_coordinate(d, rows, lambda parts: [b_ech.reduce(p) for p in parts])
+
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
     cobound = CheckResult(True)
     mult_rows = mult_ech.rows()
-    for row, img_flat in zip(mult_rows, chain.images(mult_rows)):
-        if _reduce_flat(b_ech, d, img_flat):
+    mult_images = chain.images(mult_rows)
+    for row, img_flat, left in zip(mult_rows, mult_images, reduce(mult_images)):
+        if left:
             cobound = CheckResult(False, {"input": row, "image": img_flat})
             break
 
     # injectivity: {v in ker d_1 : image(v) in im d_{g-1}} must lie in d_0(multipliers).
     # reduce is linear and zero exactly on im d_{g-1}, so that set is the
     # kernel of the reduced images.
-    reduced = Mat.from_columns(d ** (g + 2), [_reduce_flat(b_ech, d, x) for x in img_rows])
+    reduced = Mat.from_columns(d ** (g + 2), reduce(img_rows))
     injective = CheckResult(True)
     for kvec in kernel(reduced):
         acc = {}

@@ -168,22 +168,27 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
                      lambda t: ((tuple_index(idx, d), v) for idx, v in _output_terms(spec, n, t)))
 
 
-def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
-    """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows.
+def per_coordinate(d: int, rows, f) -> list:
+    """(an index-level map) (x) I_d applied to flat rows.
 
-    Each image is (index matrix (x) identity) times the row: the entries
-    of row j with output coordinate k form index-level vector j*d + k, and
-    one Mat.images call maps them all to the entries of the images.
+    The entries of row j with output coordinate k form index-level part
+    j*d + k; f maps the list of all parts in one call, and mapped part
+    j*d + k goes back to row j at output coordinate k.
     """
-    d = spec.dim
-    columns = [{} for _ in range(len(rows) * d)]
+    parts = [{} for _ in range(len(rows) * d)]
     for j, x in enumerate(rows):
         for col, v in x.items():
             c, k = divmod(col, d)
-            columns[j * d + k][c] = v
-    parts = index_coboundary_matrix(spec, n).images(columns)
-    return [{r * d + k: v for k in range(d) for r, v in parts[j * d + k].items()}
+            parts[j * d + k][c] = v
+    mapped = f(parts)
+    return [{r * d + k: v for k in range(d) for r, v in mapped[j * d + k].items()}
             for j in range(len(rows))]
+
+
+def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
+    """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows:
+    the index matrix (x) I_d, by one Mat.images call."""
+    return per_coordinate(spec.dim, rows, index_coboundary_matrix(spec, n).images)
 
 
 def _summed(d: int, pairs) -> dict:

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cohomolab.cli import _jsonable, _write_report, main
 from cohomolab.fileformat import format_rational
+from cohomolab.linalg import Mat
 from cohomolab.multilinear import MultilinearMap
 
 QSQRT2 = "fixtures/qsqrt2.alg"
@@ -378,6 +379,33 @@ def test_verify_complex(capsys):
     assert code == 0 and json.loads(out)["all_zero"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", QSQRT2],
+    ["classify", QSQRT2],
+    ["classify", ATOMIC3],
+    ["cohomology", QSQRT2, "--degree", "2"],
+    ["--format", "text", "cohomology", "fixtures/cubic2.alg", "--degree", "1"],
+    ["cohomology", ATOMIC3, "--degree", "1", "--complex", "band"],
+    ["audit", QSQRT2, "--map", "K"],
+    ["audit", QSQRT2, "--map", "J"],
+    ["audit", QSQRT2, "--map", "Jodd", "--n", "2"],
+    ["verify-complex", QSQRT2, "--max-degree", "2"],
+    ["verify-complex", ATOMIC3, "--max-degree", "2", "--complex", "band"],
+], ids=["validate", "classify", "classify-atomic", "cohomology", "cohomology-text",
+        "cohomology-band", "audit-K", "audit-J", "audit-Jodd-2", "verify-complex",
+        "verify-complex-band"])
+def test_no_command_builds_a_multilinear_map(capsys, monkeypatch, argv):
+    """Cochains stay flat rows from the library to the writer."""
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a MultilinearMap was built")
+
+    monkeypatch.setattr(MultilinearMap, "__new__", refuse)
+    with pytest.raises(AssertionError):
+        MultilinearMap(1, 1, {})
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+
+
 def test_json_output_deterministic(capsys):
     outs = set()
     for _ in range(2):
@@ -422,16 +450,17 @@ payloads = st.recursive(
 )
 
 
-# cochains with integral and fractional entries, stored sparse
-cochains = st.tuples(st.integers(1, 3), st.integers(1, 2)).flatmap(
-    lambda shape: st.dictionaries(
-        st.integers(0, shape[0] ** (shape[1] + 1) - 1),
+# a report's representatives: one column count, and flat rows with
+# integral and fractional entries, stored sparse
+representative_mats = st.integers(1, 27).flatmap(
+    lambda ncols: st.lists(st.dictionaries(
+        st.integers(0, ncols - 1),
         st.one_of(st.integers(), st.fractions()).filter(bool), max_size=4,
-    ).map(lambda vec: MultilinearMap(shape[1], shape[0], vec)))
+    ), max_size=3).map(lambda rows: Mat(len(rows), ncols, rows)))
 
 
-def dense(m):
-    return [format_rational(m.vec.get(i, 0)) for i in range(m.dim ** (m.arity + 1))]
+def dense(reps):
+    return [[format_rational(row.get(i, 0)) for i in range(reps.ncols)] for row in reps.rows]
 
 
 @given(st.one_of(st.integers(), st.fractions()))
@@ -443,16 +472,16 @@ def test_printed_scalars_need_no_json_escape(x):
 # a report is never empty; only `cohomology` reports have representatives
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(texts, payloads, min_size=1, max_size=2),
-       st.one_of(st.none(), st.lists(cochains, max_size=3)))
-@example({"a": 1}, [MultilinearMap(1, 2, {0: 5})])  # a nonzero at the first cell
-@example({"a": 1}, [MultilinearMap(2, 3, {26: Fraction(-1, 3)})])  # and at the last
-@example({"a": 1}, [MultilinearMap(1, 2, {3: -2, 0: 1}),  # two shapes, one seen twice
-                    MultilinearMap(2, 3, {5: Fraction(7, 2)}), MultilinearMap(1, 2, {})])
+       st.one_of(st.none(), representative_mats))
+@example({"a": 1}, Mat(1, 4, [{0: 5}]))  # a nonzero at the first cell
+@example({"a": 1}, Mat(1, 27, [{26: Fraction(-1, 3)}]))  # and at the last
+@example({"a": 1}, Mat(3, 4, [{3: -2, 0: 1}, {}, {1: Fraction(7, 2)}]))  # the zero row reused
+@example({"a": 1}, Mat(0, 8, []))  # no representatives
 def test_streamed_json_equals_dumps(fields, representatives):
     report, expected = dict(fields), dict(fields)
     if representatives is not None:
         report["representatives"] = representatives
-        expected["representatives"] = [dense(m) for m in representatives]
+        expected["representatives"] = dense(representatives)
     pieces = []
     _write_report(report, pieces.append, True)
     assert "".join(pieces) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
@@ -460,6 +489,13 @@ def test_streamed_json_equals_dumps(fields, representatives):
     _write_report(report, pieces.append, False)
     assert "".join(pieces) == "".join(f"{key}: {json.dumps(value, sort_keys=True)}\n"
                                       for key, value in sorted(expected.items()))
+
+
+def process_env(**env) -> dict:
+    """The environment of a CLI process, with stdout block-buffered as by default."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 # sha256 of `cohomology fixtures/atomic4.alg --degree 3` stdout (152,153,182
@@ -481,11 +517,10 @@ def test_large_report_streams_in_constant_memory(fmt):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cohomolab.cli", "--format", fmt, "cohomology",
          str(ROOT / "fixtures" / "atomic4.alg"), "--degree", "3"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=process_env(),
         preexec_fn=cap_address_space)
     digest = hashlib.sha256()
     for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
@@ -498,11 +533,10 @@ def test_large_report_streams_in_constant_memory(fmt):
 
 def test_closed_stdout_is_one_error_line():
     """A reader that stops early gets exit 1 and one `error:` line, not a traceback."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cohomolab.cli", "cohomology",
          str(ROOT / "fixtures" / "atomic4.alg"), "--degree", "2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=process_env())
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()  # the report is megabytes: writing the rest fails
     err = proc.stderr.read().decode()
@@ -514,13 +548,6 @@ def test_closed_stdout_is_one_error_line():
 
 LAWLESS = "name lawless\ndim 1\nunit 2\nmult 0 0 = 1\n"  # 2·e0 = 2e0, not e0
 UNPARSABLE = "name bad\ndim 1\nunit 1/0\nmult 0 0 = 1\n"
-
-
-def process_env(**env) -> dict:
-    """The environment of a CLI process, with stdout block-buffered as by default."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
-    env.pop("PYTHONUNBUFFERED", None)
-    return env
 
 
 def cli_process(*argv, stdout=subprocess.PIPE, **env):

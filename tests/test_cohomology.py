@@ -12,10 +12,10 @@ from cohomolab.algebra import (
 )
 from cohomolab.complex import (
     TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, OrderStructureRequired, apply_d,
-    coboundary, lift, tag_coords,
+    coboundary, lift, per_coordinate, tag_coords,
 )
 from cohomolab.cohomology import (
-    CHAIN_MAPS, _chain_map_fn, _reduce_flat, audit_chain_map, build_J,
+    CHAIN_MAPS, _chain_map_fn, audit_chain_map, build_J,
     build_J_even, build_J_odd, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
 from cohomolab.fileformat import parse_algebra_file
@@ -60,9 +60,10 @@ def test_cohomology_dims_shifted(fix, expected, request):
     for n, (z, b, h) in expected.items():
         r = cohomology(spec, n + 1)
         assert (r.dim_cocycles, r.dim_coboundaries, r.dim_H) == (z, b, h)
-        assert len(r.representatives) == h
-        # the CLI's shifted degree n is cochain degree n + 1: (n+2)-linear classes
-        assert all(m.arity == n + 2 for m in r.representatives)
+        assert r.representatives.nrows == len(r.representatives.rows) == h
+        # the CLI's shifted degree n is cochain degree n + 1: (n+2)-linear
+        # classes, flat rows of d^(n+2) tuples times d output coordinates
+        assert r.representatives.ncols == spec.dim ** (n + 3)
 
 
 def test_representatives_independent_mod_coboundaries(qsqrt2):
@@ -70,8 +71,7 @@ def test_representatives_independent_mod_coboundaries(qsqrt2):
     b_rows = coboundary_space(qsqrt2, 2, TAG_FULL)
     z = Echelon(cocycle_space(qsqrt2, 2, TAG_FULL))
     ech = Echelon(b_rows)
-    for m in r.representatives:
-        row = m.flatten()
+    for row in r.representatives.rows:
         assert z.contains(row)
         assert ech.add(row)  # each rep grows the span beyond the coboundaries
     assert ech.rank == len(b_rows) + r.dim_H
@@ -88,7 +88,8 @@ def test_restricted_cohomology(atomic2, atomic3):
 def test_cohomology_degree_cap(qsqrt2):
     with pytest.raises(DegreeCapExceeded):
         cohomology(qsqrt2, 10)
-    assert {m.arity for m in cohomology(qsqrt2, 6, cap=7).representatives} == {7}
+    reps = cohomology(qsqrt2, 6, cap=7).representatives
+    assert reps.rows and reps.ncols == 2 ** 8  # 7-linear classes
 
 
 def test_multiplier_space(qsqrt2):
@@ -118,6 +119,7 @@ def test_distinguished_quotients(qsqrt2, cubic2, atomic2, atomic3):
         r = multiplier_quotient(spec)
         assert r.dim_H == spec.dim ** 2 - spec.dim
         assert (r.dim_kernel, r.dim_image) == (spec.dim ** 2, spec.dim)
+        assert r.dim_kernel == len(cocycle_space(spec, 1, TAG_FULL))
     # the orthomorphism quotient is H^1 of the band complex
     for spec in (atomic2, atomic3):
         r = cohomology(spec, 1, TAG_BAND)
@@ -356,10 +358,10 @@ def rank_one_map(spec, g):
     """psi -> psi[c] * h, with h the first representative of degree g and
     c the first column of the first multiplier coboundary; None where that
     cohomology vanishes."""
-    reps = cohomology(spec, g, cap=g + 1).representatives
+    reps = cohomology(spec, g, cap=g + 1).representatives.rows
     if not reps:
         return None
-    h, c = reps[0].vec, min(AUDIT._multiplier_coboundaries(spec)[0])
+    h, c = reps[0], min(AUDIT._multiplier_coboundaries(spec)[0])
     return lambda spec: Mat.keyed(spec.dim ** 3, range(spec.dim ** (g + 2)),
                                   lambda i: [(c, h[i])] if i in h else ())
 
@@ -447,9 +449,10 @@ REDUCTION_CASES = [(name, g) for name, d in (("qsqrt2", 2), ("qhalf", 2), ("cubi
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_index_level_reduction_equals_lifted(name, g, data):
-    """Reducing a flat vector one output coordinate at a time by the
-    index-level echelon gives the lifted echelon's reduce, entry for entry,
-    on vectors inside im d_{g-1} and off it."""
+    """Reducing a flat vector one output coordinate at a time, by
+    per_coordinate with the index-level echelon, gives the lifted
+    echelon's reduce, entry for entry, on vectors inside im d_{g-1} and
+    off it."""
     spec, index_ech, lifted_ech, lifted_images = reduction_case(name, g)
     d = spec.dim
     values = st.fractions(-4, 4, max_denominator=5).filter(bool)
@@ -457,4 +460,5 @@ def test_index_level_reduction_equals_lifted(name, g, data):
     for j, c in data.draw(st.lists(st.tuples(st.integers(0, len(lifted_images) - 1), values),
                                    max_size=4)):
         axpy(x, c, lifted_images[j])
-    assert _reduce_flat(index_ech, d, x) == lifted_ech.reduce(x)
+    reduced = per_coordinate(d, [x], lambda parts: [index_ech.reduce(p) for p in parts])
+    assert reduced == [lifted_ech.reduce(x)]
