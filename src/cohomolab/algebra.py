@@ -5,16 +5,16 @@ of basis elements b_i * b_j as a coordinate vector, and a unit element.
 Two constructors cover the representable families: number fields Q[t]/(p)
 in the power basis, and atomic pointwise algebras (idempotent atoms,
 all-ones unit) carrying the lattice order.  `assess_domain` attaches what
-is known of the algebra's shape: whether it is a domain, and, when it is a
-product of number fields, the rational roots of a primitive element's
-minimal polynomial, which count its factors Q.
+is proved of the algebra's shape: whether it is a domain, or unchecked
+where no exact rule decides, and, when it is a product of number fields,
+the rational roots of a primitive element's minimal polynomial, which
+count its factors Q.  Nothing here samples.
 """
 
 from math import isqrt
 from typing import NamedTuple
 
 from .linalg import Echelon, Mat, div, kernel, scalar
-from .rng import Lcg64
 
 Element = tuple  # exact scalars: an int when integral, else a Fraction, never a float
 
@@ -38,10 +38,6 @@ def zero_element(d: int) -> Element:
 
 def basis_element(d: int, i: int) -> Element:
     return tuple(1 if j == i else 0 for j in range(d))
-
-
-def is_zero(x: Element) -> bool:
-    return not any(x)
 
 
 class AlgebraSpec(NamedTuple):
@@ -138,7 +134,7 @@ def validate_algebra(spec: AlgebraSpec) -> list:
     return out
 
 
-def build_number_field(min_poly, name: str = "", trials: int = 64, seed: int = 0) -> AlgebraSpec:
+def build_number_field(min_poly, name: str = "") -> AlgebraSpec:
     """Q[t]/(p) in the power basis 1, t, ..., t^{d-1}.
 
     min_poly is the coefficient list of p in ascending degree order,
@@ -168,7 +164,7 @@ def build_number_field(min_poly, name: str = "", trials: int = 64, seed: int = 0
         unit=basis_element(d, 0),
         order_mode=ORDER_NONE,
     )
-    return assess_domain(spec, trials=trials, seed=seed)
+    return assess_domain(spec)
 
 
 def build_atomic(d: int, name: str = "") -> AlgebraSpec:
@@ -186,29 +182,6 @@ def build_atomic(d: int, name: str = "") -> AlgebraSpec:
         unit=(1,) * d,
         order_mode=ORDER_ATOMIC,
     ))
-
-
-def zero_divisor_falsifier(spec: AlgebraSpec, trials: int = 64, seed: int = 0):
-    """Search for nonzero x, y with x*y = 0.
-
-    Checks all basis pairs, then `trials` pseudorandom pairs with
-    coordinates in [-8, 8].  Returns the witness pair or None; None is
-    refutation-only evidence, not a proof of domain-hood.
-    """
-    d = spec.dim
-    for i in range(d):
-        for j in range(d):
-            if is_zero(spec.structure[i][j]):
-                return (basis_element(d, i), basis_element(d, j))
-    rng = Lcg64(seed)
-    for _ in range(trials):
-        x = tuple(rng.randint(-8, 8) for _ in range(d))
-        y = tuple(rng.randint(-8, 8) for _ in range(d))
-        if is_zero(x) or is_zero(y):
-            continue
-        if is_zero(multiply(spec, x, y)):
-            return (x, y)
-    return None
 
 
 def rational_roots(m: list):
@@ -267,21 +240,21 @@ def primitive_minimal_polynomial(spec: AlgebraSpec) -> list:
             return [rows[0].get(j, 0) for j in range(d + 1)]
 
 
-def assess_domain(spec: AlgebraSpec, trials: int = 64, seed: int = 0) -> AlgebraSpec:
-    """Attach the domain status and, on an étale spec, the rational roots.
+def assess_domain(spec: AlgebraSpec) -> AlgebraSpec:
+    """Attach the domain status, decided only by proof, and, on an étale
+    spec, the rational roots.
 
     In characteristic 0 a singular trace form Tr(b_i b_j) means A is not
     reduced, so a nilpotent refutes domain-hood exactly.  A nonsingular one
     makes A étale: a product of number fields, isomorphic to Q[t]/(m) for
     the minimal polynomial m of a primitive element, with one field per
-    irreducible factor of m.  So a rational root refutes domain-hood at
-    d >= 2, and no root proves a field at d <= 3, where a reducible m has
-    a linear factor.  The falsifier, which can only refute, decides the
-    rest: an atomic order (its atoms prove the algebra split), a root
-    search past its budget (only at d >= 3; rational_roots stays None)
-    and a rootless d >= 4, which may be two quadratic fields.  This is the
-    only code that sets either field; both mean something only on a lawful
-    spec.
+    irreducible factor of m.  So at d >= 2 a rational root refutes, as does
+    a zero basis product b_i b_j (the atoms of an atomic order).  At d = 1
+    a lawful unital algebra is Q, and no root proves a field at d <= 3,
+    where a reducible m has a linear factor.  The rest stays unchecked: a
+    rootless d >= 4, which may be two quadratic fields, and a root search
+    past its budget (rational_roots stays None).  This is the only code
+    that sets either field; both mean something only on a lawful spec.
     """
     d = spec.dim
     trace = [sum(spec.structure[l][k][k] for k in range(d)) for l in range(d)]  # of x -> b_l x
@@ -290,8 +263,11 @@ def assess_domain(spec: AlgebraSpec, trials: int = 64, seed: int = 0) -> Algebra
     roots = None
     if form.rank == d and spec.order_mode != ORDER_ATOMIC:
         roots = rational_roots(primitive_minimal_polynomial(spec))
-    refuted = form.rank < d or (d > 1 and bool(roots))
-    if not refuted and (roots is None or d >= 4):
-        refuted = zero_divisor_falsifier(spec, trials=trials, seed=seed) is not None
-    return spec._replace(domain_status=DOMAIN_REFUTED if refuted else DOMAIN_ASSERTED,
-                         rational_roots=roots)
+    zero_product = any(not any(e) for row in spec.structure for e in row)
+    if form.rank < d or (d > 1 and (roots or zero_product)):
+        status = DOMAIN_REFUTED
+    elif d == 1 or (roots == () and d <= 3):
+        status = DOMAIN_ASSERTED
+    else:
+        status = DOMAIN_UNCHECKED
+    return spec._replace(domain_status=status, rational_roots=roots)

@@ -29,13 +29,12 @@ rearrangement of the index tuple (each arises the same number of times).
 An odd-degree row is built from its flat index: two digits pick the
 product, the rest is the tail.  Only lawful specs reach it, so for n >= 3
 it lets tuples that differ by swapping their first two indices share a row.
-A naive per-permutation evaluator, naive_coboundary_images (and
-apply_d(..., naive=True), its one-row call), is kept only as an
-independent oracle for tests and audits.  It walks every permutation, but
-once per multiset of output indices: for even degree, sigma -> sigma o pi
-permutes the symmetric group, so output tuples that rearrange one another
-have equal sums.  Each sum, and each row's part of it, is computed once
-per multiset and written at every rearrangement.
+A naive per-permutation evaluator, naive_coboundary_images, is kept only
+as an independent oracle for tests and audits.  It walks every
+permutation, but once per multiset of output indices: for even degree,
+sigma -> sigma o pi permutes the symmetric group, so output tuples that
+rearrange one another have equal sums.  Each sum, and each row's part
+of it, is computed once per multiset and written at every rearrangement.
 """
 
 import itertools
@@ -123,15 +122,10 @@ def _output_terms(spec: AlgebraSpec, n: int, t: tuple):
                 yield idx, v * weight
 
 
-def apply_d(spec: AlgebraSpec, f: MultilinearMap, naive: bool = False) -> MultilinearMap:
-    """The coboundary of a degree-(arity-1) cochain; output arity + 1.
-
-    naive=True evaluates the defining formula term by term, one
-    permutation at a time (naive_coboundary_images), as an oracle for the
-    index matrix.
-    """
-    images = naive_coboundary_images if naive else coboundary_images
-    (image,) = images(spec, f.arity - 1, [f.flatten()])
+def apply_d(spec: AlgebraSpec, f: MultilinearMap) -> MultilinearMap:
+    """The coboundary of a degree-(arity-1) cochain, by the index matrix;
+    output arity + 1."""
+    (image,) = coboundary_images(spec, f.arity - 1, [f.flatten()])
     return from_flat(spec.dim, f.arity + 1, image)
 
 

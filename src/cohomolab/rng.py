@@ -1,7 +1,8 @@
 """Deterministic 64-bit linear congruential generator.
 
-All pseudorandom sampling in the package goes through this generator so
-that reports are bit-reproducible across platforms and Python versions.
+The package samples in one place, the audit's evaluator-agreement check,
+and draws its sample from this generator so that reports are
+bit-reproducible across platforms and Python versions.
 Multiplier and increment are Knuth's MMIX constants.
 """
 

@@ -18,8 +18,11 @@ from cohomolab.algebra import basis_element, build_atomic, multiply
 from cohomolab.cohomology import (
     audit_chain_map, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
-from cohomolab.complex import TAG_BAND, TAG_FULL, TAG_IDEAL, apply_d, verify_dd_zero
+from cohomolab.complex import (
+    TAG_BAND, TAG_FULL, TAG_IDEAL, apply_d, naive_coboundary_images, verify_dd_zero,
+)
 from cohomolab.linalg import Echelon, span_dim
+from cohomolab.multilinear import from_flat
 from cohomolab.operators import classify
 from conftest import elem, operator, psi_f_of_ab
 from oracles import (
@@ -206,7 +209,8 @@ def test_criterion_6_chain_map_audits(fixture_specs):
         total = tuple(a + b for a, b in zip(total, term))
     ok = ok and total == elem(0, -48)
     ok = ok and apply_d(qsqrt2, k_psi).eval([r2] * 4) == elem(0, -48)
-    ok = ok and apply_d(qsqrt2, k_psi, naive=True).eval([r2] * 4) == elem(0, -48)
+    (naive,) = naive_coboundary_images(qsqrt2, 2, [k_psi.flatten()])
+    ok = ok and from_flat(2, 4, naive).eval([r2] * 4) == elem(0, -48)
     report("6 chain-map-audits", ok,
            "J passes, K fails on qsqrt2, oracle value (0, -48)")
 

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cohomolab.algebra import build_number_field
 from cohomolab.cli import _jsonable, _write_report, main
-from cohomolab.fileformat import format_rational
+from cohomolab.fileformat import format_rational, serialize_algebra
 from cohomolab.linalg import Mat
 from cohomolab.multilinear import MultilinearMap
 
@@ -69,7 +70,7 @@ BIG_CUBE = ("name bigcube\ndim 3\nunit 1 0 0\norder none\nmult 0 0 = 1 0 0\n"
 
 @pytest.mark.parametrize("text,name,dim,status", [
     (ATOMIC12, "atomic_12", 12, "refuted"), (BIG_CONSTANT, "bigsq", 2, "asserted"),
-    (BIG_CUBE, "bigcube", 3, "asserted"),
+    (BIG_CUBE, "bigcube", 3, "unchecked"),
 ], ids=["atomic12", "big-constant", "big-cube"])
 def test_validate_within_the_root_search_budget(capsys, tmp_path, text, name, dim, status):
     """An atomic order skips the root search, a quadratic needs none, and a
@@ -85,7 +86,7 @@ def test_validate_within_the_root_search_budget(capsys, tmp_path, text, name, di
                               "violations": []}, indent=2) + "\n"
 
 
-def classify_at_once(capsys, tmp_path, text):
+def classify_at_once(capsys, tmp_path, text, status):
     path = tmp_path / "big.alg"
     path.write_text(text)
     start = time.perf_counter()
@@ -93,18 +94,19 @@ def classify_at_once(capsys, tmp_path, text):
     assert time.perf_counter() - start < 1
     assert (code, err) == (0, "")
     payload = json.loads(out)
-    assert payload["domain_status"] == "asserted"
+    assert payload["domain_status"] == status
     return payload["kadison"]
 
 
 def test_classify_past_the_root_search_budget(capsys, tmp_path):
     """A quadratic's discriminant decides its roots, so it is a proved field."""
-    assert classify_at_once(capsys, tmp_path, BIG_CONSTANT) == {
+    assert classify_at_once(capsys, tmp_path, BIG_CONSTANT, "asserted") == {
         "certificate": None, "verdict": "no", "witness": [["1", "0"], ["0", "-1"]]}
 
 
 def test_classify_leaves_a_cubic_past_the_budget_unknown(capsys, tmp_path):
-    assert classify_at_once(capsys, tmp_path, BIG_CUBE) == {
+    """No root search, so neither the domain nor Kadison is decided."""
+    assert classify_at_once(capsys, tmp_path, BIG_CUBE, "unchecked") == {
         "certificate": None, "verdict": "unknown_sampled", "witness": None}
 
 
@@ -195,6 +197,48 @@ def test_ideal_complex_needs_asserted_domain(capsys, tmp_path):
         assert code == 1 and out == ""
         assert "ideal-preserving subspace is only defined" in err
     assert run_cli(capsys, "verify-complex", str(dual))[0] == 0
+
+
+@pytest.mark.parametrize("coeffs", [
+    [4, 0, 0, 0, 1],  # t^4 + 4 = (t^2+2t+2)(t^2-2t+2): Q(i) x Q(i)
+    [6, 0, -5, 0, 1],  # (t^2-2)(t^2-3): Q(sqrt 2) x Q(sqrt 3)
+], ids=["t4p4", "t2m2-t2m3"])
+def test_ideal_complex_refused_on_a_rootless_split_quartic(capsys, tmp_path, coeffs):
+    """No exact rule decides a rootless quartic, so its domain stays
+    unchecked, and its ideal complex is refused, not computed as the full one."""
+    path = tmp_path / "split.alg"
+    path.write_text(serialize_algebra(build_number_field(coeffs, name="split")))
+    code, out, err = run_cli(capsys, "cohomology", str(path), "--degree", "1",
+                             "--complex", "ideal")
+    assert (code, out) == (1, "")
+    assert err == ("error: ideal-preserving subspace is only defined for asserted "
+                   "domains and atomic algebras\n")
+
+
+@pytest.mark.parametrize("name", ["t4p4", "t4m2", "big3", "atomic4", "tm2sq"])
+def test_the_domain_test_samples_nothing(capsys, tmp_path, name):
+    """validate and classify print the same bytes under every seed and
+    trial budget, but for the seed line."""
+    quartics = {"t4p4": [4, 0, 0, 0, 1], "t4m2": [-2, 0, 0, 0, 1]}
+    path = tmp_path / f"{name}.alg"
+    if name in quartics:
+        path.write_text(serialize_algebra(build_number_field(quartics[name], name=name)))
+    elif name == "big3":
+        path.write_text(BIG_CUBE)
+    else:
+        path = ROOT / "fixtures" / f"{name}.alg"
+    for command in ("validate", "classify"):
+        outs = set()
+        for seed in (0, 7, 2 ** 40):
+            for trials in (0, 1000):
+                code, out, err = run_cli(capsys, "--seed", str(seed), "--trials", str(trials),
+                                         command, str(path))
+                assert (code, err) == (0, "")
+                lines = out.splitlines(keepends=True)
+                seed_line = f'  "seed": {seed},\n'
+                assert lines.count(seed_line) == 1
+                outs.add("".join(line for line in lines if line != seed_line))
+        assert len(outs) == 1
 
 
 def test_negative_degree(capsys):

@@ -197,7 +197,7 @@ def test_classify_decides_from_the_rational_roots(qsqrt2):
     assert classify(split).kadison == (YES, None, None)
     assert qsqrt2.rational_roots == ()
     # Q(i) x Q(i) = Q[t]/((t^2+2t+2)(t^2-2t+2)), rootless at d = 4: no, with
-    # no witness, whatever the falsifier finds; negating the second basis
+    # no witness, whatever the domain status reads; negating the second basis
     # direction is no local multiplier there
     two_fields = build_number_field([4, 0, 0, 0, 1])
     assert two_fields.rational_roots == ()
