@@ -148,7 +148,7 @@ def _int(text: str) -> int:
 
 
 def _non_negative(text: str) -> int:
-    """A non-negative int: a sampling budget or a degree cap."""
+    """A non-negative int: a degree cap, from --degree-cap or COHOMOLAB_MAX_DEGREE."""
     value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
@@ -162,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite-dimensional commutative unital algebras.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=_int, default=0)
-    parser.add_argument("--trials", type=_non_negative, default=64)
     parser.add_argument("--degree-cap", type=_non_negative, default=None,
                         help=f"highest materialized cochain degree (default "
                              f"{DEFAULT_DEGREE_CAP}, or COHOMOLAB_MAX_DEGREE)")
@@ -204,8 +202,8 @@ def _run(args) -> tuple:
         raise ParseError(f"algebra law violated: {first.law} at {first.indices}")
     if not violations:  # the domain tests mean nothing on a tensor that fails the laws
         spec = assess_domain(spec)
-    base = {"algebra": spec.name, "command": args.command, "dim": spec.dim,
-            "seed": args.seed}
+    # "seed" is always 0: it stays while the benchmark's output pins include it
+    base = {"algebra": spec.name, "command": args.command, "dim": spec.dim, "seed": 0}
 
     if args.command == "validate":
         base["valid"] = not violations
@@ -242,8 +240,7 @@ def _run(args) -> tuple:
         return base, EXIT_OK
 
     if args.command == "audit":
-        report = audit_chain_map(spec, args.map_name, n=args.n, cap=cap,
-                                 trials=args.trials, seed=args.seed)
+        report = audit_chain_map(spec, args.map_name, n=args.n, cap=cap)
         base.update({
             "map": args.map_name,
             "n": args.n,

@@ -9,17 +9,15 @@ each check of an audit maps all its cochains by one product (Mat.images).
 """
 
 from functools import lru_cache
-from math import factorial
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, basis_product
 from .linalg import Mat, Echelon, axpy, complete_basis, kernel, span_dim
-from .multilinear import all_tuples, tuple_index
+from .multilinear import all_tuples
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_FULL, arrangements, check_cap,
     coboundary, coboundary_images, lift, naive_coboundary_images, per_coordinate,
 )
-from .rng import Lcg64
 
 
 def cocycle_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
@@ -171,33 +169,11 @@ def _chain_map_fn(name: str, n: int):
     raise ValueError(f"unknown chain map {name!r}")
 
 
-# permutation terms, d^(g+2) * (g+2)!, up to which evaluator agreement
-# compares every output tuple of the degree-g images.  The naive evaluator
-# walks the permutations once per multiset of output indices, so this
-# bounds its walk without that sharing: which audits compare every tuple
-# does not depend on how the oracle shares its work.
-NAIVE_TERM_BUDGET = 2_000_000
-
-
-def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images, trials: int,
-                         seed: int) -> bool:
-    """Whether the naive evaluator gives d_g of rows as images, the fast path's.
-
-    Only even g has a permutation sum to check; odd g returns True.  Within
-    NAIVE_TERM_BUDGET every output tuple is compared, above it a seeded
-    sample of max(1, trials) of them.
-    """
-    if g % 2:
-        return True
-    d = spec.dim
-    if d ** (g + 2) * factorial(g + 2) <= NAIVE_TERM_BUDGET:
-        return naive_coboundary_images(spec, g, rows) == images
-    rng = Lcg64(seed)
-    tuples = {tuple(rng.randint(0, d - 1) for _ in range(g + 2))
-              for _ in range(max(1, trials))}
-    keep = {tuple_index(t, d) for t in tuples}
-    sampled = [{c: v for c, v in image.items() if c // d in keep} for image in images]
-    return naive_coboundary_images(spec, g, rows, tuples) == sampled
+def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images) -> bool:
+    """Whether the naive evaluator gives d_g of rows as images, the fast
+    path's, at every output tuple.  Only even g has a permutation sum to
+    check; odd g returns True."""
+    return g % 2 == 1 or naive_coboundary_images(spec, g, rows) == images
 
 
 class CheckResult(NamedTuple):
@@ -214,13 +190,12 @@ class AuditReport(NamedTuple):
 
 
 def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
-                    cap: int = DEFAULT_DEGREE_CAP, trials: int = 64,
-                    seed: int = 0) -> AuditReport:
+                    cap: int = DEFAULT_DEGREE_CAP) -> AuditReport:
     """Measure cocycle/coboundary preservation and injectivity of a chain map.
 
     The audited spaces are fixed by the image arity (the unique type-correct
-    choice).  Verdicts are measured, never assumed.  trials and seed set
-    the sample of the evaluator-agreement check above NAIVE_TERM_BUDGET.
+    choice).  Verdicts are measured, never assumed, and evaluator agreement
+    compares every output tuple of the degree-g images.
     """
     fn, g = _chain_map_fn(map_name, n)  # image lives in degree g
     check_cap(g + 1, cap)
@@ -242,7 +217,7 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
                 "input": row, "tuple_flat": flat, "coord": coord, "value": dd[first],
             })
             break
-    agreement = _evaluator_agreement(spec, g, img_rows, dd_rows, trials, seed)
+    agreement = _evaluator_agreement(spec, g, img_rows, dd_rows)
 
     # one index-level echelon of im d_{g-1}, fed the raw index-level images of d_{g-1}
     b_ech = Echelon(coboundary(spec, g - 1, TAG_FULL).transpose().rows)

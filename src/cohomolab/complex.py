@@ -30,7 +30,8 @@ An odd-degree row is built from its flat index: two digits pick the
 product, the rest is the tail.  Only lawful specs reach it, so for n >= 3
 it lets tuples that differ by swapping their first two indices share a row.
 A naive per-permutation evaluator, naive_coboundary_images, is kept only
-as an independent oracle for tests and audits.  It walks every
+as an independent oracle for tests and audits, and an audit compares it
+with the index matrix at every output tuple.  It walks every
 permutation, but once per multiset of output indices: for even degree,
 sigma -> sigma o pi permutes the symmetric group, so output tuples that
 rearrange one another have equal sums.  Each sum, and each row's part
@@ -194,7 +195,7 @@ def _summed(d: int, pairs) -> dict:
     return terms
 
 
-def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> list:
+def naive_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     """coboundary_images by the defining formula: the oracle for the index matrix.
 
     The terms of d are summed one permutation at a time into an
@@ -202,8 +203,7 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> lis
     degree >= 2 the dict and each row's part of it are built once per
     multiset, at the first output tuple of it met, and written at every
     rearrangement; in the other degrees once per tuple.  Neither
-    arrangements nor the index matrix is used.  Given tuples, an iterable
-    of output index tuples, the images hold only the entries at those tuples.
+    arrangements nor the index matrix is used.
     """
     d = spec.dim
     grouped = []  # per row: input column -> {output coordinate: value}
@@ -216,7 +216,7 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows, tuples=None) -> lis
     images = [{} for _ in rows]
     shared = {}  # key of an output tuple -> its per-row parts
     symmetric = n >= 2 and n % 2 == 0
-    for t in all_tuples(d, n + 2) if tuples is None else tuples:
+    for t in all_tuples(d, n + 2):
         key = tuple(sorted(t)) if symmetric else t
         if key not in shared:
             terms = _summed(d, (p for sigma in itertools.permutations(t)

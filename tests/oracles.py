@@ -14,7 +14,30 @@ from cohomolab.complex import (
 from cohomolab.linalg import Echelon, Mat, axpy, kernel, row_to_primitive, scalar
 from cohomolab.multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
 from cohomolab.operators import NO, UNKNOWN, YES, OperatorVerdict
-from cohomolab.rng import Lcg64
+
+
+# sample_elements draws from this generator, so that its elements are
+# bit-reproducible across platforms and Python versions.  Multiplier and
+# increment are Knuth's MMIX constants.
+_MULT = 6364136223846793005
+_INC = 1442695040888963407
+_MASK = (1 << 64) - 1
+
+
+class Lcg64:
+    """x_{k+1} = (a*x_k + c) mod 2^64, seeded explicitly."""
+
+    def __init__(self, seed: int = 0):
+        self.state = seed & _MASK
+
+    def next_u64(self) -> int:
+        self.state = (_MULT * self.state + _INC) & _MASK
+        return self.state
+
+    def randint(self, lo: int, hi: int) -> int:
+        """Uniform-ish integer in [lo, hi]; span must be tiny vs 2^64."""
+        span = hi - lo + 1
+        return lo + (self.next_u64() >> 16) % span
 
 
 def add(x: Element, y: Element) -> Element:

@@ -306,14 +306,14 @@ def test_audit_higher_maps(qsqrt2):
 AUDIT = sys.modules[audit_chain_map.__module__]
 
 
-def perturb_degree_2_images(monkeypatch, at):
-    """Make the fast path's d_2 images, as audit_chain_map sees them, wrong
+def perturb_images(monkeypatch, g, at):
+    """Make the fast path's d_g images, as audit_chain_map sees them, wrong
     by 1 at coordinate 0 of the flat output tuples `at` of the first image."""
     real = AUDIT.coboundary_images
 
     def perturbed(spec, n, rows):
         images = real(spec, n, rows)
-        if n == 2:
+        if n == g:
             images[0] = dict(images[0])
             for t in at(spec):
                 c = t * spec.dim
@@ -328,18 +328,17 @@ def test_audit_catches_disagreement_whole(qsqrt2, monkeypatch):
     # the naive sum at (1, 0, 0, 0) is the one formed at (0, 0, 0, 1), reused
     for at in ([5], [tuple_index((1, 0, 0, 0), qsqrt2.dim)]):
         with monkeypatch.context() as patch:
-            perturb_degree_2_images(patch, lambda spec: at)
+            perturb_images(patch, 2, lambda spec: at)
             assert not audit_chain_map(qsqrt2, "K").evaluator_agreement
 
 
-def test_audit_catches_disagreement_sampled(qsqrt2, monkeypatch):
-    """Above the budget a sample of output tuples is compared, never none."""
-    monkeypatch.setattr(AUDIT, "NAIVE_TERM_BUDGET", 0)
-    assert audit_chain_map(qsqrt2, "K", trials=0).evaluator_agreement
-    perturb_degree_2_images(monkeypatch, lambda spec: range(spec.dim ** 4))
-    for trials, seed in ((0, 0), (1, 5), (64, 0)):
-        assert not audit_chain_map(qsqrt2, "K", trials=trials,
-                                   seed=seed).evaluator_agreement
+def test_audit_compares_every_output_tuple(atomic4, monkeypatch):
+    """A wrong d_4 entry at one output tuple of 4^6 is caught.  The tuple
+    (0, ..., 0) lies outside the 64 seeded tuples that a sampled comparison
+    once drew here, so only a comparison of every tuple sees it."""
+    assert audit_chain_map(atomic4, "Jodd", n=2).evaluator_agreement
+    perturb_images(monkeypatch, 4, lambda spec: [tuple_index((0,) * 6, spec.dim)])
+    assert not audit_chain_map(atomic4, "Jodd", n=2).evaluator_agreement
 
 
 # The failure branches: chain maps that break injectivity or coboundary

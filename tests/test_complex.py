@@ -106,26 +106,13 @@ def test_apply_d_matches_naive_oracle(fix, n, data, request):
 @pytest.mark.parametrize("fix,n", [("qsqrt2", 2), ("cubic2", 2), ("atomic3", 1),
                                    ("cubic2", 0), ("atomic3", 3), ("qsqrt2", 4)])
 def test_naive_images_all_rows_and_tuple_subsets(fix, n, request):
-    """One pass over the output tuples serves every row, and a tuple subset
-    gives the fast images' entries at exactly those tuples."""
+    """One pass over every output tuple serves every row, and matches the
+    fast images."""
     spec = request.getfixturevalue(fix)
     d = spec.dim
     assert coboundary_images(spec, n, []) == []
     rows = [{(7 * i + j) % d ** (n + 2): F(j - i) for j in range(i + 2)} for i in range(4)]
-    fast = coboundary_images(spec, n, rows)
-    assert naive_coboundary_images(spec, n, rows) == fast
-    tuples = [(0,) * (n + 2), (d - 1,) + (0,) * (n + 1), tuple(range(n + 2))[::-1]]
-    tuples = [tuple(i % d for i in t) for t in tuples]
-    keep = {tuple_index(t, d) for t in tuples}
-    assert naive_coboundary_images(spec, n, rows, tuples=tuples) == [
-        {c: v for c, v in image.items() if c // d in keep} for image in fast]
-    if (fix, n) in (("qsqrt2", 4), ("cubic2", 2)):
-        # alone, an unsorted tuple shares no multiset's sum with another
-        for t in itertools.product(range(d), repeat=n + 2):
-            if list(t) != sorted(t):
-                flat = tuple_index(t, d)
-                assert naive_coboundary_images(spec, n, rows, tuples=[t]) == [
-                    {c: v for c, v in image.items() if c // d == flat} for image in fast]
+    assert naive_coboundary_images(spec, n, rows) == coboundary_images(spec, n, rows)
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)

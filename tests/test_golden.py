@@ -1,7 +1,7 @@
 """CLI stdout pinned byte for byte.
 
 Each entry is a command, with the fixture named by its file stem wherever
-it stands (global options such as `--seed` come first), and the sha256 of
+it stands (global options such as `--format` come first), and the sha256 of
 its stdout.  The cohomology, `verify-complex atomic3`, classify
 and qsqrt2 audit entries were recorded before cochains were stored as
 sparse flat vectors; the atomic4, cubic2, atomic3 and q audit entries were
@@ -197,11 +197,9 @@ GOLDEN = {
     "classify atomic4":
         "ecaf63fa89c0c6de29cd27fa2f8385c7c48e30a4f45f2710fcdc14575115b36b",
     # Q[t]/(t^2-49) is Q x Q: the roots -7 and 7 refute a domain and prove
-    # the algebra split, so Kadison is yes whatever the seed and the trials
+    # the algebra split, so Kadison is yes
     "classify t2m49":
         "b33f4b6ee47c16a4ef2acb0b1004d557a1cc4fa0d4e5b08bc33bb1839753dc18",
-    "--seed 1 --trials 8 classify t2m49":
-        "9dc297c34b539fd7db827d909153fbdf563a0d9d6cefac79d65eb27720c61c92",
     # Q[t]/((t-2)^2) is not reduced: its singular trace form refutes a domain
     "validate tm2sq":
         "b448bea3028f60deca26e7a9f6f2f93849c5a5fed92f5f3cacd61c7e3d15a2bb",
@@ -248,8 +246,6 @@ GOLDEN = {
         "af246e8a02772f98f0ed9b7011472309f4ff75f7e3dc2d110ba9c5bc98d95cf8",
     "audit atomic4 --map Jodd --n 2":
         "5496da4e6966f161b52cfd575f31b2e8f647a83f0eab36de1bb3f1306a1e580b",
-    "--seed 2 --trials 5 audit atomic4 --map Jodd --n 2":
-        "f84cc5a5895528f5e852ff47625e7586bb8c81a94a085ae7c7a9bf6c272b88ad",
     "verify-complex atomic4 --complex band --max-degree 3":
         "e5c6cb590787e8a6d35ff527aca04f6e928c818db5afc2d98391607b69347b2e",
 }
