@@ -4,13 +4,15 @@ An algebra is a dimension d, a structure tensor c[i][j] giving the product
 of basis elements b_i * b_j as a coordinate vector, and a unit element.
 Two constructors cover the representable families: number fields Q[t]/(p)
 in the power basis, and atomic pointwise algebras (idempotent atoms,
-all-ones unit) carrying the lattice order.  `assess_domain` attaches what
-is proved of the algebra's shape: whether it is a domain, or unchecked
-where no exact rule decides, and, when it is a product of number fields,
-the rational roots of a primitive element's minimal polynomial, which
-count its factors Q.  Nothing here samples.
+all-ones unit) carrying the lattice order.  A spec is the structure
+alone; `assess_domain` derives, once per algebra, what is proved of its
+shape: whether it is a domain, or unchecked where no exact rule decides,
+and, when it is a product of number fields, the rational roots of a
+primitive element's minimal polynomial, which count its factors Q.
+Nothing here samples.
 """
 
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -46,8 +48,11 @@ class AlgebraSpec(NamedTuple):
     structure: tuple  # structure[i][j] = Element, the product b_i * b_j
     unit: Element
     order_mode: str = ORDER_NONE
-    domain_status: str = DOMAIN_UNCHECKED
-    rational_roots: tuple = None  # see assess_domain; None unless known
+
+
+class Domain(NamedTuple):
+    status: str  # asserted | refuted | unchecked
+    roots: tuple  # see assess_domain; None unless known
 
 
 class Violation(NamedTuple):
@@ -157,14 +162,13 @@ def build_number_field(min_poly, name: str = "") -> AlgebraSpec:
     structure = tuple(
         tuple(powers[i + j] for j in range(d)) for i in range(d)
     )
-    spec = AlgebraSpec(
+    return AlgebraSpec(
         name=name or f"numberfield_deg{d}",
         dim=d,
         structure=structure,
         unit=basis_element(d, 0),
         order_mode=ORDER_NONE,
     )
-    return assess_domain(spec)
 
 
 def build_atomic(d: int, name: str = "") -> AlgebraSpec:
@@ -175,13 +179,13 @@ def build_atomic(d: int, name: str = "") -> AlgebraSpec:
         tuple(basis_element(d, i) if i == j else zero_element(d) for j in range(d))
         for i in range(d)
     )
-    return assess_domain(AlgebraSpec(
+    return AlgebraSpec(
         name=name or f"atomic_{d}",
         dim=d,
         structure=structure,
         unit=(1,) * d,
         order_mode=ORDER_ATOMIC,
-    ))
+    )
 
 
 def rational_roots(m: list):
@@ -240,9 +244,10 @@ def primitive_minimal_polynomial(spec: AlgebraSpec) -> list:
             return [rows[0].get(j, 0) for j in range(d + 1)]
 
 
-def assess_domain(spec: AlgebraSpec) -> AlgebraSpec:
-    """Attach the domain status, decided only by proof, and, on an étale
-    spec, the rational roots.
+@lru_cache(maxsize=None)
+def assess_domain(spec: AlgebraSpec) -> Domain:
+    """The domain status, decided only by proof, and, on an étale spec,
+    the rational roots.
 
     In characteristic 0 a singular trace form Tr(b_i b_j) means A is not
     reduced, so a nilpotent refutes domain-hood exactly.  A nonsingular one
@@ -253,8 +258,8 @@ def assess_domain(spec: AlgebraSpec) -> AlgebraSpec:
     a lawful unital algebra is Q, and no root proves a field at d <= 3,
     where a reducible m has a linear factor.  The rest stays unchecked: a
     rootless d >= 4, which may be two quadratic fields, and a root search
-    past its budget (rational_roots stays None).  This is the only code
-    that sets either field; both mean something only on a lawful spec.
+    past its budget (the roots stay None).  Both fields mean something
+    only on a lawful spec.
     """
     d = spec.dim
     trace = [sum(spec.structure[l][k][k] for k in range(d)) for l in range(d)]  # of x -> b_l x
@@ -270,4 +275,4 @@ def assess_domain(spec: AlgebraSpec) -> AlgebraSpec:
         status = DOMAIN_ASSERTED
     else:
         status = DOMAIN_UNCHECKED
-    return spec._replace(domain_status=status, rational_roots=roots)
+    return Domain(status, roots)

@@ -1,10 +1,11 @@
 """Command line interface.
 
 Commands: validate, cohomology, classify, audit, verify-complex.
-Each command loads its algebra file in one order: the grammar, then the
-algebra laws, then the domain test, which runs only on a lawful spec.
+Each command parses its algebra file, then checks the algebra laws:
 `validate` reports the violated laws; every other command stops at the
-first with exit 1.
+first with exit 1.  The domain test runs only where its result is read,
+and only on a lawful spec: in `validate`, in `classify`, and for the
+ideal complex.
 Output is JSON (default) or text, byte-identical across runs with equal
 inputs: JSON with the bytes of `json.dumps(payload, sort_keys=True,
 indent=2)`, text as one `key: ` line per sorted field with the bytes of
@@ -33,7 +34,7 @@ import numbers
 import os
 import sys
 
-from .algebra import assess_domain, validate_algebra
+from .algebra import DOMAIN_UNCHECKED, assess_domain, validate_algebra
 from .complex import DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAGS, verify_dd_zero
 from .cohomology import CHAIN_MAPS, audit_chain_map, cohomology
 from .fileformat import ParseError, format_rational, parse_algebra_file, parse_integer
@@ -155,16 +156,22 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cohomolab",
-        description="Exact cohomology and operator classification for "
-                    "finite-dimensional commutative unital algebras.",
-    )
+def _global_options(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The parser, with the options that come before the command."""
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--degree-cap", type=_non_negative, default=None,
                         help=f"highest materialized cochain degree (default "
                              f"{DEFAULT_DEGREE_CAP}, or COHOMOLAB_MAX_DEGREE)")
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _global_options(argparse.ArgumentParser(
+        prog="cohomolab",
+        description="Exact cohomology and operator classification for "
+                    "finite-dimensional commutative unital algebras.",
+        exit_on_error=False,  # main words the error, see _usage_message
+    ))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the algebra laws")
@@ -200,14 +207,13 @@ def _run(args) -> tuple:
     if violations and args.command != "validate":
         first = violations[0]
         raise ParseError(f"algebra law violated: {first.law} at {first.indices}")
-    if not violations:  # the domain tests mean nothing on a tensor that fails the laws
-        spec = assess_domain(spec)
     # "seed" is always 0: it stays while the benchmark's output pins include it
     base = {"algebra": spec.name, "command": args.command, "dim": spec.dim, "seed": 0}
 
     if args.command == "validate":
         base["valid"] = not violations
-        base["domain_status"] = spec.domain_status
+        # the domain tests mean nothing on a tensor that fails the laws
+        base["domain_status"] = DOMAIN_UNCHECKED if violations else assess_domain(spec).status
         base["violations"] = [
             {"law": v.law, "indices": list(v.indices), "detail": v.detail}
             for v in violations
@@ -231,7 +237,7 @@ def _run(args) -> tuple:
     if args.command == "classify":
         report = classify(spec, cap=cap)
         base.update({
-            "domain_status": spec.domain_status,
+            "domain_status": assess_domain(spec).status,
             "h0mc_dim": report.h0mc_dim,
             "h0oo_dim": report.h0oo_dim,
             "kadison": _verdict_json(report.kadison),
@@ -280,10 +286,25 @@ def _run(args) -> tuple:
     raise AssertionError(f"unhandled command {args.command}")
 
 
+def _usage_message(exc: argparse.ArgumentError, argv) -> str:
+    """argparse's message, except where it refused as the command the token
+    after options it does not know (`--seed 1 classify`): then one naming them."""
+    if exc.argument_name == "command":  # the probe reads argv as the parser does, sans choices
+        probe = _global_options(argparse.ArgumentParser(add_help=False))
+        probe.add_argument("command", nargs=argparse.PARSER)
+        unknown = probe.parse_known_args(argv)[1]
+        if unknown:
+            return "unrecognized arguments: " + " ".join(unknown)
+    return str(exc)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except argparse.ArgumentError as exc:
+            parser.error(_usage_message(exc, argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -44,7 +44,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .algebra import (
-    AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE,
+    AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE, assess_domain,
 )
 from .linalg import Mat, axpy
 from .multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
@@ -250,7 +250,7 @@ def tag_coords(spec: AlgebraSpec, degree: int, tag: str):
     if tag == TAG_FULL:
         return None
     if tag == TAG_IDEAL:
-        if spec.order_mode == ORDER_NONE and spec.domain_status == DOMAIN_ASSERTED:
+        if spec.order_mode == ORDER_NONE and assess_domain(spec).status == DOMAIN_ASSERTED:
             return None
         if spec.order_mode != ORDER_ATOMIC:
             raise UnsupportedAlgebra("ideal-preserving subspace is only defined for "

@@ -13,9 +13,9 @@ sign followed by ASCII digits 0-9.  Rationals are written `p` or `p/q`
 with q > 0.  The symmetric half of the mult table may be omitted; for
 atomic algebras missing off-diagonal entries default to zero.
 Serialization emits the canonical form, so parse -> serialize -> parse is
-the identity.  Parsing checks the grammar only: the spec it returns has
-domain status `unchecked`, and the caller checks the algebra laws, then
-assesses the domain of a lawful spec.
+the identity.  Parsing checks the grammar only, and returns the whole
+spec, equal to the constructor's for the same algebra; the caller checks
+the algebra laws.
 """
 
 import re

@@ -12,7 +12,7 @@ the roots decide, the verdict is "unknown_sampled".
 
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, ORDER_ATOMIC
+from .algebra import AlgebraSpec, ORDER_ATOMIC, assess_domain
 from .complex import DEFAULT_DEGREE_CAP, TAG_BAND, check_cap
 from .cohomology import cohomology, multiplier_quotient
 
@@ -60,7 +60,7 @@ def classify(spec: AlgebraSpec, cap: int = DEFAULT_DEGREE_CAP) -> Classification
         h0oo = cohomology(spec, 1, TAG_BAND).dim_H
         wickstead = OperatorVerdict(YES if h0oo == 0 else NO, certificate={"h0oo_dim": h0oo})
 
-    roots = spec.rational_roots
+    roots = assess_domain(spec).roots
     if spec.order_mode == ORDER_ATOMIC or (roots is not None and len(roots) == d):
         kadison = OperatorVerdict(YES)
     elif roots is None:

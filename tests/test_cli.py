@@ -129,13 +129,18 @@ def test_validate_leaves_the_domain_unchecked_when_the_laws_fail(capsys, tmp_pat
     assert "valid: false" in out.splitlines()
 
 
-def test_an_unlawful_file_never_reaches_the_domain_test(capsys, tmp_path, monkeypatch):
+def refuse_the_domain_test(monkeypatch, why):
+    """Make assess_domain raise in every package module that holds it."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the domain test ran on a tensor that fails the laws")
+        raise AssertionError(why)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("cohomolab") and hasattr(module, "assess_domain"):
             monkeypatch.setattr(module, "assess_domain", refuse)
+
+
+def test_an_unlawful_file_never_reaches_the_domain_test(capsys, tmp_path, monkeypatch):
+    refuse_the_domain_test(monkeypatch, "the domain test ran on a tensor that fails the laws")
     bad = tmp_path / "bad.alg"
     bad.write_text(UNLAWFUL)
     code, out, err = run_cli(capsys, "--format", "text", "validate", str(bad))
@@ -145,6 +150,17 @@ def test_an_unlawful_file_never_reaches_the_domain_test(capsys, tmp_path, monkey
     assert (code, out, err) == (1, "", "error: algebra law violated: unit at (0,)\n")
 
 
+def test_the_domain_test_runs_only_where_it_is_read(capsys, monkeypatch):
+    """Only validate, classify and the ideal complex read the domain test."""
+    argvs = [["cohomology", QSQRT2, "--degree", "1"], ["verify-complex", QSQRT2],
+             ["cohomology", ATOMIC3, "--degree", "1", "--complex", "band"],
+             ["audit", QSQRT2, "--map", "K"], ["audit", ATOMIC3, "--map", "Jeven"]]
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in expected)
+    refuse_the_domain_test(monkeypatch, "the domain test ran where nothing reads it")
+    assert [run_cli(capsys, *argv) for argv in argvs] == expected
+
+
 def test_missing_file(capsys):
     code, out, err = run_cli(capsys, "validate", "fixtures/nope.alg")
     assert code == 1 and out == "" and "error:" in err
@@ -152,12 +168,22 @@ def test_missing_file(capsys):
 
 def test_usage_error(capsys):
     assert run_cli(capsys, "cohomology", QSQRT2)[0] == 2  # missing --degree
-    assert run_cli(capsys, "frobnicate", QSQRT2)[0] == 2
     assert run_cli(capsys, "--help")[0] == 0
-    # nothing is sampled, so there is no sampling budget or seed to set
+    # nothing is sampled, so there is no sampling budget or seed to set; an
+    # unknown option is named, not the token after it taken for the command
     for flag, value in (("--trials", "5"), ("--seed", "1")):
-        code, out, err = run_cli(capsys, flag, value, "classify", QSQRT2)
-        assert code == 2 and out == "" and err.startswith("usage: cohomolab")
+        for argv in ((flag, value, "classify", QSQRT2),
+                     ("--form", "text", flag, value, "classify", QSQRT2)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("usage: cohomolab")
+            assert err.endswith(f"cohomolab: error: unrecognized arguments: {flag}\n")
+    for argv, message in ((("--seed=1", "classify", QSQRT2), "unrecognized arguments: --seed=1"),
+                          (("--bogus", "classify", QSQRT2), "unrecognized arguments: --bogus"),
+                          (("frobnicate", QSQRT2), "argument command: invalid choice: 'frobnicate'"),
+                          (("--format", "xml", "validate", QSQRT2),
+                           "argument --format: invalid choice: 'xml'")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and f"cohomolab: error: {message}" in err
 
 
 def test_cohomology_output(capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cohomolab.algebra import DOMAIN_UNCHECKED, assess_domain, validate_algebra
+from cohomolab.algebra import assess_domain, validate_algebra
 from cohomolab.cli import main
 from cohomolab.fileformat import (
     ParseError, format_rational, parse_algebra_file, parse_algebra_text,
@@ -37,22 +37,19 @@ def test_format_rational():
 
 
 def test_parse_fixture_files(qsqrt2, atomic3):
-    # parsing leaves the domain unchecked; the domain test then agrees with the constructors
+    # a parse is the same value as the constructor's spec, and so is its domain
     parsed = parse_algebra_file("fixtures/qsqrt2.alg")
-    assert parsed.domain_status == DOMAIN_UNCHECKED
-    assert assess_domain(parsed) == qsqrt2
+    assert parsed == qsqrt2
+    assert assess_domain(parsed) == assess_domain(qsqrt2) == ("asserted", ())
     parsed = parse_algebra_file("fixtures/atomic3.alg")
-    assert parsed.domain_status == DOMAIN_UNCHECKED
-    assert assess_domain(parsed) == atomic3
-    assert atomic3.domain_status == "refuted"
+    assert parsed == atomic3
+    assert assess_domain(parsed).status == "refuted"
 
 
 def test_roundtrip_identity(qsqrt2, cubic2, atomic2, atomic4):
     for spec in (qsqrt2, cubic2, atomic2, atomic4):
         text = serialize_algebra(spec)
-        assert parse_algebra_text(text) == spec._replace(domain_status=DOMAIN_UNCHECKED,
-                                                         rational_roots=None)
-        assert assess_domain(parse_algebra_text(text)) == spec
+        assert parse_algebra_text(text) == spec
         assert serialize_algebra(parse_algebra_text(text)) == text
 
 
@@ -131,7 +128,7 @@ def test_validate_flag(tmp_path, capsys):
     bad.write_text("name b\ndim 2\nunit 1 1\norder atomic\n"
                    "mult 0 0 = 1 0\nmult 1 1 = 1 0\n")
     spec = parse_algebra_file(str(bad))  # the parser reads the laws' violators too
-    assert (spec.dim, spec.domain_status) == (2, DOMAIN_UNCHECKED)
+    assert spec.dim == 2
     assert {v.law for v in validate_algebra(spec)} >= {"atomic"}
     # every command but validate stops at the first violated law
     assert main(["classify", str(bad)]) == 1
@@ -145,6 +142,5 @@ def test_domain_assessment_runs(tmp_path):
     p.write_text("name dual\ndim 2\nunit 1 0\n"
                  "mult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = 0 0\n")
     spec = parse_algebra_file(str(p))
-    assert spec.domain_status == DOMAIN_UNCHECKED
     assert validate_algebra(spec) == []
-    assert assess_domain(spec).domain_status == "refuted"
+    assert assess_domain(spec) == ("refuted", None)

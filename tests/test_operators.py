@@ -4,8 +4,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cohomolab.algebra import basis_element, build_atomic, build_number_field, multiply
-from cohomolab.complex import OrderStructureRequired
+from cohomolab.algebra import (
+    assess_domain, basis_element, build_atomic, build_number_field, multiply,
+)
+from cohomolab.cohomology import cohomology
+from cohomolab.complex import TAG_FULL, TAG_IDEAL, OrderStructureRequired
+from cohomolab.fileformat import parse_algebra_file
 from cohomolab.multilinear import MultilinearMap
 from cohomolab.operators import NO, UNKNOWN, YES, classify
 from conftest import elem, operator
@@ -167,7 +171,16 @@ def test_classify_field(qsqrt2):
     assert r.kadison.witness == conjugation(2)
     assert r.wickstead is None and r.h0oo_dim is None
     assert r.h0mc_dim == 2
-    assert qsqrt2.domain_status == "asserted"
+    assert assess_domain(qsqrt2).status == "asserted"
+
+
+def test_a_parsed_field_is_decided():
+    """The parser's spec is the whole algebra: Kadison and the ideal
+    complex read its domain test with no step in between."""
+    spec = parse_algebra_file("fixtures/qsqrt2.alg")
+    kadison = classify(spec).kadison
+    assert (kadison.verdict, kadison.witness) == (NO, [[1, 0], [0, -1]])
+    assert cohomology(spec, 1, TAG_IDEAL) == cohomology(spec, 1, TAG_FULL)
 
 
 def test_classify_cubic(cubic2):
@@ -188,19 +201,19 @@ def test_classify_trivial_and_unknown(q):
     dual = build_number_field([0, 0, 1], name="dual")
     r = classify(dual)
     assert r.kadison.verdict == UNKNOWN
-    assert dual.domain_status == "refuted"
+    assert assess_domain(dual).status == "refuted"
 
 
 def test_classify_decides_from_the_rational_roots(qsqrt2):
     split = build_number_field([-49, 0, 1], name="t2m49")  # Q x Q
-    assert split.rational_roots == (-7, 7) and split.domain_status == "refuted"
+    assert assess_domain(split) == ("refuted", (-7, 7))
     assert classify(split).kadison == (YES, None, None)
-    assert qsqrt2.rational_roots == ()
+    assert assess_domain(qsqrt2).roots == ()
     # Q(i) x Q(i) = Q[t]/((t^2+2t+2)(t^2-2t+2)), rootless at d = 4: no, with
     # no witness, whatever the domain status reads; negating the second basis
     # direction is no local multiplier there
     two_fields = build_number_field([4, 0, 0, 0, 1])
-    assert two_fields.rational_roots == ()
+    assert assess_domain(two_fields).roots == ()
     assert classify(two_fields).kadison == (NO, None, None)
     assert is_local_multiplier(two_fields, operator(two_fields, conjugation(4))).verdict == NO
     # one root and a quadratic field: no, proved by the count
@@ -235,14 +248,15 @@ def test_roots_and_kadison_against_sympy(factors):
     spec = build_number_field([int(c) for c in reversed(sympy.Poly(p, t).all_coeffs())])
     d = spec.dim
     roots = sympy.roots(p if d > 1 else t - 1, t, filter="Q")
-    assert spec.rational_roots == tuple(sorted(F(int(r.p), int(r.q)) for r in roots))
+    domain = assess_domain(spec)
+    assert domain.roots == tuple(sorted(F(int(r.p), int(r.q)) for r in roots))
     kadison = classify(spec).kadison
     split = all(sympy.degree(f, t) == 1 for f, _ in sympy.factor_list(p)[1])
     assert (kadison.verdict == YES) == split
     if roots and d >= 2:
-        assert spec.domain_status == "refuted"
+        assert domain.status == "refuted"
     if not roots and d <= 3:
-        assert spec.domain_status == "asserted"
+        assert domain.status == "asserted"
     if kadison.witness is not None:
         psi = operator(spec, kadison.witness)
         assert is_local_multiplier(spec, psi).verdict != NO

@@ -6,6 +6,7 @@ its FUNCTIONS table, so those count as named too.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,12 +48,17 @@ def unreferenced(sources, also_named=()) -> list:
         live = [s for s in live if s not in found]
 
 
-def tracer_functions() -> set:
-    """The attribute names in perfbench/tracer.py's FUNCTIONS table."""
+def tracer_table(name: str) -> tuple:
+    """perfbench/tracer.py's table `name`, read without running the tracer."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     (table,) = [ast.literal_eval(s.value) for s in tree.body if isinstance(s, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "FUNCTIONS" for t in s.targets)]
-    return {attribute for _, _, attribute in table}
+                and any(isinstance(t, ast.Name) and t.id == name for t in s.targets)]
+    return table
+
+
+def tracer_functions() -> set:
+    """The attribute names in perfbench/tracer.py's FUNCTIONS table."""
+    return {attribute for _, _, attribute in tracer_table("FUNCTIONS")}
 
 
 def test_unreferenced_functions_are_found():
@@ -77,6 +83,15 @@ def test_homonyms_are_not_uses():
 
 def test_tracer_table_is_read():
     assert {"assess_domain", "complete_basis", "from_flat"} <= tracer_functions()
+
+
+def test_the_tracer_tables_resolve():
+    """Every name the tracer rebinds is still there, on every Python the tests run on."""
+    for _, module, attribute in tracer_table("FUNCTIONS"):
+        assert callable(getattr(importlib.import_module(module), attribute, None)), attribute
+    for _, module, cls, method in tracer_table("METHODS"):
+        assert callable(getattr(getattr(importlib.import_module(module), cls), method, None)), \
+            f"{cls}.{method}"
 
 
 def test_every_package_function_is_named():

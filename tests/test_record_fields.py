@@ -11,9 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cohomolab.algebra import (
-    DOMAIN_ASSERTED, DOMAIN_UNCHECKED, AlgebraSpec, Violation, assess_domain,
-)
+from cohomolab.algebra import AlgebraSpec, Domain, Violation, assess_domain, build_number_field
 from cohomolab.cohomology import AuditReport, CheckResult, CohomologyReport, DistinguishedQuotient
 from cohomolab.complex import ComplexLawReport, index_coboundary_matrix
 from cohomolab.fileformat import parse_algebra_file
@@ -22,7 +20,7 @@ from cohomolab.multilinear import MultilinearMap
 from cohomolab.operators import ClassificationReport, OperatorVerdict
 
 ROOT = Path(__file__).resolve().parent.parent
-RECORDS = (AlgebraSpec, Violation, Mat, MultilinearMap, ComplexLawReport, CohomologyReport,
+RECORDS = (AlgebraSpec, Domain, Violation, Mat, MultilinearMap, ComplexLawReport, CohomologyReport,
            DistinguishedQuotient, CheckResult, AuditReport, OperatorVerdict,
            ClassificationReport)
 
@@ -73,24 +71,27 @@ def test_every_record_field_is_read():
     assert unread_fields(_sources("src/cohomolab"), _sources("tests")) == []
 
 
+def shares_one_entry(cached, first, second, *args) -> bool:
+    """The lru_cache'd function's value on first is its cached value on second."""
+    value = cached(first, *args)
+    before = cached.cache_info()
+    hit = cached(second, *args) is value
+    after = cached.cache_info()
+    return hit and (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_equal_parses_share_the_index_matrix_cache():
     first, second = (parse_algebra_file(str(ROOT / "fixtures" / "cubic2.alg"))
                      for _ in range(2))
     assert first is not second
     assert first == second and hash(first) == hash(second)
-    matrix = index_coboundary_matrix(first, 1)
-    before = index_coboundary_matrix.cache_info()
-    assert index_coboundary_matrix(second, 1) is matrix
-    after = index_coboundary_matrix.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-
-def test_assess_domain_returns_a_new_spec(qsqrt2):
-    unchecked = qsqrt2._replace(domain_status=DOMAIN_UNCHECKED)
-    assessed = assess_domain(unchecked)
-    assert assessed.domain_status == DOMAIN_ASSERTED
-    assert unchecked.domain_status == DOMAIN_UNCHECKED
-    assert assessed._replace(domain_status=DOMAIN_UNCHECKED) == unchecked
+    assert shares_one_entry(index_coboundary_matrix, first, second, 1)
+    # the parser's and the constructor's spec of one algebra are one value
+    parsed = parse_algebra_file(str(ROOT / "fixtures" / "qsqrt2.alg"))
+    built = build_number_field([-2, 0, 1], name="qsqrt2")
+    assert parsed == built and hash(parsed) == hash(built)
+    assert shares_one_entry(index_coboundary_matrix, parsed, built, 1)
+    assert shares_one_entry(assess_domain, parsed, built)
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
