@@ -27,8 +27,6 @@ DOMAIN_ASSERTED = "asserted"
 DOMAIN_REFUTED = "refuted"
 DOMAIN_UNCHECKED = "unchecked"
 
-ROOT_SEARCH_STEPS = 10_000  # the budget of rational_roots above degree 2
-
 
 class ShapeError(ValueError):
     """Structure tensor has the wrong shape."""
@@ -52,7 +50,7 @@ class AlgebraSpec(NamedTuple):
 
 class Domain(NamedTuple):
     status: str  # asserted | refuted | unchecked
-    roots: tuple  # see assess_domain; None unless known
+    roots: tuple  # see assess_domain; None on a singular trace form or an atomic order
 
 
 class Violation(NamedTuple):
@@ -188,39 +186,41 @@ def build_atomic(d: int, name: str = "") -> AlgebraSpec:
     )
 
 
-def rational_roots(m: list):
-    """The rational roots, in increasing order, of the integer polynomial m
-    (ascending, m[-1] != 0), or None if finding them would take more than
-    ROOT_SEARCH_STEPS steps.
-
-    At degree <= 2 the roots are exact at any size, with no search: a
-    quadratic a t^2 + b t + c has rational roots exactly when its
-    discriminant b^2 - 4ac is a square s^2, and they are (-b ± s) / 2a.
-    Above, a nonzero root p/q in lowest terms has p | m_low, the lowest
-    nonzero coefficient, and q | m_d.  Their divisors are found by trial
-    division up to the square root, a step per trial, and each candidate
-    ±p/q is a step more.  Both counts are known before the search, which
-    starts only within budget, so a coefficient of 40 digits costs nothing.
+def rational_roots(m: list) -> tuple:
+    """The rational roots, in increasing order, of the squarefree integer
+    polynomial m (ascending, m[-1] != 0), by p-adic lifting (Loos 1983):
+    u/a for the integer roots u of the monic M(u) = a^(d-1) m(u/a), where
+    a = m[-1], d = deg m and |u| < B = 1 + max|M_i| (Cauchy).  At the first
+    odd prime p where every root of M mod p is simple, Newton's step lifts
+    each until p^k > 2B; the symmetric residues that are roots of M are
+    the u.  A rejected p divides disc M, which is at most d^d·||M||^(2d-1)
+    (Hadamard, 2-norm) when nonzero: once the product of the rejected
+    primes passes that, m is not squarefree, a ValueError.
     """
-    if len(m) == 2:
-        return (div(-m[0], m[1]),)
-    if len(m) == 3:
-        c, b, a = m
-        disc = b * b - 4 * a * c
-        s = isqrt(max(disc, 0))
-        if s * s != disc:
-            return ()
-        return tuple(sorted({div(-b - s, 2 * a), div(-b + s, 2 * a)}))
-    ends = (abs(next(c for c in m if c)), abs(m[-1]))
-    steps = sum(map(isqrt, ends))
-    if steps > ROOT_SEARCH_STEPS:
-        return None
-    tops, bottoms = ({k for i in range(1, isqrt(n) + 1) if n % i == 0 for k in (i, n // i)}
-                     for n in ends)
-    if steps + 2 * len(tops) * len(bottoms) > ROOT_SEARCH_STEPS:
-        return None
-    candidates = {div(s * p, q) for p in tops for q in bottoms for s in (1, -1)} | {0}
-    return tuple(sorted(r for r in candidates if not sum(c * r ** i for i, c in enumerate(m))))
+    a, d = m[-1], len(m) - 1
+    monic = [c * a ** (d - 1 - i) for i, c in enumerate(m[:-1])] + [1]  # M
+    deriv = [i * c for i, c in enumerate(monic)][1:]  # M'
+
+    def at(f, u):
+        return sum(c * u ** i for i, c in enumerate(f))
+
+    bound2, rejected, p = d ** (2 * d) * sum(c * c for c in monic) ** (2 * d - 1), 1, 1
+    while True:
+        p += 2
+        if any(p % k == 0 for k in range(3, isqrt(p) + 1, 2)):
+            continue
+        roots = [r for r in range(p) if at(monic, r) % p == 0]
+        if all(at(deriv, r) % p for r in roots):
+            break
+        rejected *= p
+        if rejected ** 2 > bound2:  # the square of Hadamard's bound
+            raise ValueError("m is not squarefree")
+    q = p
+    while q <= 2 * (1 + max(map(abs, monic[:-1]))):
+        q *= q
+        roots = [(r - at(monic, r) * pow(at(deriv, r), -1, q)) % q for r in roots]
+    residues = [r - q if 2 * r > q else r for r in roots]
+    return tuple(sorted(div(u, a) for u in residues if not at(monic, u)))
 
 
 def primitive_minimal_polynomial(spec: AlgebraSpec) -> list:
@@ -257,9 +257,9 @@ def assess_domain(spec: AlgebraSpec) -> Domain:
     a zero basis product b_i b_j (the atoms of an atomic order).  At d = 1
     a lawful unital algebra is Q, and no root proves a field at d <= 3,
     where a reducible m has a linear factor.  The rest stays unchecked: a
-    rootless d >= 4, which may be two quadratic fields, and a root search
-    past its budget (the roots stay None).  Both fields mean something
-    only on a lawful spec.
+    rootless d >= 4, which may be two quadratic fields.  An atomic order
+    skips the root search, so its roots stay None, as on a singular trace
+    form.  Both fields mean something only on a lawful spec.
     """
     d = spec.dim
     trace = [sum(spec.structure[l][k][k] for k in range(d)) for l in range(d)]  # of x -> b_l x

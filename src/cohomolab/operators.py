@@ -6,8 +6,8 @@ of number fields, the answer is exact: yes when every factor is Q, which
 `assess_domain`'s rational roots count, and no when a factor has degree
 >= 2, since every operator of a field is local.  Wickstead's question is
 answered by h0oo, the cohomology at cochain degree 1 of the band complex
-(its 0-cochains are the orthomorphisms).  Where neither the atoms nor
-the roots decide, the verdict is "unknown_sampled".
+(its 0-cochains are the orthomorphisms).  On a non-reduced algebra
+Kadison's verdict is "unknown_sampled".
 """
 
 from typing import NamedTuple

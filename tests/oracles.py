@@ -4,6 +4,8 @@ Each is written directly from its definition, so a test can check the
 package against it.
 """
 
+from fractions import Fraction
+
 from cohomolab.algebra import (
     ORDER_ATOMIC, AlgebraSpec, Element, basis_element, basis_product, multiply,
 )
@@ -60,6 +62,29 @@ def apply_matrix(mat, psi, arity):
     with no Mat method, so it can check Mat.images as well as the matrix."""
     return from_flat(psi.dim, arity, {i: sum(v * psi.vec.get(c, 0) for c, v in row.items())
                                       for i, row in enumerate(mat.rows)})
+
+
+def rebase(spec: AlgebraSpec, P) -> AlgebraSpec:
+    """spec in the basis c_j = sum_i P[i][j] b_i, the columns of the
+    invertible rational P: each product c_i c_j and the unit in c
+    coordinates, through P^-1 by Gauss-Jordan elimination of [P | I]."""
+    d = spec.dim
+    aug = [[Fraction(v) for v in row] + [int(i == j) for j in range(d)] for i, row in enumerate(P)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if aug[r][c])
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(d):
+            if r != c:
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+
+    def coords(x):
+        return tuple(scalar(sum(aug[k][d + i] * x[i] for i in range(d))) for k in range(d))
+
+    cols = [tuple(scalar(P[i][j]) for i in range(d)) for j in range(d)]
+    structure = tuple(tuple(coords(multiply(spec, ci, cj)) for cj in cols) for ci in cols)
+    return spec._replace(structure=structure, unit=coords(spec.unit))
 
 
 def principal_ideal_contains(spec: AlgebraSpec, a: Element, y: Element) -> bool:

@@ -1,14 +1,13 @@
 import itertools
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from cohomolab.algebra import (
-    ROOT_SEARCH_STEPS, ShapeError, assess_domain, basis_element, basis_product, build_atomic,
-    build_number_field, multiply, rational_roots, validate_algebra,
+    ShapeError, assess_domain, basis_element, basis_product, build_atomic, build_number_field,
+    multiply, rational_roots, validate_algebra,
 )
 from conftest import elem
 from oracles import principal_ideal_contains
@@ -144,31 +143,53 @@ def test_rational_roots_and_their_budget():
     assert rational_roots([-1, 0, 4]) == (Fraction(-1, 2), Fraction(1, 2))
     assert rational_roots([2, 0, 1]) == ()
     assert rational_roots([3, 2]) == (Fraction(-3, 2),)
-    # at degree <= 2 the discriminant decides at any size, with no search
+    # lifting finds the roots at any size, with no search of divisors
     assert rational_roots([-(10 ** 39 + 7), 0, 1]) == ()
     assert rational_roots([-(10 ** 40), 0, 1]) == (-10 ** 20, 10 ** 20)
     assert rational_roots([-73513440, 0, 1]) == ()
-    # above degree 2 the same end coefficients keep the search's step boundary
-    assert rational_roots([-(10 ** 39 + 7), 0, 0, 1]) is None  # 3·10^19 trial divisions
-    # 73513440 has 768 divisors: within budget to find, but not to try as roots
-    assert isqrt(73513440) + 1 <= ROOT_SEARCH_STEPS < isqrt(73513440) + 1 + 2 * 768
-    assert rational_roots([-73513440, 0, 0, 1]) is None
+    assert rational_roots([-(10 ** 39 + 7), 0, 0, 1]) == ()  # 3·10^19 trial divisions
+    # a constant with 768 divisors costs no more
+    assert rational_roots([-73513440, 0, 0, 1]) == ()
     assert rational_roots([-7351344, 0, 0, 1]) == ()
 
 
-big = st.integers(-10 ** 30, 10 ** 30)
+@pytest.mark.parametrize("m", [[9, -6, 1], [0, 0, 1]], ids=["t-3-squared", "t-squared"])
+def test_rational_roots_refuses_a_repeated_root(m):
+    """Every odd prime sees the repeated root, so the rejected primes pass
+    Hadamard's bound on a nonzero discriminant."""
+    with pytest.raises(ValueError, match="not squarefree"):
+        rational_roots(m)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.tuples(big, big.filter(bool)),
-                 st.tuples(big, big, big.filter(bool)),
-                 st.tuples(st.integers(-40, 40), big).map(lambda r: (-r[0] * r[1], r[1] - r[0], 1))))
+T = sympy.Symbol("t")
+linear_factors = st.builds(lambda a, b: a * T - b, st.integers(-12, 12).filter(bool),
+                           st.integers(-10 ** 40, 10 ** 40))
+irreducible_factors = st.integers(2, 3).flatmap(
+    lambda k: st.tuples(st.integers(-12, 12).filter(bool),
+                        st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=k, max_size=k))
+).map(lambda c: sympy.Poly([c[0], *c[1]], T)).filter(lambda f: f.is_irreducible)
+
+
+@st.composite
+def products_to_degree_6(draw):
+    """Ascending integer coefficients of a product of drawn factors, each
+    taken while the degree stays <= 6."""
+    p, degree = sympy.Poly(1, T), 0
+    for f in draw(st.lists(st.one_of(linear_factors, irreducible_factors), min_size=1,
+                           max_size=6)):
+        if degree + sympy.degree(f, T) <= 6:
+            p, degree = p * sympy.Poly(f, T), degree + sympy.degree(f, T)
+    return tuple(int(c) for c in reversed(p.all_coeffs()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(products_to_degree_6())
 @example((45, -739_717_064_710_973, -739_717_064_710_973))  # sympy.roots raises here
-def test_rational_roots_up_to_degree_2_against_sympy(m):
-    """Linear and quadratic roots need no budget: exact at 30-digit
-    coefficients, with rational roots drawn on purpose as well."""
-    t = sympy.Symbol("t")
-    p = sympy.Poly(list(reversed(m)), t)
+def test_rational_roots_against_sympy(m):
+    """Exact at 40-digit roots, negative and non-unit leading coefficients
+    and degree 6, on the squarefree polynomials that rational_roots takes."""
+    p = sympy.Poly(list(reversed(m)), T)
+    assume(p.gcd(p.diff(T)).degree() == 0)
     # the roots of p's linear factors: sympy.roots can raise on such
     # coefficients, where its integer factoring meets a composite factor
     linear = [f for f, _ in p.factor_list()[1] if f.degree() == 1]

@@ -60,7 +60,7 @@ ATOMIC12 = "".join(["name atomic_12\ndim 12\nunit" + " 1" * 12 + "\norder atomic
                       for i in range(12)])
 # Q[t]/(t^2 - (10^39 + 7)) and Q[t]/(t^3 - (10^39 + 7)): finding the
 # divisors of the constant term by trial division would take about 3·10^19
-# steps, which the quadratic's discriminant makes needless
+# steps, where lifting the roots from a small prime takes a few
 BIG_CONSTANT = ("name bigsq\ndim 2\nunit 1 0\norder none\nmult 0 0 = 1 0\n"
                 f"mult 0 1 = 0 1\nmult 1 1 = {10 ** 39 + 7} 0\n")
 BIG_CUBE = ("name bigcube\ndim 3\nunit 1 0 0\norder none\nmult 0 0 = 1 0 0\n"
@@ -70,11 +70,11 @@ BIG_CUBE = ("name bigcube\ndim 3\nunit 1 0 0\norder none\nmult 0 0 = 1 0 0\n"
 
 @pytest.mark.parametrize("text,name,dim,status", [
     (ATOMIC12, "atomic_12", 12, "refuted"), (BIG_CONSTANT, "bigsq", 2, "asserted"),
-    (BIG_CUBE, "bigcube", 3, "unchecked"),
+    (BIG_CUBE, "bigcube", 3, "asserted"),
 ], ids=["atomic12", "big-constant", "big-cube"])
-def test_validate_within_the_root_search_budget(capsys, tmp_path, text, name, dim, status):
-    """An atomic order skips the root search, a quadratic needs none, and a
-    search past its budget never starts: each answers at once."""
+def test_validate_answers_at_once(capsys, tmp_path, text, name, dim, status):
+    """An atomic order skips the root search, and the roots of a 40-digit
+    constant are lifted from a small prime: each answers at once."""
     path = tmp_path / "a.alg"
     path.write_text(text)
     start = time.perf_counter()
@@ -98,16 +98,17 @@ def classify_at_once(capsys, tmp_path, text, status):
     return payload["kadison"]
 
 
-def test_classify_past_the_root_search_budget(capsys, tmp_path):
-    """A quadratic's discriminant decides its roots, so it is a proved field."""
+def test_classify_proves_a_big_quadratic_a_field(capsys, tmp_path):
+    """No rational root at d = 2, so a field, and Kadison is no."""
     assert classify_at_once(capsys, tmp_path, BIG_CONSTANT, "asserted") == {
         "certificate": None, "verdict": "no", "witness": [["1", "0"], ["0", "-1"]]}
 
 
-def test_classify_leaves_a_cubic_past_the_budget_unknown(capsys, tmp_path):
-    """No root search, so neither the domain nor Kadison is decided."""
-    assert classify_at_once(capsys, tmp_path, BIG_CUBE, "unchecked") == {
-        "certificate": None, "verdict": "unknown_sampled", "witness": None}
+def test_classify_proves_a_big_cubic_a_field(capsys, tmp_path):
+    """No rational root at d = 3, so a field, and Kadison is no."""
+    assert classify_at_once(capsys, tmp_path, BIG_CUBE, "asserted") == {
+        "certificate": None, "verdict": "no",
+        "witness": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]]}
 
 
 # the qsqrt2 products with unit 1 + t: the domain tests would read a non-algebra

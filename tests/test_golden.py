@@ -18,7 +18,9 @@ naive evaluator walked every permutation once per audited cochain; the
 tm2sq entries pin the trace-form refutation of a non-reduced algebra, and
 REFUSED pins the refusal of its ideal complex, by exit code and stderr, as
 it does t2m49's, whose classify entries were recorded when its rational
-roots first decided Kadison;
+roots first decided Kadison, and the big3 entries were recorded when
+its rational roots were first found with no bound on the search, by
+lifting from a prime;
 the standard-convention band cohomology, atomic4 `K` and `Jodd --n 2`
 audit and `verify-complex atomic4 --complex band` entries were recorded
 while `coboundary_images` applied d column by column rather than through
@@ -205,6 +207,15 @@ GOLDEN = {
         "b448bea3028f60deca26e7a9f6f2f93849c5a5fed92f5f3cacd61c7e3d15a2bb",
     "classify tm2sq":
         "c83b21b812da0b4d97e60743a51b9d13aa3f22de5ea42569e8e61a65eb413d40",
+    # Q[t]/(t^3 - (10^39 + 7)) has no rational root, found by lifting at any
+    # size, so it is a field: asserted, Kadison no with its witness, and the
+    # ideal complex is the full complex
+    "validate big3":
+        "642543145b4fe4018a627b8b846fb9d18f8905bd2c19eaadbb422f5579d4265c",
+    "classify big3":
+        "4e0dc344c222849e0a9c7ff1514198ef0484ccc38eb153430e7aaf4658754804",
+    "cohomology big3 --degree 0 --complex ideal":
+        "4bbdd88379fb91b30655fe0c8151931688645863c405cd6faba977b57807480c",
     # escname's name holds a quote, a backslash and non-ASCII letters: these
     # pin the JSON string escapes
     "validate escname":

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cohomolab.algebra import (
     assess_domain, basis_element, build_atomic, build_number_field, multiply,
@@ -14,7 +14,8 @@ from cohomolab.multilinear import MultilinearMap
 from cohomolab.operators import NO, UNKNOWN, YES, classify
 from conftest import elem, operator
 from oracles import (
-    is_band_preserving, is_local_multiplier, is_multiplier, is_orthomorphism, sample_elements,
+    is_band_preserving, is_local_multiplier, is_multiplier, is_orthomorphism, rebase,
+    sample_elements,
 )
 
 F = Fraction
@@ -235,7 +236,7 @@ def squarefree_products(draw):
     return chosen
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(squarefree_products())
 def test_roots_and_kadison_against_sympy(factors):
     """On Q[t]/(p), p squarefree, the roots are sympy's rational roots of p
@@ -261,3 +262,46 @@ def test_roots_and_kadison_against_sympy(factors):
         psi = operator(spec, kadison.witness)
         assert is_local_multiplier(spec, psi).verdict != NO
         assert is_multiplier(spec, psi).verdict == NO
+
+
+@st.composite
+def rebased_number_fields(draw):
+    """Q[t]/(p), p monic of degree 1 to 4, squarefree or not, and an
+    invertible P with entries in [-2, 2] of denominator at most 2, the
+    columns of the new basis."""
+    d = draw(st.integers(1, 4))
+    p = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)) + [1]
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    P = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(sympy.Matrix(P).det() != 0)
+    return build_number_field(p), P
+
+
+@settings(max_examples=30, deadline=None)
+@given(rebased_number_fields())
+def test_verdicts_and_dimensions_do_not_depend_on_the_basis(drawn):
+    """The root count, Kadison's verdict and whether it has a witness,
+    h0mc_dim and the full complex at cochain degrees 0-2 are equal in the
+    power basis and in the basis P.  So is the domain status, except that a
+    zero product of new basis elements may refute what the power basis
+    leaves unchecked.  A fractional P makes the primitive element's
+    minimal polynomial non-monic.  Each printed witness is valid in its own
+    basis."""
+    power, P = drawn
+    new = rebase(power, P)
+    facts = []
+    for spec in (power, new):
+        domain, report = assess_domain(spec), classify(spec)
+        witness = report.kadison.witness
+        if witness is not None:
+            psi = operator(spec, witness)
+            assert is_local_multiplier(spec, psi).verdict != NO
+            assert is_multiplier(spec, psi).verdict == NO
+        facts.append((None if domain.roots is None else len(domain.roots),
+                      report.kadison.verdict, witness is None, report.h0mc_dim,
+                      [cohomology(spec, g)[:3] for g in range(3)]))
+    assert facts[0] == facts[1]
+    old_status, new_status = assess_domain(power).status, assess_domain(new).status
+    zero_product = any(not any(e) for row in new.structure for e in row)
+    assert new_status == old_status or (zero_product and (old_status, new_status)
+                                        == ("unchecked", "refuted"))
