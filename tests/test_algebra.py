@@ -162,8 +162,11 @@ def test_rational_roots_refuses_a_repeated_root(m):
 
 
 T = sympy.Symbol("t")
-linear_factors = st.builds(lambda a, b: a * T - b, st.integers(-12, 12).filter(bool),
-                           st.integers(-10 ** 40, 10 ** 40))
+# leading coefficients both small and 30-digit: the scaling M = a^(d-1)·m(u/a)
+# puts a into the Cauchy and Hadamard bounds
+linear_factors = st.builds(lambda a, b: a * T - b,
+                           st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30))
+                           .filter(bool), st.integers(-10 ** 40, 10 ** 40))
 irreducible_factors = st.integers(2, 3).flatmap(
     lambda k: st.tuples(st.integers(-12, 12).filter(bool),
                         st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=k, max_size=k))

@@ -63,14 +63,12 @@ ATOMIC12 = "".join(["name atomic_12\ndim 12\nunit" + " 1" * 12 + "\norder atomic
 # steps, where lifting the roots from a small prime takes a few
 BIG_CONSTANT = ("name bigsq\ndim 2\nunit 1 0\norder none\nmult 0 0 = 1 0\n"
                 f"mult 0 1 = 0 1\nmult 1 1 = {10 ** 39 + 7} 0\n")
-BIG_CUBE = ("name bigcube\ndim 3\nunit 1 0 0\norder none\nmult 0 0 = 1 0 0\n"
-            "mult 0 1 = 0 1 0\nmult 0 2 = 0 0 1\nmult 1 1 = 0 0 1\n"
-            f"mult 1 2 = {10 ** 39 + 7} 0 0\nmult 2 2 = 0 {10 ** 39 + 7} 0\n")
+BIG_CUBE = (ROOT / "fixtures" / "big3.alg").read_text()
 
 
 @pytest.mark.parametrize("text,name,dim,status", [
     (ATOMIC12, "atomic_12", 12, "refuted"), (BIG_CONSTANT, "bigsq", 2, "asserted"),
-    (BIG_CUBE, "bigcube", 3, "asserted"),
+    (BIG_CUBE, "big3", 3, "asserted"),
 ], ids=["atomic12", "big-constant", "big-cube"])
 def test_validate_answers_at_once(capsys, tmp_path, text, name, dim, status):
     """An atomic order skips the root search, and the roots of a 40-digit

@@ -236,7 +236,7 @@ def squarefree_products(draw):
     return chosen
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(squarefree_products())
 def test_roots_and_kadison_against_sympy(factors):
     """On Q[t]/(p), p squarefree, the roots are sympy's rational roots of p
