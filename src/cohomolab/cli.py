@@ -9,8 +9,8 @@ ideal complex.
 Output is JSON (default) or text, byte-identical across runs with equal
 inputs: JSON with the bytes of `json.dumps(payload, sort_keys=True,
 indent=2)`, text as one `key: ` line per sorted field with the bytes of
-`json.dumps(value, sort_keys=True)`.  Every field's value goes through
-`json.dumps` except the representatives, a Mat of flat rows, which are
+`json.dumps(value, sort_keys=True)`.  The writer emits those bytes itself,
+without the json module.  The representatives, a Mat of flat rows, are
 streamed to stdout one dense list at a time, so printing a large report
 holds neither its whole text nor more than one dense representative in
 memory.  A dense list is written as its nonzero cells spliced into one
@@ -20,6 +20,13 @@ success, 1 file/validation or output error, 2 usage error, 3 degree cap
 exceeded.
 COHOMOLAB_MAX_DEGREE overrides the default cap.
 
+The grammar is one table, GLOBAL_OPTIONS and COMMANDS.  An argv spelled
+`[--format F] [--degree-cap N] COMMAND FILE [--opt VALUE]...` is read
+from it directly, so a successful command loads neither argparse nor
+json.  Help, usage errors and every other spelling go to the argparse
+parser that build_parser makes from the same table, the one source of
+help and error text.
+
 A CLI process, `python -m cohomolab.cli` or the `cohomolab` script,
 enters through run: it flushes stdout and stderr after main and ends
 with os._exit, skipping interpreter finalization, so atexit handlers
@@ -27,12 +34,11 @@ with os._exit, skipping interpreter finalization, so atexit handlers
 callers use main, which returns the exit code.
 """
 
-import argparse
-import json
-from json.encoder import encode_basestring_ascii
 import numbers
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .algebra import DOMAIN_UNCHECKED, assess_domain, validate_algebra
 from .complex import DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAGS, verify_dd_zero
@@ -87,22 +93,76 @@ def _verdict_json(v):
     }
 
 
+# json's ensure_ascii escapes: every character but printable ASCII is escaped,
+# by name where JSON has one, else as \uXXXX, a UTF-16 surrogate pair above U+FFFF
+_NEEDS_ESCAPE = re.compile(r'[\\"]|[^ -~]')
+_NAMED_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n",
+                  "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(match) -> str:
+    char = match.group()
+    if char in _NAMED_ESCAPES:
+        return _NAMED_ESCAPES[char]
+    code = ord(char)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000
+    return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
+
+
+def _quote(text: str) -> str:
+    return '"' + _NEEDS_ESCAPE.sub(_escape, text) + '"'
+
+
+def _encode(value, nl) -> str:
+    """value as json.dumps(value, sort_keys=True) writes it if nl is empty,
+    else as with indent=2, nl being a newline and the indent value is at.
+
+    None, bools, ints, strs, lists, tuples and dicts with str keys only;
+    any other type is a TypeError, as it is in json.dumps.
+    """
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    inner = nl and nl + "  "
+    if isinstance(value, (list, tuple)):
+        items, brackets = [_encode(v, inner) for v in value], "[]"
+    elif isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("keys must be str")
+        items = [_quote(k) + ": " + _encode(value[k], inner) for k in sorted(value)]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    if not nl:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
 def _write_report(payload, write, pretty) -> None:
     """Pass payload to write in pieces: if pretty, as json.dumps(payload,
     sort_keys=True, indent=2) and a newline, else as one `key: ` line per
     sorted key holding json.dumps(value, sort_keys=True).
 
-    Every value goes through json.dumps but the representatives, a Mat
-    of flat rows, which are written one dense list at a time, each made
-    only now: the nonzero cells spliced into the report's one row of
-    .ncols "0" cells.  The cells of that row have a fixed stride, and
-    format_rational prints nothing that JSON escapes, so a nonzero is its
-    printed scalar in quotes.
+    Every value is encoded here, without the json module.  The
+    representatives, a Mat of flat rows, are written one dense list at a
+    time, each made only now: the nonzero cells spliced into the report's
+    one row of .ncols "0" cells.  The cells of that row have a fixed
+    stride, and format_rational prints nothing that JSON escapes, so a
+    nonzero is its printed scalar in quotes.
     """
     first, sep, nl = ("{\n  ", ",\n  ", "\n  ") if pretty else ("", "\n", "")
     for key in sorted(payload):
         value = payload[key]
-        write(first + (encode_basestring_ascii(key) if pretty else key) + ": ")
+        write(first + (_quote(key) if pretty else key) + ": ")
         first = sep
         if key == "representatives" and not value.rows:
             write("[]")
@@ -121,9 +181,8 @@ def _write_report(payload, write, pretty) -> None:
                 write(opening + "[" + inner + "".join(pieces) + outer + "]")
                 opening = "," + (outer or " ")
             write(nl + "]")
-        else:  # a raw newline never occurs inside a JSON string: this only indents
-            write(json.dumps(value, sort_keys=True, indent=2 if pretty else None)
-                  .replace("\n", nl))
+        else:
+            write(_encode(value, nl))
     write("\n}\n" if pretty else "\n")
 
 
@@ -134,7 +193,7 @@ def _resolve_cap(args) -> int:
     if env is not None:
         try:
             return _non_negative(env)
-        except argparse.ArgumentTypeError:
+        except ValueError:
             raise ParseError(f"COHOMOLAB_MAX_DEGREE must be a non-negative integer, "
                              f"got {env!r}")
     return DEFAULT_DEGREE_CAP
@@ -145,58 +204,137 @@ def _int(text: str) -> int:
     try:
         return parse_integer(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {text!r}")
 
 
 def _non_negative(text: str) -> int:
     """A non-negative int: a degree cap, from --degree-cap or COHOMOLAB_MAX_DEGREE."""
     value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        raise ValueError(f"must be at least 0, got {value}")
     return value
 
 
-def _global_options(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The parser, with the options that come before the command."""
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--degree-cap", type=_non_negative, default=None,
-                        help=f"highest materialized cochain degree (default "
-                             f"{DEFAULT_DEGREE_CAP}, or COHOMOLAB_MAX_DEGREE)")
+# The grammar, in one table.  An option is its flag and the keywords that
+# argparse's add_argument takes for it: every option has a dest, and a value
+# is checked by its choices or read by its type, an integer reader that
+# raises ValueError.  GLOBAL_OPTIONS come before the command, and each
+# command is its help line and the options that come after FILE.
+GLOBAL_OPTIONS = (
+    ("--format", {"dest": "format", "choices": ("json", "text"), "default": "json"}),
+    ("--degree-cap", {"dest": "degree_cap", "type": _non_negative, "default": None,
+                      "help": f"highest materialized cochain degree (default "
+                              f"{DEFAULT_DEGREE_CAP}, or COHOMOLAB_MAX_DEGREE)"}),
+)
+_CONVENTION = ("--convention", {"dest": "convention", "choices": tuple(SHIFTS),
+                                "default": "shifted"})
+_COMPLEX = ("--complex", {"dest": "complex", "choices": TAGS, "default": "full"})
+COMMANDS = {
+    "validate": ("check the algebra laws", ()),
+    "cohomology": ("quotient dimensions at a degree", (
+        ("--degree", {"dest": "degree", "type": _int, "required": True}),
+        _COMPLEX,
+        _CONVENTION,
+    )),
+    "classify": ("Kadison/Wickstead verdicts", ()),
+    "audit": ("audit a chain map", (
+        ("--map", {"dest": "map_name", "choices": CHAIN_MAPS, "required": True}),
+        ("--n", {"dest": "n", "type": _int, "default": 1}),
+        _CONVENTION,
+    )),
+    "verify-complex": ("check d_{n+1} o d_n = 0", (
+        ("--max-degree", {"dest": "max_n", "type": _int, "default": 3}),
+        _COMPLEX,
+    )),
+}
+
+
+def _read_options(options, argv, at, values):
+    """Read `--opt VALUE` pairs of the options from argv[at:] into values,
+    up to the first token that is none of their flags, and return its
+    index; None if an option repeats or lacks its value, or a value is
+    invalid."""
+    flags = dict(options)
+    while at < len(argv) and argv[at] in flags:
+        spec = flags[argv[at]]
+        if at + 1 == len(argv) or spec["dest"] in values:
+            return None
+        value = argv[at + 1]
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        elif value not in spec["choices"]:
+            return None
+        values[spec["dest"]] = value
+        at += 2
+    return at
+
+
+def _parse_canonical(argv):
+    """The arguments of an argv spelled `[--format F] [--degree-cap N]
+    COMMAND FILE [--opt VALUE]...`, read from the table without argparse.
+
+    None for any other argv: help, a usage error, `--opt=value`, an
+    abbreviation, a repeated option or a FILE that starts with `-`; argparse
+    reads those.  Every value accepted here is a choice, none of which
+    starts with `-`, or an integer, which argparse reads as a value too,
+    so where this returns arguments parse_args returns equal ones.
+    """
+    values = {}
+    at = _read_options(GLOBAL_OPTIONS, argv, 0, values)
+    if (at is None or len(argv) < at + 2 or argv[at] not in COMMANDS
+            or argv[at + 1].startswith("-")):
+        return None
+    command, file = argv[at], argv[at + 1]
+    options = COMMANDS[command][1]
+    if _read_options(options, argv, at + 2, values) != len(argv):
+        return None
+    for _, spec in GLOBAL_OPTIONS + options:
+        if spec["dest"] not in values:
+            if spec.get("required"):
+                return None
+            values[spec["dest"]] = spec.get("default")
+    return SimpleNamespace(command=command, file=file, **values)
+
+
+def _add_options(parser, options):
+    """The argparse parser, with the table's options added: a type's
+    ValueError becomes the ArgumentTypeError whose text argparse prints."""
+    import argparse
+
+    def checked(read):
+        def convert(text):
+            try:
+                return read(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return convert
+
+    for flag, spec in options:
+        if "type" in spec:
+            spec = dict(spec, type=checked(spec["type"]))
+        parser.add_argument(flag, **spec)
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _global_options(argparse.ArgumentParser(
+def build_parser():
+    """The argparse parser of the command table: the reference grammar, and
+    the source of every help and usage text."""
+    import argparse
+
+    parser = _add_options(argparse.ArgumentParser(
         prog="cohomolab",
         description="Exact cohomology and operator classification for "
                     "finite-dimensional commutative unital algebras.",
         exit_on_error=False,  # main words the error, see _usage_message
-    ))
+    ), GLOBAL_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the algebra laws")
-    p.add_argument("file")
-
-    p = sub.add_parser("cohomology", help="quotient dimensions at a degree")
-    p.add_argument("file")
-    p.add_argument("--degree", type=_int, required=True)
-    p.add_argument("--complex", choices=TAGS, default="full")
-    p.add_argument("--convention", choices=tuple(SHIFTS), default="shifted")
-
-    p = sub.add_parser("classify", help="Kadison/Wickstead verdicts")
-    p.add_argument("file")
-
-    p = sub.add_parser("audit", help="audit a chain map")
-    p.add_argument("file")
-    p.add_argument("--map", dest="map_name", required=True,
-                   choices=CHAIN_MAPS)
-    p.add_argument("--n", type=_int, default=1)
-    p.add_argument("--convention", choices=tuple(SHIFTS), default="shifted")
-
-    p = sub.add_parser("verify-complex", help="check d_{n+1} o d_n = 0")
-    p.add_argument("file")
-    p.add_argument("--max-degree", dest="max_n", type=_int, default=3)
-    p.add_argument("--complex", choices=TAGS, default="full")
+    for command, (help_line, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("file")
+        _add_options(p, options)
     return parser
 
 
@@ -286,11 +424,13 @@ def _run(args) -> tuple:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _usage_message(exc: argparse.ArgumentError, argv) -> str:
+def _usage_message(exc, argv) -> str:
     """argparse's message, except where it refused as the command the token
     after options it does not know (`--seed 1 classify`): then one naming them."""
+    import argparse
+
     if exc.argument_name == "command":  # the probe reads argv as the parser does, sans choices
-        probe = _global_options(argparse.ArgumentParser(add_help=False))
+        probe = _add_options(argparse.ArgumentParser(add_help=False), GLOBAL_OPTIONS)
         probe.add_argument("command", nargs=argparse.PARSER)
         unknown = probe.parse_known_args(argv)[1]
         if unknown:
@@ -299,14 +439,19 @@ def _usage_message(exc: argparse.ArgumentError, argv) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_canonical(argv)
+    if args is None:  # help, a usage error or another spelling: argparse decides
+        import argparse
+
+        parser = build_parser()
         try:
-            args = parser.parse_args(argv)
-        except argparse.ArgumentError as exc:
-            parser.error(_usage_message(exc, argv))
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+            try:
+                args = parser.parse_args(argv)
+            except argparse.ArgumentError as exc:
+                parser.error(_usage_message(exc, argv))
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         payload, code = _run(args)
     except DegreeCapExceeded as exc:

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import cohomolab
-from cohomolab.cli import main
+from cohomolab.cli import _parse_canonical, main
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -87,3 +87,11 @@ def test_seed_0_commands_pass_the_benchmark_checks(perfbench, tmp_path, capsys):
             assert code == 0, cmd.label
             failure = checks.check(cmd, stdout)
             assert failure is None, (cmd.label, failure.reason)
+
+
+def test_every_benchmark_command_takes_the_table_path(perfbench, tmp_path):
+    """Each benchmark command is spelled canonically, so argparse stays unloaded."""
+    _, workloads, _ = perfbench
+    for workload, make in workloads.WORKLOADS.items():
+        for cmd in make(0, str(tmp_path / workload)):
+            assert _parse_canonical(cmd.argv) is not None, cmd.label

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cohomolab.algebra import build_number_field
-from cohomolab.cli import _jsonable, _write_report, main
+from cohomolab.cli import (COMMANDS, GLOBAL_OPTIONS, _jsonable, _parse_canonical, _write_report,
+                           build_parser, main)
 from cohomolab.fileformat import format_rational, serialize_algebra
 from cohomolab.linalg import Mat
 from cohomolab.multilinear import MultilinearMap
@@ -532,6 +534,93 @@ def test_streamed_json_equals_dumps(fields, representatives):
                                       for key, value in sorted(expected.items()))
 
 
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": [Fraction(1, 2)]}, {"a": {None: 1}}],
+                         ids=["float", "int-key", "fraction", "none-key"])
+def test_the_writer_refuses_what_it_does_not_encode(value):
+    with pytest.raises(TypeError):
+        _write_report({"a": value}, lambda piece: None, True)
+
+
+# argv tokens: the table's flags and values, and spellings that only argparse reads
+OPTIONS = dict(GLOBAL_OPTIONS + tuple(o for _, options in COMMANDS.values() for o in options))
+INTS = ["0", "1", "3", "-2", "+3", "-0", "007", "1_0", "\u0663", " 3"]  # the last three invalid
+FILES = [Q, "a b.alg", "", "classify", "-", "-f.alg", "--format"]
+TOKENS = [*OPTIONS, *INTS, *FILES, *COMMANDS, "frobnicate", "-h", "--help", "--degree=1",
+          "--format=text", "--seed", "--", "-x", "1.5", "xml", "sideways", "Jeven", "band"]
+
+
+def option_pair(flag, spec):
+    return st.sampled_from(spec.get("choices", INTS)).map(lambda value: [flag, value])
+
+
+@st.composite
+def argvs(draw):
+    """A canonical argv, its options in any order, then up to three edits:
+    a token or an option pair inserted, a token deleted or replaced, or a
+    flag abbreviated."""
+    def pairs(options):
+        chosen = draw(st.lists(st.sampled_from(options), unique_by=lambda o: o[0])
+                      if options else st.just([]))
+        return [token for option in chosen for token in draw(option_pair(*option))]
+
+    command = draw(st.sampled_from(list(COMMANDS)))
+    own = COMMANDS[command][1]
+    # now and then, the options of one side of the command may stray to the other
+    argv = pairs(GLOBAL_OPTIONS + draw(st.sampled_from([(), (), (), own])))
+    argv += [command, draw(st.sampled_from(FILES))]
+    argv += pairs(own + draw(st.sampled_from([(), (), (), GLOBAL_OPTIONS])))
+    inserts = (st.sampled_from(TOKENS).map(lambda token: [token])
+               | st.sampled_from(list(OPTIONS.items())).flatmap(lambda o: option_pair(*o)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace", "abbreviate"]))
+        if edit == "abbreviate":
+            if at < len(argv) and argv[at].startswith("--") and len(argv[at]) > 3:
+                argv[at] = argv[at][:draw(st.integers(3, len(argv[at]) - 1))]
+            continue
+        if edit != "insert":
+            del argv[at:at + 1]
+        if edit != "delete":
+            argv[at:at] = draw(inserts)
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+@example(["--degree-cap", "-0", "--format", "text", "audit", Q, "--convention", "standard",
+          "--n", "+3", "--map", "Jodd"])
+def test_the_table_parser_agrees_with_argparse(argv):
+    """Where the table reads argv, parse_args succeeds on it and reads the same."""
+    args = _parse_canonical(argv)
+    if args is not None:
+        assert vars(build_parser().parse_args(argv)) == vars(args)
+
+
+def readme_argvs() -> list:
+    """The README's CLI lines, each alone, with one choice of one bracketed
+    option, and after the global options."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = []
+    for line in block.splitlines():
+        base = re.sub(r"\s*\[[^]]*\]", "", line).split()[1:]  # less `cohomolab`
+        argvs.append(base)
+        for flag, choices in (group.split() for group in re.findall(r"\[([^]]*)\]", line)):
+            argvs += [base + [flag, choice] for choice in choices.split("|")]
+    return [prefix + argv for argv in argvs
+            for prefix in ([], ["--format", "text"], ["--degree-cap", "3", "--format", "json"])]
+
+
+def test_the_readme_commands_take_the_table_path():
+    argvs = readme_argvs()
+    assert len(argvs) == 3 * (5 + 9)  # 5 lines, 9 bracketed choices
+    assert ["audit", QSQRT2, "--map", "K"] in argvs
+    for argv in argvs:
+        args = _parse_canonical(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
 def process_env(**env) -> dict:
     """The environment of a CLI process, with stdout block-buffered as by default."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
@@ -603,13 +692,16 @@ def cli_process(*argv, stdout=subprocess.PIPE, **env):
     (["--format", "text", "validate", QSQRT2], 0, 0),
     (["cohomology", ATOMIC3, "--degree", "1"], 0, 0),
     (["--format", "text", "cohomology", ATOMIC3, "--degree", "1"], 0, 0),
+    (["--form", "text", "cohomology", ATOMIC3, "--degree=1"], 0, 0),  # read by argparse
+    (["cohomology", ATOMIC3, "--degree=1"], 0, 0),
     (["cohomology", "fixtures/atomic4.alg", "--degree", "2"], 0, 0),  # megabytes
     (["--help"], 0, 0),
     (["validate", "{lawless}"], 1, 0),  # the violations are the report, on stdout
     (["validate", "{unparsable}"], 1, 1),
     (["cohomology", QSQRT2], 2, 1),  # no --degree
     (["cohomology", QSQRT2, "--degree", "9"], 3, 1),
-], ids=["validate", "validate-text", "cohomology", "cohomology-text", "atomic4",
+], ids=["validate", "validate-text", "cohomology", "cohomology-text",
+        "cohomology-text-abbreviated", "cohomology-degree-equals", "atomic4",
         "help", "lawless", "unparsable", "usage", "cap"])
 def test_a_cli_process_writes_what_main_writes(capsysbinary, monkeypatch, tmp_path,
                                                argv, expected, errors):
