@@ -34,7 +34,6 @@ with os._exit, skipping interpreter finalization, so atexit handlers
 callers use main, which returns the exit code.
 """
 
-import numbers
 import os
 import re
 import sys
@@ -74,13 +73,11 @@ def _jsonable(obj):
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
-    if isinstance(obj, numbers.Rational):
-        return _rat(obj)
     if isinstance(obj, dict):
         return {str(k): v if k in _INDEX_FIELDS else _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    return str(obj)
+    return _rat(obj)
 
 
 def _verdict_json(v):

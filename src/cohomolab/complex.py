@@ -24,8 +24,9 @@ complex's coordinates are the index tuples, and lift tensors with the
 identity; the ideal and band complexes are spanned by unit cochains at
 the flat coordinates tag_coords lists, and lift re-indexes onto them.
 
-The symmetric-group sum is evaluated by grouping permutations per distinct
-rearrangement of the index tuple (each arises the same number of times).
+The symmetric-group sum is evaluated once per multiset of output indices,
+by grouping permutations per distinct rearrangement (each arises the same
+number of times), and its row is shared by every rearrangement.
 An odd-degree row is built from its flat index: two digits pick the
 product, the rest is the tail.  Only lawful specs reach it, so for n >= 3
 it lets tuples that differ by swapping their first two indices share a row.
@@ -102,25 +103,15 @@ def _term_indices(spec: AlgebraSpec, t: tuple):
 
 
 def _output_terms(spec: AlgebraSpec, n: int, t: tuple):
-    """Signed index-level terms of d at source degree n, output tuple t.
+    """Signed index-level terms of d at source degree n = 0 or odd n, output tuple t.
 
     Yields (input index tuple, rational coefficient); the input tuples index
     the source cochain's coefficient tensor.  Odd n serves the naive oracle only.
     """
-    m = n + 1  # source arity
-    if n == 0:
-        yield from _term_indices(spec, t)
-    elif n % 2 == 1:  # n = 1 included: swapping t[1] and t[2] gives P(x1*x3, x2)
-        swapped = t[:m - 1] + (t[m], t[m - 1])
-        for idx, v in _term_indices(spec, t):
-            yield idx, v
-        for idx, v in _term_indices(spec, swapped):
+    yield from _term_indices(spec, t)
+    if n % 2 == 1:  # n = 1 included: swapping t[1] and t[2] gives P(x1*x3, x2)
+        for idx, v in _term_indices(spec, t[:n] + (t[n + 1], t[n])):
             yield idx, -v
-    else:
-        perms, weight = arrangements(tuple(sorted(t)))
-        for sigma in perms:
-            for idx, v in _term_indices(spec, sigma):
-                yield idx, v * weight
 
 
 def apply_d(spec: AlgebraSpec, f: MultilinearMap) -> MultilinearMap:
@@ -157,10 +148,29 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
         return Mat.keyed(d ** (n + 1), ((a * d + b if n == 1 or a <= b else b * d + a) * size + r
                                         for a in range(d) for b in range(d) for r in range(size)),
                          terms)
+    if n == 0:  # row (a, b) is b_a*b_b
+        return Mat(d * d, d, [{c: v for c, v in enumerate(e) if v}
+                              for row in spec.structure for e in row])
     # in even degree >= 2 a row depends on its output tuple only through
-    # the multiset of its indices, and equal rows share one dict
-    return Mat.keyed(d ** (n + 1), (tuple(sorted(t)) if n else t for t in all_tuples(d, n + 2)),
-                     lambda t: ((tuple_index(idx, d), v) for idx, v in _output_terms(spec, n, t)))
+    # the multiset of its indices: one dict per multiset, summed over its
+    # arrangements and shared by all of them
+    size = d ** n
+    rows = [None] * d ** (n + 2)
+    for multiset in itertools.combinations_with_replacement(range(d), n + 2):
+        perms, weight = arrangements(multiset)
+        acc = {}
+        flats = []
+        for a, b, *rest in perms:
+            tail = tuple_index(rest, d)
+            flats.append((a * d + b) * size + tail)
+            for c, v in enumerate(spec.structure[a][b]):
+                if v:
+                    col = c * size + tail
+                    acc[col] = acc.get(col, 0) + v
+        row = {c: v * weight for c, v in acc.items() if v}
+        for flat in flats:
+            rows[flat] = row
+    return Mat(len(rows), d ** (n + 1), rows)
 
 
 def per_coordinate(d: int, rows, f) -> list:

@@ -7,23 +7,26 @@ through `scalar`, and every division goes through `div`, since int / int
 would be a float.  Sums and products of ints stay ints, so integral
 inputs keep structure constants, cochains, index matrices and chain-map
 images ints; mixing in a non-integral Fraction may leave an integral
-Fraction, which compares and hashes equal to its int.  Elimination divides
-each new pivot row by its lead, so it works in Fractions even on int rows
-(Bareiss's fraction-free elimination would not).  Row-space bases
-are canonicalized to the reduced echelon form scaled to primitive int rows
-with positive leading entry, so equal subspaces always produce identical
-bases: the outputs of rows() and kernel are int rows again.
+Fraction, which compares and hashes equal to its int.  `scalar` and `div`
+import fractions only for a non-integral value, so work on integral
+inputs never loads it.
 
-A Mat's rows may be shared: `Mat.keyed`, the one constructor that shares
-them, stores equal rows once (for the index-level coboundary in even
-degree and in odd degree n >= 3, and the chain maps).  Nothing mutates a
-Mat row in place, so sharing is safe, and `Mat.matmul` and elimination
-compute each distinct row object once.
+Elimination is integer-preserving (Bareiss, Math. Comp. 22, 1968): each
+fed row is first scaled to a primitive int row, rows are combined by
+cross-multiplying, and each pivot row is kept as the primitive int
+multiple, lead > 0, of its reduced row echelon form row.
+That row is canonical, so equal subspaces always produce identical bases:
+rows() and kernel give int rows, whatever the input.
+
+A Mat's rows may be shared: `Mat.keyed` stores equal rows once (for the
+index-level coboundary in odd degree n >= 3, and the chain maps), and the
+even-degree coboundary keeps one row per multiset of output indices.
+Nothing mutates a Mat row in place, so sharing is safe, and
+`Mat.matmul` and elimination compute each distinct row object once.
 Rows are told apart by `id()` only while a list or map holds them, so an
 id is never reused by a different row during the loop that tests it.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -36,8 +39,11 @@ def scalar(x):
     x is an int, a Fraction, or anything else Fraction() reads exactly,
     such as '-7/2'; a float is refused rather than taken at its binary value.
     """
+    if type(x) is int:
+        return x
     if isinstance(x, float):
         raise TypeError(f"exact scalars are never floats, got {x!r}")
+    from fractions import Fraction
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
@@ -47,7 +53,9 @@ def div(a, b):
     """Exact a / b of two scalars, as a scalar."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
+        if not r:
+            return q
+    from fractions import Fraction
     return scalar(Fraction(a) / b)
 
 
@@ -129,24 +137,36 @@ class Mat(NamedTuple):
         return Mat.from_columns(self.ncols, self.rows)
 
 
+def _primitive(row: Row) -> Row:
+    """A nonzero int row divided by its content, leading entry made positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return {c: v // g for c, v in row.items()}
+
+
 def row_to_primitive(row: Row) -> Row:
     """Scale a row to coprime ints with positive leading entry."""
     if not row:
         return {}
     scale = lcm(*(v.denominator for v in row.values()))
-    ints = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-    g = gcd(*ints.values())
-    if ints[min(ints)] < 0:
-        g = -g
-    return {c: v // g for c, v in ints.items()}
+    return _primitive({c: v.numerator * (scale // v.denominator) for c, v in row.items()})
 
 
 class Echelon:
-    """Incremental reduced row echelon form of a growing row set."""
+    """Incremental echelon form of a growing row set, over the ints.
+
+    Each pivot row is the primitive int multiple, lead > 0, of its reduced
+    row echelon form row: zero at the other pivot columns, and canonical.
+    A fed row is scaled to a primitive int row first; rows are combined by
+    cross-multiplying with the gcd of the two entries and divided by their
+    content, so no Fraction arises.  No row dict, fed or stored, is ever
+    changed in place, so rows() can hand out the pivot rows themselves.
+    """
 
     def __init__(self, rows=()):
         """Feed each distinct row object once: a repeat adds nothing."""
-        self.pivots: dict = {}  # pivot column -> row with that pivot == 1
+        self.pivots: dict = {}  # pivot column -> primitive pivot row
         seen = {}  # id -> row; holding the row keeps its id from being reused
         for r in rows:
             if id(r) not in seen:
@@ -155,16 +175,27 @@ class Echelon:
 
     def add(self, row: Row) -> bool:
         """Insert a row; True if it increased the rank."""
-        r = self.reduce(row)
+        r = row_to_primitive(row)
+        for pc in sorted(r.keys() & self.pivots.keys()):
+            p = self.pivots[pc]
+            a, b = r[pc], p[pc]
+            g = gcd(a, b)
+            if b != g:
+                for c in r:
+                    r[c] *= b // g
+            axpy(r, -(a // g), p)
         if not r:
             return False
+        r = _primitive(r)
         lead = min(r)
         lv = r[lead]
-        if lv != 1:
-            r = {c: div(v, lv) for c, v in r.items()}
-        for pr in self.pivots.values():
-            if lead in pr:
-                axpy(pr, -pr[lead], r)
+        for pc, p in list(self.pivots.items()):
+            a = p.get(lead)
+            if a:
+                g = gcd(a, lv)
+                q = {c: v * (lv // g) for c, v in p.items()}
+                axpy(q, -(a // g), r)
+                self.pivots[pc] = _primitive(q)
         self.pivots[lead] = r
         return True
 
@@ -173,15 +204,18 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, row: Row) -> Row:
-        """row minus its pivot-column entries times the pivot rows.
+        """D times (row minus its pivot-column entries times the RREF
+        rows), D the lcm of the pivot leads, so no entry needs a division.
 
         The pivot rows are reduced (each is zero at the other pivot
         columns), so the result is linear in row, and it is zero exactly
         when row lies in the span.
         """
-        r = dict(row)
-        for pc in sorted(set(r) & set(self.pivots)):
-            axpy(r, -r[pc], self.pivots[pc])
+        scale = lcm(*(p[c] for c, p in self.pivots.items()))
+        r = {c: scale * v for c, v in row.items()}
+        for pc in sorted(r.keys() & self.pivots.keys()):
+            p = self.pivots[pc]
+            axpy(r, -row[pc] * (scale // p[pc]), p)
         return r
 
     def contains(self, row: Row) -> bool:
@@ -189,7 +223,7 @@ class Echelon:
 
     def rows(self):
         """Canonical basis rows: pivot order, primitive integer, lead > 0."""
-        return [row_to_primitive(self.pivots[c]) for c in sorted(self.pivots)]
+        return [self.pivots[c] for c in sorted(self.pivots)]
 
 
 def kernel(mat: Mat) -> list:
@@ -200,19 +234,21 @@ def kernel(mat: Mat) -> list:
     and no other row is nonzero at f.
     """
     piv = Echelon(mat.rows).pivots
-    # column -> [(pivot, -entry)], in pivot insertion order; one pass over
+    # column -> [(pivot, entry)], in pivot insertion order; one pass over
     # the pivot rows' entries (entries on pivot columns are never read)
     entries = {}
     for p, prow in piv.items():
         for c, v in prow.items():
-            entries.setdefault(c, []).append((p, -v))
+            entries.setdefault(c, []).append((p, v))
     basis = []
     for f in range(mat.ncols):
         if f in piv:
             continue
-        vec: Row = {f: 1}
-        vec.update(entries.get(f, ()))
-        basis.append(row_to_primitive(vec))
+        col = entries.get(f, ())
+        scale = lcm(*(piv[p][p] for p, _ in col))  # x_p = -entry / lead, times scale
+        vec: Row = {f: scale}
+        vec.update((p, -v * (scale // piv[p][p])) for p, v in col)
+        basis.append(_primitive(vec))
     return basis
 
 

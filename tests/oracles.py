@@ -4,6 +4,7 @@ Each is written directly from its definition, so a test can check the
 package against it.
 """
 
+import itertools
 from fractions import Fraction
 
 from cohomolab.algebra import (
@@ -11,9 +12,9 @@ from cohomolab.algebra import (
 )
 from cohomolab.cohomology import CheckResult, cocycle_space
 from cohomolab.complex import (
-    TAG_BAND, TAG_FULL, _output_terms, apply_d, coboundary, lift, tag_coords,
+    TAG_BAND, TAG_FULL, _output_terms, _term_indices, apply_d, coboundary, lift, tag_coords,
 )
-from cohomolab.linalg import Echelon, Mat, axpy, kernel, row_to_primitive, scalar
+from cohomolab.linalg import Mat, axpy, row_to_primitive, scalar
 from cohomolab.multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
 from cohomolab.operators import NO, UNKNOWN, YES, OperatorVerdict
 
@@ -87,11 +88,56 @@ def rebase(spec: AlgebraSpec, P) -> AlgebraSpec:
     return spec._replace(structure=structure, unit=coords(spec.unit))
 
 
+class RrefEchelon:
+    """Incremental reduced row echelon form in Fractions, each pivot row
+    divided by its lead: the reference for the integer linalg.Echelon."""
+
+    def __init__(self, rows=()):
+        """Feed each distinct row object once: a repeat adds nothing."""
+        self.pivots: dict = {}  # pivot column -> row with that pivot == 1
+        seen = {}  # id -> row; holding the row keeps its id from being reused
+        for r in rows:
+            if id(r) not in seen:
+                seen[id(r)] = r
+                self.add(r)
+
+    def add(self, row) -> bool:
+        """Insert a row; True if it increased the rank."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        lead = min(r)
+        r = {c: Fraction(v) / r[lead] for c, v in r.items()}
+        for pr in self.pivots.values():
+            if lead in pr:
+                axpy(pr, -pr[lead], r)
+        self.pivots[lead] = r
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row):
+        """row minus its pivot-column entries times the pivot rows."""
+        r = dict(row)
+        for pc in sorted(set(r) & set(self.pivots)):
+            axpy(r, -r[pc], self.pivots[pc])
+        return r
+
+    def contains(self, row) -> bool:
+        return not self.reduce(row)
+
+    def rows(self):
+        """Canonical basis rows: pivot order, primitive integer, lead > 0."""
+        return [row_to_primitive(self.pivots[c]) for c in sorted(self.pivots)]
+
+
 def principal_ideal_contains(spec: AlgebraSpec, a: Element, y: Element) -> bool:
     """Exact membership test y in a*A, the span of the products a*b_j."""
     d = spec.dim
-    ech = Echelon({i: v for i, v in enumerate(multiply(spec, a, basis_element(d, j))) if v}
-                  for j in range(d))
+    ech = RrefEchelon({i: v for i, v in enumerate(multiply(spec, a, basis_element(d, j))) if v}
+                      for j in range(d))
     return ech.contains({i: v for i, v in enumerate(y) if v})
 
 
@@ -160,8 +206,8 @@ def unit_tensor(d: int, arity: int, flat: int, coord: int) -> MultilinearMap:
 
 
 def kernel_double_loop(mat) -> list:
-    """Kernel basis by probing every pivot row for every free column."""
-    piv = Echelon(mat.rows).pivots
+    """Kernel basis by probing every RREF pivot row for every free column."""
+    piv = RrefEchelon(mat.rows).pivots
     basis = []
     for f in range(mat.ncols):
         if f in piv:
@@ -178,13 +224,13 @@ def kernel_double_loop(mat) -> list:
 def complete_basis_greedy(inner_rows, ambient_rows) -> list:
     """Members of ambient (in order) that extend inner to a basis of ambient:
     each row that grows an echelon of inner and the rows kept before it."""
-    ech = Echelon(inner_rows)
+    ech = RrefEchelon(inner_rows)
     return [dict(r) for r in ambient_rows if ech.add(r)]
 
 
 def rref(rows) -> list:
     """Canonical basis of the span of rows."""
-    return Echelon(rows).rows()
+    return RrefEchelon(rows).rows()
 
 
 def coboundary_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
@@ -194,18 +240,26 @@ def coboundary_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
     return lift(spec, degree, tag, rref(coboundary(spec, degree - 1, tag).transpose().rows))
 
 
-def lifted_coboundary_echelon(spec: AlgebraSpec, g: int) -> Echelon:
+def lifted_coboundary_echelon(spec: AlgebraSpec, g: int) -> RrefEchelon:
     """Echelon of im d_{g-1} in flat coordinates, fed the lifted images:
     d flat rows per index-level image of d_{g-1}."""
-    return Echelon(lift(spec, g, TAG_FULL, coboundary(spec, g - 1, TAG_FULL).transpose().rows))
+    return RrefEchelon(lift(spec, g, TAG_FULL, coboundary(spec, g - 1, TAG_FULL).transpose().rows))
 
 
 def index_matrix_by_tuples(spec: AlgebraSpec, n: int) -> Mat:
     """The index-level d_n with one row per output tuple, summed from the
-    tuple-level terms of the defining formula."""
+    tuple-level terms of the defining formula: in even degree >= 2 over
+    every permutation of the tuple."""
     d = spec.dim
-    return Mat.keyed(d ** (n + 1), all_tuples(d, n + 2),
-                     lambda t: ((tuple_index(idx, d), v) for idx, v in _output_terms(spec, n, t)))
+
+    def terms(t):
+        if n % 2 or n == 0:
+            pairs = _output_terms(spec, n, t)
+        else:
+            pairs = (p for sigma in itertools.permutations(t) for p in _term_indices(spec, sigma))
+        return ((tuple_index(idx, d), v) for idx, v in pairs)
+
+    return Mat.keyed(d ** (n + 1), all_tuples(d, n + 2), terms)
 
 
 def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> tuple:
@@ -235,7 +289,7 @@ def audit_stacked(spec: AlgebraSpec, fn, g: int) -> tuple:
         return apply_matrix(chain, from_flat(d, 2, row), g + 1).flatten()
 
     ker_d1 = cocycle_space(spec, 1, TAG_FULL)
-    mult_ech = Echelon(apply_d(spec, m).flatten() for m in product_cochain_subspace(spec, 1))
+    mult_ech = RrefEchelon(apply_d(spec, m).flatten() for m in product_cochain_subspace(spec, 1))
     img_rows = [image(row) for row in ker_d1]
     cocycle = CheckResult(True)
     for row, img in zip(ker_d1, img_rows):
@@ -246,7 +300,7 @@ def audit_stacked(spec: AlgebraSpec, fn, g: int) -> tuple:
                                           "coord": coord, "value": dd[min(dd)]})
             break
     b_target = coboundary_space(spec, g, TAG_FULL)
-    b_ech = Echelon(b_target)
+    b_ech = RrefEchelon(b_target)
     cobound = CheckResult(True)
     for row in mult_ech.rows():
         img = image(row)
@@ -255,7 +309,7 @@ def audit_stacked(spec: AlgebraSpec, fn, g: int) -> tuple:
             break
     r = len(ker_d1)
     injective = CheckResult(True)
-    for kvec in kernel(Mat.from_columns(d ** (g + 2), img_rows + b_target)):
+    for kvec in kernel_double_loop(Mat.from_columns(d ** (g + 2), img_rows + b_target)):
         acc = {}
         for j, c in kvec.items():
             if j < r:
@@ -267,11 +321,11 @@ def audit_stacked(spec: AlgebraSpec, fn, g: int) -> tuple:
 
 
 def span_contains(basis_rows, vec) -> bool:
-    return Echelon(basis_rows).contains(vec)
+    return RrefEchelon(basis_rows).contains(vec)
 
 
 def span_leq(sub_rows, super_rows) -> bool:
-    ech = Echelon(super_rows)
+    ech = RrefEchelon(super_rows)
     return all(ech.contains(r) for r in sub_rows)
 
 

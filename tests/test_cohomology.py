@@ -2,6 +2,7 @@ import itertools
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -450,8 +451,8 @@ REDUCTION_CASES = [(name, g) for name, d in (("qsqrt2", 2), ("qhalf", 2), ("cubi
 def test_index_level_reduction_equals_lifted(name, g, data):
     """Reducing a flat vector one output coordinate at a time, by
     per_coordinate with the index-level echelon, gives the lifted
-    echelon's reduce, entry for entry, on vectors inside im d_{g-1} and
-    off it."""
+    Fraction RREF's reduce times D, the lcm of the index-level pivot
+    leads, entry for entry, on vectors inside im d_{g-1} and off it."""
     spec, index_ech, lifted_ech, lifted_images = reduction_case(name, g)
     d = spec.dim
     values = st.fractions(-4, 4, max_denominator=5).filter(bool)
@@ -460,4 +461,5 @@ def test_index_level_reduction_equals_lifted(name, g, data):
                                    max_size=4)):
         axpy(x, c, lifted_images[j])
     reduced = per_coordinate(d, [x], lambda parts: [index_ech.reduce(p) for p in parts])
-    assert reduced == [lifted_ech.reduce(x)]
+    scale = lcm(*(p[c] for c, p in index_ech.pivots.items()))
+    assert reduced == [{c: scale * v for c, v in lifted_ech.reduce(x).items()}]

@@ -128,6 +128,20 @@ def test_odd_index_matrix_equals_tuple_build(path):
             assert len({id(r) for r in matrix.rows}) == d * (d + 1) // 2 * d ** n
 
 
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_even_index_matrix_equals_tuple_build(path):
+    """The per-multiset build of even d_n equals the one summed over every
+    permutation of each output tuple, and its rows are one dict per
+    multiset of output indices."""
+    spec = parse_algebra_file(str(path))
+    d = spec.dim
+    for n in (0, 2, 4) if d <= 2 else (0, 2):
+        matrix = index_coboundary_matrix(spec, n)
+        assert matrix == index_matrix_by_tuples(spec, n)
+        if n:
+            assert len({id(r) for r in matrix.rows}) == math.comb(d + n + 1, n + 2)
+
+
 @pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])
 def test_band_cocycles_are_full_cocycles_in_band(fix, request):
     """Band cocycles, against a Zassenhaus intersection of two independent spaces."""

@@ -216,6 +216,19 @@ GOLDEN = {
         "4e0dc344c222849e0a9c7ff1514198ef0484ccc38eb153430e7aaf4658754804",
     "cohomology big3 --degree 0 --complex ideal":
         "4bbdd88379fb91b30655fe0c8151931688645863c405cd6faba977b57807480c",
+    # dense4 = Q[t]/(t^4 + t^3 + 2t^2 - 4t + 3), whose eliminations grow
+    # large fractions: recorded while elimination divided each pivot row by
+    # its lead, in Fractions
+    "validate dense4":
+        "b1d386510820d3440117a62bece1f752a94b0f221e9c2b9c2d9d3e21f39bdeb0",
+    "classify dense4":
+        "ffb641987d9f1f1713ea175de4b1ece6d66a358d57032cf66adfa9ac8d97234f",
+    "cohomology dense4 --degree 0":
+        "acf69c9ad644c01d8d5f3ba57cf36f193b2a74c18e28b3406aa4902ad711c4d9",
+    "cohomology dense4 --degree 1":
+        "f2beeae1870f04150956f20d2c70df929d1e14cd525e686f53e4392c34391439",
+    "cohomology dense4 --degree 2":
+        "fedf3d3292a6f5f8e6b28b20b4b11c925d187937404a07831f976233651e6f20",
     # escname's name holds a quote, a backslash and non-ASCII letters: these
     # pin the JSON string escapes
     "validate escname":

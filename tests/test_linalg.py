@@ -1,15 +1,23 @@
 from fractions import Fraction
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohomolab.algebra import build_number_field
+from cohomolab.cohomology import cohomology
+from cohomolab.complex import index_coboundary_matrix
+from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import (
     Echelon, Mat, axpy, complete_basis, kernel, row_to_primitive, span_dim,
 )
 from oracles import (
-    complete_basis_greedy, from_dense, intersection, kernel_double_loop, rref,
+    RrefEchelon, complete_basis_greedy, from_dense, intersection, kernel_double_loop, rref,
     span_contains, span_leq, to_dense,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 F = Fraction
 
@@ -288,3 +296,94 @@ def test_echelon_generator_of_fresh_rows():
     rows = [r for j in range(40) for r in ({0: F(1)}, {j: F(1)})]
     assert Echelon(dict(r) for r in rows).rank == 40
     assert Echelon(r for r in rows + rows).rank == 40
+
+
+# The integer Echelon against the Fraction RREF of tests/oracles.py, on
+# int, Fraction and mixed entries, with row objects shared between positions.
+
+int_entries = st.integers(-60, 60).filter(bool)
+fraction_entries = st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(bool)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """A matrix whose rows are drawn from a pool, so that one row object
+    may stand at several positions."""
+    ncols = draw(st.integers(1, 8))
+    values = draw(st.sampled_from([int_entries, fraction_entries, sparse_scalars]))
+    pool = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), values, max_size=5),
+                         min_size=1, max_size=7))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=9))
+    return Mat(len(picks), ncols, [pool[i] for i in picks])
+
+
+def items(rows):
+    """Each row's entries in key order."""
+    return [list(r.items()) for r in rows]
+
+
+def draw_combinations(data, rows, count):
+    """count combinations of rows, zero and repeated coefficients included."""
+    coefficients = st.lists(st.one_of(st.just(0), sparse_scalars),
+                            min_size=len(rows), max_size=len(rows))
+    return [combination(data.draw(coefficients), rows) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_inputs(), st.data())
+def test_integer_echelon_matches_the_fraction_rref(m, data):
+    ech, ref = Echelon(m.rows), RrefEchelon(m.rows)
+    assert ech.rank == ref.rank == span_dim(m.rows)
+    assert list(ech.pivots) == list(ref.pivots)
+    assert ech.rows() == ref.rows() == rref(m.rows)
+    # each pivot row is the primitive int multiple, lead > 0, of its RREF row
+    for c, p in ech.pivots.items():
+        assert all(type(v) is int for v in p.values())
+        assert gcd(*p.values()) == 1 and p[c] > 0
+        assert p == {k: p[c] * v for k, v in ref.pivots[c].items()}
+    assert items(kernel(m)) == items(kernel_double_loop(m))
+    # reduce is D times the RREF reduction, D the lcm of the pivot leads
+    scale = lcm(*(p[c] for c, p in ech.pivots.items()))
+    vectors = st.dictionaries(st.integers(0, m.ncols - 1), sparse_scalars, max_size=4)
+    for v in [data.draw(vectors)] + draw_combinations(data, m.rows, 1):
+        assert ech.reduce(v) == {c: scale * x for c, x in ref.reduce(v).items()}
+        assert ech.contains(v) == ref.contains(v)
+    z = kernel(m)
+    inner = draw_combinations(data, z, data.draw(st.integers(0, 4)))
+    assert complete_basis(inner, z) == complete_basis_greedy(inner, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elimination_inputs(), st.data())
+def test_elimination_changes_no_input_row(m, data):
+    before = items(m.rows)
+    ech = Echelon(m.rows)
+    ech.reduce(m.rows[0] if m.rows else {})
+    z = kernel(m)
+    inner = draw_combinations(data, z, data.draw(st.integers(0, 4)))
+    z_before, inner_before = items(z), items(inner)
+    complete_basis(inner, z)
+    Echelon(inner).add(z[0] if z else {})
+    assert items(m.rows) == before
+    assert items(z) == z_before and items(inner) == inner_before
+
+
+@pytest.mark.parametrize("name", ["cubic2", "qhalf", "dense4"])
+def test_cohomology_changes_no_cached_index_matrix_row(name):
+    """The cached index matrices share row dicts between positions and
+    between callers; eliminating them must leave every row as built."""
+    spec = parse_algebra_file(str(FIXTURES / f"{name}.alg"))
+    before = [items(index_coboundary_matrix(spec, n).rows) for n in range(4)]
+    for degree in range(3):
+        cohomology(spec, degree)
+    assert [items(index_coboundary_matrix(spec, n).rows) for n in range(4)] == before
+
+
+@pytest.mark.parametrize("coefficients", [[3, -4, 2, 1, 1], [-2, 0, 0, 0, 0, 1]],
+                         ids=["dense4", "t5m2"])
+def test_kernel_of_d_4_matches_the_fraction_rref(coefficients):
+    # the frontier: the dense quartic's RREF grows large Fractions, and
+    # t5m2's d_4 has 3125 columns; the integer Echelon reaches the same
+    # canonical kernel, row for row
+    mat = index_coboundary_matrix(build_number_field(coefficients), 4)
+    assert items(kernel(mat)) == items(kernel_double_loop(mat))
