@@ -50,7 +50,7 @@ class AlgebraSpec(NamedTuple):
 
 class Domain(NamedTuple):
     status: str  # asserted | refuted | unchecked
-    roots: tuple  # see assess_domain; None on a singular trace form or an atomic order
+    roots: tuple  # see assess_domain; None exactly on a singular trace form
 
 
 class Violation(NamedTuple):
@@ -257,17 +257,15 @@ def assess_domain(spec: AlgebraSpec) -> Domain:
     a zero basis product b_i b_j (the atoms of an atomic order).  At d = 1
     a lawful unital algebra is Q, and no root proves a field at d <= 3,
     where a reducible m has a linear factor.  The rest stays unchecked: a
-    rootless d >= 4, which may be two quadratic fields.  An atomic order
-    skips the root search, so its roots stay None, as on a singular trace
-    form.  Both fields mean something only on a lawful spec.
+    rootless d >= 4, which may be two quadratic fields.  The roots are None
+    exactly on a singular trace form.  Both fields mean something only on a
+    lawful spec.
     """
     d = spec.dim
     trace = [sum(spec.structure[l][k][k] for k in range(d)) for l in range(d)]  # of x -> b_l x
     form = Echelon({j: v for j, e in enumerate(row)  # Tr(b_i b_j)
                     if (v := sum(a * t for a, t in zip(e, trace)))} for row in spec.structure)
-    roots = None
-    if form.rank == d and spec.order_mode != ORDER_ATOMIC:
-        roots = rational_roots(primitive_minimal_polynomial(spec))
+    roots = rational_roots(primitive_minimal_polynomial(spec)) if form.rank == d else None
     zero_product = any(not any(e) for row in spec.structure for e in row)
     if form.rank < d or (d > 1 and (roots or zero_product)):
         status = DOMAIN_REFUTED

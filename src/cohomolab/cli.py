@@ -9,15 +9,11 @@ ideal complex.
 Output is JSON (default) or text, byte-identical across runs with equal
 inputs: JSON with the bytes of `json.dumps(payload, sort_keys=True,
 indent=2)`, text as one `key: ` line per sorted field with the bytes of
-`json.dumps(value, sort_keys=True)`.  The writer emits those bytes itself,
-without the json module.  The representatives, a Mat of flat rows, are
-streamed to stdout one dense list at a time, so printing a large report
-holds neither its whole text nor more than one dense representative in
-memory.  A dense list is written as its nonzero cells spliced into one
-zero row per report, so its cost grows with the nonzeros and the bytes,
-not with a per-cell encoder call.  Exit codes: 0
-success, 1 file/validation or output error, 2 usage error, 3 degree cap
-exceeded.
+`json.dumps(value, sort_keys=True)`.  One encoder writes every value in
+pieces, without the json module, and a Mat as its dense rows, each made
+only as it is written: so a large report's text and its dense rows are
+never all in memory.  Exit codes: 0 success, 1 file/validation or output
+error, 2 usage error, 3 degree cap exceeded.
 COHOMOLAB_MAX_DEGREE overrides the default cap.
 
 The grammar is one table, GLOBAL_OPTIONS and COMMANDS.  An argv spelled
@@ -43,6 +39,7 @@ from .algebra import DOMAIN_UNCHECKED, assess_domain, validate_algebra
 from .complex import DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAGS, verify_dd_zero
 from .cohomology import CHAIN_MAPS, audit_chain_map, cohomology
 from .fileformat import ParseError, format_rational, parse_algebra_file, parse_integer
+from .linalg import Mat
 from .operators import classify
 
 EXIT_OK = 0
@@ -112,75 +109,69 @@ def _quote(text: str) -> str:
     return '"' + _NEEDS_ESCAPE.sub(_escape, text) + '"'
 
 
-def _encode(value, nl) -> str:
-    """value as json.dumps(value, sort_keys=True) writes it if nl is empty,
-    else as with indent=2, nl being a newline and the indent value is at.
-
-    None, bools, ints, strs, lists, tuples and dicts with str keys only;
-    any other type is a TypeError, as it is in json.dumps.
-    """
+def _write_json(value, write, nl) -> None:
+    """Pass value to write in pieces, as json.dumps(value, sort_keys=True)
+    writes it if nl is empty, else as with indent=2, nl being a newline and
+    the indent value is at.  A Mat is written as the list of its dense
+    rows; a type that json.dumps refuses, or a dict key that is not a str,
+    is a TypeError."""
     if value is None:
-        return "null"
+        return write("null")
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return write("true" if value else "false")
     if isinstance(value, int):
-        return int.__repr__(value)
+        return write(int.__repr__(value))
     if isinstance(value, str):
-        return _quote(value)
+        return write(_quote(value))
     inner = nl and nl + "  "
-    if isinstance(value, (list, tuple)):
-        items, brackets = [_encode(v, inner) for v in value], "[]"
+    if isinstance(value, Mat):  # a NamedTuple, so tested before tuple
+        # each dense row is made only as it is written: its nonzero cells
+        # spliced into one row of .ncols "0" cells, which have a fixed
+        # stride; format_rational prints nothing that JSON escapes
+        brackets, items, cells = "[]", value.rows, inner and inner + "  "
+        cell_sep = "," + (cells or " ")
+        stride = 3 + len(cell_sep)
+        zeros = cell_sep.join(['"0"'] * value.ncols)
+        head, tail = ("[" + cells, inner + "]") if value.ncols else ("[", "]")
+        def put(sep, vec):
+            pieces, at = [sep + head], 0
+            for i, v in sorted(vec.items()):
+                pieces += (zeros[at:i * stride], '"' + _rat(v) + '"')
+                at = i * stride + 3
+            pieces += (zeros[at:], tail)
+            write("".join(pieces))
+    elif isinstance(value, (list, tuple)):
+        brackets, items = "[]", value
+        def put(sep, item):
+            write(sep)
+            _write_json(item, write, inner)
     elif isinstance(value, dict):
         if not all(isinstance(k, str) for k in value):
             raise TypeError("keys must be str")
-        items = [_quote(k) + ": " + _encode(value[k], inner) for k in sorted(value)]
-        brackets = "{}"
+        brackets, items = "{}", sorted(value)
+        def put(sep, key):
+            write(sep + _quote(key) + ": ")
+            _write_json(value[key], write, inner)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    if not nl:
-        return brackets[0] + ", ".join(items) + brackets[1]
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+    sep = brackets[0] + inner
+    for item in items:
+        put(sep, item)
+        sep = "," + (inner or " ")
+    write(nl + brackets[1] if sep[0] == "," else brackets)
 
 
 def _write_report(payload, write, pretty) -> None:
     """Pass payload to write in pieces: if pretty, as json.dumps(payload,
     sort_keys=True, indent=2) and a newline, else as one `key: ` line per
-    sorted key holding json.dumps(value, sort_keys=True).
-
-    Every value is encoded here, without the json module.  The
-    representatives, a Mat of flat rows, are written one dense list at a
-    time, each made only now: the nonzero cells spliced into the report's
-    one row of .ncols "0" cells.  The cells of that row have a fixed
-    stride, and format_rational prints nothing that JSON escapes, so a
-    nonzero is its printed scalar in quotes.
-    """
-    first, sep, nl = ("{\n  ", ",\n  ", "\n  ") if pretty else ("", "\n", "")
+    sorted key holding json.dumps(value, sort_keys=True)."""
+    if pretty:
+        _write_json(payload, write, "\n")
+        return write("\n")
     for key in sorted(payload):
-        value = payload[key]
-        write(first + (_quote(key) if pretty else key) + ": ")
-        first = sep
-        if key == "representatives" and not value.rows:
-            write("[]")
-        elif key == "representatives":
-            outer, inner = (nl + "  ", nl + "    ") if pretty else ("", "")
-            cell_sep = "," + (inner or " ")
-            stride = 3 + len(cell_sep)
-            zeros = cell_sep.join(['"0"'] * value.ncols)
-            opening = "[" + outer
-            for vec in value.rows:
-                pieces, at = [], 0
-                for i, v in sorted(vec.items()):
-                    pieces += (zeros[at:i * stride], '"' + _rat(v) + '"')
-                    at = i * stride + 3
-                pieces.append(zeros[at:])
-                write(opening + "[" + inner + "".join(pieces) + outer + "]")
-                opening = "," + (outer or " ")
-            write(nl + "]")
-        else:
-            write(_encode(value, nl))
-    write("\n}\n" if pretty else "\n")
+        write(key + ": ")
+        _write_json(payload[key], write, "")
+        write("\n")
 
 
 def _resolve_cap(args) -> int:
@@ -387,20 +378,11 @@ def _run(args) -> tuple:
             "n": args.n,
             "convention": args.convention,
             "target_degree": report.degree - SHIFTS[args.convention],
-            "cocycle_preservation": {
-                "pass": report.cocycle_preservation.ok,
-                "witness": _jsonable(report.cocycle_preservation.witness),
-            },
-            "coboundary_preservation": {
-                "pass": report.coboundary_preservation.ok,
-                "witness": _jsonable(report.coboundary_preservation.witness),
-            },
-            "injectivity": {
-                "pass": report.injectivity.ok,
-                "witness": _jsonable(report.injectivity.witness),
-            },
             "evaluator_agreement": report.evaluator_agreement,
         })
+        for check in ("cocycle_preservation", "coboundary_preservation", "injectivity"):
+            result = getattr(report, check)
+            base[check] = {"pass": result.ok, "witness": _jsonable(result.witness)}
         return base, EXIT_OK
 
     if args.command == "verify-complex":

@@ -12,7 +12,7 @@ Kadison's verdict is "unknown_sampled".
 
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, ORDER_ATOMIC, assess_domain
+from .algebra import AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, assess_domain
 from .complex import DEFAULT_DEGREE_CAP, TAG_BAND, check_cap
 from .cohomology import cohomology, multiplier_quotient
 
@@ -44,12 +44,12 @@ def _conjugation_like(d: int):
 def classify(spec: AlgebraSpec, cap: int = DEFAULT_DEGREE_CAP) -> ClassificationReport:
     """Kadison/Wickstead verdicts with operator witnesses and quotient dims.
 
-    Kadison is yes on an atomic order and when the rational roots number d
-    (A is Q^d, whose local multipliers are diagonal, hence multipliers),
-    and no for any other root count, which leaves a factor of degree >= 2.
-    Only a rootless d <= 3, a field, gets the witness: the identity with
-    the second basis direction negated, local like every operator of a
-    field, and no multiplier, having eigenvalues 1 and -1.
+    Kadison reads only `assess_domain`: unknown where the roots are None,
+    yes when they number d (A is Q^d, whose local multipliers are diagonal,
+    hence multipliers), and no for any other root count, which leaves a
+    factor of degree >= 2.  Only a domain proved a field gets the witness:
+    the identity with the second basis direction negated, local like every
+    operator of a field, and no multiplier, having eigenvalues 1 and -1.
     """
     check_cap(2, cap)  # d_1 maps degree-1 cochains to degree 2
     d = spec.dim
@@ -60,12 +60,12 @@ def classify(spec: AlgebraSpec, cap: int = DEFAULT_DEGREE_CAP) -> Classification
         h0oo = cohomology(spec, 1, TAG_BAND).dim_H
         wickstead = OperatorVerdict(YES if h0oo == 0 else NO, certificate={"h0oo_dim": h0oo})
 
-    roots = assess_domain(spec).roots
-    if spec.order_mode == ORDER_ATOMIC or (roots is not None and len(roots) == d):
-        kadison = OperatorVerdict(YES)
-    elif roots is None:
+    domain = assess_domain(spec)
+    if domain.roots is None:
         kadison = OperatorVerdict(UNKNOWN)
-    elif not roots and d <= 3:
+    elif len(domain.roots) == d:
+        kadison = OperatorVerdict(YES)
+    elif domain.status == DOMAIN_ASSERTED:
         kadison = OperatorVerdict(NO, witness=_conjugation_like(d))
     else:
         kadison = OperatorVerdict(NO)

@@ -121,6 +121,13 @@ def test_build_atomic(atomic3, atomic4):
         build_atomic(0)
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_an_atomic_order_has_d_roots(d):
+    """An atomic order is Q^d: its trace form is nonsingular, and the root
+    search runs there as on any other lawful spec."""
+    assert len(assess_domain(build_atomic(d)).roots) == d
+
+
 @pytest.mark.parametrize("coeffs,status", [
     ([4, -4, 1], "refuted"),  # (t-2)^2
     ([1, 0, -2, 0, 1], "refuted"),  # (t^2-1)^2

@@ -73,8 +73,8 @@ BIG_CUBE = (ROOT / "fixtures" / "big3.alg").read_text()
     (BIG_CUBE, "big3", 3, "asserted"),
 ], ids=["atomic12", "big-constant", "big-cube"])
 def test_validate_answers_at_once(capsys, tmp_path, text, name, dim, status):
-    """An atomic order skips the root search, and the roots of a 40-digit
-    constant are lifted from a small prime: each answers at once."""
+    """The roots of a 12-atom order's minimal polynomial, and of a 40-digit
+    constant, are lifted from a small prime: each answers at once."""
     path = tmp_path / "a.alg"
     path.write_text(text)
     start = time.perf_counter()
@@ -525,6 +525,24 @@ def test_streamed_json_equals_dumps(fields, representatives):
     if representatives is not None:
         report["representatives"] = representatives
         expected["representatives"] = dense(representatives)
+    pieces = []
+    _write_report(report, pieces.append, True)
+    assert "".join(pieces) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    pieces = []
+    _write_report(report, pieces.append, False)
+    assert "".join(pieces) == "".join(f"{key}: {json.dumps(value, sort_keys=True)}\n"
+                                      for key, value in sorted(expected.items()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(representative_mats)
+@example(Mat(2, 0, [{}, {}]))  # rows with no cells
+@example(Mat(0, 3, []))
+def test_a_nested_mat_is_written_as_its_dense_rows(mat):
+    """The writer dispatches on the type, not on a key: a Mat anywhere in
+    a report, in a list or in a dict, is the list of its dense rows."""
+    report = {"a": [mat, {"b": mat, "c": (1, mat)}], "mat": mat}
+    expected = {"a": [dense(mat), {"b": dense(mat), "c": [1, dense(mat)]}], "mat": dense(mat)}
     pieces = []
     _write_report(report, pieces.append, True)
     assert "".join(pieces) == json.dumps(expected, sort_keys=True, indent=2) + "\n"

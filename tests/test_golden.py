@@ -229,6 +229,21 @@ GOLDEN = {
         "f2beeae1870f04150956f20d2c70df929d1e14cd525e686f53e4392c34391439",
     "cohomology dense4 --degree 2":
         "fedf3d3292a6f5f8e6b28b20b4b11c925d187937404a07831f976233651e6f20",
+    # qsqrt2r is Q(sqrt 2) in the basis (sqrt 2, 1), whose unit is b_1, not
+    # b_0: recorded while the writer special-cased the representatives key
+    # and Kadison read the atomic order apart from the domain test
+    "validate qsqrt2r":
+        "b81f05a6f616915a00e521b9617e42d4dd4fd8a3da58cdd5c99ff587a97ec2e1",
+    "classify qsqrt2r":
+        "8ddc11368335452af8ac442b230502f6809edb4fb140a924e36235bf6162ab6d",
+    "cohomology qsqrt2r --degree 0 --complex full":
+        "a27c2906f8eb7c8b8c8b1afd228d3cd92c723b93c98ae5708aa302a15b3577df",
+    "cohomology qsqrt2r --degree 1 --complex full":
+        "572f5f554df32a8bfe375066e8ee4cb63bd7d2cfc498971b3e81b2cb2bc8fef1",
+    "cohomology qsqrt2r --degree 0 --complex ideal":
+        "378eda7febbf37544b7872100c7706ebdf662648442a8bdf37ca3ddc5e93acfe",
+    "cohomology qsqrt2r --degree 1 --complex ideal":
+        "5743c3478d67fc1393632fce568b4795d7bf0a0d4a380a01c8431991ab7bf867",
     # escname's name holds a quote, a backslash and non-ASCII letters: these
     # pin the JSON string escapes
     "validate escname":

@@ -1,15 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from cohomolab import operators
 from cohomolab.algebra import (
-    assess_domain, basis_element, build_atomic, build_number_field, multiply,
+    Domain, assess_domain, basis_element, build_atomic, build_number_field, multiply,
+    validate_algebra,
 )
+from cohomolab.cli import main
 from cohomolab.cohomology import cohomology
-from cohomolab.complex import TAG_FULL, TAG_IDEAL, OrderStructureRequired
-from cohomolab.fileformat import parse_algebra_file
+from cohomolab.complex import TAG_FULL, TAG_IDEAL, OrderStructureRequired, UnsupportedAlgebra
+from cohomolab.fileformat import parse_algebra_file, serialize_algebra
 from cohomolab.multilinear import MultilinearMap
 from cohomolab.operators import NO, UNKNOWN, YES, classify
 from conftest import elem, operator
@@ -221,6 +225,25 @@ def test_classify_decides_from_the_rational_roots(qsqrt2):
     assert classify(build_number_field([-8, 0, 0, 1])).kadison == (NO, None, None)
 
 
+def test_the_witness_follows_the_domain_status(monkeypatch, capsys, tmp_path):
+    """Kadison reads only the domain test: once it proves a rootless
+    quartic a field, classify prints the witness with no rule of its own.
+    Q[t]/(t^4 - 2) is a field (Eisenstein at 2) that the domain test leaves
+    unchecked, so the proof is patched in."""
+    quartic = build_number_field([-2, 0, 0, 0, 1], name="t4m2")
+    assert assess_domain(quartic) == ("unchecked", ())
+    monkeypatch.setattr(operators, "assess_domain", lambda spec: Domain("asserted", ()))
+    path = tmp_path / "t4m2.alg"
+    path.write_text(serialize_algebra(quartic))
+    assert main(["classify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["kadison"] == {
+        "certificate": None, "verdict": NO,
+        "witness": [[str(v) for v in row] for row in conjugation(4)]}
+    psi = operator(quartic, conjugation(4))
+    assert is_local_multiplier(quartic, psi).verdict != NO
+    assert is_multiplier(quartic, psi).verdict == NO
+
+
 # the linear factors t - r for r in -6..6, then four irreducible ones
 FACTORS = [(-r, 1) for r in range(-6, 7)] + [(-2, 0, 1), (1, 0, 1), (-2, 0, 0, 1), (1, -1, 0, 1)]
 
@@ -280,17 +303,23 @@ def rebased_number_fields(draw):
 @settings(max_examples=30, deadline=None)
 @given(rebased_number_fields())
 def test_verdicts_and_dimensions_do_not_depend_on_the_basis(drawn):
-    """The root count, Kadison's verdict and whether it has a witness,
-    h0mc_dim and the full complex at cochain degrees 0-2 are equal in the
-    power basis and in the basis P.  So is the domain status, except that a
-    zero product of new basis elements may refute what the power basis
-    leaves unchecked.  A fractional P makes the primitive element's
-    minimal polynomial non-monic.  Each printed witness is valid in its own
-    basis."""
+    """The algebra laws hold in both bases, and the root count, Kadison's
+    verdict and whether it has a witness, h0mc_dim and the full complex at
+    cochain degrees 0-2 are equal in the power basis and in the basis P,
+    as is the ideal complex there wherever both bases define it.  So is
+    the domain status, except that a zero product of new basis elements
+    may refute what the power basis leaves unchecked.  A fractional P makes
+    the primitive element's minimal polynomial non-monic.  Each printed
+    witness is valid in its own basis."""
     power, P = drawn
     new = rebase(power, P)
-    facts = []
+    facts, ideals = [], []
     for spec in (power, new):
+        assert validate_algebra(spec) == []
+        try:
+            ideals.append([cohomology(spec, g, TAG_IDEAL)[:3] for g in range(3)])
+        except UnsupportedAlgebra:
+            ideals.append(None)
         domain, report = assess_domain(spec), classify(spec)
         witness = report.kadison.witness
         if witness is not None:
@@ -301,6 +330,8 @@ def test_verdicts_and_dimensions_do_not_depend_on_the_basis(drawn):
                       report.kadison.verdict, witness is None, report.h0mc_dim,
                       [cohomology(spec, g)[:3] for g in range(3)]))
     assert facts[0] == facts[1]
+    if None not in ideals:
+        assert ideals[0] == ideals[1]
     old_status, new_status = assess_domain(power).status, assess_domain(new).status
     zero_product = any(not any(e) for row in new.structure for e in row)
     assert new_status == old_status or (zero_product and (old_status, new_status)
