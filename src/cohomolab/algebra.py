@@ -173,8 +173,9 @@ def build_atomic(d: int, name: str = "") -> AlgebraSpec:
     """Pointwise algebra on d atoms: b_i b_j = delta_ij b_i, unit all-ones."""
     if d < 1:
         raise ValueError("atomic algebra needs at least one atom")
+    zero = zero_element(d)  # one tuple for every off-diagonal cell
     structure = tuple(
-        tuple(basis_element(d, i) if i == j else zero_element(d) for j in range(d))
+        tuple(basis_element(d, i) if i == j else zero for j in range(d))
         for i in range(d)
     )
     return AlgebraSpec(

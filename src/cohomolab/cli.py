@@ -10,10 +10,13 @@ Output is JSON (default) or text, byte-identical across runs with equal
 inputs: JSON with the bytes of `json.dumps(payload, sort_keys=True,
 indent=2)`, text as one `key: ` line per sorted field with the bytes of
 `json.dumps(value, sort_keys=True)`.  One encoder writes every value in
-pieces, without the json module, and a Mat as its dense rows, each made
-only as it is written: so a large report's text and its dense rows are
-never all in memory.  Exit codes: 0 success, 1 file/validation or output
-error, 2 usage error, 3 degree cap exceeded.
+pieces, without the json module, by its type, never by a field name: a
+Row (a sparse vector) as its scalar strings keyed by index strings, and a
+Mat as its dense rows, each made only as it is written, so a large
+report's text and its dense rows are never all in memory.  main lifts
+Python's int-to-str digit limit, so scalars of any size read and print.
+Exit codes: 0 success, 1 file/validation or output error, 2 usage error,
+3 degree cap exceeded.
 COHOMOLAB_MAX_DEGREE overrides the default cap.
 
 The grammar is one table, GLOBAL_OPTIONS and COMMANDS.  An argv spelled
@@ -54,37 +57,7 @@ EXIT_CAP = 3
 # exactly in the shifted degree-2 and degree-1 cocycle spaces.
 SHIFTS = {"shifted": 1, "standard": 0}  # cochain degree minus printed degree
 
-_rat = format_rational  # every scalar the CLI prints is a string made here
-
-# the printed witness and certificate fields that hold indices or counts,
-# which stay JSON numbers; every other number in them is an exact scalar
-_INDEX_FIELDS = frozenset({"coord", "h0oo_dim", "tuple_flat"})
-
-
-def _jsonable(obj):
-    """Recursively convert witness values to JSON-stable primitives.
-
-    A scalar and an index can both be an int, so the field name, not the
-    type, tells them apart: numbers print through _rat unless their field
-    is in _INDEX_FIELDS.  Dict keys are flat indices and print as strings.
-    """
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): v if k in _INDEX_FIELDS else _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return _rat(obj)
-
-
-def _verdict_json(v):
-    if v is None:
-        return "not_applicable"
-    return {
-        "verdict": v.verdict,
-        "witness": _jsonable(v.witness),
-        "certificate": _jsonable(v.certificate),
-    }
+_rat = format_rational  # every scalar the CLI prints, in a Row, a Mat or alone, is made here
 
 
 # json's ensure_ascii escapes: every character but printable ASCII is escaped,
@@ -113,8 +86,9 @@ def _write_json(value, write, nl) -> None:
     """Pass value to write in pieces, as json.dumps(value, sort_keys=True)
     writes it if nl is empty, else as with indent=2, nl being a newline and
     the indent value is at.  A Mat is written as the list of its dense
-    rows; a type that json.dumps refuses, or a dict key that is not a str,
-    is a TypeError."""
+    rows, and a Row, a dict with int keys, as the dict of its scalar
+    strings.  A Row entry that is no exact scalar, or any other value
+    json.dumps refuses, is a TypeError."""
     if value is None:
         return write("null")
     if isinstance(value, bool):
@@ -145,13 +119,18 @@ def _write_json(value, write, nl) -> None:
         def put(sep, item):
             write(sep)
             _write_json(item, write, inner)
-    elif isinstance(value, dict):
-        if not all(isinstance(k, str) for k in value):
-            raise TypeError("keys must be str")
+    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
         brackets, items = "{}", sorted(value)
         def put(sep, key):
             write(sep + _quote(key) + ": ")
             _write_json(value[key], write, inner)
+    elif isinstance(value, dict) and all(type(k) is int for k in value):  # a Row
+        brackets, items = "{}", sorted((str(k), v) for k, v in value.items())
+        def put(sep, item):
+            key, v = item
+            if type(v) is bool or not hasattr(v, "denominator"):  # not a rational
+                raise TypeError(f"a Row holds exact scalars, not {v!r}")
+            write(f'{sep}"{key}": "{_rat(v)}"')
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     sep = brackets[0] + inner
@@ -366,8 +345,8 @@ def _run(args) -> tuple:
             "domain_status": assess_domain(spec).status,
             "h0mc_dim": report.h0mc_dim,
             "h0oo_dim": report.h0oo_dim,
-            "kadison": _verdict_json(report.kadison),
-            "wickstead": _verdict_json(report.wickstead),
+            "kadison": report.kadison._asdict(),
+            "wickstead": report.wickstead._asdict() if report.wickstead else "not_applicable",
         })
         return base, EXIT_OK
 
@@ -382,7 +361,10 @@ def _run(args) -> tuple:
         })
         for check in ("cocycle_preservation", "coboundary_preservation", "injectivity"):
             result = getattr(report, check)
-            base[check] = {"pass": result.ok, "witness": _jsonable(result.witness)}
+            base[check] = {"pass": result.ok, "witness": result.witness}
+        witness = report.cocycle_preservation.witness
+        if witness:  # its one scalar beside the Row and the indices
+            base["cocycle_preservation"]["witness"] = dict(witness, value=_rat(witness["value"]))
         return base, EXIT_OK
 
     if args.command == "verify-complex":
@@ -418,6 +400,8 @@ def _usage_message(exc, argv) -> str:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # the limit came in 3.10.7
+        sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_canonical(argv)
     if args is None:  # help, a usage error or another spelling: argparse decides

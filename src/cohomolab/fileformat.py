@@ -132,7 +132,7 @@ def parse_algebra_text(text: str) -> AlgebraSpec:
     for pair in mult:
         if not (0 <= pair[0] < dim and 0 <= pair[1] < dim):
             raise ParseError(f"mult indices {pair} out of range for dim {dim}")
-    structure = []
+    structure, zero = [], zero_element(dim)  # one tuple for every missing atomic cell
     for i in range(dim):
         row = []
         for j in range(dim):
@@ -145,7 +145,7 @@ def parse_algebra_text(text: str) -> AlgebraSpec:
                     )
                 row.append(value)
             elif order == ORDER_ATOMIC and i != j:
-                row.append(zero_element(dim))
+                row.append(zero)
             else:
                 raise ParseError(f"missing mult entry for pair ({pair[0]}, {pair[1]})")
         structure.append(tuple(row))

@@ -15,6 +15,7 @@ from typing import NamedTuple
 from .algebra import AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, assess_domain
 from .complex import DEFAULT_DEGREE_CAP, TAG_BAND, check_cap
 from .cohomology import cohomology, multiplier_quotient
+from .linalg import Mat
 
 YES = "yes"
 NO = "no"
@@ -34,11 +35,9 @@ class ClassificationReport(NamedTuple):
     h0oo_dim: int  # None when the order is trivial
 
 
-def _conjugation_like(d: int):
+def _conjugation_like(d: int) -> Mat:
     """Identity with the second basis direction negated."""
-    m = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    m[1][1] = -1
-    return m
+    return Mat(d, d, [{i: -1 if i == 1 else 1} for i in range(d)])
 
 
 def classify(spec: AlgebraSpec, cap: int = DEFAULT_DEGREE_CAP) -> ClassificationReport:

@@ -27,7 +27,7 @@ from cohomolab.operators import classify
 from conftest import elem, operator, psi_f_of_ab
 from oracles import (
     apply_matrix, from_coeff_function, is_hochschild_2cocycle, is_local_multiplier,
-    is_multiplier, product_cochain_subspace,
+    is_multiplier, product_cochain_subspace, to_dense,
 )
 
 F = Fraction
@@ -171,7 +171,7 @@ def test_criterion_4_classification_consistency(fixture_specs):
 def test_criterion_5_witness_validity(fixture_specs):
     spec = fixture_specs["qsqrt2"]
     r = classify(spec)
-    w = r.kadison.witness
+    w = to_dense(r.kadison.witness)
     # every operator of a field is local: sampling must not refute it
     ok = (r.kadison.verdict == "no"
           and is_local_multiplier(spec, operator(spec, w)).verdict != "no")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cohomolab.algebra import build_number_field
-from cohomolab.cli import (COMMANDS, GLOBAL_OPTIONS, _jsonable, _parse_canonical, _write_report,
+from cohomolab.cli import (COMMANDS, GLOBAL_OPTIONS, _parse_canonical, _write_report,
                            build_parser, main)
 from cohomolab.fileformat import format_rational, serialize_algebra
 from cohomolab.linalg import Mat
@@ -474,13 +474,54 @@ def test_seed_recorded(capsys):
     assert json.loads(out)["seed"] == 0
 
 
+def written(report, pretty):
+    pieces = []
+    _write_report(report, pieces.append, pretty)
+    return "".join(pieces)
+
+
+def dumped(expected, pretty):
+    """The bytes _write_report must write for a report that reads expected."""
+    if pretty:
+        return json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    return "".join(f"{key}: {json.dumps(value, sort_keys=True)}\n"
+                   for key, value in sorted(expected.items()))
+
+
 def test_witness_scalars_print_as_strings_and_indices_as_numbers():
-    witness = {"input": {2: 1, 4: Fraction(1, 2)}, "tuple_flat": 1, "coord": 0, "value": -6}
-    assert _jsonable(witness) == {"input": {"2": "1", "4": "1/2"}, "tuple_flat": 1,
-                                  "coord": 0, "value": "-6"}
-    assert _jsonable([[1, 0], [0, Fraction(-1)]]) == [["1", "0"], ["0", "-1"]]
-    assert _jsonable({"h0oo_dim": 2, "ok": True, "none": None}) == {
-        "h0oo_dim": 2, "ok": True, "none": None}
+    """A witness prints by the types it is built of: a Row's entries and a
+    Mat's cells as scalar strings, and an int outside them, an index or a
+    count, as a number."""
+    report = {
+        "cocycle": {"input": {2: 1, 4: Fraction(1, 2)}, "tuple_flat": 1, "coord": 0,
+                    "value": format_rational(-6)},
+        "kadison": Mat(2, 2, [{0: 1}, {1: Fraction(-1)}]),
+        "wickstead": {"h0oo_dim": 2, "ok": True, "none": None},
+    }
+    expected = {
+        "cocycle": {"input": {"2": "1", "4": "1/2"}, "tuple_flat": 1, "coord": 0, "value": "-6"},
+        "kadison": [["1", "0"], ["0", "-1"]],
+        "wickstead": {"h0oo_dim": 2, "ok": True, "none": None},
+    }
+    for pretty in (True, False):
+        assert written(report, pretty) == dumped(expected, pretty)
+
+
+rows = st.dictionaries(st.integers(0, 120), st.one_of(st.integers(), st.fractions()).filter(bool),
+                       min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows)
+@example({2: 1, 10: -3})  # "10" sorts before "2"
+def test_a_row_is_written_as_its_scalar_strings(row):
+    """A dict with int keys is a Row wherever it sits: a dict of its scalar
+    strings, keyed by the index strings in string order."""
+    strings = {str(k): format_rational(v) for k, v in row.items()}
+    report = {"a": [row, {"b": row, "c": (1, row)}], "row": row}
+    expected = {"a": [strings, {"b": strings, "c": [1, strings]}], "row": strings}
+    for pretty in (True, False):
+        assert written(report, pretty) == dumped(expected, pretty)
 
 
 # strings that need every kind of JSON escape, beside arbitrary text
@@ -543,13 +584,8 @@ def test_a_nested_mat_is_written_as_its_dense_rows(mat):
     a report, in a list or in a dict, is the list of its dense rows."""
     report = {"a": [mat, {"b": mat, "c": (1, mat)}], "mat": mat}
     expected = {"a": [dense(mat), {"b": dense(mat), "c": [1, dense(mat)]}], "mat": dense(mat)}
-    pieces = []
-    _write_report(report, pieces.append, True)
-    assert "".join(pieces) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
-    pieces = []
-    _write_report(report, pieces.append, False)
-    assert "".join(pieces) == "".join(f"{key}: {json.dumps(value, sort_keys=True)}\n"
-                                      for key, value in sorted(expected.items()))
+    for pretty in (True, False):
+        assert written(report, pretty) == dumped(expected, pretty)
 
 
 @pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": [Fraction(1, 2)]}, {"a": {None: 1}}],
@@ -703,6 +739,29 @@ def cli_process(*argv, stdout=subprocess.PIPE, **env):
     proc = subprocess.run([sys.executable, "-m", "cohomolab.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, cwd=ROOT, env=process_env(**env))
     return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def big_sqrt(digits):
+    """Q[t]/(t^2 - N), N = 10^digits + 7, in the power basis of qsqrt2.alg;
+    N is built as text, so this process never converts it."""
+    n = "1" + "0" * (digits - 1) + "7"
+    return (f"name bigsqrt\ndim 2\nunit 1 0\norder none\n"
+            f"mult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = {n} 0\n")
+
+
+@pytest.mark.parametrize("digits", [3001, 5001])
+def test_scalars_of_any_size_are_read_and_printed(tmp_path, digits):
+    """Python's default 4,300-digit limit on int <-> str conversion does not
+    reach the CLI: a constant past it parses, and a product past it prints."""
+    path = tmp_path / "bigsqrt.alg"
+    path.write_text(big_sqrt(digits))
+    for argv in (["validate"], ["classify"], ["cohomology", "--degree", "3"]):
+        code, out, err = cli_process(argv[0], str(path), *argv[1:],
+                                     PYTHONINTMAXSTRDIGITS="4300")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["algebra"] == "bigsqrt"
+    scalars = re.findall(rb'"(-?[0-9]+(?:/[0-9]+)?)"', out)
+    assert max(map(len, scalars)) > 4300
 
 
 @pytest.mark.parametrize("argv, expected, errors", [

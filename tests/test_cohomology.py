@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cohomolab.algebra import (
     basis_element, build_atomic, build_number_field, multiply, zero_element,
 )
+from cohomolab.cli import main
 from cohomolab.complex import (
     TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, OrderStructureRequired, apply_d,
     coboundary, lift, per_coordinate, tag_coords,
@@ -19,7 +21,7 @@ from cohomolab.cohomology import (
     CHAIN_MAPS, _chain_map_fn, audit_chain_map, build_J,
     build_J_even, build_J_odd, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
-from cohomolab.fileformat import parse_algebra_file
+from cohomolab.fileformat import format_rational, parse_algebra_file
 from cohomolab.linalg import Echelon, Mat, axpy, span_dim
 from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_times_b
@@ -391,6 +393,28 @@ def test_audit_rank_one_map_fails_coboundary_preservation(qsqrt2, monkeypatch, n
     assert Echelon(AUDIT._multiplier_coboundaries(qsqrt2)).contains(w["input"])
     image = apply_matrix(fn(qsqrt2), from_flat(2, 2, w["input"]), g + 1)
     assert w["image"] == image.flatten() != {}
+
+
+@pytest.mark.parametrize("fixture", ["qsqrt2", "qhalf"])
+@pytest.mark.parametrize("name", ["K", "J"])
+@pytest.mark.parametrize("check", ["injectivity", "coboundary_preservation"])
+def test_main_prints_the_failure_witnesses(monkeypatch, capsys, fixture, name, check):
+    """The two witnesses that no fixture's audit prints, through main in
+    both formats: each is its Rows, with string keys and string scalars."""
+    path = f"fixtures/{fixture}.alg"
+    spec = parse_algebra_file(path)
+    _, g = _chain_map_fn(name, 1)
+    patch_map(monkeypatch, zero_map(g) if check == "injectivity" else rank_one_map(spec, g), g)
+    witness = getattr(audit_chain_map(spec, name), check).witness
+    expected = {"pass": False, "witness": {
+        key: {str(k): format_rational(v) for k, v in row.items()} for key, row in witness.items()}}
+    assert main(["audit", path, "--map", name]) == 0
+    out = capsys.readouterr().out
+    printed = json.loads(out)
+    assert printed[check] == expected
+    assert out == json.dumps(printed, sort_keys=True, indent=2) + "\n"
+    assert main(["--format", "text", "audit", path, "--map", name]) == 0
+    assert f"{check}: {json.dumps(expected, sort_keys=True)}" in capsys.readouterr().out.splitlines()
 
 
 @st.composite

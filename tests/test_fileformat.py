@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,23 @@ def test_atomic_off_diagonal_defaults():
     text = "name a\ndim 2\nunit 1 1\norder atomic\nmult 0 0 = 1 0\nmult 1 1 = 0 1\n"
     spec = parse_algebra_text(text)
     assert spec.structure[0][1] == elem(0, 0)
+
+
+def test_an_atomic_parse_grows_with_its_text():
+    """The missing off-diagonal cells share one zero tuple: a 12 KB file at
+    dim 3000 fills row 0 with 2999 of them, then stops at the missing
+    diagonal pair, with no dim-length tuple made per cell."""
+    dim = 3000
+    text = (f"name a\ndim {dim}\nunit" + " 1" * dim + "\norder atomic\n"
+            "mult 0 0 =" + " 1" + " 0" * (dim - 1) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"missing mult entry for pair \(1, 1\)"):
+            parse_algebra_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_parse_errors_carry_line_numbers():

@@ -14,12 +14,13 @@ from cohomolab.cli import main
 from cohomolab.cohomology import cohomology
 from cohomolab.complex import TAG_FULL, TAG_IDEAL, OrderStructureRequired, UnsupportedAlgebra
 from cohomolab.fileformat import parse_algebra_file, serialize_algebra
+from cohomolab.linalg import Mat
 from cohomolab.multilinear import MultilinearMap
 from cohomolab.operators import NO, UNKNOWN, YES, classify
 from conftest import elem, operator
 from oracles import (
     is_band_preserving, is_local_multiplier, is_multiplier, is_orthomorphism, rebase,
-    sample_elements,
+    sample_elements, to_dense,
 )
 
 F = Fraction
@@ -173,7 +174,8 @@ def test_arity1_predicates_match_dense_definitions(name, data):
 def test_classify_field(qsqrt2):
     r = classify(qsqrt2)
     assert r.kadison.verdict == NO
-    assert r.kadison.witness == conjugation(2)
+    assert isinstance(r.kadison.witness, Mat)
+    assert to_dense(r.kadison.witness) == conjugation(2)
     assert r.wickstead is None and r.h0oo_dim is None
     assert r.h0mc_dim == 2
     assert assess_domain(qsqrt2).status == "asserted"
@@ -184,7 +186,7 @@ def test_a_parsed_field_is_decided():
     complex read its domain test with no step in between."""
     spec = parse_algebra_file("fixtures/qsqrt2.alg")
     kadison = classify(spec).kadison
-    assert (kadison.verdict, kadison.witness) == (NO, [[1, 0], [0, -1]])
+    assert (kadison.verdict, to_dense(kadison.witness)) == (NO, [[1, 0], [0, -1]])
     assert cohomology(spec, 1, TAG_IDEAL) == cohomology(spec, 1, TAG_FULL)
 
 
@@ -282,7 +284,7 @@ def test_roots_and_kadison_against_sympy(factors):
     if not roots and d <= 3:
         assert domain.status == "asserted"
     if kadison.witness is not None:
-        psi = operator(spec, kadison.witness)
+        psi = operator(spec, to_dense(kadison.witness))
         assert is_local_multiplier(spec, psi).verdict != NO
         assert is_multiplier(spec, psi).verdict == NO
 
@@ -323,7 +325,7 @@ def test_verdicts_and_dimensions_do_not_depend_on_the_basis(drawn):
         domain, report = assess_domain(spec), classify(spec)
         witness = report.kadison.witness
         if witness is not None:
-            psi = operator(spec, witness)
+            psi = operator(spec, to_dense(witness))
             assert is_local_multiplier(spec, psi).verdict != NO
             assert is_multiplier(spec, psi).verdict == NO
         facts.append((None if domain.roots is None else len(domain.roots),
