@@ -15,7 +15,8 @@ atomic algebras missing off-diagonal entries default to zero.
 Serialization emits the canonical form, so parse -> serialize -> parse is
 the identity.  Parsing checks the grammar only, and returns the whole
 spec, equal to the constructor's for the same algebra; the caller checks
-the algebra laws.
+the algebra laws.  Every grammar error names its line, and a token or
+number it echoes is cut past 40 characters, with its length shown.
 """
 
 import re
@@ -38,24 +39,22 @@ def parse_integer(tok: str) -> int:
     return int(tok)
 
 
+def _echo(value, show=str) -> str:
+    """`show` of a token or number, or of its first 40 characters and its length."""
+    text = str(value)
+    return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
+
+
 def parse_rational(tok: str):
     """The rational as an exact scalar: an int when integral, else a Fraction."""
     try:
         num, den = tok.split("/") if "/" in tok else (tok, "1")
         num, den = parse_integer(num), parse_integer(den)
     except ValueError as exc:
-        raise ParseError(f"malformed rational {tok!r}") from exc
+        raise ParseError(f"malformed rational {_echo(tok, repr)}") from exc
     if den <= 0:
-        raise ParseError(f"rational {tok!r} must have a positive denominator")
+        raise ParseError(f"rational {_echo(tok, repr)} must have a positive denominator")
     return div(num, den)
-
-
-def _rationals(lineno: int, toks) -> tuple:
-    """The line's rationals, or a ParseError that names the line."""
-    try:
-        return tuple(parse_rational(t) for t in toks)
-    except ParseError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
 
 
 def format_rational(x) -> str:
@@ -63,93 +62,93 @@ def format_rational(x) -> str:
     return str(x)
 
 
+def _rationals(toks) -> tuple:
+    return tuple(parse_rational(t) for t in toks)
+
+
+def _name(args) -> str:
+    if len(args) != 1:
+        raise ParseError("name takes one identifier")
+    return args[0]
+
+
+def _dim(args) -> int:
+    try:
+        (value,) = args
+        dim = parse_integer(value)
+    except ValueError:
+        raise ParseError("dim takes one integer")
+    if dim < 1:
+        raise ParseError("dim must be >= 1")
+    return dim
+
+
+def _order(args) -> str:
+    if args not in ([ORDER_NONE], [ORDER_ATOMIC]):
+        raise ParseError("order must be 'none' or 'atomic'")
+    return args[0]
+
+
+# a header key's reader: the value its arguments give, or a ParseError
+_HEADER = {"name": _name, "dim": _dim, "unit": _rationals, "order": _order}
+
+
+def _read_mult(args, mult: dict) -> None:
+    """Store the values of a `mult i j = <values>` line under its unordered pair."""
+    if len(args) < 4 or args[2] != "=":
+        raise ParseError("expected 'mult i j = <values>'")
+    try:
+        i, j = sorted((parse_integer(args[0]), parse_integer(args[1])))
+    except ValueError:
+        raise ParseError("mult indices must be integers")
+    value = _rationals(args[3:])
+    if (i, j) in mult:
+        which = "duplicate" if mult[i, j] == value else "conflicting duplicate for"
+        raise ParseError(f"{which} mult {_echo(i)} {_echo(j)}")
+    mult[i, j] = value
+
+
 def parse_algebra_text(text: str) -> AlgebraSpec:
-    name = None
-    dim = None
-    unit = None
-    order = None
-    mult = {}
+    header, mult = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
-        key = toks[0]
-        if key == "name":
-            if name is not None:
-                raise ParseError(f"line {lineno}: duplicate name")
-            if len(toks) != 2:
-                raise ParseError(f"line {lineno}: name takes one identifier")
-            name = toks[1]
-        elif key == "dim":
-            if dim is not None:
-                raise ParseError(f"line {lineno}: duplicate dim")
-            try:
-                (value,) = toks[1:]
-                dim = parse_integer(value)
-            except ValueError:
-                raise ParseError(f"line {lineno}: dim takes one integer")
-            if dim < 1:
-                raise ParseError(f"line {lineno}: dim must be >= 1")
-        elif key == "unit":
-            if unit is not None:
-                raise ParseError(f"line {lineno}: duplicate unit")
-            unit = _rationals(lineno, toks[1:])
-        elif key == "order":
-            if order is not None:
-                raise ParseError(f"line {lineno}: duplicate order")
-            if len(toks) != 2 or toks[1] not in (ORDER_NONE, ORDER_ATOMIC):
-                raise ParseError(f"line {lineno}: order must be 'none' or 'atomic'")
-            order = toks[1]
-        elif key == "mult":
-            if len(toks) < 5 or toks[3] != "=":
-                raise ParseError(f"line {lineno}: expected 'mult i j = <values>'")
-            try:
-                i, j = parse_integer(toks[1]), parse_integer(toks[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: mult indices must be integers")
-            value = _rationals(lineno, toks[4:])
-            pair = (min(i, j), max(i, j))
-            if pair in mult:
-                if mult[pair] != value:
-                    raise ParseError(
-                        f"line {lineno}: conflicting duplicate for mult {pair[0]} {pair[1]}"
-                    )
-                raise ParseError(f"line {lineno}: duplicate mult {pair[0]} {pair[1]}")
-            mult[pair] = value
-        else:
-            raise ParseError(f"line {lineno}: unknown key {key!r}")
-
-    if name is None:
-        raise ParseError("missing name")
-    if dim is None:
-        raise ParseError("missing dim")
-    if unit is None:
-        raise ParseError("missing unit")
+        key, *args = line.split()
+        try:
+            if key == "mult":
+                _read_mult(args, mult)
+            elif key in header:
+                raise ParseError(f"duplicate {key}")
+            elif key in _HEADER:
+                header[key] = _HEADER[key](args)
+            else:
+                raise ParseError(f"unknown key {_echo(key, repr)}")
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    for key in ("name", "dim", "unit"):  # order defaults to none
+        if key not in header:
+            raise ParseError(f"missing {key}")
+    dim, unit, order = header["dim"], header["unit"], header.get("order", ORDER_NONE)
     if len(unit) != dim:
-        raise ParseError(f"unit has {len(unit)} coordinates, expected {dim}")
-    order = order or ORDER_NONE
-    for pair in mult:
-        if not (0 <= pair[0] < dim and 0 <= pair[1] < dim):
-            raise ParseError(f"mult indices {pair} out of range for dim {dim}")
+        raise ParseError(f"unit has {len(unit)} coordinates, expected {_echo(dim)}")
+    for i, j in mult:  # i <= j
+        if i < 0 or j >= dim:
+            raise ParseError(f"mult indices ({_echo(i)}, {_echo(j)}) out of range for dim {dim}")
     structure, zero = [], zero_element(dim)  # one tuple for every missing atomic cell
     for i in range(dim):
         row = []
         for j in range(dim):
             pair = (min(i, j), max(i, j))
-            if pair in mult:
-                value = mult[pair]
-                if len(value) != dim:
-                    raise ParseError(
-                        f"mult {pair[0]} {pair[1]} has {len(value)} coordinates, expected {dim}"
-                    )
-                row.append(value)
-            elif order == ORDER_ATOMIC and i != j:
-                row.append(zero)
-            else:
+            value = mult.get(pair, zero if order == ORDER_ATOMIC and i != j else None)
+            if value is None:
                 raise ParseError(f"missing mult entry for pair ({pair[0]}, {pair[1]})")
+            if len(value) != dim:
+                raise ParseError(f"mult {pair[0]} {pair[1]} has {len(value)} coordinates, "
+                                 f"expected {dim}")
+            row.append(value)
         structure.append(tuple(row))
-    return AlgebraSpec(name=name, dim=dim, structure=tuple(structure),
+    return AlgebraSpec(name=header["name"], dim=dim, structure=tuple(structure),
                        unit=unit, order_mode=order)
 
 

@@ -764,6 +764,28 @@ def test_scalars_of_any_size_are_read_and_printed(tmp_path, digits):
     assert max(map(len, scalars)) > 4300
 
 
+BIG = "1" * 100_000
+
+
+@pytest.mark.parametrize("text, start, length", [
+    (f"name x\ndim 1\nunit {BIG}x\n", "line 3: malformed rational '1", 100_001),
+    (f"name x\ndim 1\nunit {BIG}/0\n", "line 3: rational '1", 100_002),
+    (f"name x\ndim 1\n{BIG} 1\n", "line 3: unknown key '1", 100_000),
+    (f"name x\ndim 1\nunit 1\nmult 0 {BIG} = 1\nmult {BIG} 0 = 1\n",
+     "line 5: duplicate mult 0 1", 100_000),
+    (f"name x\ndim 1\nunit 1\nmult 0 0 = 1\nmult 0 {BIG} = 1\n", "mult indices (0, 1", 100_000),
+    (f"name x\ndim {BIG}\nunit 1\n", "unit has 1 coordinates, expected 1", 100_000),
+], ids=["malformed", "denominator", "key", "duplicate", "range", "unit"])
+def test_a_parse_error_echoes_a_bounded_token(tmp_path, text, start, length):
+    """A 100,000-digit token or number is cut in the one error line, with its length."""
+    path = tmp_path / "big.alg"
+    path.write_text(text)
+    code, out, err = cli_process("validate", str(path))
+    assert (code, out) == (1, b"")
+    assert err.startswith("error: " + start) and err.count("\n") == 1
+    assert f"... ({length} characters)" in err and len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("argv, expected, errors", [
     (["validate", QSQRT2], 0, 0),
     (["--format", "text", "validate", QSQRT2], 0, 0),

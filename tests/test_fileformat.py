@@ -93,34 +93,62 @@ def test_an_atomic_parse_grows_with_its_text():
 
 
 def test_parse_errors_carry_line_numbers():
+    """Each message is pinned whole: the line it names, and a token echoed
+    whole up to 40 characters and cut, with its length, past that."""
     base = "name x\ndim 2\nunit 1 0\nmult 0 0 = 1 0\nmult 0 1 = 0 1\nmult 1 1 = 2 0\n"
+    tok40 = "x" * 40
     cases = [
         ("name y\n" + base, "line 2: duplicate name"),
-        (base + "mult 0 1 = 0 1\n", "duplicate mult 0 1"),
-        (base + "mult 0 1 = 9 9\n", "conflicting duplicate"),
-        (base + "spin 1\n", "unknown key"),
-        ("dim 0\n" + base.replace("dim 2\n", ""), "dim must be >= 1"),
-        (base.replace("mult 1 1 = 2 0\n", ""), "missing mult entry"),
-        (base.replace("unit 1 0", "unit 1"), "unit has 1 coordinates"),
-        (base.replace("mult 1 1 = 2 0", "mult 1 1 = 2"), "has 1 coordinates"),
-        (base + "order diffuse\n", "order must be"),
-        (base.replace("mult 0 0 = 1 0", "mult 0 0 1 0"), "expected 'mult i j ="),
+        (base.replace("name x", "name x y"), "line 1: name takes one identifier"),
+        (base.replace("name x", "name"), "line 1: name takes one identifier"),
+        (base + "dim 2\n", "line 7: duplicate dim"),
+        ("dim 0\n" + base.replace("dim 2\n", ""), "line 1: dim must be >= 1"),
+        (base.replace("dim 2", "dim -3"), "line 2: dim must be >= 1"),
+        (base.replace("dim 2", "dim"), "line 2: dim takes one integer"),
         (base.replace("dim 2", "dim 2 7"), "line 2: dim takes one integer"),
         (base.replace("dim 2", "dim 0_2"), "line 2: dim takes one integer"),
         (base.replace("dim 2", "dim \u0662"), "line 2: dim takes one integer"),
-        (base.replace("mult 1 1", "mult 1 \u0661"), "mult indices must be integers"),
+        (base + "unit 1 0\n", "line 7: duplicate unit"),
         (base.replace("unit 1 0", "unit 1 0_0"), "line 3: malformed rational '0_0'"),
         (base.replace("unit 1 0", "unit 1/0 0"),
          "line 3: rational '1/0' must have a positive denominator"),
+        (base.replace("unit 1 0", "unit 1/-2 0"),
+         "line 3: rational '1/-2' must have a positive denominator"),
+        (base + "order none\norder atomic\n", "line 8: duplicate order"),
+        (base + "order diffuse\n", "line 7: order must be 'none' or 'atomic'"),
+        (base + "order none atomic\n", "line 7: order must be 'none' or 'atomic'"),
+        (base + "order\n", "line 7: order must be 'none' or 'atomic'"),
+        (base.replace("mult 0 0 = 1 0", "mult 0 0 1 0"), "line 4: expected 'mult i j = <values>'"),
+        (base.replace("mult 0 0 = 1 0", "mult 0 0 ="), "line 4: expected 'mult i j = <values>'"),
+        (base.replace("mult 1 1", "mult 1 \u0661"), "line 6: mult indices must be integers"),
         (base.replace("mult 0 1 = 0 1", "mult 0 1 = 0 x"), "line 5: malformed rational 'x'"),
         (base.replace("mult 0 0 = 1 0", "mult 0 0 = 1/0 0"),
          "line 4: rational '1/0' must have a positive denominator"),
+        (base + "mult 0 1 = 0 1\n", "line 7: duplicate mult 0 1"),
+        (base + "mult 1 0 = 0 1\n", "line 7: duplicate mult 0 1"),
+        (base + "mult 0 1 = 9 9\n", "line 7: conflicting duplicate for mult 0 1"),
+        (base + "spin 1\n", "line 7: unknown key 'spin'"),
+        (base + "Name x\n", "line 7: unknown key 'Name'"),
+        (base + tok40 + "\n", f"line 7: unknown key '{tok40}'"),
+        (base + tok40 + "y\n", f"line 7: unknown key '{tok40}'... (41 characters)"),
+        (base.replace("unit 1 0", "unit 1 " + tok40), f"line 3: malformed rational '{tok40}'"),
+        ("dim 1\nunit 1\nmult 0 0 = 1\n", "missing name"),
+        ("name x\nunit 1\nmult 0 0 = 1\n", "missing dim"),
+        ("name x\ndim 1\nmult 0 0 = 1\n", "missing unit"),
+        ("name x\norder atomic\n", "missing dim"),
+        (base.replace("unit 1 0", "unit 1"), "unit has 1 coordinates, expected 2"),
+        (base.replace("unit 1 0", "unit 1 0 0"), "unit has 3 coordinates, expected 2"),
+        (base.replace("mult 1 1 = 2 0", "mult 1 1 = 2"), "mult 1 1 has 1 coordinates, expected 2"),
+        (base.replace("mult 0 0 = 1 0", "mult 0 0 = 1 0 0"),
+         "mult 0 0 has 3 coordinates, expected 2"),
+        (base.replace("mult 1 1 = 2 0\n", ""), "missing mult entry for pair (1, 1)"),
+        ("name a\ndim 2\nunit 1 1\norder atomic\nmult 0 0 = 1 0\n",
+         "missing mult entry for pair (1, 1)"),
     ]
-    for text, needle in cases:
-        with pytest.raises(ParseError, match=needle):
+    for text, message in cases:
+        with pytest.raises(ParseError) as info:
             parse_algebra_text(text)
-    with pytest.raises(ParseError, match="missing name"):
-        parse_algebra_text("dim 1\nunit 1\nmult 0 0 = 1\n")
+        assert str(info.value) == message, text
 
 
 def test_out_of_range_indices(tmp_path):
