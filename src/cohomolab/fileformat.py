@@ -15,8 +15,9 @@ atomic algebras missing off-diagonal entries default to zero.
 Serialization emits the canonical form, so parse -> serialize -> parse is
 the identity.  Parsing checks the grammar only, and returns the whole
 spec, equal to the constructor's for the same algebra; the caller checks
-the algebra laws.  Every grammar error names its line, and a token or
-number it echoes is cut past 40 characters, with its length shown.
+the algebra laws.  An error found on one line names it, a check on the
+whole file names none, and a token or number an error echoes is cut
+past 40 characters, with its length shown.
 """
 
 import re
@@ -89,8 +90,9 @@ def _order(args) -> str:
     return args[0]
 
 
-# a header key's reader: the value its arguments give, or a ParseError
-_HEADER = {"name": _name, "dim": _dim, "unit": _rationals, "order": _order}
+# key: (reader giving its value or a ParseError, value when absent; None if required)
+_HEADER = {"name": (_name, None), "dim": (_dim, None), "unit": (_rationals, None),
+           "order": (_order, ORDER_NONE)}
 
 
 def _read_mult(args, mult: dict) -> None:
@@ -121,15 +123,15 @@ def parse_algebra_text(text: str) -> AlgebraSpec:
             elif key in header:
                 raise ParseError(f"duplicate {key}")
             elif key in _HEADER:
-                header[key] = _HEADER[key](args)
+                header[key] = _HEADER[key][0](args)
             else:
                 raise ParseError(f"unknown key {_echo(key, repr)}")
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    for key in ("name", "dim", "unit"):  # order defaults to none
-        if key not in header:
+    for key, (_, default) in _HEADER.items():  # no value read is None
+        if header.setdefault(key, default) is None:
             raise ParseError(f"missing {key}")
-    dim, unit, order = header["dim"], header["unit"], header.get("order", ORDER_NONE)
+    dim, unit, order = header["dim"], header["unit"], header["order"]
     if len(unit) != dim:
         raise ParseError(f"unit has {len(unit)} coordinates, expected {_echo(dim)}")
     for i, j in mult:  # i <= j
@@ -164,9 +166,7 @@ def serialize_algebra(spec: AlgebraSpec) -> str:
             entry = spec.structure[i][j]
             if spec.order_mode == ORDER_ATOMIC and i != j and not any(entry):
                 continue
-            lines.append(
-                f"mult {i} {j} = " + " ".join(format_rational(x) for x in entry)
-            )
+            lines.append(f"mult {i} {j} = " + " ".join(format_rational(x) for x in entry))
     return "\n".join(lines) + "\n"
 
 
