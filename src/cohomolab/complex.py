@@ -35,11 +35,14 @@ as an independent oracle for tests and audits, and an audit compares it
 with the index matrix at every output tuple.  It walks every
 permutation, but once per multiset of output indices: for even degree,
 sigma -> sigma o pi permutes the symmetric group, so output tuples that
-rearrange one another have equal sums.  Each sum, and each row's part
-of it, is computed once per multiset and written at every rearrangement.
+rearrange one another have equal sums.  It counts the equal permutations
+of a tuple and expands each distinct one once, times its count.  Each
+sum, and each row's part of it, is computed once per multiset and
+written at every rearrangement.
 """
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
@@ -95,11 +98,11 @@ def arrangements(sorted_tuple: tuple):
     return perms, weight
 
 
-def _term_indices(spec: AlgebraSpec, t: tuple):
-    """Expand P(b_{t0}*b_{t1}, b_{t2}, ...): pairs (input index tuple, coefficient)."""
+def _term_indices(spec: AlgebraSpec, t: tuple, times: int = 1):
+    """Expand times * P(b_{t0}*b_{t1}, b_{t2}, ...): pairs (input index tuple, coefficient)."""
     prod = spec.structure[t[0]][t[1]]
     rest = t[2:]
-    return [((c,) + rest, v) for c, v in enumerate(prod) if v]
+    return [((c,) + rest, times * v) for c, v in enumerate(prod) if v]
 
 
 def _output_terms(spec: AlgebraSpec, n: int, t: tuple):
@@ -208,11 +211,12 @@ def _summed(d: int, pairs) -> dict:
 def naive_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     """coboundary_images by the defining formula: the oracle for the index matrix.
 
-    The terms of d are summed one permutation at a time into an
-    index-level term dict, which is then applied to every row.  In even
-    degree >= 2 the dict and each row's part of it are built once per
-    multiset, at the first output tuple of it met, and written at every
-    rearrangement; in the other degrees once per tuple.  Neither
+    The terms of d are summed into an index-level term dict, which is then
+    applied to every row.  In even degree >= 2 the permutations of the
+    output tuple are counted by value, each distinct one is expanded once
+    times its count, and the dict and each row's part of it are built once
+    per multiset, at the first output tuple of it met, and written at
+    every rearrangement; in the other degrees once per tuple.  Neither
     arrangements nor the index matrix is used.
     """
     d = spec.dim
@@ -229,8 +233,8 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     for t in all_tuples(d, n + 2):
         key = tuple(sorted(t)) if symmetric else t
         if key not in shared:
-            terms = _summed(d, (p for sigma in itertools.permutations(t)
-                                for p in _term_indices(spec, sigma)) if symmetric
+            terms = _summed(d, (p for sigma, count in Counter(itertools.permutations(t)).items()
+                                for p in _term_indices(spec, sigma, count)) if symmetric
                             else _output_terms(spec, n, t))
             shared[key] = []
             for by_col in grouped:

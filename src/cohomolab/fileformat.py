@@ -31,18 +31,43 @@ class ParseError(ValueError):
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# Python converts between int and decimal text only up to a digit limit,
+# 4,300 digits by default and never below 640, unless it is lifted; longer
+# numbers are converted in halves of at most this many digits
+_DIGITS = 600
+
+
+def _read_digits(digits: str) -> int:
+    """The int of a string of ASCII digits, of any length."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _read_digits(digits[:-k]) * 10 ** k + _read_digits(digits[-k:])
+
+
+def _decimal(x: int) -> str:
+    """str(x) for an int of any size."""
+    if -10 ** _DIGITS < x < 10 ** _DIGITS:
+        return str(x)
+    if x < 0:
+        return "-" + _decimal(-x)
+    k = x.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(x, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def parse_integer(tok: str) -> int:
-    """The grammar's integer: int() alone would also take '1_0' and '٣'."""
+    """The grammar's integer, of any length whatever the digit limit:
+    int() alone would also take '1_0' and '٣'."""
     if not _INTEGER.fullmatch(tok):
         raise ValueError(f"not an integer: {tok!r}")
-    return int(tok)
+    value = _read_digits(tok.lstrip("+-"))
+    return -value if tok[0] == "-" else value
 
 
 def _echo(value, show=str) -> str:
     """`show` of a token or number, or of its first 40 characters and its length."""
-    text = str(value)
+    text = _decimal(value) if type(value) is int else str(value)
     return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
 
 

@@ -19,12 +19,16 @@ That row is canonical, so equal subspaces always produce identical bases:
 rows() and kernel give int rows, whatever the input.
 
 A Mat's rows may be shared: `Mat.keyed` stores equal rows once (for the
-index-level coboundary in odd degree n >= 3, and the chain maps), and the
-even-degree coboundary keeps one row per multiset of output indices.
-Nothing mutates a Mat row in place, so sharing is safe, and
-`Mat.matmul` and elimination compute each distinct row object once.
-Rows are told apart by `id()` only while a list or map holds them, so an
-id is never reused by a different row during the loop that tests it.
+index-level coboundary in odd degree n >= 3), the chain maps share one
+block of rows per key, and the even-degree coboundary keeps one row per
+multiset of output indices.  Nothing mutates a Mat row in place, so
+sharing is safe, and `Mat.matmul` computes each distinct row object
+once.  Elimination goes further and feeds each distinct nonzero row
+value once, since equal rows that are different objects (an even-degree
+coboundary's equal columns, read as rows of its transpose) add nothing
+after the first.  Rows are told apart by `id()` only while a list or map
+holds them, so an id is never reused by a different row during the loop
+that tests it.
 """
 
 from math import gcd, lcm
@@ -165,13 +169,23 @@ class Echelon:
     """
 
     def __init__(self, rows=()):
-        """Feed each distinct row object once: a repeat adds nothing."""
+        """Feed each distinct nonzero row value once.
+
+        A zero row or a repeat reduces to zero in add and changes nothing,
+        so skipping it leaves the same pivots, in the same insertion order.
+        A repeated row object is told by its id, a repeated value by the
+        frozenset of its items.
+        """
         self.pivots: dict = {}  # pivot column -> primitive pivot row
         seen = {}  # id -> row; holding the row keeps its id from being reused
+        values = set()
         for r in rows:
-            if id(r) not in seen:
+            if r and id(r) not in seen:
                 seen[id(r)] = r
-                self.add(r)
+                value = frozenset(r.items())
+                if value not in values:
+                    values.add(value)
+                    self.add(r)
 
     def add(self, row: Row) -> bool:
         """Insert a row; True if it increased the rank."""

@@ -262,6 +262,29 @@ def index_matrix_by_tuples(spec: AlgebraSpec, n: int) -> Mat:
     return Mat.keyed(d ** (n + 1), all_tuples(d, n + 2), terms)
 
 
+def per_permutation_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
+    """d_n of flat rows for even n >= 2, each output value summed one
+    permutation at a time: the oracle for the counting naive evaluator.
+
+    sigma -> sigma o pi permutes the symmetric group, so the output tuples
+    that rearrange one multiset share a value, formed once per multiset.
+    """
+    d = spec.dim
+    images = [{} for _ in rows]
+    for multiset in itertools.combinations_with_replacement(range(d), n + 2):
+        terms = {}  # flat input tuple -> summed coefficient
+        for sigma in itertools.permutations(multiset):
+            for c, v in enumerate(spec.structure[sigma[0]][sigma[1]]):
+                col = tuple_index((c,) + sigma[2:], d)
+                terms[col] = terms.get(col, 0) + v
+        for x, image in zip(rows, images):
+            value = [sum(w * x.get(col * d + k, 0) for col, w in terms.items())
+                     for k in range(d)]
+            for t in set(itertools.permutations(multiset)):
+                image.update((tuple_index(t, d) * d + k, v) for k, v in enumerate(value) if v)
+    return images
+
+
 def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> tuple:
     """A basis of the space {(x_1..x_m) -> (prod x_i) * w}, one cochain per basis w."""
     d = spec.dim

@@ -15,10 +15,10 @@ from cohomolab.algebra import (
 from cohomolab.cli import main
 from cohomolab.complex import (
     TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, OrderStructureRequired, apply_d,
-    coboundary, lift, per_coordinate, tag_coords,
+    coboundary, coboundary_images, lift, per_coordinate, tag_coords,
 )
 from cohomolab.cohomology import (
-    CHAIN_MAPS, _chain_map_fn, audit_chain_map, build_J,
+    CHAIN_MAPS, CheckResult, _chain_map_fn, audit_chain_map, build_J,
     build_J_even, build_J_odd, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
 from cohomolab.fileformat import format_rational, parse_algebra_file
@@ -368,6 +368,91 @@ def rank_one_map(spec, g):
                                   lambda i: [(c, h[i])] if i in h else ())
 
 
+def asymmetric_map(spec, g):
+    """psi -> psi[c] * h, with h the unit cochain at coordinate 0 of the
+    tuple (0, .., 0, 1), which is not symmetric in its last two slots, and
+    c the first column of the first row of ker d_1; None at d = 1, where
+    every cochain is symmetric."""
+    if spec.dim == 1:
+        return None
+    h = tuple_index((0,) * g + (1,), spec.dim) * spec.dim
+    c = min(cocycle_space(spec, 1, TAG_FULL)[0])
+    return lambda spec: Mat.keyed(spec.dim ** 3, range(spec.dim ** (g + 2)),
+                                  lambda i: [(c, 1)] if i == h else ())
+
+
+def cocycle_check_by_images(spec, chain, g):
+    """The cocycle check read from coboundary_images of all the images of
+    ker d_1: the first row whose d_g image is nonzero, at its first entry."""
+    ker_d1 = cocycle_space(spec, 1, TAG_FULL)
+    for row, dd in zip(ker_d1, coboundary_images(spec, g, chain.images(ker_d1))):
+        if dd:
+            flat, coord = divmod(min(dd), spec.dim)
+            return CheckResult(False, {"input": row, "tuple_flat": flat, "coord": coord,
+                                       "value": dd[min(dd)]})
+    return CheckResult(True)
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("name", ["J", "Jeven"])
+def test_odd_degree_cocycle_check_matches_coboundary_images(path, name):
+    """At odd g the audit tests slot symmetry, not d_g: its verdict and
+    witness equal those read from d_g of every image, and each image is
+    symmetric in its last two slots exactly when d_g kills it."""
+    spec = parse_algebra_file(str(path))
+    fn, g = _chain_map_fn(name, 1)
+    assert g == 3
+    chain = fn(spec)
+    assert audit_chain_map(spec, name).cocycle_preservation == \
+        cocycle_check_by_images(spec, chain, g)
+    images = chain.images(cocycle_space(spec, 1, TAG_FULL))
+    for image, dd in zip(images, coboundary_images(spec, g, images)):
+        assert AUDIT._swap_symmetric(spec.dim, image) == (not dd)
+
+
+@pytest.mark.parametrize("fix,g", [("qsqrt2", 3), ("qsqrt2", 5), ("qhalf", 3),
+                                   ("cubic2", 3), ("atomic3", 3), ("q", 3)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_odd_coboundary_kills_exactly_the_swap_symmetric(fix, g, data):
+    """For odd g >= 3 on a unital algebra, d_g P = 0 exactly when P is
+    symmetric in its last two slots, on drawn cochains symmetrized or not."""
+    spec = parse_algebra_file(f"fixtures/{fix}.alg")
+    d = spec.dim
+    row = data.draw(st.dictionaries(st.integers(0, d ** (g + 2) - 1),
+                                    st.integers(-3, 3).filter(bool), max_size=6))
+    if data.draw(st.booleans()):  # add each entry's swap: P(.., x, y) + P(.., y, x)
+        swapped = {}
+        for f, v in row.items():
+            rest, k = divmod(f, d)
+            rest, b = divmod(rest, d)
+            rest, a = divmod(rest, d)
+            swapped[((rest * d + b) * d + a) * d + k] = v
+        for f, v in swapped.items():
+            row[f] = row.get(f, 0) + v
+        row = {f: v for f, v in row.items() if v}
+    (dd,) = coboundary_images(spec, g, [row])
+    assert AUDIT._swap_symmetric(d, row) == (not dd)
+
+
+@pytest.mark.parametrize("fix", ["qsqrt2", "qhalf", "cubic2", "atomic3"])
+def test_audit_asymmetric_map_fails_cocycle_preservation(fix, monkeypatch):
+    """A map at g = 3 whose images are not symmetric in their last two
+    slots: the audit applies d_3 to the first of them, and its witness is
+    d_3's first nonzero entry, reproduced by direct evaluation."""
+    spec = parse_algebra_file(f"fixtures/{fix}.alg")
+    fn = asymmetric_map(spec, 3)
+    patch_map(monkeypatch, fn, 3)
+    r = audit_chain_map(spec, "J")
+    assert not r.cocycle_preservation.ok
+    assert r.cocycle_preservation == cocycle_check_by_images(spec, fn(spec), 3)
+    w = r.cocycle_preservation.witness
+    image = apply_matrix(fn(spec), from_flat(spec.dim, 2, w["input"]), 4)
+    dd = apply_d(spec, image).flatten()
+    assert dd[w["tuple_flat"] * spec.dim + w["coord"]] == w["value"] != 0
+    assert min(dd) == w["tuple_flat"] * spec.dim + w["coord"]
+
+
 @pytest.mark.parametrize("name", ["K", "J"])
 def test_audit_zero_map_fails_injectivity(qsqrt2, monkeypatch, name):
     _, g = _chain_map_fn(name, 1)
@@ -432,15 +517,18 @@ def audited_algebras(draw):
 def test_audit_matches_stacked_kernel_oracle(spec, data, monkeypatch):
     """All three verdicts and witnesses equal those read from a stacked
     [images | coboundary basis] kernel, for the four maps (n = 2 only up
-    to d = 2), the zero map and a rank-one map."""
+    to d = 2), the zero map, a rank-one map, and a rank-one map onto a
+    cochain not symmetric in its last two slots."""
     n = 2 if spec.dim <= 2 and data.draw(st.booleans()) else 1
     name = data.draw(st.sampled_from(CHAIN_MAPS if n == 1 else ("Jeven", "Jodd")))
     fn, g = _chain_map_fn(name, n)
-    kind = data.draw(st.sampled_from(["map", "zero", "rank one"]))
+    kind = data.draw(st.sampled_from(["map", "zero", "rank one", "asymmetric"]))
     if kind == "zero":
         fn = zero_map(g)
     elif kind == "rank one":
         fn = rank_one_map(spec, g) or zero_map(g)
+    elif kind == "asymmetric":
+        fn = asymmetric_map(spec, g) or zero_map(g)
     patch_map(monkeypatch, fn, g)
     r = audit_chain_map(spec, name, n=n, cap=g + 1)
     assert (r.cocycle_preservation, r.coboundary_preservation, r.injectivity) == \

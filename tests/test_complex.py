@@ -14,12 +14,15 @@ from cohomolab.complex import (
     apply_d, coboundary, coboundary_images, index_coboundary_matrix, lift,
     naive_coboundary_images, tag_coords, verify_dd_zero,
 )
-from cohomolab.cohomology import build_J_even, build_K, cocycle_space, cohomology
+from cohomolab.cohomology import (
+    _chain_map_fn, build_J_even, build_K, cocycle_space, cohomology,
+)
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 from oracles import (
-    apply_matrix, from_coeff_function, index_matrix_by_tuples, intersection, rref,
+    apply_matrix, from_coeff_function, index_matrix_by_tuples, intersection,
+    per_permutation_coboundary_images, rref,
 )
 
 F = Fraction
@@ -113,6 +116,22 @@ def test_naive_images_all_rows_and_tuple_subsets(fix, n, request):
     assert coboundary_images(spec, n, []) == []
     rows = [{(7 * i + j) % d ** (n + 2): F(j - i) for j in range(i + 2)} for i in range(4)]
     assert naive_coboundary_images(spec, n, rows) == coboundary_images(spec, n, rows)
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("name,n", [("K", 1), ("Jodd", 2)])
+def test_counting_oracle_equals_per_permutation_sum(path, name, n):
+    """naive_coboundary_images, which counts equal permutations, equals the
+    sum over every permutation at g = 2 and g = 4: on the images of ker d_1
+    that the audit compares, and on rows that are no cocycles."""
+    spec = parse_algebra_file(str(path))
+    d = spec.dim
+    fn, g = _chain_map_fn(name, n)
+    size = d ** (g + 2)
+    rows = fn(spec).images(cocycle_space(spec, 1, TAG_FULL)) + [
+        {0: 1}, {size - 1: F(-2, 3)}, {(7 * i) % size: i - 2 for i in range(5) if i != 2}]
+    assert naive_coboundary_images(spec, g, rows) == \
+        per_permutation_coboundary_images(spec, g, rows)
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -190,3 +191,45 @@ def test_domain_assessment_runs(tmp_path):
     spec = parse_algebra_file(str(p))
     assert validate_algebra(spec) == []
     assert assess_domain(spec) == ("refuted", None)
+
+
+BIG = "1" + "0" * 99_999  # 100,000 digits, past Python's default 4,300-digit limit
+LONG_FILES = {
+    "constant": f"name q\ndim 1\nunit 1\nmult 0 0 = {BIG}\n",
+    "fraction": f"name q\ndim 1\nunit 1\nmult 0 0 = 1/{BIG}\n",
+    "index": f"name q\ndim 1\nunit 1\nmult 0 {BIG} = 1\n",
+    "negative index": f"name q\ndim 1\nunit 1\nmult -{BIG} 0 = 1\n",
+    "duplicate": f"name q\ndim 1\nunit 1\nmult 0 +{BIG} = 1\nmult {BIG} 0 = 1\n",
+    "dim": f"name q\ndim {BIG}\nunit 1\nmult 0 0 = 1\n",
+}
+
+
+def parsed_or_error(text):
+    try:
+        return parse_algebra_text(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no digit limit")
+@pytest.mark.parametrize("name", LONG_FILES)
+def test_a_long_number_parses_whatever_the_digit_limit(name):
+    """In process, with Python's default digit limit in force, a file with
+    a 100,000-digit number gives the spec or the ParseError text that it
+    gives with the limit lifted (as cli.main lifts it)."""
+    text = LONG_FILES[name]
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        limited = parsed_or_error(text)
+        sys.set_int_max_str_digits(0)
+        lifted = parsed_or_error(text)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert limited == lifted
+    if name in ("constant", "fraction"):
+        assert lifted.structure[0][0] == (10 ** 99_999 if name == "constant" else F(1, 10 ** 99_999),)
+    else:
+        assert "characters)" in lifted and "malformed" not in lifted \
+            and "must be integers" not in lifted

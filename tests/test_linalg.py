@@ -353,6 +353,41 @@ def test_integer_echelon_matches_the_fraction_rref(m, data):
     assert complete_basis(inner, z) == complete_basis_greedy(inner, z)
 
 
+class CountingEchelon(Echelon):
+    """An Echelon that counts the rows its constructor feeds to add."""
+
+    def __init__(self, rows=()):
+        self.fed = 0
+        super().__init__(rows)
+
+    def add(self, row):
+        self.fed += 1
+        return super().add(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_inputs(), st.data())
+def test_echelon_feeds_each_distinct_row_value_once(m, data):
+    """Rows plus fresh-dict copies of them by value (keys reordered, ints
+    as Fractions, zero rows too), in a drawn order, give the pivots, in
+    the same insertion order, and the rows() of an Echelon fed each
+    distinct nonzero row once, and the Fraction RREF's; the constructor
+    calls add once per distinct nonzero value."""
+    copies = [dict(reversed([(c, F(v)) for c, v in m.rows[i].items()]))
+              for i in data.draw(st.lists(st.integers(0, max(len(m.rows) - 1, 0)),
+                                          max_size=9 if m.rows else 0))]
+    fed = data.draw(st.permutations(m.rows + copies + [{}, {}]))
+    once = []
+    for r in fed:
+        if r and r not in once:
+            once.append(r)
+    ech, single, ref = CountingEchelon(fed), Echelon(once), RrefEchelon(fed)
+    assert ech.fed == len(once)
+    assert list(ech.pivots.items()) == list(single.pivots.items())
+    assert ech.rows() == single.rows() == ref.rows()
+    assert list(ech.pivots) == list(ref.pivots)
+
+
 @settings(max_examples=150, deadline=None)
 @given(elimination_inputs(), st.data())
 def test_elimination_changes_no_input_row(m, data):
