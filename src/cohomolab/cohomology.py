@@ -18,6 +18,7 @@ from .multilinear import all_tuples
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_FULL, arrangements, check_cap,
     coboundary, coboundary_images, lift, naive_coboundary_images, per_coordinate,
+    swap_last_two,
 )
 
 
@@ -185,13 +186,9 @@ def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images) -> bool:
 
 
 def _swap_symmetric(d: int, row: dict) -> bool:
-    """Whether the flat cochain row is symmetric in its last two slots.
-
-    Flat entry i*d^3 + a*d^2 + b*d + k moves to i*d^3 + b*d^2 + a*d + k,
-    a shift of (b - a)(d^2 - d).
-    """
-    dd = d * d
-    return all(row.get(f + (f // d % d - f // dd % d) * (dd - d)) == v for f, v in row.items())
+    """Whether the flat cochain row is symmetric in its last two slots:
+    flat entry t*d + k moves to swap_last_two(t)*d + k."""
+    return all(row.get(swap_last_two(f // d, d) * d + f % d) == v for f, v in row.items())
 
 
 class CheckResult(NamedTuple):
@@ -239,7 +236,7 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     checked = range(len(img_rows))
     if g % 2:
         checked = [j for j in checked if not _swap_symmetric(d, img_rows[j])][:1]
-    dd_rows = coboundary_images(spec, g, [img_rows[j] for j in checked]) if checked else []
+    dd_rows = coboundary_images(spec, g, [img_rows[j] for j in checked])
     cocycle = CheckResult(True)
     for j, dd in zip(checked, dd_rows):
         if dd:

@@ -26,10 +26,11 @@ the flat coordinates tag_coords lists, and lift re-indexes onto them.
 
 The symmetric-group sum is evaluated once per multiset of output indices,
 by grouping permutations per distinct rearrangement (each arises the same
-number of times), and its row is shared by every rearrangement.
-An odd-degree row is built from its flat index: two digits pick the
-product, the rest is the tail.  Only lawful specs reach it, so for n >= 3
-it lets tuples that differ by swapping their first two indices share a row.
+number of times), and its row is shared by every rearrangement.  Every
+other row (a, b, tail) is built in flat order: the term P(b_a*b_b, tail),
+minus P(b_a*b_tail, b) at n = 1, or minus the term at swap_last_two(tail)
+at odd n >= 3.  Only lawful specs reach it, so for odd n >= 3 tuples
+that differ by swapping their first two indices share a row.
 A naive per-permutation evaluator, naive_coboundary_images, is kept only
 as an independent oracle for tests and audits, and an audit compares it
 with the index matrix at every output tuple.  It walks every
@@ -124,56 +125,64 @@ def apply_d(spec: AlgebraSpec, f: MultilinearMap) -> MultilinearMap:
     return from_flat(spec.dim, f.arity + 1, image)
 
 
+def swap_last_two(i: int, d: int) -> int:
+    """The flat index of a tuple of length >= 2 with its last two indices swapped."""
+    return i + (i % d - i // d % d) * (d - 1)
+
+
 @lru_cache(maxsize=None)
 def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
     """Index-level matrix of d_n, n >= 0: d^{n+2} rows by d^{n+1} columns.
 
-    coboundary rejects a negative n.  Built once per (algebra, degree) and
-    shared: callers must not mutate it.
+    One helper adds each term w * P(b_a*b_b, tail), tail the flat index of
+    the other arguments.  Row (a, b, tail) is the term at n = 0, minus
+    P(b_a*b_tail, b) at n = 1, and minus the term at swap_last_two(tail)
+    at odd n >= 3; at even n >= 2 it sums the term over the arrangements
+    of its multiset.  coboundary rejects a negative n.  Built once per
+    (algebra, degree) and shared: callers must not mutate it.
     """
     d = spec.dim
-    if n % 2:
-        # row (a, b, r), r = i mod d^n: b_a*b_b at tail r minus b_a*b_r at tail b
-        # (n = 1), or minus b_a*b_b at r with its last two digits swapped
-        size = d ** n
-
-        def terms(i):
-            ab, r = divmod(i, size)
-            a, b = divmod(ab, d)
-            if n == 1:
-                p, q, tail, swapped = spec.structure[a][b], spec.structure[a][r], r, b
-            else:
-                p = q = spec.structure[a][b]
-                tail, swapped = r, r + (r % d - r // d % d) * (d - 1)
-            yield from ((c * size + tail, v) for c, v in enumerate(p) if v)
-            yield from ((c * size + swapped, -v) for c, v in enumerate(q) if v)
-
-        return Mat.keyed(d ** (n + 1), ((a * d + b if n == 1 or a <= b else b * d + a) * size + r
-                                        for a in range(d) for b in range(d) for r in range(size)),
-                         terms)
-    if n == 0:  # row (a, b) is b_a*b_b
-        return Mat(d * d, d, [{c: v for c, v in enumerate(e) if v}
-                              for row in spec.structure for e in row])
-    # in even degree >= 2 a row depends on its output tuple only through
-    # the multiset of its indices: one dict per multiset, summed over its
-    # arrangements and shared by all of them
     size = d ** n
+
+    # the nonzero coordinates c of each b_a*b_b, as (column of (c, tail 0), value)
+    products = [[[(c * size, v) for c, v in enumerate(p) if v] for p in ps]
+                for ps in spec.structure]
+
+    def add(row, w, a, b, tail):  # row += w * P(b_a*b_b, tail)
+        for c, v in products[a][b]:
+            row[c + tail] = row.get(c + tail, 0) + w * v
+
+    if n < 2 or n % 2:
+        rows = []
+        for a in range(d):
+            for b in range(d):
+                if n > 1 and a > b:  # the rows of (b, a, tail), the same dicts
+                    rows += rows[(b * d + a) * size:(b * d + a + 1) * size]
+                    continue
+                for tail in range(size):
+                    row = {}
+                    add(row, 1, a, b, tail)
+                    if n == 1:
+                        add(row, -1, a, tail, b)
+                    elif n:
+                        add(row, -1, a, b, swap_last_two(tail, d))
+                    rows.append({c: v for c, v in row.items() if v})
+        return Mat(len(rows), d * size, rows)
+    # in even degree >= 2 a row depends on its output tuple only through
+    # the multiset of its indices
     rows = [None] * d ** (n + 2)
     for multiset in itertools.combinations_with_replacement(range(d), n + 2):
         perms, weight = arrangements(multiset)
-        acc = {}
+        row = {}
         flats = []
         for a, b, *rest in perms:
             tail = tuple_index(rest, d)
             flats.append((a * d + b) * size + tail)
-            for c, v in enumerate(spec.structure[a][b]):
-                if v:
-                    col = c * size + tail
-                    acc[col] = acc.get(col, 0) + v
-        row = {c: v * weight for c, v in acc.items() if v}
+            add(row, 1, a, b, tail)
+        row = {c: v * weight for c, v in row.items() if v}
         for flat in flats:
             rows[flat] = row
-    return Mat(len(rows), d ** (n + 1), rows)
+    return Mat(len(rows), d * size, rows)
 
 
 def per_coordinate(d: int, rows, f) -> list:
@@ -195,7 +204,9 @@ def per_coordinate(d: int, rows, f) -> list:
 
 def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows:
-    the index matrix (x) I_d, by one Mat.images call."""
+    the index matrix (x) I_d, by one Mat.images call.  No rows build no matrix."""
+    if not rows:
+        return []
     return per_coordinate(spec.dim, rows, index_coboundary_matrix(spec, n).images)
 
 

@@ -35,6 +35,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 # 4,300 digits by default and never below 640, unless it is lifted; longer
 # numbers are converted in halves of at most this many digits
 _DIGITS = 600
+_LIMIT = 10 ** _DIGITS
 
 
 def _read_digits(digits: str) -> int:
@@ -47,7 +48,7 @@ def _read_digits(digits: str) -> int:
 
 def _decimal(x: int) -> str:
     """str(x) for an int of any size."""
-    if -10 ** _DIGITS < x < 10 ** _DIGITS:
+    if -_LIMIT < x < _LIMIT:
         return str(x)
     if x < 0:
         return "-" + _decimal(-x)
@@ -84,8 +85,10 @@ def parse_rational(tok: str):
 
 
 def format_rational(x) -> str:
-    """An exact scalar as `p` or `p/q`: the one formatter for every emitted scalar."""
-    return str(x)
+    """An exact scalar as `p` or `p/q`, of any size whatever the digit limit:
+    the one formatter for every emitted scalar."""
+    p = _decimal(x.numerator)
+    return p if x.denominator == 1 else f"{p}/{_decimal(x.denominator)}"
 
 
 def _rationals(toks) -> tuple:

@@ -18,8 +18,8 @@ multiple, lead > 0, of its reduced row echelon form row.
 That row is canonical, so equal subspaces always produce identical bases:
 rows() and kernel give int rows, whatever the input.
 
-A Mat's rows may be shared: `Mat.keyed` stores equal rows once (for the
-index-level coboundary in odd degree n >= 3), the chain maps share one
+A Mat's rows may be shared: the index-level coboundary in odd degree
+n >= 3 gives (a, b, ..) and (b, a, ..) one row, the chain maps share one
 block of rows per key, and the even-degree coboundary keeps one row per
 multiset of output indices.  Nothing mutates a Mat row in place, so
 sharing is safe, and `Mat.matmul` computes each distinct row object
@@ -86,21 +86,6 @@ class Mat(NamedTuple):
             for i, v in col.items():
                 rows[i][j] = v
         return Mat(nrows, len(columns), rows)
-
-    @staticmethod
-    def keyed(ncols: int, keys, terms) -> "Mat":
-        """Row i sums the (column, value) pairs terms(keys[i]), zeros dropped;
-        terms runs once per distinct key, and equal keys share one row object."""
-        by_key = {}
-        rows = []
-        for key in keys:
-            if key not in by_key:
-                acc = {}
-                for c, v in terms(key):
-                    acc[c] = acc.get(c, 0) + v
-                by_key[key] = {c: v for c, v in acc.items() if v}
-            rows.append(by_key[key])
-        return Mat(len(rows), ncols, rows)
 
     def first_nonzero(self):
         for i, r in enumerate(self.rows):

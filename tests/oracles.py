@@ -246,6 +246,21 @@ def lifted_coboundary_echelon(spec: AlgebraSpec, g: int) -> RrefEchelon:
     return RrefEchelon(lift(spec, g, TAG_FULL, coboundary(spec, g - 1, TAG_FULL).transpose().rows))
 
 
+def keyed(ncols: int, keys, terms) -> Mat:
+    """Row i sums the (column, value) pairs terms(keys[i]), zeros dropped;
+    terms runs once per distinct key, and equal keys share one row object."""
+    by_key = {}
+    rows = []
+    for key in keys:
+        if key not in by_key:
+            acc = {}
+            for c, v in terms(key):
+                acc[c] = acc.get(c, 0) + v
+            by_key[key] = {c: v for c, v in acc.items() if v}
+        rows.append(by_key[key])
+    return Mat(len(rows), ncols, rows)
+
+
 def index_matrix_by_tuples(spec: AlgebraSpec, n: int) -> Mat:
     """The index-level d_n with one row per output tuple, summed from the
     tuple-level terms of the defining formula: in even degree >= 2 over
@@ -259,7 +274,7 @@ def index_matrix_by_tuples(spec: AlgebraSpec, n: int) -> Mat:
             pairs = (p for sigma in itertools.permutations(t) for p in _term_indices(spec, sigma))
         return ((tuple_index(idx, d), v) for idx, v in pairs)
 
-    return Mat.keyed(d ** (n + 1), all_tuples(d, n + 2), terms)
+    return keyed(d ** (n + 1), all_tuples(d, n + 2), terms)
 
 
 def per_permutation_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:

@@ -22,11 +22,11 @@ from cohomolab.cohomology import (
     build_J_even, build_J_odd, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
 from cohomolab.fileformat import format_rational, parse_algebra_file
-from cohomolab.linalg import Echelon, Mat, axpy, span_dim
+from cohomolab.linalg import Echelon, axpy, span_dim
 from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_times_b
 from oracles import (
-    add, apply_matrix, audit_stacked, coboundary_space, from_coeff_function,
+    add, apply_matrix, audit_stacked, coboundary_space, from_coeff_function, keyed,
     lifted_coboundary_echelon, product_cochain_subspace, symmetry_check,
 )
 
@@ -353,7 +353,7 @@ def patch_map(monkeypatch, fn, g):
 
 
 def zero_map(g):
-    return lambda spec: Mat.keyed(spec.dim ** 3, range(spec.dim ** (g + 2)), lambda i: ())
+    return lambda spec: keyed(spec.dim ** 3, range(spec.dim ** (g + 2)), lambda i: ())
 
 
 def rank_one_map(spec, g):
@@ -364,8 +364,8 @@ def rank_one_map(spec, g):
     if not reps:
         return None
     h, c = reps[0], min(AUDIT._multiplier_coboundaries(spec)[0])
-    return lambda spec: Mat.keyed(spec.dim ** 3, range(spec.dim ** (g + 2)),
-                                  lambda i: [(c, h[i])] if i in h else ())
+    return lambda spec: keyed(spec.dim ** 3, range(spec.dim ** (g + 2)),
+                              lambda i: [(c, h[i])] if i in h else ())
 
 
 def asymmetric_map(spec, g):
@@ -377,8 +377,8 @@ def asymmetric_map(spec, g):
         return None
     h = tuple_index((0,) * g + (1,), spec.dim) * spec.dim
     c = min(cocycle_space(spec, 1, TAG_FULL)[0])
-    return lambda spec: Mat.keyed(spec.dim ** 3, range(spec.dim ** (g + 2)),
-                                  lambda i: [(c, 1)] if i == h else ())
+    return lambda spec: keyed(spec.dim ** 3, range(spec.dim ** (g + 2)),
+                              lambda i: [(c, 1)] if i == h else ())
 
 
 def cocycle_check_by_images(spec, chain, g):

@@ -5,14 +5,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+import sympy
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cohomolab import complex as cx
 from cohomolab.algebra import basis_element, build_number_field, multiply
 from cohomolab.complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAG_BAND, TAG_FULL, TAG_IDEAL,
     apply_d, coboundary, coboundary_images, index_coboundary_matrix, lift,
-    naive_coboundary_images, tag_coords, verify_dd_zero,
+    naive_coboundary_images, swap_last_two, tag_coords, verify_dd_zero,
 )
 from cohomolab.cohomology import (
     _chain_map_fn, build_J_even, build_K, cocycle_space, cohomology,
@@ -22,7 +23,7 @@ from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 from oracles import (
     apply_matrix, from_coeff_function, index_matrix_by_tuples, intersection,
-    per_permutation_coboundary_images, rref,
+    per_permutation_coboundary_images, rebase, rref,
 )
 
 F = Fraction
@@ -159,6 +160,59 @@ def test_even_index_matrix_equals_tuple_build(path):
         assert matrix == index_matrix_by_tuples(spec, n)
         if n:
             assert len({id(r) for r in matrix.rows}) == math.comb(d + n + 1, n + 2)
+
+
+def distinct_rows(d: int, n: int) -> int:
+    """The row objects of the index-level d_n: one per output tuple at
+    n <= 1, one per pair of tuples that differ in their first two indices
+    at odd n >= 3, and one per multiset at even n >= 2."""
+    if n <= 1:
+        return d ** (n + 2)
+    return d * (d + 1) // 2 * d ** n if n % 2 else math.comb(d + n + 1, n + 2)
+
+
+@st.composite
+def rebased_small_fields(draw):
+    """Q[t]/(p), p monic of degree 1 to 3 with coefficients in [-2, 2] of
+    denominator at most 2, in the power basis or, drawn alike, in the
+    basis of the columns of an invertible P."""
+    d = draw(st.integers(1, 3))
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    spec = build_number_field(draw(st.lists(entries, min_size=d, max_size=d)) + [1])
+    if draw(st.booleans()):
+        P = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+        assume(sympy.Matrix(P).det() != 0)
+        spec = rebase(spec, P)
+    return spec
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_small_fields())
+def test_index_matrix_equals_tuple_build_in_any_basis(spec):
+    """d_n equals the one summed per output tuple, at n <= 3 and at n = 4
+    for d <= 2, with the fixtures' pattern of shared rows."""
+    d = spec.dim
+    for n in range(5 if d <= 2 else 4):
+        matrix = index_coboundary_matrix(spec, n)
+        assert matrix == index_matrix_by_tuples(spec, n)
+        assert len({id(r) for r in matrix.rows}) == distinct_rows(d, n)
+
+
+def test_swap_last_two_swaps_the_last_two_indices():
+    for d in range(1, 5):
+        for m in range(2, 6):
+            for t in itertools.product(range(d), repeat=m):
+                i = tuple_index(t, d)
+                assert swap_last_two(i, d) == tuple_index(t[:-2] + (t[-1], t[-2]), d)
+                assert swap_last_two(swap_last_two(i, d), d) == i
+
+
+def test_no_rows_build_no_matrix():
+    """coboundary_images of no rows neither builds nor looks up d_n."""
+    spec = build_number_field([-2, 0, 0, 0, 1])
+    before = index_coboundary_matrix.cache_info()
+    assert coboundary_images(spec, 3, []) == []
+    assert index_coboundary_matrix.cache_info() == before
 
 
 @pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])

@@ -233,3 +233,22 @@ def test_a_long_number_parses_whatever_the_digit_limit(name):
     else:
         assert "characters)" in lifted and "malformed" not in lifted \
             and "must be integers" not in lifted
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no digit limit")
+@pytest.mark.parametrize("name", ["constant", "fraction"])
+def test_a_long_number_round_trips_whatever_the_digit_limit(name):
+    """In process, with Python's default digit limit in force, a spec with
+    a 100,000-digit scalar serializes in full, and parse -> serialize ->
+    parse is the identity."""
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        spec = parse_algebra_text(LONG_FILES[name])
+        text = serialize_algebra(spec)
+        again = parse_algebra_text(text)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert again == spec
+    assert text.endswith(f"mult 0 0 = {BIG if name == 'constant' else '1/' + BIG}\n")
