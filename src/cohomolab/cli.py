@@ -41,7 +41,7 @@ from types import SimpleNamespace
 from .algebra import DOMAIN_UNCHECKED, assess_domain, validate_algebra
 from .complex import DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAGS, verify_dd_zero
 from .cohomology import CHAIN_MAPS, audit_chain_map, cohomology
-from .fileformat import ParseError, format_rational, parse_algebra_file, parse_integer
+from .fileformat import ParseError, echo, format_rational, parse_algebra_file, parse_integer
 from .linalg import Mat
 from .operators import classify
 
@@ -162,7 +162,7 @@ def _resolve_cap(args) -> int:
             return _non_negative(env)
         except ValueError:
             raise ParseError(f"COHOMOLAB_MAX_DEGREE must be a non-negative integer, "
-                             f"got {env!r}")
+                             f"got {echo(env, repr)}")
     return DEFAULT_DEGREE_CAP
 
 
@@ -171,14 +171,14 @@ def _int(text: str) -> int:
     try:
         return parse_integer(text)
     except ValueError:
-        raise ValueError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {echo(text, repr)}")
 
 
 def _non_negative(text: str) -> int:
     """A non-negative int: a degree cap, from --degree-cap or COHOMOLAB_MAX_DEGREE."""
     value = _int(text)
     if value < 0:
-        raise ValueError(f"must be at least 0, got {value}")
+        raise ValueError(f"must be at least 0, got {echo(value)}")
     return value
 
 

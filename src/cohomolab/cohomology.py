@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import AlgebraSpec, basis_product
+from .fileformat import echo
 from .linalg import Mat, Echelon, axpy, complete_basis, kernel, span_dim
 from .multilinear import all_tuples
 from .complex import (
@@ -168,7 +169,7 @@ def _chain_map_fn(name: str, n: int):
     J and K are the n = 1 members of the Jeven and Jodd families.
     """
     if name in ("J", "K") and n != 1:
-        raise ValueError(f"{name} is the n = 1 chain map, got n = {n}")
+        raise ValueError(f"{name} is the n = 1 chain map, got n = {echo(n)}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if name in ("J", "Jeven"):

@@ -31,15 +31,14 @@ other row (a, b, tail) is built in flat order: the term P(b_a*b_b, tail),
 minus P(b_a*b_tail, b) at n = 1, or minus the term at swap_last_two(tail)
 at odd n >= 3.  Only lawful specs reach it, so for odd n >= 3 tuples
 that differ by swapping their first two indices share a row.
-A naive per-permutation evaluator, naive_coboundary_images, is kept only
-as an independent oracle for tests and audits, and an audit compares it
-with the index matrix at every output tuple.  It walks every
-permutation, but once per multiset of output indices: for even degree,
-sigma -> sigma o pi permutes the symmetric group, so output tuples that
-rearrange one another have equal sums.  It counts the equal permutations
-of a tuple and expands each distinct one once, times its count.  Each
-sum, and each row's part of it, is computed once per multiset and
-written at every rearrangement.
+A naive evaluator, naive_coboundary_images, covers even degrees n >= 2
+only: the permutation sum, which the audit compares with the index matrix
+at every output tuple.  It walks every permutation, but once per multiset
+of output indices: sigma -> sigma o pi permutes the symmetric group, so
+output tuples that rearrange one another have equal sums.  It counts the
+equal permutations of a tuple and expands each distinct one once, times
+its count.  Each sum, and each row's part of it, is computed once per
+multiset and written at every rearrangement.
 """
 
 import itertools
@@ -51,6 +50,7 @@ from typing import NamedTuple
 from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE, assess_domain,
 )
+from .fileformat import echo
 from .linalg import Mat, axpy
 from .multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
 
@@ -72,7 +72,7 @@ class UnsupportedAlgebra(ValueError):
 
 class DegreeCapExceeded(ValueError):
     def __init__(self, degree, cap):
-        super().__init__(f"degree {degree} exceeds the cap {cap}")
+        super().__init__(f"degree {echo(degree)} exceeds the cap {echo(cap)}")
         self.degree = degree
         self.cap = cap
 
@@ -104,18 +104,6 @@ def _term_indices(spec: AlgebraSpec, t: tuple, times: int = 1):
     prod = spec.structure[t[0]][t[1]]
     rest = t[2:]
     return [((c,) + rest, times * v) for c, v in enumerate(prod) if v]
-
-
-def _output_terms(spec: AlgebraSpec, n: int, t: tuple):
-    """Signed index-level terms of d at source degree n = 0 or odd n, output tuple t.
-
-    Yields (input index tuple, rational coefficient); the input tuples index
-    the source cochain's coefficient tensor.  Odd n serves the naive oracle only.
-    """
-    yield from _term_indices(spec, t)
-    if n % 2 == 1:  # n = 1 included: swapping t[1] and t[2] gives P(x1*x3, x2)
-        for idx, v in _term_indices(spec, t[:n] + (t[n + 1], t[n])):
-            yield idx, -v
 
 
 def apply_d(spec: AlgebraSpec, f: MultilinearMap) -> MultilinearMap:
@@ -210,26 +198,20 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     return per_coordinate(spec.dim, rows, index_coboundary_matrix(spec, n).images)
 
 
-def _summed(d: int, pairs) -> dict:
-    """(input index tuple, coefficient) pairs summed per flat input column."""
-    terms = {}
-    for idx, v in pairs:
-        col = tuple_index(idx, d)
-        terms[col] = terms.get(col, 0) + v
-    return terms
-
-
 def naive_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
-    """coboundary_images by the defining formula: the oracle for the index matrix.
+    """coboundary_images at even n >= 2 by the defining formula, the sum over
+    every permutation of the output tuple: the oracle the audit compares
+    with the index matrix.  Any other n raises ValueError.
 
     The terms of d are summed into an index-level term dict, which is then
-    applied to every row.  In even degree >= 2 the permutations of the
-    output tuple are counted by value, each distinct one is expanded once
-    times its count, and the dict and each row's part of it are built once
-    per multiset, at the first output tuple of it met, and written at
-    every rearrangement; in the other degrees once per tuple.  Neither
-    arrangements nor the index matrix is used.
+    applied to every row.  The permutations of the output tuple are counted
+    by value, each distinct one is expanded once times its count, and the
+    dict and each row's part of it are built once per multiset, at the
+    first output tuple of it met, and written at every rearrangement.
+    Neither arrangements nor the index matrix is used.
     """
+    if n < 2 or n % 2:
+        raise ValueError(f"the permutation sum is d_n at even n >= 2 only, got n = {echo(n)}")
     d = spec.dim
     grouped = []  # per row: input column -> {output coordinate: value}
     for x in rows:
@@ -239,14 +221,15 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
             by_col.setdefault(c, {})[k] = v
         grouped.append(by_col)
     images = [{} for _ in rows]
-    shared = {}  # key of an output tuple -> its per-row parts
-    symmetric = n >= 2 and n % 2 == 0
+    shared = {}  # multiset of an output tuple -> its per-row parts
     for t in all_tuples(d, n + 2):
-        key = tuple(sorted(t)) if symmetric else t
+        key = tuple(sorted(t))
         if key not in shared:
-            terms = _summed(d, (p for sigma, count in Counter(itertools.permutations(t)).items()
-                                for p in _term_indices(spec, sigma, count)) if symmetric
-                            else _output_terms(spec, n, t))
+            terms = {}  # input column -> summed coefficient
+            for sigma, count in Counter(itertools.permutations(t)).items():
+                for idx, v in _term_indices(spec, sigma, count):
+                    col = tuple_index(idx, d)
+                    terms[col] = terms.get(col, 0) + v
             shared[key] = []
             for by_col in grouped:
                 part = {}
@@ -298,7 +281,7 @@ def coboundary(spec: AlgebraSpec, n: int, tag: str) -> Mat:
     """
     src = tag_coords(spec, n, tag)  # a tag's refusal comes before the degree's
     if n < 0:
-        raise ValueError(f"cochain degrees start at 0, so d_{n} is undefined")
+        raise ValueError(f"cochain degrees start at 0, so d_{echo(n)} is undefined")
     if src is None:
         return index_coboundary_matrix(spec, n)
     dst = {c: i for i, c in enumerate(tag_coords(spec, n + 1, tag))}
@@ -335,7 +318,8 @@ def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
                    cap: int = DEFAULT_DEGREE_CAP) -> ComplexLawReport:
     """Multiply consecutive coboundary matrices and report zero products."""
     if max_n < 0:
-        raise ValueError(f"cochain degrees start at 0, so max degree {max_n} checks nothing")
+        raise ValueError(f"cochain degrees start at 0, so max degree {echo(max_n)} "
+                         "checks nothing")
     check_cap(max_n + 2, cap)
     return ComplexLawReport(tuple(
         (n, coboundary(spec, n + 1, tag).matmul(coboundary(spec, n, tag)).first_nonzero())

@@ -17,7 +17,8 @@ the identity.  Parsing checks the grammar only, and returns the whole
 spec, equal to the constructor's for the same algebra; the caller checks
 the algebra laws.  An error found on one line names it, a check on the
 whole file names none, and a token or number an error echoes is cut
-past 40 characters, with its length shown.
+past 40 characters, with its length shown.  echo is that rule, and every
+error message of the package that echoes a number or a token uses it.
 """
 
 import re
@@ -66,7 +67,7 @@ def parse_integer(tok: str) -> int:
     return -value if tok[0] == "-" else value
 
 
-def _echo(value, show=str) -> str:
+def echo(value, show=str) -> str:
     """`show` of a token or number, or of its first 40 characters and its length."""
     text = _decimal(value) if type(value) is int else str(value)
     return show(text) if len(text) <= 40 else f"{show(text[:40])}... ({len(text)} characters)"
@@ -78,9 +79,9 @@ def parse_rational(tok: str):
         num, den = tok.split("/") if "/" in tok else (tok, "1")
         num, den = parse_integer(num), parse_integer(den)
     except ValueError as exc:
-        raise ParseError(f"malformed rational {_echo(tok, repr)}") from exc
+        raise ParseError(f"malformed rational {echo(tok, repr)}") from exc
     if den <= 0:
-        raise ParseError(f"rational {_echo(tok, repr)} must have a positive denominator")
+        raise ParseError(f"rational {echo(tok, repr)} must have a positive denominator")
     return div(num, den)
 
 
@@ -134,7 +135,7 @@ def _read_mult(args, mult: dict) -> None:
     value = _rationals(args[3:])
     if (i, j) in mult:
         which = "duplicate" if mult[i, j] == value else "conflicting duplicate for"
-        raise ParseError(f"{which} mult {_echo(i)} {_echo(j)}")
+        raise ParseError(f"{which} mult {echo(i)} {echo(j)}")
     mult[i, j] = value
 
 
@@ -153,7 +154,7 @@ def parse_algebra_text(text: str) -> AlgebraSpec:
             elif key in _HEADER:
                 header[key] = _HEADER[key][0](args)
             else:
-                raise ParseError(f"unknown key {_echo(key, repr)}")
+                raise ParseError(f"unknown key {echo(key, repr)}")
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     for key, (_, default) in _HEADER.items():  # no value read is None
@@ -161,10 +162,10 @@ def parse_algebra_text(text: str) -> AlgebraSpec:
             raise ParseError(f"missing {key}")
     dim, unit, order = header["dim"], header["unit"], header["order"]
     if len(unit) != dim:
-        raise ParseError(f"unit has {len(unit)} coordinates, expected {_echo(dim)}")
+        raise ParseError(f"unit has {len(unit)} coordinates, expected {echo(dim)}")
     for i, j in mult:  # i <= j
         if i < 0 or j >= dim:
-            raise ParseError(f"mult indices ({_echo(i)}, {_echo(j)}) out of range for dim {dim}")
+            raise ParseError(f"mult indices ({echo(i)}, {echo(j)}) out of range for dim {dim}")
     structure, zero = [], zero_element(dim)  # one tuple for every missing atomic cell
     for i in range(dim):
         row = []

@@ -6,12 +6,16 @@ output coordinate fastest: entry tuple_index(idx) * d + k is coordinate k
 of the value on the basis tuple idx.  This fixes the column convention for
 every matrix in the chain complex.  Only nonzero entries are stored, each
 an exact scalar: an int when integral, else a Fraction, never a float.
+
+MultilinearMap is the record of one cochain that perfbench's tracer
+wraps: apply_d and from_flat return it, and the tracer times its flatten.
+The package itself computes on flat rows.  Evaluating a cochain at
+arguments, reading its value on a basis tuple and the zero test are
+test oracles, in tests/oracles.py.
 """
 
 import itertools
 from typing import NamedTuple
-
-from .algebra import Element
 
 
 def tuple_index(idx: tuple, d: int) -> int:
@@ -33,37 +37,9 @@ class MultilinearMap(NamedTuple):
     def __hash__(self):
         return hash((self.arity, self.dim, frozenset(self.vec.items())))
 
-    def coeff(self, idx: tuple) -> Element:
-        base = tuple_index(idx, self.dim) * self.dim
-        return tuple(self.vec.get(base + k, 0) for k in range(self.dim))
-
-    def eval(self, args) -> Element:
-        """Multilinear expansion over the stored entries."""
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        d = self.dim
-        for a in args:
-            if len(a) != d:
-                raise ValueError("argument dimension mismatch")
-        out = [0] * d
-        for flat, c in self.vec.items():
-            rest, k = divmod(flat, d)
-            # the last slot's index is the least significant digit
-            for a in reversed(args):
-                rest, i = divmod(rest, d)
-                c *= a[i]
-                if not c:
-                    break
-            else:
-                out[k] += c
-        return tuple(out)
-
     def flatten(self) -> dict:
         """Sparse flat vector of length dim**arity * dim."""
         return dict(self.vec)
-
-    def is_zero(self) -> bool:
-        return not self.vec
 
 
 def from_flat(d: int, arity: int, vec: dict) -> MultilinearMap:

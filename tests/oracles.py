@@ -12,7 +12,7 @@ from cohomolab.algebra import (
 )
 from cohomolab.cohomology import CheckResult, cocycle_space
 from cohomolab.complex import (
-    TAG_BAND, TAG_FULL, _output_terms, _term_indices, apply_d, coboundary, lift, tag_coords,
+    TAG_BAND, TAG_FULL, _term_indices, apply_d, coboundary, lift, tag_coords,
 )
 from cohomolab.linalg import Mat, axpy, row_to_primitive, scalar
 from cohomolab.multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
@@ -45,6 +45,38 @@ class Lcg64:
 
 def add(x: Element, y: Element) -> Element:
     return tuple(a + b for a, b in zip(x, y))
+
+
+def coeff(m: MultilinearMap, idx: tuple) -> Element:
+    """The value of m on the basis tuple idx."""
+    base = tuple_index(idx, m.dim) * m.dim
+    return tuple(m.vec.get(base + k, 0) for k in range(m.dim))
+
+
+def evaluate(m: MultilinearMap, args) -> Element:
+    """m at the arguments args, by multilinear expansion over the stored entries."""
+    if len(args) != m.arity:
+        raise ValueError(f"expected {m.arity} arguments, got {len(args)}")
+    d = m.dim
+    for a in args:
+        if len(a) != d:
+            raise ValueError("argument dimension mismatch")
+    out = [0] * d
+    for flat, c in m.vec.items():
+        rest, k = divmod(flat, d)
+        # the last slot's index is the least significant digit
+        for a in reversed(args):
+            rest, i = divmod(rest, d)
+            c *= a[i]
+            if not c:
+                break
+        else:
+            out[k] += c
+    return tuple(out)
+
+
+def is_zero(m: MultilinearMap) -> bool:
+    return not m.vec
 
 
 def from_coeff_function(spec: AlgebraSpec, arity: int, fn) -> MultilinearMap:
@@ -166,9 +198,9 @@ def is_multiplier(spec: AlgebraSpec, psi: MultilinearMap) -> OperatorVerdict:
     """
     _check_shape(spec, psi, arity_one=True)
     d = spec.dim
-    te = psi.eval([spec.unit])
+    te = evaluate(psi, [spec.unit])
     for i in range(d):
-        if psi.coeff((i,)) != multiply(spec, basis_element(d, i), te):
+        if coeff(psi, (i,)) != multiply(spec, basis_element(d, i), te):
             return OperatorVerdict(NO, witness={"slot": 1, "tuple": (), "basis": i})
     return OperatorVerdict(YES, certificate=te)
 
@@ -184,7 +216,7 @@ def is_local_multiplier(spec: AlgebraSpec, psi: MultilinearMap, trials: int = 64
     """
     _check_shape(spec, psi, arity_one=True)
     for a in sample_elements(spec, trials, seed):
-        if not principal_ideal_contains(spec, a, psi.eval([a])):
+        if not principal_ideal_contains(spec, a, evaluate(psi, [a])):
             return OperatorVerdict(NO, witness=(a,))
     return OperatorVerdict(YES if spec.order_mode == ORDER_ATOMIC else UNKNOWN)
 
@@ -261,6 +293,16 @@ def keyed(ncols: int, keys, terms) -> Mat:
     return Mat(len(rows), ncols, rows)
 
 
+def output_terms(spec: AlgebraSpec, n: int, t: tuple):
+    """Signed index-level terms of d at source degree n = 0 or odd n, output
+    tuple t: pairs (input index tuple, coefficient), the input tuples
+    indexing the source cochain's coefficient tensor."""
+    yield from _term_indices(spec, t)
+    if n % 2 == 1:  # n = 1 included: swapping t[1] and t[2] gives P(x1*x3, x2)
+        for idx, v in _term_indices(spec, t[:n] + (t[n + 1], t[n])):
+            yield idx, -v
+
+
 def index_matrix_by_tuples(spec: AlgebraSpec, n: int) -> Mat:
     """The index-level d_n with one row per output tuple, summed from the
     tuple-level terms of the defining formula: in even degree >= 2 over
@@ -269,12 +311,22 @@ def index_matrix_by_tuples(spec: AlgebraSpec, n: int) -> Mat:
 
     def terms(t):
         if n % 2 or n == 0:
-            pairs = _output_terms(spec, n, t)
+            pairs = output_terms(spec, n, t)
         else:
             pairs = (p for sigma in itertools.permutations(t) for p in _term_indices(spec, sigma))
         return ((tuple_index(idx, d), v) for idx, v in pairs)
 
     return keyed(d ** (n + 1), all_tuples(d, n + 2), terms)
+
+
+def images_by_tuples(spec: AlgebraSpec, n: int, rows) -> list:
+    """d_n of flat rows, in any degree: index_matrix_by_tuples tensored with
+    the identity on output coordinates, summed entry by entry."""
+    d = spec.dim
+    matrix = index_matrix_by_tuples(spec, n)
+    return [{i * d + k: v for i, row in enumerate(matrix.rows) for k in range(d)
+             if (v := sum(w * x.get(c * d + k, 0) for c, w in row.items()))}
+            for x in rows]
 
 
 def per_permutation_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
@@ -395,8 +447,8 @@ def symmetry_check(m: MultilinearMap, positions: tuple) -> str:
     for idx in all_tuples(m.dim, m.arity):
         swapped = list(idx)
         swapped[p - 1], swapped[q - 1] = swapped[q - 1], swapped[p - 1]
-        a = m.coeff(idx)
-        b = m.coeff(tuple(swapped))
+        a = coeff(m, idx)
+        b = coeff(m, tuple(swapped))
         if a != b:
             sym = False
         if a != tuple(-v for v in b):
@@ -417,12 +469,12 @@ def is_hochschild_2cocycle(spec: AlgebraSpec, psi: MultilinearMap):
     for i, j, k in all_tuples(d, 3):
         a, b, c = (basis_element(d, t) for t in (i, j, k))
         lhs = add(
-            multiply(spec, a, psi.coeff((j, k))),
-            psi.eval([a, spec.structure[j][k]]),
+            multiply(spec, a, coeff(psi, (j, k))),
+            evaluate(psi, [a, spec.structure[j][k]]),
         )
         rhs = add(
-            psi.eval([spec.structure[i][j], c]),
-            multiply(spec, c, psi.coeff((i, j))),
+            evaluate(psi, [spec.structure[i][j], c]),
+            multiply(spec, c, coeff(psi, (i, j))),
         )
         if lhs != rhs:
             return (False, (i, j, k))

@@ -786,6 +786,35 @@ def test_a_parse_error_echoes_a_bounded_token(tmp_path, text, start, length):
     assert f"... ({length} characters)" in err and len(err.encode()) < 200
 
 
+LONG = "1" + "0" * 5000  # 5,001 digits
+
+
+@pytest.mark.parametrize("argv, env, expected", [
+    (["cohomology", Q, "--degree", LONG], {}, 3),
+    (["cohomology", Q, "--degree", "-" + LONG], {}, 1),
+    (["--degree-cap", LONG, "cohomology", Q, "--degree", LONG], {}, 3),
+    (["audit", Q, "--map", "K", "--n", LONG], {}, 1),
+    (["audit", Q, "--map", "Jeven", "--n", LONG], {}, 3),
+    (["verify-complex", Q, "--max-degree", "-" + LONG], {}, 1),
+    (["cohomology", Q, "--degree", "x" + LONG], {}, 2),  # read by argparse
+    (["--degree-cap", "-" + LONG, "classify", Q], {}, 2),
+    (["cohomology", Q, "--degree", "1"], {"COHOMOLAB_MAX_DEGREE": "x" + LONG}, 1),
+], ids=["degree", "negative-degree", "cap-and-degree", "audit-n", "audit-n-cap",
+        "max-degree", "degree-not-an-int", "negative-cap", "environment"])
+def test_an_error_echoes_a_bounded_number(argv, env, expected):
+    """A 5,001-digit option or environment value is cut in the error line,
+    with its length, as the file parser cuts a token."""
+    code, out, err = cli_process(*argv, COLUMNS="80", **env)
+    assert (code, out) == (expected, b"")
+    *usage, line = err.splitlines()
+    assert bool(usage) == (expected == 2)  # argparse writes its usage text first
+    assert "error: " in line and "... (500" in line
+    # an echo of a 5,001-digit number is 61 characters long: the cap line
+    # echoes two, the degree and the cap
+    bound = 160 if line.count("...") == 2 else 150
+    assert all(len(x.encode()) < bound for x in usage + [line])
+
+
 @pytest.mark.parametrize("argv, expected, errors", [
     (["validate", QSQRT2], 0, 0),
     (["--format", "text", "validate", QSQRT2], 0, 0),

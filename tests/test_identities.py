@@ -9,6 +9,14 @@
 
 Both are checked on every fixture and on Q[t]/(p) for small monic integer p.
 
+- For even n >= 2, columns of the index-level d_n whose last n indices
+  rearrange one another are equal: d_n sums over every ordering of its
+  arguments, so it absorbs any permutation of the cochain's slots 2..n+1.
+  So d_n is determined by the columns of sorted tails.
+
+That is checked on every fixture, and on the same Q[t]/(p) in the power
+basis and in a second, random basis.
+
 - The rank r_n of the index-level d_n (d^{n+2} rows) has a formula:
   r_0 = d, r_1 = d^2 - d and, for odd n >= 3, r_n = d^{n-1}·C(d,2).  For
   even n >= 2, r_n is the dimension of the degree-(n+2) part of the ideal
@@ -27,7 +35,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cohomolab.algebra import build_number_field
 from cohomolab.cohomology import multiplier_quotient
@@ -35,6 +43,7 @@ from cohomolab.complex import index_coboundary_matrix
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import kernel, span_dim
 from cohomolab.multilinear import all_tuples, tuple_index
+from oracles import rebase
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.alg"))
 
@@ -93,6 +102,32 @@ def test_fixture_identities(path):
 def test_identities_on_small_algebras(spec):
     check_h0mc(spec)
     check_odd_kernels(spec)
+
+
+def check_even_columns(spec):
+    """At n = 2, and n = 4 for d <= 3, every column of d_n equals the column
+    of its first index and its sorted last n."""
+    d = spec.dim
+    for n in (2, 4) if d <= 3 else (2,):
+        columns = index_coboundary_matrix(spec, n).transpose().rows
+        for col, t in enumerate(all_tuples(d, n + 1)):
+            assert columns[col] == columns[tuple_index(t[:1] + tuple(sorted(t[1:])), d)]
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_even_columns_of_rearranged_tails_are_equal(path):
+    check_even_columns(parse_algebra_file(str(path)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_algebras(), st.data())
+def test_even_columns_of_rearranged_tails_are_equal_in_any_basis(spec, data):
+    d = spec.dim
+    P = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                           min_size=d, max_size=d))
+    assume(sympy.Matrix(P).det() != 0)
+    check_even_columns(spec)
+    check_even_columns(rebase(spec, P))
 
 
 def test_symmetric_in_last_two_by_hand():

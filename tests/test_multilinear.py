@@ -12,8 +12,8 @@ from cohomolab.linalg import span_dim
 from cohomolab.multilinear import all_tuples, from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_times_b, sqrt2_coefficient
 from oracles import (
-    from_coeff_function, is_hochschild_2cocycle, product_cochain_subspace, symmetry_check,
-    unit_tensor,
+    coeff, evaluate, from_coeff_function, is_hochschild_2cocycle, is_zero,
+    product_cochain_subspace, symmetry_check, unit_tensor,
 )
 
 F = Fraction
@@ -31,17 +31,17 @@ def test_eval_matches_coefficients(qsqrt2):
     psi = psi_f_times_b(qsqrt2)
     for i, j in all_tuples(2, 2):
         b = (basis_element(2, i), basis_element(2, j))
-        assert psi.eval(b) == psi.coeff((i, j))
+        assert evaluate(psi, b) == coeff(psi, (i, j))
     # Psi(a, b) = f(a) * b with f(x + y sqrt2) = y
-    assert psi.eval([elem(1, 2), elem(3, 4)]) == elem(6, 8)
+    assert evaluate(psi, [elem(1, 2), elem(3, 4)]) == elem(6, 8)
 
 
 def test_eval_arity_and_dim_checks(qsqrt2):
     psi = psi_f_times_b(qsqrt2)
     with pytest.raises(ValueError):
-        psi.eval([elem(1, 0)])
+        evaluate(psi, [elem(1, 0)])
     with pytest.raises(ValueError):
-        psi.eval([elem(1, 0, 0), elem(1, 0)])
+        evaluate(psi, [elem(1, 0, 0), elem(1, 0)])
 
 
 def test_flatten_roundtrip(qsqrt2):
@@ -49,14 +49,14 @@ def test_flatten_roundtrip(qsqrt2):
     assert from_flat(2, 2, psi.flatten()) == psi
     assert hash(from_flat(2, 2, psi.flatten())) == hash(psi)
     assert from_flat(3, 2, {}).flatten() == {}
-    assert from_flat(3, 2, {}).is_zero()
-    assert not psi.is_zero()
+    assert is_zero(from_flat(3, 2, {}))
+    assert not is_zero(psi)
 
 
 def test_unit_tensor():
     t = unit_tensor(2, 2, 3, 1)
-    assert t.coeff((1, 1)) == elem(0, 1)
-    assert t.coeff((0, 1)) == elem(0, 0)
+    assert coeff(t, (1, 1)) == elem(0, 1)
+    assert coeff(t, (0, 1)) == elem(0, 0)
     assert t.flatten() == {3 * 2 + 1: F(1)}
 
 
@@ -70,8 +70,8 @@ def test_diagonal_basis(atomic3):
     assert len(rows) == 3
     assert span_dim(rows) == len(rows)
     m = from_flat(3, 2, rows[1])
-    assert m.coeff((1, 1)) == elem(0, 1, 0)
-    assert all(not any(m.coeff(idx)) for idx in all_tuples(3, 2) if idx != (1, 1))
+    assert coeff(m, (1, 1)) == elem(0, 1, 0)
+    assert all(not any(coeff(m, idx)) for idx in all_tuples(3, 2) if idx != (1, 1))
 
 
 def test_subspace_selectors(qsqrt2, atomic3):
@@ -91,7 +91,7 @@ def test_product_cochain_subspace(qsqrt2):
     assert len(basis) == 2
     assert basis[0] == mult_cochain(qsqrt2)
     x, y = elem(1, 2), elem(3, -1)
-    assert basis[1].eval([x, y]) == multiply(
+    assert evaluate(basis[1], [x, y]) == multiply(
         qsqrt2, multiply(qsqrt2, x, y), elem(0, 1))
 
 
@@ -144,8 +144,8 @@ def test_eval_linear_in_each_slot(x, y, z, c):
         args_a = [x, y]
         args_b = [x, y]
         args_b[slot] = z
-        lhs = psi.eval(args_sum)
-        va, vb = psi.eval(args_a), psi.eval(args_b)
+        lhs = evaluate(psi, args_sum)
+        va, vb = evaluate(psi, args_a), evaluate(psi, args_b)
         assert lhs == tuple(a + c * b for a, b in zip(va, vb))
 
 
@@ -170,4 +170,4 @@ def test_sparse_eval_matches_dense_expansion(fix, arity, data, request):
             w *= args[slot][i]
         for k in range(d):
             expected[k] += w * values[k]
-    assert m.eval(args) == tuple(expected)
+    assert evaluate(m, args) == tuple(expected)

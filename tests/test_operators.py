@@ -19,7 +19,7 @@ from cohomolab.multilinear import MultilinearMap
 from cohomolab.operators import NO, UNKNOWN, YES, classify
 from conftest import elem, operator
 from oracles import (
-    is_band_preserving, is_local_multiplier, is_multiplier, is_orthomorphism, rebase,
+    evaluate, is_band_preserving, is_local_multiplier, is_multiplier, is_orthomorphism, rebase,
     sample_elements, to_dense,
 )
 
@@ -41,7 +41,7 @@ def conjugation(d):
 def test_apply_operator(qsqrt2):
     # an operator is applied as its arity-1 cochain
     m = [[F(1), F(2)], [F(0), F(3)]]
-    assert operator(qsqrt2, m).eval([elem(1, 1)]) == elem(3, 3)
+    assert evaluate(operator(qsqrt2, m), [elem(1, 1)]) == elem(3, 3)
 
 
 def test_sample_elements_deterministic(qsqrt2, atomic3):
