@@ -14,9 +14,8 @@ Nothing here samples.
 
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple
 
-from .linalg import Echelon, Mat, div, kernel, scalar
+from .linalg import Echelon, Mat, Record, div, kernel, scalar
 
 Element = tuple  # exact scalars: an int when integral, else a Fraction, never a float
 
@@ -40,7 +39,8 @@ def basis_element(d: int, i: int) -> Element:
     return tuple(1 if j == i else 0 for j in range(d))
 
 
-class AlgebraSpec(NamedTuple):
+class AlgebraSpec(Record):
+    __slots__ = ()
     name: str
     dim: int
     structure: tuple  # structure[i][j] = Element, the product b_i * b_j
@@ -48,12 +48,14 @@ class AlgebraSpec(NamedTuple):
     order_mode: str = ORDER_NONE
 
 
-class Domain(NamedTuple):
+class Domain(Record):
+    __slots__ = ()
     status: str  # asserted | refuted | unchecked
     roots: tuple  # see assess_domain; None exactly on a singular trace form
 
 
-class Violation(NamedTuple):
+class Violation(Record):
+    __slots__ = ()
     law: str  # commutativity | associativity | unit | atomic
     indices: tuple
     detail: str

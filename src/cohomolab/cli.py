@@ -34,7 +34,6 @@ callers use main, which returns the exit code.
 """
 
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -62,15 +61,15 @@ _rat = format_rational  # every scalar the CLI prints, in a Row, a Mat or alone,
 
 # json's ensure_ascii escapes: every character but printable ASCII is escaped,
 # by name where JSON has one, else as \uXXXX, a UTF-16 surrogate pair above U+FFFF
-_NEEDS_ESCAPE = re.compile(r'[\\"]|[^ -~]')
 _NAMED_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n",
                   "\r": "\\r", "\t": "\\t"}
 
 
-def _escape(match) -> str:
-    char = match.group()
+def _escape(char: str) -> str:
     if char in _NAMED_ESCAPES:
         return _NAMED_ESCAPES[char]
+    if " " <= char <= "~":
+        return char
     code = ord(char)
     if code < 0x10000:
         return f"\\u{code:04x}"
@@ -79,7 +78,9 @@ def _escape(match) -> str:
 
 
 def _quote(text: str) -> str:
-    return '"' + _NEEDS_ESCAPE.sub(_escape, text) + '"'
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return '"' + "".join(map(_escape, text)) + '"'
 
 
 def _write_json(value, write, nl) -> None:
@@ -98,7 +99,7 @@ def _write_json(value, write, nl) -> None:
     if isinstance(value, str):
         return write(_quote(value))
     inner = nl and nl + "  "
-    if isinstance(value, Mat):  # a NamedTuple, so tested before tuple
+    if isinstance(value, Mat):  # a Record, so a tuple: tested before tuple
         # each dense row is made only as it is written: its nonzero cells
         # spliced into one row of .ncols "0" cells, which have a fixed
         # stride; format_rational prints nothing that JSON escapes

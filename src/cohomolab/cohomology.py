@@ -10,11 +10,10 @@ by one product (Mat.images) and reduces them by one call.
 """
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .algebra import AlgebraSpec, basis_product
 from .fileformat import echo
-from .linalg import Mat, Echelon, axpy, complete_basis, kernel, span_dim
+from .linalg import Mat, Echelon, Record, axpy, complete_basis, kernel, span_dim
 from .multilinear import all_tuples
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_FULL, arrangements, check_cap,
@@ -28,7 +27,8 @@ def cocycle_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
     return lift(spec, degree, tag, kernel(coboundary(spec, degree, tag)))
 
 
-class CohomologyReport(NamedTuple):
+class CohomologyReport(Record):
+    __slots__ = ()
     dim_cocycles: int
     dim_coboundaries: int
     dim_H: int
@@ -53,7 +53,8 @@ def cohomology(spec: AlgebraSpec, degree: int, tag: str = TAG_FULL,
     )
 
 
-class DistinguishedQuotient(NamedTuple):
+class DistinguishedQuotient(Record):
+    __slots__ = ()
     dim_kernel: int
     dim_image: int
     dim_H: int
@@ -192,12 +193,14 @@ def _swap_symmetric(d: int, row: dict) -> bool:
     return all(row.get(swap_last_two(f // d, d) * d + f % d) == v for f, v in row.items())
 
 
-class CheckResult(NamedTuple):
+class CheckResult(Record):
+    __slots__ = ()
     ok: bool
     witness: object = None  # reproducible by direct evaluation
 
 
-class AuditReport(NamedTuple):
+class AuditReport(Record):
+    __slots__ = ()
     degree: int  # the cochain degree g the images live in
     cocycle_preservation: CheckResult
     coboundary_preservation: CheckResult

@@ -45,13 +45,12 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
 
 from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE, assess_domain,
 )
 from .fileformat import echo
-from .linalg import Mat, axpy
+from .linalg import Mat, Record, axpy
 from .multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
 
 DEFAULT_DEGREE_CAP = 5
@@ -306,7 +305,8 @@ def lift(spec: AlgebraSpec, degree: int, tag: str, rows) -> list:
     return [{coords[c]: v for c, v in r.items()} for r in rows]
 
 
-class ComplexLawReport(NamedTuple):
+class ComplexLawReport(Record):
+    __slots__ = ()
     results: tuple  # tuple[(n, first nonzero entry of d_{n+1} d_n or None)]
 
     @property

@@ -21,8 +21,6 @@ past 40 characters, with its length shown.  echo is that rule, and every
 error message of the package that echoes a number or a token uses it.
 """
 
-import re
-
 from .algebra import AlgebraSpec, ORDER_ATOMIC, ORDER_NONE, zero_element
 from .linalg import div
 
@@ -31,7 +29,6 @@ class ParseError(ValueError):
     pass
 
 
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 # Python converts between int and decimal text only up to a digit limit,
 # 4,300 digits by default and never below 640, unless it is lifted; longer
 # numbers are converted in halves of at most this many digits
@@ -61,9 +58,10 @@ def _decimal(x: int) -> str:
 def parse_integer(tok: str) -> int:
     """The grammar's integer, of any length whatever the digit limit:
     int() alone would also take '1_0' and '٣'."""
-    if not _INTEGER.fullmatch(tok):
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {tok!r}")
-    value = _read_digits(tok.lstrip("+-"))
+    value = _read_digits(digits)
     return -value if tok[0] == "-" else value
 
 

@@ -29,10 +29,13 @@ coboundary's equal columns, read as rows of its transpose) add nothing
 after the first.  Rows are told apart by `id()` only while a list or map
 holds them, so an id is never reused by a different row during the loop
 that tests it.
+
+`Record` is the base of every record of the package: a tuple whose
+fields are read by name.
 """
 
 from math import gcd, lcm
-from typing import NamedTuple
+from operator import itemgetter
 
 Row = dict
 
@@ -73,7 +76,69 @@ def axpy(acc: Row, a, x: Row) -> None:
             acc.pop(c, None)
 
 
-class Mat(NamedTuple):
+class Record(tuple):
+    """A tuple with named fields, written in class syntax:
+
+        class Point(Record):
+            __slots__ = ()
+            x: int
+            y: int = 0  # a default
+
+    The fields are the subclass's annotations, in order; each is read by a
+    read-only property, and `__slots__ = ()` keeps any other attribute from
+    being set.  A record compares and hashes as the tuple of its fields.
+    No code is generated, so making a record class costs little at import.
+    """
+
+    __slots__ = ()
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._filled(args, kwargs)
+        return tuple.__new__(cls, args)
+
+    @classmethod
+    def _filled(cls, args, kwargs) -> tuple:
+        """The field values of cls(*args, **kwargs), defaults filled in."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unknown or repeated fields: "
+                            + ", ".join(map(repr, kwargs)))
+        return tuple(values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self)) + ")"
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class Mat(Record):
+    __slots__ = ()
     nrows: int
     ncols: int
     rows: list  # list[dict[int, scalar]]

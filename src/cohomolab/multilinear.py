@@ -15,7 +15,8 @@ test oracles, in tests/oracles.py.
 """
 
 import itertools
-from typing import NamedTuple
+
+from .linalg import Record
 
 
 def tuple_index(idx: tuple, d: int) -> int:
@@ -29,7 +30,8 @@ def all_tuples(d: int, m: int):
     return itertools.product(range(d), repeat=m)
 
 
-class MultilinearMap(NamedTuple):
+class MultilinearMap(Record):
+    __slots__ = ()
     arity: int
     dim: int
     vec: dict  # flat index -> nonzero exact scalar; a zero is never stored

@@ -10,25 +10,26 @@ answered by h0oo, the cohomology at cochain degree 1 of the band complex
 Kadison's verdict is "unknown_sampled".
 """
 
-from typing import NamedTuple
 
 from .algebra import AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, assess_domain
 from .complex import DEFAULT_DEGREE_CAP, TAG_BAND, check_cap
 from .cohomology import cohomology, multiplier_quotient
-from .linalg import Mat
+from .linalg import Mat, Record
 
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown_sampled"
 
 
-class OperatorVerdict(NamedTuple):
+class OperatorVerdict(Record):
+    __slots__ = ()
     verdict: str  # yes | no | unknown_sampled
     witness: object = None
     certificate: object = None
 
 
-class ClassificationReport(NamedTuple):
+class ClassificationReport(Record):
+    __slots__ = ()
     kadison: OperatorVerdict
     wickstead: OperatorVerdict  # None when the order is trivial
     h0mc_dim: int

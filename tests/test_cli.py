@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cohomolab.algebra import build_number_field
-from cohomolab.cli import (COMMANDS, GLOBAL_OPTIONS, _parse_canonical, _write_report,
+from cohomolab.cli import (COMMANDS, GLOBAL_OPTIONS, _parse_canonical, _quote, _write_report,
                            build_parser, main)
 from cohomolab.fileformat import format_rational, serialize_algebra
 from cohomolab.linalg import Mat
@@ -545,6 +545,18 @@ representative_mats = st.integers(1, 27).flatmap(
 
 def dense(reps):
     return [[format_rational(row.get(i, 0)) for i in range(reps.ncols)] for row in reps.rows]
+
+
+# every code point, lone surrogates included, and the ones the escapes single out
+any_characters = st.one_of(st.characters(exclude_categories=()),
+                           st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\x80 ~\u2028\ud800\udfff'))
+
+
+@given(st.text(any_characters))
+@example('plain printable ASCII, with no quote or backslash ~')
+@example('"\\\x7f\u00e9\U0001d49c\ud83d')  # named escapes, DEL, BMP, astral, a lone surrogate
+def test_quote_is_json_dumps(text):
+    assert _quote(text) == json.dumps(text)
 
 
 @given(st.one_of(st.integers(), st.fractions()))

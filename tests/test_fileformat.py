@@ -1,14 +1,16 @@
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from cohomolab.algebra import assess_domain, validate_algebra
 from cohomolab.cli import main
 from cohomolab.fileformat import (
     ParseError, format_rational, parse_algebra_file, parse_algebra_text,
-    parse_rational, serialize_algebra,
+    parse_integer, parse_rational, serialize_algebra,
 )
 from conftest import elem
 
@@ -252,3 +254,26 @@ def test_a_long_number_round_trips_whatever_the_digit_limit(name):
         sys.set_int_max_str_digits(before)
     assert again == spec
     assert text.endswith(f"mult 0 0 = {BIG if name == 'constant' else '1/' + BIG}\n")
+
+
+# tokens near the grammar: signs, ASCII digits, and what str.isdigit or int()
+# take but the grammar does not (Unicode digits, '_', blanks)
+near_integers = st.text(st.sampled_from("+-0123456789_ \n\u0663\u00b2\uff11"), max_size=8)
+
+
+@given(st.one_of(near_integers, st.text(max_size=8)))
+@example("\u0663")  # ARABIC-INDIC DIGIT THREE: int() reads it
+@example("\u00b2")  # SUPERSCRIPT TWO: isdigit() holds
+@example("\uff11")  # FULLWIDTH DIGIT ONE
+@example("1_0")
+@example("+-1")
+@example("")
+@example("-")
+@example("-007")
+def test_parse_integer_reads_exactly_the_grammar_pattern(tok):
+    """The parser's integer rule, checked against the pattern it replaced."""
+    if re.fullmatch(r"[+-]?[0-9]+", tok):
+        assert parse_integer(tok) == int(tok)
+    else:
+        with pytest.raises(ValueError):
+            parse_integer(tok)

@@ -1,9 +1,11 @@
-"""The package's records, `typing.NamedTuple` classes in class syntax.
+"""The package's records, `linalg.Record` subclasses in class syntax.
 
 Every record field is read somewhere: a field nothing reads is dead state.
 The scan finds records by that base class.  The value semantics the
-package relies on: equal records hash equal, an update is a copy, and no
-field can be assigned.
+package relies on, which `typing.NamedTuple` gave before: a record equals
+and hashes as the tuple of its fields, an update is a copy, defaults fill
+in, a missing or unknown field is a TypeError, and no attribute can be
+set.
 """
 
 import ast
@@ -15,7 +17,7 @@ from cohomolab.algebra import AlgebraSpec, Domain, Violation, assess_domain, bui
 from cohomolab.cohomology import AuditReport, CheckResult, CohomologyReport, DistinguishedQuotient
 from cohomolab.complex import ComplexLawReport, index_coboundary_matrix
 from cohomolab.fileformat import parse_algebra_file
-from cohomolab.linalg import Mat
+from cohomolab.linalg import Mat, Record
 from cohomolab.multilinear import MultilinearMap
 from cohomolab.operators import ClassificationReport, OperatorVerdict
 
@@ -26,11 +28,11 @@ RECORDS = (AlgebraSpec, Domain, Violation, Mat, MultilinearMap, ComplexLawReport
 
 
 def _is_record(node) -> bool:
-    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+    return any(isinstance(base, ast.Name) and base.id == Record.__name__ for base in node.bases)
 
 
 def record_fields(package_sources) -> dict:
-    """{record name: its annotated field names} for each NamedTuple class."""
+    """{record name: its annotated field names} for each Record class."""
     records = {}
     for source in package_sources:
         for node in ast.walk(ast.parse(source)):
@@ -58,8 +60,8 @@ def _sources(folder):
 
 
 def test_unread_fields_are_found():
-    package = ("from typing import NamedTuple\n"
-               "class A(NamedTuple):\n    x: int\n    y: int\n")
+    package = ("from cohomolab.linalg import Record\n"
+               "class A(Record):\n    __slots__ = ()\n    x: int\n    y: int\n")
     assert unread_fields([package], ["print(A(1, 2).x)\n"]) == ["A.y"]
 
 
@@ -100,3 +102,65 @@ def test_record_fields_cannot_be_assigned(record):
     for field in record._fields:
         with pytest.raises(AttributeError):
             setattr(value, field, 0)
+
+
+# the defaults of the records that have any; every other field is required
+DEFAULTS = {AlgebraSpec: {"order_mode": "none"}, CheckResult: {"witness": None},
+            OperatorVerdict: {"witness": None, "certificate": None}}
+
+
+def fields_of(record) -> tuple:
+    """A value per field, each hashable and told apart from the defaults."""
+    return tuple(f"value of {field}" for field in record._fields)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_a_record_is_the_tuple_of_its_fields(record):
+    values = fields_of(record)
+    value = record(*values)
+    assert value == values and tuple(value) == values and isinstance(value, tuple)
+    assert record(**dict(zip(record._fields, values))) == values
+    assert tuple(getattr(value, field) for field in record._fields) == values
+    if "__hash__" not in vars(record):  # MultilinearMap hashes its dict by its items
+        assert hash(value) == hash(values)
+    assert repr(value).startswith(record.__name__ + "(")
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_replace_is_a_changed_copy_and_asdict_is_keyed_by_fields(record):
+    values = fields_of(record)
+    value = record(*values)
+    changed = value._replace(**{record._fields[-1]: "new"})
+    assert type(changed) is record and changed == values[:-1] + ("new",)
+    assert value == values
+    assert list(value._asdict()) == list(record._fields)
+    assert tuple(value._asdict().values()) == values
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_defaults_fill_in_and_a_missing_or_unknown_field_is_refused(record):
+    defaults = DEFAULTS.get(record, {})
+    required = len(record._fields) - len(defaults)
+    assert record._fields[required:] == tuple(defaults)
+    values = fields_of(record)
+    assert record(*values[:required]) == values[:required] + tuple(defaults.values())
+    assert record(**dict(zip(record._fields[:required], values))) == (
+        values[:required] + tuple(defaults.values()))
+    with pytest.raises(TypeError):
+        record(*values[:required - 1])
+    with pytest.raises(TypeError):
+        record(*values, not_a_field=0)
+    with pytest.raises(TypeError):
+        record(*values, "one too many")
+    with pytest.raises(TypeError):
+        record(*values, **{record._fields[0]: "twice"})
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_no_attribute_can_be_set(record):
+    value = record(*fields_of(record))
+    for name in record._fields + ("not_a_field", "__dict__"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(value, record._fields[0])

@@ -13,11 +13,11 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(cohomolab.__file__))
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def printed_by(source: str) -> list:
+def printed_by(source: str, *flags: str) -> list:
     """The lines that source prints, run in a fresh interpreter on the package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", source], env=env, check=True,
+    return subprocess.run([sys.executable, *flags, "-c", source], env=env, check=True,
                           capture_output=True, text=True).stdout.splitlines()
 
 
@@ -42,24 +42,52 @@ print(code, help_text == build_parser().format_help())
 """
 
 
+# one successful command of each kind, on integral fixtures
+ARGVS = [["validate", str(FIXTURES / "qsqrt2.alg")],
+         ["classify", str(FIXTURES / "atomic3.alg")],
+         ["--format", "text", "cohomology", str(FIXTURES / "cubic2.alg"), "--degree", "1"],
+         ["cohomology", str(FIXTURES / "cubic2.alg"), "--degree", "3"],
+         ["audit", str(FIXTURES / "qsqrt2.alg"), "--map", "K"],
+         ["verify-complex", str(FIXTURES / "atomic2.alg"), "--complex", "band"]]
+
+
 def test_a_successful_command_loads_neither_argparse_nor_json():
     """Each command reads its argv from the table and writes its report
     itself; only --help, a usage error or another spelling loads argparse.
     On integral inputs elimination stays over the ints, so fractions, and
     the decimal and numbers it imports, are not loaded either."""
-    argvs = [["validate", str(FIXTURES / "qsqrt2.alg")],
-             ["classify", str(FIXTURES / "atomic3.alg")],
-             ["--format", "text", "cohomology", str(FIXTURES / "cubic2.alg"), "--degree", "1"],
-             ["cohomology", str(FIXTURES / "cubic2.alg"), "--degree", "3"],
-             ["audit", str(FIXTURES / "qsqrt2.alg"), "--map", "K"],
-             ["verify-complex", str(FIXTURES / "atomic2.alg"), "--complex", "band"]]
     (bare,) = printed_by("import sys; print(*sorted(sys.modules))")
-    codes, loaded, help_run = printed_by(PROBE.format(argvs=argvs))
-    assert codes.split() == ["0"] * len(argvs)
+    codes, loaded, help_run = printed_by(PROBE.format(argvs=ARGVS))
+    assert codes.split() == ["0"] * len(ARGVS)
     assert {"cohomolab.cli", "cohomolab.operators"} <= set(loaded.split())
     assert not {"argparse", "gettext", "locale", "json", "fractions", "decimal", "numbers"} & (
         set(loaded.split()) - set(bare.split()))
     assert help_run == "0 True"
+
+
+CLEAN_PROBE = """
+import io, sys
+import cohomolab.cli
+print(*sorted(sys.modules))
+sys.stdout = io.StringIO()
+codes = [cohomolab.cli.main(argv) for argv in {argvs!r}]
+sys.stdout = sys.__stdout__
+print(*codes)
+print(*sorted(sys.modules))
+"""
+
+
+def test_a_clean_start_loads_neither_typing_nor_re():
+    """Under python -S no site module preloads anything, so what is loaded
+    is the package's own doing: records are tuple classes made without
+    typing, and the parser and the writer match text without re, which
+    would bring enum.  (argparse, for --help or a usage error, and
+    fractions, for a non-integral input, still load re.)"""
+    imported, codes, ran = printed_by(CLEAN_PROBE.format(argvs=ARGVS), "-S")
+    assert "cohomolab.cli" in imported.split()
+    assert codes.split() == ["0"] * len(ARGVS)
+    for loaded in (imported, ran):
+        assert not {"typing", "re", "enum"} & set(loaded.split())
 
 
 # the golden pin of `cohomology qhalf --degree 1` in test_golden.py
