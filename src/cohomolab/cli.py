@@ -10,11 +10,13 @@ Output is JSON (default) or text, byte-identical across runs with equal
 inputs: JSON with the bytes of `json.dumps(payload, sort_keys=True,
 indent=2)`, text as one `key: ` line per sorted field with the bytes of
 `json.dumps(value, sort_keys=True)`.  One encoder writes every value in
-pieces, without the json module, by its type, never by a field name: a
-Row (a sparse vector) as its scalar strings keyed by index strings, and a
-Mat as its dense rows, each made only as it is written, so a large
-report's text and its dense rows are never all in memory.  main lifts
-Python's int-to-str digit limit, so scalars of any size read and print.
+pieces, by its type, never by a field name: a Row (a sparse vector) as
+the dict of its scalar strings keyed by index strings, and a Mat as its
+dense rows, each made only as it is written, so a large report's text
+and its dense rows are never all in memory.  It loads the json module
+only for a string that JSON must escape.  Scalars of any size read and
+print whatever Python's int-to-str digit limit, since fileformat
+converts them in pieces; main leaves the limit as it is.
 Exit codes: 0 success, 1 file/validation or output error, 2 usage error,
 3 degree cap exceeded.
 COHOMOLAB_MAX_DEGREE overrides the default cap.
@@ -22,9 +24,10 @@ COHOMOLAB_MAX_DEGREE overrides the default cap.
 The grammar is one table, GLOBAL_OPTIONS and COMMANDS.  An argv spelled
 `[--format F] [--degree-cap N] COMMAND FILE [--opt VALUE]...` is read
 from it directly, so a successful command loads neither argparse nor
-json.  Help, usage errors and every other spelling go to the argparse
-parser that build_parser makes from the same table, the one source of
-help and error text.
+json, unless its report holds a string that JSON must escape.  Help,
+usage errors and every other spelling go to the argparse parser that
+build_parser makes from the same table, the one source of help and
+error text.
 
 A CLI process, `python -m cohomolab.cli` or the `cohomolab` script,
 enters through run: it flushes stdout and stderr after main and ends
@@ -56,31 +59,15 @@ EXIT_CAP = 3
 # exactly in the shifted degree-2 and degree-1 cocycle spaces.
 SHIFTS = {"shifted": 1, "standard": 0}  # cochain degree minus printed degree
 
-_rat = format_rational  # every scalar the CLI prints, in a Row, a Mat or alone, is made here
-
-
-# json's ensure_ascii escapes: every character but printable ASCII is escaped,
-# by name where JSON has one, else as \uXXXX, a UTF-16 surrogate pair above U+FFFF
-_NAMED_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n",
-                  "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(char: str) -> str:
-    if char in _NAMED_ESCAPES:
-        return _NAMED_ESCAPES[char]
-    if " " <= char <= "~":
-        return char
-    code = ord(char)
-    if code < 0x10000:
-        return f"\\u{code:04x}"
-    code -= 0x10000
-    return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
+_rat = format_rational  # every number the CLI prints, a JSON int or a scalar string, is made here
 
 
 def _quote(text: str) -> str:
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return '"' + text + '"'
-    return '"' + "".join(map(_escape, text)) + '"'
+    from json.encoder import encode_basestring_ascii  # json.dumps's escapes; json loads re
+
+    return encode_basestring_ascii(text)
 
 
 def _write_json(value, write, nl) -> None:
@@ -95,10 +82,15 @@ def _write_json(value, write, nl) -> None:
     if isinstance(value, bool):
         return write("true" if value else "false")
     if isinstance(value, int):
-        return write(int.__repr__(value))
+        return write(_rat(value))
     if isinstance(value, str):
         return write(_quote(value))
     inner = nl and nl + "  "
+    if isinstance(value, dict) and all(type(k) is int for k in value):  # a Row
+        for v in value.values():
+            if type(v) is bool or not hasattr(v, "denominator"):  # not a rational
+                raise TypeError(f"a Row holds exact scalars, not {v!r}")
+        value = {str(k): _rat(v) for k, v in value.items()}
     if isinstance(value, Mat):  # a Record, so a tuple: tested before tuple
         # each dense row is made only as it is written: its nonzero cells
         # spliced into one row of .ncols "0" cells, which have a fixed
@@ -125,13 +117,6 @@ def _write_json(value, write, nl) -> None:
         def put(sep, key):
             write(sep + _quote(key) + ": ")
             _write_json(value[key], write, inner)
-    elif isinstance(value, dict) and all(type(k) is int for k in value):  # a Row
-        brackets, items = "{}", sorted((str(k), v) for k, v in value.items())
-        def put(sep, item):
-            key, v = item
-            if type(v) is bool or not hasattr(v, "denominator"):  # not a rational
-                raise TypeError(f"a Row holds exact scalars, not {v!r}")
-            write(f'{sep}"{key}": "{_rat(v)}"')
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     sep = brackets[0] + inner
@@ -401,8 +386,6 @@ def _usage_message(exc, argv) -> str:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # the limit came in 3.10.7
-        sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_canonical(argv)
     if args is None:  # help, a usage error or another spelling: argparse decides

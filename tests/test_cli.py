@@ -600,8 +600,9 @@ def test_a_nested_mat_is_written_as_its_dense_rows(mat):
         assert written(report, pretty) == dumped(expected, pretty)
 
 
-@pytest.mark.parametrize("value", [1.5, {1: "a"}, {"a": [Fraction(1, 2)]}, {"a": {None: 1}}],
-                         ids=["float", "int-key", "fraction", "none-key"])
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, {1: True}, {1: 0.5}, {"a": [Fraction(1, 2)]},
+                                   {"a": {None: 1}}],
+                         ids=["float", "int-key", "row-bool", "row-float", "fraction", "none-key"])
 def test_the_writer_refuses_what_it_does_not_encode(value):
     with pytest.raises(TypeError):
         _write_report({"a": value}, lambda piece: None, True)
@@ -763,17 +764,41 @@ def big_sqrt(digits):
 
 @pytest.mark.parametrize("digits", [3001, 5001])
 def test_scalars_of_any_size_are_read_and_printed(tmp_path, digits):
-    """Python's default 4,300-digit limit on int <-> str conversion does not
-    reach the CLI: a constant past it parses, and a product past it prints."""
+    """Python's limit on int <-> str conversion, at its 4,300-digit default
+    or at 640, the lowest it accepts, does not reach the CLI: a constant
+    past it parses, and a product past it prints.  Nothing lifts the limit,
+    so fileformat's pieces of _DIGITS = 600 digits must stay under 640."""
     path = tmp_path / "bigsqrt.alg"
     path.write_text(big_sqrt(digits))
-    for argv in (["validate"], ["classify"], ["cohomology", "--degree", "3"]):
-        code, out, err = cli_process(argv[0], str(path), *argv[1:],
-                                     PYTHONINTMAXSTRDIGITS="4300")
-        assert (code, err) == (0, "")
-        assert json.loads(out)["algebra"] == "bigsqrt"
-    scalars = re.findall(rb'"(-?[0-9]+(?:/[0-9]+)?)"', out)
-    assert max(map(len, scalars)) > 4300
+    for limit in ("4300", "640"):
+        for argv in (["validate"], ["classify"], ["cohomology", "--degree", "3"]):
+            code, out, err = cli_process(argv[0], str(path), *argv[1:],
+                                         PYTHONINTMAXSTRDIGITS=limit)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["algebra"] == "bigsqrt"
+        scalars = re.findall(rb'"(-?[0-9]+(?:/[0-9]+)?)"', out)
+        assert max(map(len, scalars)) > 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no digit limit")
+def test_main_leaves_the_digit_limit_as_it_is(tmp_path, capsys):
+    """In process, at the default 4,300-digit limit, main validates a file
+    with a constant past it and leaves the limit as it was, and the writer
+    prints an int past it in full."""
+    path = tmp_path / "bigsqrt.alg"
+    path.write_text(big_sqrt(5000))
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code = main(["validate", str(path)])
+        limit = sys.get_int_max_str_digits()
+        big = written({"n": 10 ** 5000}, True)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (code, limit) == (0, 4300)
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert big == '{\n  "n": 1' + "0" * 5000 + '\n}\n'
 
 
 BIG = "1" * 100_000

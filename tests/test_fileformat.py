@@ -219,7 +219,7 @@ def parsed_or_error(text):
 def test_a_long_number_parses_whatever_the_digit_limit(name):
     """In process, with Python's default digit limit in force, a file with
     a 100,000-digit number gives the spec or the ParseError text that it
-    gives with the limit lifted (as cli.main lifts it)."""
+    gives with the limit lifted."""
     text = LONG_FILES[name]
     before = sys.get_int_max_str_digits()
     try:
