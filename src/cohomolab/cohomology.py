@@ -13,12 +13,13 @@ from functools import lru_cache
 
 from .algebra import AlgebraSpec, basis_product
 from .fileformat import echo
-from .linalg import Mat, Echelon, Record, axpy, complete_basis, kernel, span_dim
+from .linalg import (
+    Mat, Echelon, Record, axpy, complete_basis, kernel, scale_in_place, span_dim,
+)
 from .multilinear import all_tuples
 from .complex import (
-    DEFAULT_DEGREE_CAP, TAG_FULL, arrangements, check_cap,
-    coboundary, coboundary_images, lift, naive_coboundary_images, per_coordinate,
-    swap_last_two,
+    DEFAULT_DEGREE_CAP, TAG_FULL, check_cap, coboundary, coboundary_images, lift,
+    naive_coboundary_images, per_coordinate, permutation_weight, swap_last_two,
 )
 
 
@@ -99,16 +100,14 @@ def build_J_even(spec: AlgebraSpec, n: int) -> Mat:
     x1 * x_{p(2)} ... x_{p(2n)} * Psi(x_{p(2n+1)}, x_{p(2n+2)}).
 
     build_J is the n = 1 member.  The sum is symmetric in slots 2..2n+2,
-    so it runs once per multiset of their indices, over its distinct
-    arrangements, each weighted by how many permutations give it.
+    so its key is x1 and the multiset of the other slots: each tuple adds
+    its own term, and the key's rows are scaled once by the number of
+    permutations of slots 2..2n+2 that fix the tuple.
     """
-    def terms(t):
-        perms, weight = arrangements(t[1:])
-        for p in perms:
-            yield weight, (t[0],) + p[:2 * n - 1], p[2 * n - 1:]
-
-    return _chain_map(spec, n, 2 * n + 2, terms,
-                      key=lambda t: (t[0],) + tuple(sorted(t[1:])))
+    return _chain_map(spec, n, 2 * n + 2,
+                      lambda t: ((1, t[:2 * n], t[2 * n:]),),
+                      key=lambda t: (t[0],) + tuple(sorted(t[1:])),
+                      weight=lambda k: permutation_weight(k[1:]))
 
 
 def build_J_odd(spec: AlgebraSpec, n: int) -> Mat:
@@ -125,15 +124,18 @@ def build_J_odd(spec: AlgebraSpec, n: int) -> Mat:
     return _chain_map(spec, n, 2 * n + 1, terms)
 
 
-def _chain_map(spec: AlgebraSpec, n: int, arity: int, terms, key=lambda t: t) -> Mat:
+def _chain_map(spec: AlgebraSpec, n: int, arity: int, terms,
+               key=lambda t: t, weight=lambda k: 1) -> Mat:
     """The Mat taking flat arity-2 cochains Psi to arity-`arity` ones: the
     value at the basis tuple t sums w * b_{m_1}...b_{m_k} * Psi(b_a, b_b)
-    over the terms (w, m, (a, b)) of terms(key(t)), so row t*d + l holds
-    coordinate l of w * b_{m_1}...b_{m_k} * b_c at column (a*d + b)*d + c.
+    over the terms (w, m, (a, b)) of terms(t) and of every tuple with t's
+    key, times weight(key(t)), so row t*d + l holds coordinate l of
+    w * b_{m_1}...b_{m_k} * b_c at column (a*d + b)*d + c.
 
-    The d rows of a key are built in one pass over its terms, and tuples
-    with equal key share those row objects, so key must only join tuples
-    on which the family's sum is equal.
+    Tuples with equal key share one block of d rows, one per output
+    coordinate: every tuple adds its terms into its key's block, and once
+    all are in each block is scaled by its weight.  So key must only join
+    tuples on which the family's sum is equal.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -149,15 +151,18 @@ def _chain_map(spec: AlgebraSpec, n: int, arity: int, terms, key=lambda t: t) ->
         k = key(t)
         block = blocks.get(k)
         if block is None:
-            accs = [{} for _ in range(d)]
-            for w, m, (a, b) in terms(k):
-                for c, p in enumerate(products(m)):
-                    col = (a * d + b) * d + c
-                    for acc, v in zip(accs, p):
-                        if v:
-                            acc[col] = acc.get(col, 0) + w * v
-            block = blocks[k] = [{c: v for c, v in acc.items() if v} for acc in accs]
+            block = blocks[k] = [{} for _ in range(d)]
+        for w, m, (a, b) in terms(t):
+            for c, p in enumerate(products(m)):
+                col = (a * d + b) * d + c
+                for acc, v in zip(block, p):
+                    if v:
+                        acc[col] = acc.get(col, 0) + w * v
         rows += block
+    for k, block in blocks.items():
+        w = weight(k)
+        for acc in block:
+            scale_in_place(acc, w)
     return Mat(len(rows), d ** 3, rows)
 
 

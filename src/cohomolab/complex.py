@@ -24,13 +24,16 @@ complex's coordinates are the index tuples, and lift tensors with the
 identity; the ideal and band complexes are spanned by unit cochains at
 the flat coordinates tag_coords lists, and lift re-indexes onto them.
 
-The symmetric-group sum is evaluated once per multiset of output indices,
-by grouping permutations per distinct rearrangement (each arises the same
-number of times), and its row is shared by every rearrangement.  Every
-other row (a, b, tail) is built in flat order: the term P(b_a*b_b, tail),
-minus P(b_a*b_tail, b) at n = 1, or minus the term at swap_last_two(tail)
-at odd n >= 3.  Only lawful specs reach it, so for odd n >= 3 tuples
-that differ by swapping their first two indices share a row.
+Every row (a, b, tail) is built in flat order from the term
+P(b_a*b_b, tail): the term itself at n = 0, minus P(b_a*b_tail, b) at
+n = 1, and minus the term at swap_last_two(tail) at odd n >= 3.  Only
+lawful specs reach it, so for odd n >= 3 tuples that differ by swapping
+their first two indices share a row.  At even n >= 2 the permutation sum
+depends on the output tuple only through its multiset, its key.  Every
+output tuple adds its own term to its key's row, which is then scaled
+once by permutation_weight(key): the tuples of one multiset are its
+distinct arrangements, each met once, and each is hit by that many
+permutations.
 A naive evaluator, naive_coboundary_images, covers even degrees n >= 2
 only: the permutation sum, which the audit compares with the index matrix
 at every output tuple.  It walks every permutation, but once per multiset
@@ -44,13 +47,13 @@ multiset and written at every rearrangement.
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE, assess_domain,
 )
 from .fileformat import echo
-from .linalg import Mat, Record, axpy
+from .linalg import Mat, Record, axpy, scale_in_place
 from .multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
 
 DEFAULT_DEGREE_CAP = 5
@@ -84,18 +87,10 @@ def check_cap(degree: int, cap: int):
         raise DegreeCapExceeded(degree, cap)
 
 
-@lru_cache(maxsize=None)
-def arrangements(sorted_tuple: tuple):
-    """Distinct rearrangements of a multiset and the per-arrangement weight.
-
-    Every distinct arrangement is hit by the same number of permutations,
-    namely the product of the multiplicities' factorials.  The list is
-    lexicographic: each distinct first value, then the rest's arrangements.
-    """
-    perms = [(v,) + p for i, v in enumerate(sorted_tuple) if i == 0 or v != sorted_tuple[i - 1]
-             for p in arrangements(sorted_tuple[:i] + sorted_tuple[i + 1:])[0]] or [()]
-    weight = factorial(len(sorted_tuple)) // len(perms)
-    return perms, weight
+def permutation_weight(t: tuple) -> int:
+    """The number of permutations s with t o s = t: the product of the
+    factorials of t's multiplicities."""
+    return prod(factorial(t.count(v)) for v in set(t))
 
 
 def _term_indices(spec: AlgebraSpec, t: tuple, times: int = 1):
@@ -124,9 +119,10 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
     One helper adds each term w * P(b_a*b_b, tail), tail the flat index of
     the other arguments.  Row (a, b, tail) is the term at n = 0, minus
     P(b_a*b_tail, b) at n = 1, and minus the term at swap_last_two(tail)
-    at odd n >= 3; at even n >= 2 it sums the term over the arrangements
-    of its multiset.  coboundary rejects a negative n.  Built once per
-    (algebra, degree) and shared: callers must not mutate it.
+    at odd n >= 3.  At even n >= 2 every output tuple adds its term to the
+    row of its multiset, shared by the multiset's tuples and scaled once
+    by its permutation_weight.  coboundary rejects a negative n.  Built
+    once per (algebra, degree) and shared: callers must not mutate it.
     """
     d = spec.dim
     size = d ** n
@@ -157,18 +153,17 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
         return Mat(len(rows), d * size, rows)
     # in even degree >= 2 a row depends on its output tuple only through
     # the multiset of its indices
-    rows = [None] * d ** (n + 2)
-    for multiset in itertools.combinations_with_replacement(range(d), n + 2):
-        perms, weight = arrangements(multiset)
-        row = {}
-        flats = []
-        for a, b, *rest in perms:
-            tail = tuple_index(rest, d)
-            flats.append((a * d + b) * size + tail)
-            add(row, 1, a, b, tail)
-        row = {c: v * weight for c, v in row.items() if v}
-        for flat in flats:
-            rows[flat] = row
+    shared = {}  # multiset -> its row
+    rows = []
+    for flat, t in enumerate(all_tuples(d, n + 2)):
+        key = tuple(sorted(t))
+        row = shared.get(key)
+        if row is None:
+            row = shared[key] = {}
+        add(row, 1, t[0], t[1], flat % size)
+        rows.append(row)
+    for key, row in shared.items():
+        scale_in_place(row, permutation_weight(key))
     return Mat(len(rows), d * size, rows)
 
 
@@ -207,7 +202,8 @@ def naive_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     by value, each distinct one is expanded once times its count, and the
     dict and each row's part of it are built once per multiset, at the
     first output tuple of it met, and written at every rearrangement.
-    Neither arrangements nor the index matrix is used.
+    It uses neither the index matrix nor its rule of one term per output
+    tuple scaled by permutation_weight, so it checks both.
     """
     if n < 2 or n % 2:
         raise ValueError(f"the permutation sum is d_n at even n >= 2 only, got n = {echo(n)}")
@@ -316,11 +312,12 @@ class ComplexLawReport(Record):
 
 def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
                    cap: int = DEFAULT_DEGREE_CAP) -> ComplexLawReport:
-    """Multiply consecutive coboundary matrices and report zero products."""
+    """The first nonzero entry of each d_{n+1} d_n, n <= max_n, or None:
+    found one row of the product at a time, so no product is stored."""
     if max_n < 0:
         raise ValueError(f"cochain degrees start at 0, so max degree {echo(max_n)} "
                          "checks nothing")
     check_cap(max_n + 2, cap)
     return ComplexLawReport(tuple(
-        (n, coboundary(spec, n + 1, tag).matmul(coboundary(spec, n, tag)).first_nonzero())
+        (n, coboundary(spec, n + 1, tag).first_nonzero_of_product(coboundary(spec, n, tag)))
         for n in range(max_n + 1)))

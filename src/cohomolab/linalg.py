@@ -19,16 +19,18 @@ That row is canonical, so equal subspaces always produce identical bases:
 rows() and kernel give int rows, whatever the input.
 
 A Mat's rows may be shared: the index-level coboundary in odd degree
-n >= 3 gives (a, b, ..) and (b, a, ..) one row, the chain maps share one
-block of rows per key, and the even-degree coboundary keeps one row per
-multiset of output indices.  Nothing mutates a Mat row in place, so
-sharing is safe, and `Mat.matmul` computes each distinct row object
-once.  Elimination goes further and feeds each distinct nonzero row
-value once, since equal rows that are different objects (an even-degree
-coboundary's equal columns, read as rows of its transpose) add nothing
-after the first.  Rows are told apart by `id()` only while a list or map
-holds them, so an id is never reused by a different row during the loop
-that tests it.
+n >= 3 gives (a, b, ..) and (b, a, ..) one row, and the even-degree
+coboundary and the chain maps give one row, or block of rows, per key.
+A builder adds each output tuple's terms into its key's rows and scales
+them once by the key's weight, before the Mat is made; nothing mutates a
+Mat row after that, so sharing is safe.  `Mat.matmul` and
+`Mat.first_nonzero_of_product` compute each distinct left row object's
+product once, by one helper.  Elimination goes further and feeds each
+distinct nonzero row value once, since equal rows that are different
+objects (an even-degree coboundary's equal columns, read as rows of its
+transpose) add nothing after the first.  Rows are told apart by `id()`
+only while a list or map holds them, so an id is never reused by a
+different row during the loop that tests it.
 
 `Record` is the base of every record of the package: a tuple whose
 fields are read by name.
@@ -64,6 +66,15 @@ def div(a, b):
             return q
     from fractions import Fraction
     return scalar(Fraction(a) / b)
+
+
+def scale_in_place(row: Row, w) -> None:
+    """row *= w, keeping only nonzero entries."""
+    for c, v in list(row.items()):
+        if v:
+            row[c] = v * w
+        else:
+            del row[c]
 
 
 def axpy(acc: Row, a, x: Row) -> None:
@@ -152,36 +163,35 @@ class Mat(Record):
                 rows[i][j] = v
         return Mat(nrows, len(columns), rows)
 
-    def first_nonzero(self):
-        for i, r in enumerate(self.rows):
-            if r:
-                j = min(r)
-                return (i, j, r[j])
-        return None
-
     def matmul(self, other: "Mat") -> "Mat":
-        """The product; positions sharing a left row share its product row.
-
-        A left row's coefficients on one shared right-row object are summed
-        before any axpy, so terms that cancel cost no arithmetic.
-        """
+        """The product; positions sharing a left row share its product row."""
         assert self.ncols == other.nrows
         products = {}  # id(left row) -> product row
         out = []
         for r in self.rows:
             acc = products.get(id(r))
             if acc is None:
-                weights = {}  # id(right row) -> (right row, summed coefficient)
-                for k, v in r.items():
-                    x = other.rows[k]
-                    _, w = weights.get(id(x), (x, 0))
-                    weights[id(x)] = (x, w + v)
-                acc = products[id(r)] = {}
-                for x, w in weights.values():
-                    if w:
-                        axpy(acc, w, x)
+                acc = products[id(r)] = _row_times(r, other.rows)
             out.append(acc)
         return Mat(self.nrows, other.ncols, out)
+
+    def first_nonzero_of_product(self, other: "Mat"):
+        """(i, j, value) of the first nonzero entry of self @ other, in row
+        order and then column order, or None when the product is zero.
+
+        The product is formed one row at a time, each distinct left row
+        once, and only the ids of left rows whose product is zero are kept.
+        """
+        assert self.ncols == other.nrows
+        zero = set()
+        for i, r in enumerate(self.rows):
+            if id(r) not in zero:
+                acc = _row_times(r, other.rows)
+                if acc:
+                    j = min(acc)
+                    return i, j, acc[j]
+                zero.add(id(r))
+        return None
 
     def images(self, vectors) -> list:
         """self @ v for each sparse vector v, by one product with the v as columns."""
@@ -189,6 +199,24 @@ class Mat(Record):
 
     def transpose(self) -> "Mat":
         return Mat.from_columns(self.ncols, self.rows)
+
+
+def _row_times(r: Row, rows) -> Row:
+    """The row r times the matrix whose rows are rows.
+
+    r's coefficients on one shared row object are summed before any axpy,
+    so terms that cancel cost no arithmetic.
+    """
+    weights = {}  # id(row) -> (row, summed coefficient)
+    for k, v in r.items():
+        x = rows[k]
+        _, w = weights.get(id(x), (x, 0))
+        weights[id(x)] = (x, w + v)
+    acc = {}
+    for x, w in weights.values():
+        if w:
+            axpy(acc, w, x)
+    return acc
 
 
 def _primitive(row: Row) -> Row:

@@ -232,8 +232,12 @@ def explicit_J_odd(spec, n, psi):
     return from_coeff_function(spec, 2 * n + 1, value_at)
 
 
-@pytest.mark.parametrize("fix", ["q", "qsqrt2", "atomic2"])
-@pytest.mark.parametrize("n", [1, 2])
+# every fixture at n = 1 and 2, and cubic2 at n = 1, where Jeven has keys
+# with three distinct slot values
+@pytest.mark.parametrize("fix,n", [
+    pytest.param(fix, n, id=f"{n}-{fix}")
+    for n, fixes in ((1, ["q", "qsqrt2", "atomic2", "cubic2"]), (2, ["q", "qsqrt2", "atomic2"]))
+    for fix in fixes])
 @settings(max_examples=5, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

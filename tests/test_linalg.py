@@ -31,15 +31,18 @@ def test_mat_roundtrip():
     assert to_dense(m) == [[F(1), F(0), F(-2)],
                             [F(0), F(0), F(0)],
                             [F(1, 3), F(5), F(0)]]
-    assert m.first_nonzero() == (0, 0, 1)
-    assert dense([[0, 0], [0, 0]]).first_nonzero() is None
+    identity = dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert identity.first_nonzero_of_product(m) == (0, 0, 1)
+    assert identity.first_nonzero_of_product(dense([[0, 0], [0, 0], [0, 0]])) is None
 
 
 def test_matmul():
     a = dense([[1, 2], [3, 4]])
     b = dense([[0, 1], [1, 0]])
     assert to_dense(a.matmul(b)) == [[F(2), F(1)], [F(4), F(3)]]
-    assert a.matmul(dense([[0, 0], [0, 0]])).first_nonzero() is None
+    assert a.first_nonzero_of_product(dense([[0, 0], [0, 0]])) is None
+    # row 0 cancels to zero, so the first nonzero entry is in row 1
+    assert dense([[1, -1], [0, 3]]).first_nonzero_of_product(dense([[1, 0], [1, 0]])) == (1, 0, 3)
 
 
 def test_matmul_shape_check():
@@ -275,6 +278,47 @@ def test_matmul_shared_rows_matches_triple_loop(ab):
     prod = a.matmul(b)
     assert to_dense(prod) == plain_product(a, b)
     assert all(v for r in prod.rows for v in r.values())
+
+
+def first_nonzero_in_row_order(m):
+    """(i, j, value) of m's first nonzero entry, rows then columns, or None."""
+    for i, r in enumerate(m.rows):
+        if r:
+            j = min(r)
+            return i, j, r[j]
+    return None
+
+
+@st.composite
+def products_led_by_zero_rows(draw):
+    """Small int (a, b), rows shared in both, where a's first rows have a
+    zero product: empty rows, and rows whose two coefficients on one
+    shared row of b cancel; the rows after them are drawn freely."""
+    ints = st.integers(-3, 3).filter(bool)
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    pool = draw(st.lists(st.dictionaries(st.integers(0, m - 1), ints), min_size=1, max_size=3))
+    b_rows = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                             min_size=n, max_size=n))]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if b_rows[i] is b_rows[j]]
+    zero_rows = [{}]
+    for i, j in pairs:
+        v = draw(ints)
+        zero_rows.append({i: v, j: -v})
+    a_pool = zero_rows + draw(st.lists(st.dictionaries(st.integers(0, n - 1), ints),
+                                       min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(zero_rows) - 1), max_size=4)) + \
+        draw(st.lists(st.integers(0, len(a_pool) - 1), min_size=1, max_size=5))
+    a_rows = [a_pool[i] for i in picks]
+    return Mat(len(a_rows), n, a_rows), Mat(n, m, b_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(products_led_by_zero_rows())
+def test_first_nonzero_of_product_matches_the_full_product(ab):
+    """One row at a time, the check finds the entry a scan of a.matmul(b)
+    in row order finds, on int matrices with shared and cancelling rows."""
+    a, b = ab
+    assert a.first_nonzero_of_product(b) == first_nonzero_in_row_order(a.matmul(b))
 
 
 @settings(max_examples=150, deadline=None)
