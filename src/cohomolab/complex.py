@@ -13,9 +13,10 @@ coboundary takes degree n to degree n+1.  The formulas, by source degree:
 The coboundary never touches the value coordinate of the cochain (it only
 multiplies and permutes arguments), so on flattened cochains it is an
 "index-level" matrix, acting on argument index tuples, tensored with the
-identity on output coordinates.  That matrix, built once per algebra and
-degree, is the only coboundary operator: every application of d is a
-sparse product with it.
+identity on output coordinates.  That matrix is the only coboundary
+operator: every application of d is a sparse product with it.  Nothing
+keeps it between calls: a command builds the d_n it needs along its own
+call path and lets them go when it returns.
 
 Every complex is described the same way, degree by degree: d_n as a
 matrix in the complex's own coordinates (coboundary), and one map that
@@ -46,7 +47,6 @@ multiset and written at every rearrangement.
 
 import itertools
 from collections import Counter
-from functools import lru_cache
 from math import factorial, prod
 
 from .algebra import (
@@ -112,7 +112,6 @@ def swap_last_two(i: int, d: int) -> int:
     return i + (i % d - i // d % d) * (d - 1)
 
 
-@lru_cache(maxsize=None)
 def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
     """Index-level matrix of d_n, n >= 0: d^{n+2} rows by d^{n+1} columns.
 
@@ -121,8 +120,9 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
     P(b_a*b_tail, b) at n = 1, and minus the term at swap_last_two(tail)
     at odd n >= 3.  At even n >= 2 every output tuple adds its term to the
     row of its multiset, shared by the multiset's tuples and scaled once
-    by its permutation_weight.  coboundary rejects a negative n.  Built
-    once per (algebra, degree) and shared: callers must not mutate it.
+    by its permutation_weight.  coboundary rejects a negative n.  Each
+    call builds a new matrix and keeps nothing; rows are shared between
+    positions, so callers must not mutate them.
     """
     d = spec.dim
     size = d ** n
@@ -313,11 +313,19 @@ class ComplexLawReport(Record):
 def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
                    cap: int = DEFAULT_DEGREE_CAP) -> ComplexLawReport:
     """The first nonzero entry of each d_{n+1} d_n, n <= max_n, or None:
-    found one row of the product at a time, so no product is stored."""
+    found one row of the product at a time, so no product is stored.
+
+    Each d_n is built once: d_{n+1} is paired with the d_n carried from
+    the step before, which is then dropped, so max_n + 2 matrices are
+    built and at most two are held at once."""
     if max_n < 0:
         raise ValueError(f"cochain degrees start at 0, so max degree {echo(max_n)} "
                          "checks nothing")
     check_cap(max_n + 2, cap)
-    return ComplexLawReport(tuple(
-        (n, coboundary(spec, n + 1, tag).first_nonzero_of_product(coboundary(spec, n, tag)))
-        for n in range(max_n + 1)))
+    results = []
+    lower = coboundary(spec, 0, tag)
+    for n in range(max_n + 1):
+        upper = coboundary(spec, n + 1, tag)
+        results.append((n, upper.first_nonzero_of_product(lower)))
+        lower = upper
+    return ComplexLawReport(tuple(results))

@@ -10,8 +10,8 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from cohomolab import complex as cx
-from cohomolab.algebra import basis_element, build_number_field, multiply
+from cohomolab import complex as cx, linalg
+from cohomolab.algebra import AlgebraSpec, basis_element, build_number_field, multiply
 from cohomolab.complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAG_BAND, TAG_FULL, TAG_IDEAL,
     apply_d, coboundary, coboundary_images, index_coboundary_matrix, lift,
@@ -227,12 +227,26 @@ def test_swap_last_two_swaps_the_last_two_indices():
                 assert swap_last_two(swap_last_two(i, d), d) == i
 
 
-def test_no_rows_build_no_matrix():
-    """coboundary_images of no rows neither builds nor looks up d_n."""
+def counted_builds(monkeypatch) -> list:
+    """Record each call to index_coboundary_matrix for the rest of the
+    test: the returned list gets its (spec, n)."""
+    calls = []
+    real = cx.index_coboundary_matrix
+
+    def counting(spec, n):
+        calls.append((spec, n))
+        return real(spec, n)
+
+    monkeypatch.setattr(cx, "index_coboundary_matrix", counting)
+    return calls
+
+
+def test_no_rows_build_no_matrix(monkeypatch):
+    """coboundary_images of no rows builds no d_n."""
     spec = build_number_field([-2, 0, 0, 0, 1])
-    before = index_coboundary_matrix.cache_info()
+    calls = counted_builds(monkeypatch)
     assert coboundary_images(spec, 3, []) == []
-    assert index_coboundary_matrix.cache_info() == before
+    assert calls == []
 
 
 @pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])
@@ -315,6 +329,70 @@ def test_dd_zero_full(fix, request):
     assert all(w is None for _, w in report.results)
 
 
+def unital_tensor(name, products) -> AlgebraSpec:
+    """A 3-dimensional structure tensor with basis (e, a, b) = (0, 1, 2) and
+    unit e; products maps (i, j) to b_i * b_j for i, j in {a, b}, and the
+    products it leaves out are zero."""
+    structure = tuple(
+        tuple(basis_element(3, j) if i == 0 else basis_element(3, i) if j == 0
+              else products.get((i, j), (0, 0, 0)) for j in range(3))
+        for i in range(3))
+    return AlgebraSpec(name=name, dim=3, structure=structure, unit=basis_element(3, 0))
+
+
+def first_nonzero(mat):
+    """(i, j, value) of mat's first nonzero entry in row and then column order."""
+    for i, row in enumerate(mat.rows):
+        nonzero = [j for j, v in row.items() if v]
+        if nonzero:
+            return i, min(nonzero), row[min(nonzero)]
+    return None
+
+
+@pytest.mark.parametrize("spec, first", [
+    # a*a = b, a*b = 0, b*b = e: commutative, not associative
+    (unital_tensor("nonassociative", {(1, 1): (0, 0, 1), (2, 2): (1, 0, 0)}), (14, 0, 1)),
+    # a*b = e, b*a = a: not commutative
+    (unital_tensor("noncommutative", {(1, 2): (1, 0, 0), (2, 1): (0, 1, 0)}), (5, 0, 1)),
+], ids=["nonassociative", "noncommutative"])
+def test_dd_zero_pairs_each_degree_with_the_next(spec, first):
+    """On unlawful tensors d_{n+1} d_n is not zero at n = 0, so a report that
+    paired the wrong matrices would differ from the products built here."""
+    results = verify_dd_zero(spec, 3).results
+    assert [n for n, _ in results] == [0, 1, 2, 3]
+    for n, entry in results:
+        product = coboundary(spec, n + 1, TAG_FULL).matmul(coboundary(spec, n, TAG_FULL))
+        assert entry == first_nonzero(product)
+    assert [entry for _, entry in results] == [first, None, None, None]
+
+
+@pytest.mark.parametrize("tag", [TAG_FULL, TAG_BAND])
+@pytest.mark.parametrize("max_n", [0, 1, 3])
+def test_dd_zero_builds_each_degree_once(atomic3, tag, max_n, monkeypatch):
+    calls = counted_builds(monkeypatch)
+    assert verify_dd_zero(atomic3, max_n, tag=tag).all_zero
+    assert [n for _, n in calls] == list(range(max_n + 2))
+
+
+def test_no_index_matrix_outlives_a_command():
+    """After verify_dd_zero and cohomology return, almost nothing they
+    allocated in complex.py or linalg.py is still held."""
+    quartic = build_number_field([-2, 0, 0, 0, 1])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify_dd_zero(quartic, 3)
+        cohomology(quartic, 3)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = snapshot.filter_traces([tracemalloc.Filter(True, cx.__file__),
+                                   tracemalloc.Filter(True, linalg.__file__)])
+    size = sum(stat.size for stat in kept.statistics("filename"))
+    assert size < 20_000, f"{size} bytes still traced to complex.py and linalg.py"
+
+
 @given(st.lists(st.integers(0, 3), max_size=7).map(tuple))
 def test_permutation_weight_counts_the_permutations_fixing_a_tuple(t):
     """The weight is the number of s in S_len(t) with t o s = t, and so each
@@ -338,17 +416,15 @@ def test_index_matrix_speed_on_a_repeated_root():
 
 
 def test_no_permutation_tuple_outlives_a_build():
-    """Building even d_4 and Jeven(2), then dropping them and the matrix
-    cache, leaves almost nothing allocated in complex.py: the builders keep
-    no table of tuples between builds."""
+    """Building even d_4 and Jeven(2), then dropping them, leaves almost
+    nothing allocated in complex.py: the builders keep no table of tuples
+    between builds."""
     quartic = build_number_field([-2, 0, 0, 0, 1])
-    index_coboundary_matrix.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         matrix, chain = index_coboundary_matrix(quartic, 4), build_J_even(quartic, 2)
         del matrix, chain
-        index_coboundary_matrix.cache_clear()
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohomolab import complex as cx
 from cohomolab.algebra import build_number_field
 from cohomolab.cohomology import cohomology
-from cohomolab.complex import index_coboundary_matrix
+from cohomolab.complex import index_coboundary_matrix, verify_dd_zero
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import (
     Echelon, Mat, axpy, complete_basis, kernel, row_to_primitive, span_dim,
@@ -448,14 +449,26 @@ def test_elimination_changes_no_input_row(m, data):
 
 
 @pytest.mark.parametrize("name", ["cubic2", "qhalf", "dense4"])
-def test_cohomology_changes_no_cached_index_matrix_row(name):
-    """The cached index matrices share row dicts between positions and
-    between callers; eliminating them must leave every row as built."""
+def test_cohomology_changes_no_cached_index_matrix_row(name, monkeypatch):
+    """An index matrix shares row dicts between positions; eliminating it,
+    or multiplying by it, must leave every row of every d_n that cohomology
+    or verify_dd_zero built as it was built, to the end of the command."""
     spec = parse_algebra_file(str(FIXTURES / f"{name}.alg"))
-    before = [items(index_coboundary_matrix(spec, n).rows) for n in range(4)]
-    for degree in range(3):
-        cohomology(spec, degree)
-    assert [items(index_coboundary_matrix(spec, n).rows) for n in range(4)] == before
+    built = []  # (matrix, its rows as built)
+
+    def snapshot(spec, n):
+        mat = index_coboundary_matrix(spec, n)
+        built.append((mat, items(mat.rows)))
+        return mat
+
+    monkeypatch.setattr(cx, "index_coboundary_matrix", snapshot)
+    commands = [lambda degree=degree: cohomology(spec, degree) for degree in range(3)]
+    commands.append(lambda: verify_dd_zero(spec, 2))
+    for command in commands:
+        built.clear()
+        command()
+        assert built
+        assert all(items(mat.rows) == rows for mat, rows in built)
 
 
 @pytest.mark.parametrize("coefficients", [[3, -4, 2, 1, 1], [-2, 0, 0, 0, 0, 1]],
