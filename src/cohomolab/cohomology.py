@@ -6,7 +6,10 @@ ker d_z / im d_{z-1}, and its cocycles are (z+1)-linear.
 
 A chain map is one sparse Mat on flat cochains, like the coboundary, and
 an audit maps all its cochains, ker d_1 and the multiplier coboundaries,
-by one product (Mat.images) and reduces them by one call.
+by one product (Mat.images).  It then takes them one at a time: the
+naive evaluator forms one image's d_g when the comparison draws it, and
+each image is reduced modulo im d_{g-1}, on d_{g-1}'s distinct rows, to
+the one vector the checks keep.
 """
 
 from functools import lru_cache
@@ -14,7 +17,7 @@ from functools import lru_cache
 from .algebra import AlgebraSpec, basis_product
 from .fileformat import echo
 from .linalg import (
-    Mat, Echelon, Record, axpy, complete_basis, kernel, scale_in_place, span_dim,
+    ColumnSpace, Mat, Echelon, Record, axpy, complete_basis, kernel, scale_in_place, span_dim,
 )
 from .multilinear import all_tuples
 from .complex import (
@@ -187,9 +190,10 @@ def _chain_map_fn(name: str, n: int):
 
 def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images) -> bool:
     """Whether the naive evaluator gives d_g of rows as images, the fast
-    path's, at every output tuple.  Only even g has a permutation sum to
-    check; odd g returns True."""
-    return g % 2 == 1 or naive_coboundary_images(spec, g, rows) == images
+    path's, at every output tuple, compared one row at a time.  Only even g
+    has a permutation sum to check; odd g returns True."""
+    return g % 2 == 1 or all(
+        a == b for a, b in zip(naive_coboundary_images(spec, g, rows), images))
 
 
 def _swap_symmetric(d: int, row: dict) -> bool:
@@ -213,6 +217,28 @@ class AuditReport(Record):
     evaluator_agreement: bool
 
 
+def _cocycle_check(spec: AlgebraSpec, g: int, ker_d1, images) -> tuple:
+    """Cocycle preservation, with its witness, and evaluator agreement, for
+    the degree-g images of ker d_1: each must be killed by d_g.  At odd g
+    only the first image not symmetric in its last two slots is checked.
+    The d_g images are dropped when it returns."""
+    d = spec.dim
+    checked = range(len(images))
+    if g % 2:
+        checked = [j for j in checked if not _swap_symmetric(d, images[j])][:1]
+    dd_rows = coboundary_images(spec, g, [images[j] for j in checked])
+    cocycle = CheckResult(True)
+    for j, dd in zip(checked, dd_rows):
+        if dd:
+            first = min(dd)
+            flat, coord = divmod(first, d)
+            cocycle = CheckResult(False, {
+                "input": ker_d1[j], "tuple_flat": flat, "coord": coord, "value": dd[first],
+            })
+            break
+    return cocycle, _evaluator_agreement(spec, g, images, dd_rows)
+
+
 def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
                     cap: int = DEFAULT_DEGREE_CAP) -> AuditReport:
     """Measure cocycle/coboundary preservation and injectivity of a chain map.
@@ -227,55 +253,48 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     odd g applies d_g only to the first image that is not symmetric, and
     its witness is d_g's first nonzero entry as in even g.  The spec must
     be lawful, as the CLI's are.  ker d_1 and the multiplier coboundaries
-    are mapped by one product and reduced by one call.
+    are mapped by one product, and the chain map is dropped after it.  At
+    even g the naive evaluator's d_g images are formed and compared one at
+    a time.  Each image is then reduced on its own modulo im d_{g-1}, and
+    only the reduced vectors of ker d_1's images are kept, for the
+    injectivity kernel over the coordinates they use.
     """
     fn, g = _chain_map_fn(map_name, n)  # image lives in degree g
     check_cap(g + 1, cap)
     d = spec.dim
 
-    chain = fn(spec)
     ker_d1 = cocycle_space(spec, 1, TAG_FULL)
     mult_ech = Echelon(_multiplier_coboundaries(spec))
     mult_rows = mult_ech.rows()
-    images = chain.images(ker_d1 + mult_rows)
+    images = fn(spec).images(ker_d1 + mult_rows)
     img_rows, mult_images = images[:len(ker_d1)], images[len(ker_d1):]
 
-    # cocycle preservation: images of ker d_1 must be killed by d_g.  At odd
-    # g only the first image not symmetric in its last two slots is checked
-    checked = range(len(img_rows))
-    if g % 2:
-        checked = [j for j in checked if not _swap_symmetric(d, img_rows[j])][:1]
-    dd_rows = coboundary_images(spec, g, [img_rows[j] for j in checked])
-    cocycle = CheckResult(True)
-    for j, dd in zip(checked, dd_rows):
-        if dd:
-            first = min(dd)
-            flat, coord = divmod(first, d)
-            cocycle = CheckResult(False, {
-                "input": ker_d1[j], "tuple_flat": flat, "coord": coord, "value": dd[first],
-            })
-            break
-    agreement = _evaluator_agreement(spec, g, img_rows, dd_rows)
+    cocycle, agreement = _cocycle_check(spec, g, ker_d1, img_rows)
 
-    # one index-level echelon of im d_{g-1}, fed the raw index-level images of d_{g-1}
-    b_ech = Echelon(coboundary(spec, g - 1, TAG_FULL).transpose().rows)
+    # reduce by (im d_{g-1}) (x) I_d one output coordinate at a time: linear,
+    # and zero exactly on im d_{g-1}
+    space = ColumnSpace(coboundary(spec, g - 1, TAG_FULL))
 
-    # reduce by (im d_{g-1}) (x) I_d, whose reduced echelon basis is b_ech's
-    # rows (x) e_k: it equals the lifted rows' echelon reduce entry for entry.
-    # It is linear and zero exactly on im d_{g-1}.
-    reduced = per_coordinate(d, images, lambda parts: [b_ech.reduce(p) for p in parts])
+    def reduced(image):
+        (r,) = per_coordinate(d, [image], lambda parts: [space.reduce(p) for p in parts])
+        return r
 
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
     cobound = CheckResult(True)
-    for row, img_flat, left in zip(mult_rows, mult_images, reduced[len(ker_d1):]):
-        if left:
+    for row, img_flat in zip(mult_rows, mult_images):
+        if reduced(img_flat):
             cobound = CheckResult(False, {"input": row, "image": img_flat})
             break
 
     # injectivity: {v in ker d_1 : image(v) in im d_{g-1}} must lie in d_0(multipliers).
-    # That set is the kernel of the reduced images.
+    # That set is the kernel of the reduced images, read as columns over the
+    # coordinates where any of them is nonzero.
+    by_coord = {}  # coordinate -> {j: entry of reduced image j}
+    for j, img in enumerate(img_rows):
+        for c, v in reduced(img).items():
+            by_coord.setdefault(c, {})[j] = v
     injective = CheckResult(True)
-    for kvec in kernel(Mat.from_columns(d ** (g + 2), reduced[:len(ker_d1)])):
+    for kvec in kernel(Mat(len(by_coord), len(ker_d1), list(by_coord.values()))):
         acc = {}
         for j, c in kvec.items():
             axpy(acc, c, ker_d1[j])

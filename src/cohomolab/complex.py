@@ -41,8 +41,9 @@ at every output tuple.  It walks every permutation, but once per multiset
 of output indices: sigma -> sigma o pi permutes the symmetric group, so
 output tuples that rearrange one another have equal sums.  It counts the
 equal permutations of a tuple and expands each distinct one once, times
-its count.  Each sum, and each row's part of it, is computed once per
-multiset and written at every rearrangement.
+its count.  Each sum is computed once per call and multiset; each row's
+part of it is computed once per multiset, when that row's image is drawn,
+and written at every rearrangement.
 """
 
 import itertools
@@ -192,51 +193,53 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     return per_coordinate(spec.dim, rows, index_coboundary_matrix(spec, n).images)
 
 
-def naive_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
+def naive_coboundary_images(spec: AlgebraSpec, n: int, rows):
     """coboundary_images at even n >= 2 by the defining formula, the sum over
     every permutation of the output tuple: the oracle the audit compares
-    with the index matrix.  Any other n raises ValueError.
+    with the index matrix.  Any other n raises ValueError, at the call.
 
-    The terms of d are summed into an index-level term dict, which is then
-    applied to every row.  The permutations of the output tuple are counted
-    by value, each distinct one is expanded once times its count, and the
-    dict and each row's part of it are built once per multiset, at the
-    first output tuple of it met, and written at every rearrangement.
-    It uses neither the index matrix nor its rule of one term per output
-    tuple scaled by permutation_weight, so it checks both.
+    Returns an iterator of the images, one per row, in order.  The terms
+    of d are summed, at the call, into one index-level term dict per
+    multiset of output indices: the permutations of its sorted tuple are
+    counted by value, and each distinct one is expanded once times its
+    count.  Each row's image is then formed when it is drawn, one part
+    per multiset, written at every rearrangement of it.  It uses neither
+    the index matrix nor its rule of one term per output tuple scaled by
+    permutation_weight, so it checks both.
     """
     if n < 2 or n % 2:
         raise ValueError(f"the permutation sum is d_n at even n >= 2 only, got n = {echo(n)}")
     d = spec.dim
-    grouped = []  # per row: input column -> {output coordinate: value}
-    for x in rows:
-        by_col = {}
-        for col, v in x.items():
-            c, k = divmod(col, d)
-            by_col.setdefault(c, {})[k] = v
-        grouped.append(by_col)
-    images = [{} for _ in rows]
-    shared = {}  # multiset of an output tuple -> its per-row parts
-    for t in all_tuples(d, n + 2):
-        key = tuple(sorted(t))
-        if key not in shared:
-            terms = {}  # input column -> summed coefficient
-            for sigma, count in Counter(itertools.permutations(t)).items():
-                for idx, v in _term_indices(spec, sigma, count):
-                    col = tuple_index(idx, d)
-                    terms[col] = terms.get(col, 0) + v
-            shared[key] = []
-            for by_col in grouped:
-                part = {}
-                for col, w in terms.items():
-                    if col in by_col:
-                        axpy(part, w, by_col[col])
-                shared[key].append(part)
-        base = tuple_index(t, d) * d
-        for part, image in zip(shared[key], images):
+    arrangements = {}  # multiset of an output tuple -> d times the flat index of each arrangement
+    for flat, t in enumerate(all_tuples(d, n + 2)):
+        arrangements.setdefault(tuple(sorted(t)), []).append(flat * d)
+    table = []  # per multiset: (input column -> summed coefficient, its arrangements)
+    for key, bases in arrangements.items():
+        terms = {}
+        for sigma, count in Counter(itertools.permutations(key)).items():
+            for idx, v in _term_indices(spec, sigma, count):
+                col = tuple_index(idx, d)
+                terms[col] = terms.get(col, 0) + v
+        table.append((terms, bases))
+    return (_naive_image(d, table, x) for x in rows)
+
+
+def _naive_image(d: int, table, x) -> dict:
+    """One row's image under the term table of naive_coboundary_images."""
+    by_col = {}  # input column -> {output coordinate: value}
+    for col, v in x.items():
+        c, k = divmod(col, d)
+        by_col.setdefault(c, {})[k] = v
+    image = {}
+    for terms, bases in table:
+        part = {}
+        for col, w in terms.items():
+            if col in by_col:
+                axpy(part, w, by_col[col])
+        for base in bases:
             for k, v in part.items():
                 image[base + k] = v
-    return images
+    return image
 
 
 def tag_coords(spec: AlgebraSpec, degree: int, tag: str):

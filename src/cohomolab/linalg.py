@@ -28,9 +28,11 @@ Mat row after that, so sharing is safe.  `Mat.matmul` and
 product once, by one helper.  Elimination goes further and feeds each
 distinct nonzero row value once, since equal rows that are different
 objects (an even-degree coboundary's equal columns, read as rows of its
-transpose) add nothing after the first.  Rows are told apart by `id()`
-only while a list or map holds them, so an id is never reused by a
-different row during the loop that tests it.
+transpose) add nothing after the first.  `ColumnSpace` reduces modulo
+the column space of such a Mat on its distinct rows: positions sharing
+one row object hold equal entries of every vector in that space.  Rows
+are told apart by `id()` only while a list or map holds them, so an id
+is never reused by a different row during the loop that tests it.
 
 `Record` is the base of every record of the package: a tuple whose
 fields are read by name.
@@ -255,6 +257,7 @@ class Echelon:
         frozenset of its items.
         """
         self.pivots: dict = {}  # pivot column -> primitive pivot row
+        self._scale = None  # reduce's lcm of the pivot leads; add resets it
         seen = {}  # id -> row; holding the row keeps its id from being reused
         values = set()
         for r in rows:
@@ -278,6 +281,7 @@ class Echelon:
             axpy(r, -(a // g), p)
         if not r:
             return False
+        self._scale = None
         r = _primitive(r)
         lead = min(r)
         lv = r[lead]
@@ -303,7 +307,9 @@ class Echelon:
         columns), so the result is linear in row, and it is zero exactly
         when row lies in the span.
         """
-        scale = lcm(*(p[c] for c, p in self.pivots.items()))
+        scale = self._scale
+        if scale is None:
+            scale = self._scale = lcm(*(p[c] for c, p in self.pivots.items()))
         r = {c: scale * v for c, v in row.items()}
         for pc in sorted(r.keys() & self.pivots.keys()):
             p = self.pivots[pc]
@@ -316,6 +322,45 @@ class Echelon:
     def rows(self):
         """Canonical basis rows: pivot order, primitive integer, lead > 0."""
         return [self.pivots[c] for c in sorted(self.pivots)]
+
+
+class ColumnSpace:
+    """Reduction modulo the column space of a Mat whose rows may be shared.
+
+    A vector v of that space is mat @ x, so it agrees at every position
+    holding one row object, and its entries at the distinct rows lie in
+    the column space of the distinct rows alone.  reduce keeps each
+    difference from the first position holding a row, and reduces the
+    entries at first positions by an Echelon of the distinct rows'
+    columns.  Both are linear, and both vanish exactly when v lies in the
+    space, so the result is linear in v and zero exactly there.
+    """
+
+    def __init__(self, mat: Mat):
+        first = {}  # id(row) -> the first position holding it
+        self.lead = []  # position -> the first position holding its row
+        self.others = {}  # first position -> the later positions holding its row
+        columns = [{} for _ in range(mat.ncols)]
+        for i, r in enumerate(mat.rows):
+            f = first.setdefault(id(r), i)
+            self.lead.append(f)
+            if f == i:
+                for c, v in r.items():
+                    columns[c][i] = v
+            else:
+                self.others.setdefault(f, []).append(i)
+        self.echelon = Echelon(columns)
+
+    def reduce(self, row: Row) -> Row:
+        lead = self.lead
+        r = self.echelon.reduce({i: v for i, v in row.items() if lead[i] == i})
+        for f in dict.fromkeys(lead[i] for i in row):
+            a = row.get(f, 0)
+            for i in self.others.get(f, ()):
+                v = row.get(i, 0) - a
+                if v:
+                    r[i] = v
+        return r
 
 
 def kernel(mat: Mat) -> list:

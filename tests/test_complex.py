@@ -99,7 +99,7 @@ def naive_or_tuple_images(spec, n, rows):
     """The naive evaluator where it is defined, at even n >= 2, and the
     tuple-level build of d_n at n = 0 and odd n."""
     if n >= 2 and n % 2 == 0:
-        return naive_coboundary_images(spec, n, rows)
+        return list(naive_coboundary_images(spec, n, rows))
     return images_by_tuples(spec, n, rows)
 
 
@@ -122,8 +122,7 @@ def test_apply_d_matches_naive_oracle(fix, n, data, request):
 @pytest.mark.parametrize("fix,n", [("qsqrt2", 2), ("cubic2", 2), ("atomic3", 1),
                                    ("cubic2", 0), ("atomic3", 3), ("qsqrt2", 4)])
 def test_naive_images_all_rows_and_tuple_subsets(fix, n, request):
-    """One pass over every output tuple serves every row, and matches the
-    fast images."""
+    """One term table serves every row, and matches the fast images."""
     spec = request.getfixturevalue(fix)
     d = spec.dim
     assert coboundary_images(spec, n, []) == []
@@ -138,6 +137,24 @@ def test_the_naive_evaluator_refuses_all_but_even_degrees(qsqrt2, n):
         naive_coboundary_images(qsqrt2, n, [{0: 1}])
 
 
+def test_the_naive_evaluator_forms_one_image_per_row_drawn(qsqrt2):
+    """The term table is built at the call; each row is read only when its
+    image is drawn, so the audit holds one naive image at a time."""
+    drawn = []
+
+    def rows():
+        for i in range(3):
+            drawn.append(i)
+            yield {5 * i: F(i + 1)}
+
+    images = naive_coboundary_images(qsqrt2, 2, rows())
+    assert drawn == []
+    first = next(images)
+    assert drawn == [0]
+    assert [first, *images] == coboundary_images(qsqrt2, 2, [{5 * i: F(i + 1)} for i in range(3)])
+    assert drawn == [0, 1, 2]
+
+
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 @pytest.mark.parametrize("name,n", [("K", 1), ("Jodd", 2)])
 def test_counting_oracle_equals_per_permutation_sum(path, name, n):
@@ -150,7 +167,7 @@ def test_counting_oracle_equals_per_permutation_sum(path, name, n):
     size = d ** (g + 2)
     rows = fn(spec).images(cocycle_space(spec, 1, TAG_FULL)) + [
         {0: 1}, {size - 1: F(-2, 3)}, {(7 * i) % size: i - 2 for i in range(5) if i != 2}]
-    assert naive_coboundary_images(spec, g, rows) == \
+    assert list(naive_coboundary_images(spec, g, rows)) == \
         per_permutation_coboundary_images(spec, g, rows)
 
 

@@ -230,6 +230,21 @@ def test_echelon_reduce_is_linear_and_zero_exactly_on_span(data):
     assert ech.reduce(combination(coeffs, m.rows)) == {}
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_echelon_reduce_follows_every_add(data):
+    """reduce keeps its lcm of the pivot leads between calls; after each add,
+    reduced vectors equal those of an echelon built fresh from the same rows."""
+    m = data.draw(sparse_matrices())
+    vectors = st.dictionaries(st.integers(0, m.ncols - 1), sparse_scalars, max_size=4)
+    ech = Echelon()
+    for i, row in enumerate(m.rows):
+        v = data.draw(vectors)
+        assert ech.reduce(v) == Echelon(m.rows[:i]).reduce(v)
+        ech.add(row)
+        assert ech.reduce(v) == Echelon(m.rows[:i + 1]).reduce(v)
+
+
 # Shared rows: one dict object at several row positions, as the index-level
 # coboundary stores equal rows in even degree.  Every check compares with
 # the same matrices written without sharing.
