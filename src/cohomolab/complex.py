@@ -14,9 +14,13 @@ The coboundary never touches the value coordinate of the cochain (it only
 multiplies and permutes arguments), so on flattened cochains it is an
 "index-level" matrix, acting on argument index tuples, tensored with the
 identity on output coordinates.  That matrix is the only coboundary
-operator: every application of d is a sparse product with it.  Nothing
-keeps it between calls: a command builds the d_n it needs along its own
-call path and lets them go when it returns.
+operator: every application of d is a sparse product with it.  One
+builder, coboundary_rows, makes it as a stream of its distinct rows, each
+with the positions it stands at, in order of first position;
+index_coboundary_matrix places them, and verify_dd_zero checks each row
+as it streams and places only the d_n its next step needs.  Nothing keeps
+a d_n between calls: a command builds the d_n it needs along its own call
+path and lets them go when it returns.
 
 Every complex is described the same way, degree by degree: d_n as a
 matrix in the complex's own coordinates (coboundary), and one map that
@@ -30,11 +34,13 @@ P(b_a*b_b, tail): the term itself at n = 0, minus P(b_a*b_tail, b) at
 n = 1, and minus the term at swap_last_two(tail) at odd n >= 3.  Only
 lawful specs reach it, so for odd n >= 3 tuples that differ by swapping
 their first two indices share a row.  At even n >= 2 the permutation sum
-depends on the output tuple only through its multiset, its key.  Every
-output tuple adds its own term to its key's row, which is then scaled
-once by permutation_weight(key): the tuples of one multiset are its
-distinct arrangements, each met once, and each is hit by that many
-permutations.
+depends on the output tuple only through its multiset, its key.  Each
+key's row is made once, keys in combinations_with_replacement order: each
+arrangement (a, b, tail) of the key adds its own term, and the row is then
+scaled once by permutation_weight(key), since each distinct arrangement
+is hit by that many permutations.  The arrangements are found from the
+tails of length n grouped by multiset once per build, so no output tuple
+is sorted.
 A naive evaluator, naive_coboundary_images, covers even degrees n >= 2
 only: the permutation sum, which the audit compares with the index matrix
 at every output tuple.  It walks every permutation, but once per multiset
@@ -54,7 +60,7 @@ from .algebra import (
     AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE, assess_domain,
 )
 from .fileformat import echo
-from .linalg import Mat, Record, axpy, scale_in_place
+from .linalg import Mat, Record, axpy, first_nonzero_in_stream, scale_in_place
 from .multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
 
 DEFAULT_DEGREE_CAP = 5
@@ -113,17 +119,21 @@ def swap_last_two(i: int, d: int) -> int:
     return i + (i % d - i // d % d) * (d - 1)
 
 
-def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
-    """Index-level matrix of d_n, n >= 0: d^{n+2} rows by d^{n+1} columns.
+def coboundary_rows(spec: AlgebraSpec, n: int):
+    """The index-level d_n, n >= 0, as a stream: yields (positions, row) for
+    each distinct row once, in order of its first position, positions[0]
+    = min(positions); the positions of all rows partition range(d^{n+2}).
 
     One helper adds each term w * P(b_a*b_b, tail), tail the flat index of
     the other arguments.  Row (a, b, tail) is the term at n = 0, minus
     P(b_a*b_tail, b) at n = 1, and minus the term at swap_last_two(tail)
-    at odd n >= 3.  At even n >= 2 every output tuple adds its term to the
-    row of its multiset, shared by the multiset's tuples and scaled once
-    by its permutation_weight.  coboundary rejects a negative n.  Each
-    call builds a new matrix and keeps nothing; rows are shared between
-    positions, so callers must not mutate them.
+    at odd n >= 3, where it also stands at (b, a, tail).  At even n >= 2
+    one row per multiset key, in combinations_with_replacement order, sums
+    the terms of the key's arrangements and is scaled once by its
+    permutation_weight; the tails are grouped by multiset once per call,
+    so no output tuple is sorted.  Nothing is kept between rows but the
+    product table and, at even n, the tails' groups.  A row may stand at
+    several positions, so callers must not mutate it.
     """
     d = spec.dim
     size = d ** n
@@ -137,12 +147,11 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
             row[c + tail] = row.get(c + tail, 0) + w * v
 
     if n < 2 or n % 2:
-        rows = []
         for a in range(d):
-            for b in range(d):
-                if n > 1 and a > b:  # the rows of (b, a, tail), the same dicts
-                    rows += rows[(b * d + a) * size:(b * d + a + 1) * size]
-                    continue
+            # at odd n >= 3 the row of (a, b, tail) also stands at (b, a, tail)
+            for b in range(a if n > 1 else 0, d):
+                first, second = (a * d + b) * size, (b * d + a) * size
+                shared = n > 1 and a != b
                 for tail in range(size):
                     row = {}
                     add(row, 1, a, b, tail)
@@ -150,22 +159,42 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
                         add(row, -1, a, tail, b)
                     elif n:
                         add(row, -1, a, b, swap_last_two(tail, d))
-                    rows.append({c: v for c, v in row.items() if v})
-        return Mat(len(rows), d * size, rows)
+                    row = {c: v for c, v in row.items() if v}
+                    yield (first + tail, second + tail) if shared else (first + tail,), row
+        return
     # in even degree >= 2 a row depends on its output tuple only through
-    # the multiset of its indices
-    shared = {}  # multiset -> its row
-    rows = []
-    for flat, t in enumerate(all_tuples(d, n + 2)):
-        key = tuple(sorted(t))
-        row = shared.get(key)
-        if row is None:
-            row = shared[key] = {}
-        add(row, 1, t[0], t[1], flat % size)
-        rows.append(row)
-    for key, row in shared.items():
+    # the multiset of its indices, its key; the arrangements (a, b, tail)
+    # of a key are met in flat order
+    tails = {}  # multiset of a tail -> the flat indices of its arrangements
+    for tail, t in enumerate(all_tuples(d, n)):
+        tails.setdefault(tuple(sorted(t)), []).append(tail)
+    for key in itertools.combinations_with_replacement(range(d), n + 2):
+        row, positions = {}, []
+        for a in dict.fromkeys(key):
+            rest = list(key)
+            rest.remove(a)
+            for b in dict.fromkeys(rest):
+                others = rest.copy()
+                others.remove(b)
+                for tail in tails[tuple(others)]:
+                    add(row, 1, a, b, tail)
+                    positions.append((a * d + b) * size + tail)
         scale_in_place(row, permutation_weight(key))
-    return Mat(len(rows), d * size, rows)
+        yield positions, row
+
+
+def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
+    """Index-level matrix of d_n, n >= 0: d^{n+2} rows by d^{n+1} columns,
+    each row of coboundary_rows placed at its positions.  coboundary
+    rejects a negative n.  Each call builds a new matrix and keeps
+    nothing; rows are shared between positions, so callers must not
+    mutate them.
+    """
+    rows = [None] * spec.dim ** (n + 2)
+    for positions, row in coboundary_rows(spec, n):
+        for i in positions:
+            rows[i] = row
+    return Mat(len(rows), spec.dim ** (n + 1), rows)
 
 
 def per_coordinate(d: int, rows, f) -> list:
@@ -313,22 +342,34 @@ class ComplexLawReport(Record):
         return all(entry is None for _, entry in self.results)
 
 
+def _distinct_rows(spec: AlgebraSpec, n: int, tag: str):
+    """The row count of coboundary(spec, n, tag) and its distinct rows as
+    coboundary_rows streams them: a tag complex's d_n is small, so its
+    rows come from its Mat, each at its own position."""
+    if tag_coords(spec, n, tag) is None:
+        return spec.dim ** (n + 2), coboundary_rows(spec, n)
+    rows = coboundary(spec, n, tag).rows
+    return len(rows), (((i,), row) for i, row in enumerate(rows))
+
+
 def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
                    cap: int = DEFAULT_DEGREE_CAP) -> ComplexLawReport:
-    """The first nonzero entry of each d_{n+1} d_n, n <= max_n, or None:
-    found one row of the product at a time, so no product is stored.
+    """The first nonzero entry of each d_{n+1} d_n, n <= max_n, or None.
 
-    Each d_n is built once: d_{n+1} is paired with the d_n carried from
-    the step before, which is then dropped, so max_n + 2 matrices are
-    built and at most two are held at once."""
+    d_{n+1} is streamed one distinct row at a time, and each row is
+    multiplied by the d_n held from the step before as it is made, so no
+    product is stored.  A row is placed in d_{n+1} only when the next
+    step needs it: each d_n is built once, at most two are held at once,
+    and d_{max_n+1} is never held."""
     if max_n < 0:
         raise ValueError(f"cochain degrees start at 0, so max degree {echo(max_n)} "
                          "checks nothing")
     check_cap(max_n + 2, cap)
     results = []
-    lower = coboundary(spec, 0, tag)
+    lower = coboundary(spec, 0, tag).rows
     for n in range(max_n + 1):
-        upper = coboundary(spec, n + 1, tag)
-        results.append((n, upper.first_nonzero_of_product(lower)))
+        nrows, distinct = _distinct_rows(spec, n + 1, tag)
+        upper = [None] * nrows if n < max_n else None
+        results.append((n, first_nonzero_in_stream(distinct, lower, upper)))
         lower = upper
     return ComplexLawReport(tuple(results))

@@ -22,10 +22,11 @@ A Mat's rows may be shared: the index-level coboundary in odd degree
 n >= 3 gives (a, b, ..) and (b, a, ..) one row, and the even-degree
 coboundary and the chain maps give one row, or block of rows, per key.
 A builder adds each output tuple's terms into its key's rows and scales
-them once by the key's weight, before the Mat is made; nothing mutates a
-Mat row after that, so sharing is safe.  `Mat.matmul` and
-`Mat.first_nonzero_of_product` compute each distinct left row object's
-product once, by one helper.  Elimination goes further and feeds each
+them once by the key's weight, before the row is handed out; nothing
+mutates a Mat row after that, so sharing is safe.  `Mat.matmul` and
+`first_nonzero_in_stream`, which takes the left matrix as a stream of
+its distinct rows, compute each distinct left row object's product
+once, by one helper.  Elimination goes further and feeds each
 distinct nonzero row value once, since equal rows that are different
 objects (an even-degree coboundary's equal columns, read as rows of its
 transpose) add nothing after the first.  `ColumnSpace` reduces modulo
@@ -177,24 +178,6 @@ class Mat(Record):
             out.append(acc)
         return Mat(self.nrows, other.ncols, out)
 
-    def first_nonzero_of_product(self, other: "Mat"):
-        """(i, j, value) of the first nonzero entry of self @ other, in row
-        order and then column order, or None when the product is zero.
-
-        The product is formed one row at a time, each distinct left row
-        once, and only the ids of left rows whose product is zero are kept.
-        """
-        assert self.ncols == other.nrows
-        zero = set()
-        for i, r in enumerate(self.rows):
-            if id(r) not in zero:
-                acc = _row_times(r, other.rows)
-                if acc:
-                    j = min(acc)
-                    return i, j, acc[j]
-                zero.add(id(r))
-        return None
-
     def images(self, vectors) -> list:
         """self @ v for each sparse vector v, by one product with the v as columns."""
         return self.matmul(Mat.from_columns(self.ncols, vectors)).transpose().rows
@@ -219,6 +202,33 @@ def _row_times(r: Row, rows) -> Row:
         if w:
             axpy(acc, w, x)
     return acc
+
+
+def first_nonzero_in_stream(distinct, rows, placed=None):
+    """(i, j, value) of the first nonzero entry of A @ B, in row order and
+    then column order, or None when the product is zero.
+
+    B is the list of its rows, rows.  A comes as a stream: distinct yields
+    each distinct row r of A once as (positions, r), in order of first
+    position, positions[0] first, so the first nonzero r @ B found is at
+    the first nonzero row of A @ B.  Each product row is formed as its row
+    is drawn, and drawing stops there, unless placed is a list of A's
+    length: then every row is drawn and placed at its positions, so A is
+    built as it is checked.
+    """
+    found = None
+    for positions, r in distinct:
+        if found is None:
+            acc = _row_times(r, rows)
+            if acc:
+                j = min(acc)
+                found = positions[0], j, acc[j]
+                if placed is None:
+                    break
+        if placed is not None:
+            for i in positions:
+                placed[i] = r
+    return found
 
 
 def _primitive(row: Row) -> Row:

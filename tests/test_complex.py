@@ -14,7 +14,7 @@ from cohomolab import complex as cx, linalg
 from cohomolab.algebra import AlgebraSpec, basis_element, build_number_field, multiply
 from cohomolab.complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAG_BAND, TAG_FULL, TAG_IDEAL,
-    apply_d, coboundary, coboundary_images, index_coboundary_matrix, lift,
+    apply_d, coboundary, coboundary_images, coboundary_rows, index_coboundary_matrix, lift,
     naive_coboundary_images, swap_last_two, tag_coords, verify_dd_zero,
 )
 from cohomolab.cohomology import (
@@ -171,15 +171,32 @@ def test_counting_oracle_equals_per_permutation_sum(path, name, n):
         per_permutation_coboundary_images(spec, g, rows)
 
 
+def assert_stream_order(spec: AlgebraSpec, n: int, matrix):
+    """coboundary_rows(spec, n) yields matrix's distinct rows, each once, in
+    order of first position, each with its least position first and with
+    every position holding it, and the positions partition the rows: the
+    order verify_dd_zero's "first nonzero in row order" relies on."""
+    stream = list(coboundary_rows(spec, n))
+    firsts = [positions[0] for positions, _ in stream]
+    assert all(a < b for a, b in zip(firsts, firsts[1:]))
+    assert all(positions[0] == min(positions) for positions, _ in stream)
+    assert sorted(i for positions, _ in stream for i in positions) == \
+        list(range(spec.dim ** (n + 2)))
+    assert len(stream) == len({id(r) for r in matrix.rows})
+    assert all(matrix.rows[i] == row for positions, row in stream for i in positions)
+
+
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 def test_odd_index_matrix_equals_tuple_build(path):
     """The flat-index build of odd d_n equals the one summed per output
-    tuple, and for n >= 3 the rows of (a, b, r) and (b, a, r) are one dict."""
+    tuple, and for n >= 3 the rows of (a, b, r) and (b, a, r) are one dict;
+    the stream it is placed from is in row order."""
     spec = parse_algebra_file(str(path))
     d = spec.dim
     for n in (1, 3, 5) if d <= 3 else (1, 3):
         matrix = index_coboundary_matrix(spec, n)
         assert matrix == index_matrix_by_tuples(spec, n)
+        assert_stream_order(spec, n, matrix)
         if n >= 3:
             assert len({id(r) for r in matrix.rows}) == d * (d + 1) // 2 * d ** n
 
@@ -189,12 +206,14 @@ def test_even_index_matrix_equals_tuple_build(path):
     """The per-multiset build of even d_n equals the one summed over every
     permutation of each output tuple, and its rows are one dict per
     multiset of output indices: up to d_4 at d <= 2, and on cubic2 and
-    atomic3, whose d_4 full-complex runs."""
+    atomic3, whose d_4 full-complex runs.  The stream it is placed from,
+    one row per multiset, is in row order."""
     spec = parse_algebra_file(str(path))
     d = spec.dim
     for n in (0, 2, 4) if d <= 2 or path.stem in ("cubic2", "atomic3") else (0, 2):
         matrix = index_coboundary_matrix(spec, n)
         assert matrix == index_matrix_by_tuples(spec, n)
+        assert_stream_order(spec, n, matrix)
         if n:
             assert len({id(r) for r in matrix.rows}) == math.comb(d + n + 1, n + 2)
 
@@ -227,11 +246,13 @@ def rebased_small_fields(draw):
 @given(rebased_small_fields())
 def test_index_matrix_equals_tuple_build_in_any_basis(spec):
     """d_n equals the one summed per output tuple, at n <= 3 and at n = 4
-    for d <= 2, with the fixtures' pattern of shared rows."""
+    for d <= 2, with the fixtures' pattern of shared rows, streamed in
+    row order."""
     d = spec.dim
     for n in range(5 if d <= 2 else 4):
         matrix = index_coboundary_matrix(spec, n)
         assert matrix == index_matrix_by_tuples(spec, n)
+        assert_stream_order(spec, n, matrix)
         assert len({id(r) for r in matrix.rows}) == distinct_rows(d, n)
 
 
@@ -244,17 +265,17 @@ def test_swap_last_two_swaps_the_last_two_indices():
                 assert swap_last_two(swap_last_two(i, d), d) == i
 
 
-def counted_builds(monkeypatch) -> list:
-    """Record each call to index_coboundary_matrix for the rest of the
+def counted_builds(monkeypatch, name="index_coboundary_matrix") -> list:
+    """Record each call to the builder complex.<name> for the rest of the
     test: the returned list gets its (spec, n)."""
     calls = []
-    real = cx.index_coboundary_matrix
+    real = getattr(cx, name)
 
     def counting(spec, n):
         calls.append((spec, n))
         return real(spec, n)
 
-    monkeypatch.setattr(cx, "index_coboundary_matrix", counting)
+    monkeypatch.setattr(cx, name, counting)
     return calls
 
 
@@ -262,8 +283,9 @@ def test_no_rows_build_no_matrix(monkeypatch):
     """coboundary_images of no rows builds no d_n."""
     spec = build_number_field([-2, 0, 0, 0, 1])
     calls = counted_builds(monkeypatch)
+    streams = counted_builds(monkeypatch, "coboundary_rows")
     assert coboundary_images(spec, 3, []) == []
-    assert calls == []
+    assert calls == streams == []
 
 
 @pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])
@@ -374,21 +396,29 @@ def first_nonzero(mat):
 ], ids=["nonassociative", "noncommutative"])
 def test_dd_zero_pairs_each_degree_with_the_next(spec, first):
     """On unlawful tensors d_{n+1} d_n is not zero at n = 0, so a report that
-    paired the wrong matrices would differ from the products built here."""
-    results = verify_dd_zero(spec, 3).results
-    assert [n for n, _ in results] == [0, 1, 2, 3]
-    for n, entry in results:
-        product = coboundary(spec, n + 1, TAG_FULL).matmul(coboundary(spec, n, TAG_FULL))
-        assert entry == first_nonzero(product)
-    assert [entry for _, entry in results] == [first, None, None, None]
+    paired the wrong matrices would differ from the products built here.
+    At max_n = 0 the nonzero is found in the streamed top d_1, which stops
+    at it; at max_n = 3 d_1 is placed in full for the next step."""
+    for max_n in (0, 3):
+        results = verify_dd_zero(spec, max_n).results
+        assert [n for n, _ in results] == list(range(max_n + 1))
+        for n, entry in results:
+            product = coboundary(spec, n + 1, TAG_FULL).matmul(coboundary(spec, n, TAG_FULL))
+            assert entry == first_nonzero(product)
+        assert [entry for _, entry in results] == [first, None, None, None][:max_n + 1]
 
 
 @pytest.mark.parametrize("tag", [TAG_FULL, TAG_BAND])
 @pytest.mark.parametrize("max_n", [0, 1, 3])
 def test_dd_zero_builds_each_degree_once(atomic3, tag, max_n, monkeypatch):
-    calls = counted_builds(monkeypatch)
+    """Each d_n, n <= max_n + 1, is streamed once; on the full complex the
+    top d_{max_n+1} is checked as it streams and never placed in a matrix."""
+    builds = counted_builds(monkeypatch)
+    calls = counted_builds(monkeypatch, "coboundary_rows")
     assert verify_dd_zero(atomic3, max_n, tag=tag).all_zero
     assert [n for _, n in calls] == list(range(max_n + 2))
+    if tag == TAG_FULL:
+        assert max_n + 1 not in [n for _, n in builds]
 
 
 def test_no_index_matrix_outlives_a_command():
@@ -408,6 +438,26 @@ def test_no_index_matrix_outlives_a_command():
                                    tracemalloc.Filter(True, linalg.__file__)])
     size = sum(stat.size for stat in kept.statistics("filename"))
     assert size < 20_000, f"{size} bytes still traced to complex.py and linalg.py"
+
+
+def test_dd_zero_never_holds_its_top_matrix():
+    """verify_dd_zero streams d_{max_n+1}: on Q[t]/(t^5-2) at max_n = 2 its
+    traced peak stays below what d_3 alone takes as an index matrix."""
+    quintic = build_number_field([-2, 0, 0, 0, 0, 1])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        matrix = index_coboundary_matrix(quintic, 3)
+        top = tracemalloc.get_traced_memory()[0]
+        del matrix
+        gc.collect()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert verify_dd_zero(quintic, 2).all_zero
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < top, f"peak {peak} bytes, d_3 alone {top} bytes"
 
 
 @given(st.lists(st.integers(0, 3), max_size=7).map(tuple))

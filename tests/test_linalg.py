@@ -11,7 +11,8 @@ from cohomolab.cohomology import cohomology
 from cohomolab.complex import index_coboundary_matrix, verify_dd_zero
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import (
-    Echelon, Mat, axpy, complete_basis, kernel, row_to_primitive, span_dim,
+    Echelon, Mat, axpy, complete_basis, first_nonzero_in_stream, kernel, row_to_primitive,
+    span_dim,
 )
 from oracles import (
     RrefEchelon, complete_basis_greedy, from_dense, intersection, kernel_double_loop, rref,
@@ -27,23 +28,42 @@ def dense(rows):
     return from_dense([[F(v) for v in r] for r in rows])
 
 
+def stream(mat, drawn=None):
+    """mat's distinct row objects as (positions, row), in order of first
+    position, the way coboundary_rows yields a d_n; each first position is
+    appended to drawn, if given, as its row is drawn."""
+    positions = {}  # id(row) -> (the positions holding it, row)
+    for i, r in enumerate(mat.rows):
+        positions.setdefault(id(r), ([], r))[0].append(i)
+    for held in positions.values():
+        if drawn is not None:
+            drawn.append(held[0][0])
+        yield held
+
+
+def first_nonzero_of_product(a, b):
+    """The streamed check of a @ b, a's rows drawn from stream(a)."""
+    return first_nonzero_in_stream(stream(a), b.rows)
+
+
 def test_mat_roundtrip():
     m = dense([[1, 0, -2], [0, 0, 0], [F(1, 3), 5, 0]])
     assert to_dense(m) == [[F(1), F(0), F(-2)],
                             [F(0), F(0), F(0)],
                             [F(1, 3), F(5), F(0)]]
     identity = dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert identity.first_nonzero_of_product(m) == (0, 0, 1)
-    assert identity.first_nonzero_of_product(dense([[0, 0], [0, 0], [0, 0]])) is None
+    assert first_nonzero_of_product(identity, m) == (0, 0, 1)
+    assert first_nonzero_of_product(identity, dense([[0, 0], [0, 0], [0, 0]])) is None
 
 
 def test_matmul():
     a = dense([[1, 2], [3, 4]])
     b = dense([[0, 1], [1, 0]])
     assert to_dense(a.matmul(b)) == [[F(2), F(1)], [F(4), F(3)]]
-    assert a.first_nonzero_of_product(dense([[0, 0], [0, 0]])) is None
+    assert first_nonzero_of_product(a, dense([[0, 0], [0, 0]])) is None
     # row 0 cancels to zero, so the first nonzero entry is in row 1
-    assert dense([[1, -1], [0, 3]]).first_nonzero_of_product(dense([[1, 0], [1, 0]])) == (1, 0, 3)
+    assert first_nonzero_of_product(dense([[1, -1], [0, 3]]), dense([[1, 0], [1, 0]])) == \
+        (1, 0, 3)
 
 
 def test_matmul_shape_check():
@@ -331,10 +351,19 @@ def products_led_by_zero_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(products_led_by_zero_rows())
 def test_first_nonzero_of_product_matches_the_full_product(ab):
-    """One row at a time, the check finds the entry a scan of a.matmul(b)
-    in row order finds, on int matrices with shared and cancelling rows."""
+    """One distinct row at a time, the streamed check finds the entry a scan
+    of a.matmul(b) in row order finds, on int matrices with shared and
+    cancelling rows.  It stops drawing rows at that entry; asked to place
+    them, it draws every row and places each object at all its positions."""
     a, b = ab
-    assert a.first_nonzero_of_product(b) == first_nonzero_in_row_order(a.matmul(b))
+    expected = first_nonzero_in_row_order(a.matmul(b))
+    drawn = []
+    assert first_nonzero_in_stream(stream(a, drawn), b.rows) == expected
+    firsts = [positions[0] for positions, _ in stream(a)]
+    assert drawn == [i for i in firsts if expected is None or i <= expected[0]]
+    placed = [None] * a.nrows
+    assert first_nonzero_in_stream(stream(a), b.rows, placed) == expected
+    assert all(p is r for p, r in zip(placed, a.rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -467,23 +496,26 @@ def test_elimination_changes_no_input_row(m, data):
 def test_cohomology_changes_no_cached_index_matrix_row(name, monkeypatch):
     """An index matrix shares row dicts between positions; eliminating it,
     or multiplying by it, must leave every row of every d_n that cohomology
-    or verify_dd_zero built as it was built, to the end of the command."""
+    or verify_dd_zero built as it was built, to the end of the command:
+    each row is recorded as coboundary_rows yields it, whether it is then
+    placed in a matrix or only checked as it streams."""
     spec = parse_algebra_file(str(FIXTURES / f"{name}.alg"))
-    built = []  # (matrix, its rows as built)
+    built = []  # (row, its entries as built)
+    real = cx.coboundary_rows
 
     def snapshot(spec, n):
-        mat = index_coboundary_matrix(spec, n)
-        built.append((mat, items(mat.rows)))
-        return mat
+        for positions, row in real(spec, n):
+            built.append((row, list(row.items())))
+            yield positions, row
 
-    monkeypatch.setattr(cx, "index_coboundary_matrix", snapshot)
+    monkeypatch.setattr(cx, "coboundary_rows", snapshot)
     commands = [lambda degree=degree: cohomology(spec, degree) for degree in range(3)]
     commands.append(lambda: verify_dd_zero(spec, 2))
     for command in commands:
         built.clear()
         command()
         assert built
-        assert all(items(mat.rows) == rows for mat, rows in built)
+        assert all(list(row.items()) == entries for row, entries in built)
 
 
 @pytest.mark.parametrize("coefficients", [[3, -4, 2, 1, 1], [-2, 0, 0, 0, 0, 1]],
