@@ -8,8 +8,8 @@ A chain map is one sparse Mat on flat cochains, like the coboundary, and
 an audit maps all its cochains, ker d_1 and the multiplier coboundaries,
 by one product (Mat.images).  It then takes them one at a time: the
 naive evaluator forms one image's d_g when the comparison draws it, and
-each image is reduced modulo im d_{g-1}, on d_{g-1}'s distinct rows, to
-the one vector the checks keep.
+each image is reduced modulo im d_{g-1}, on the distinct rows that
+d_{g-1}'s stream yields, to the one vector the checks keep.
 """
 
 from functools import lru_cache
@@ -21,8 +21,8 @@ from .linalg import (
 )
 from .multilinear import all_tuples
 from .complex import (
-    DEFAULT_DEGREE_CAP, TAG_FULL, check_cap, coboundary, coboundary_images, lift,
-    naive_coboundary_images, per_coordinate, permutation_weight, swap_last_two,
+    DEFAULT_DEGREE_CAP, TAG_FULL, check_cap, coboundary, coboundary_images, coboundary_rows,
+    lift, naive_coboundary_images, permutation_weight, swap_last_two,
 )
 
 
@@ -273,11 +273,14 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
 
     # reduce by (im d_{g-1}) (x) I_d one output coordinate at a time: linear,
     # and zero exactly on im d_{g-1}
-    space = ColumnSpace(coboundary(spec, g - 1, TAG_FULL))
+    space = ColumnSpace(coboundary_rows(spec, g - 1), d ** (g + 1), d ** g)
 
     def reduced(image):
-        (r,) = per_coordinate(d, [image], lambda parts: [space.reduce(p) for p in parts])
-        return r
+        parts = [{} for _ in range(d)]  # output coordinate k -> index-level part
+        for col, v in image.items():
+            c, k = divmod(col, d)
+            parts[k][c] = v
+        return {c * d + k: v for k, p in enumerate(parts) for c, v in space.reduce(p).items()}
 
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
     cobound = CheckResult(True)

@@ -14,13 +14,13 @@ The coboundary never touches the value coordinate of the cochain (it only
 multiplies and permutes arguments), so on flattened cochains it is an
 "index-level" matrix, acting on argument index tuples, tensored with the
 identity on output coordinates.  That matrix is the only coboundary
-operator: every application of d is a sparse product with it.  One
-builder, coboundary_rows, makes it as a stream of its distinct rows, each
-with the positions it stands at, in order of first position;
-index_coboundary_matrix places them, and verify_dd_zero checks each row
-as it streams and places only the d_n its next step needs.  Nothing keeps
-a d_n between calls: a command builds the d_n it needs along its own call
-path and lets them go when it returns.
+operator.  One builder, coboundary_rows, makes it as a stream of its
+distinct rows, each with the positions it stands at, in order of first
+position.  index_images applies the stream to cochains as it flows, so
+applying d places no matrix; index_coboundary_matrix places it for
+elimination and products, and verify_dd_zero places only the d_n its
+next step needs.  Nothing keeps a d_n between calls: a command builds
+the d_n it needs along its own call path and lets them go when it returns.
 
 Every complex is described the same way, degree by degree: d_n as a
 matrix in the complex's own coordinates (coboundary), and one map that
@@ -42,14 +42,14 @@ is hit by that many permutations.  The arrangements are found from the
 tails of length n grouped by multiset once per build, so no output tuple
 is sorted.
 A naive evaluator, naive_coboundary_images, covers even degrees n >= 2
-only: the permutation sum, which the audit compares with the index matrix
+only: the permutation sum, which the audit compares with the fast images
 at every output tuple.  It walks every permutation, but once per multiset
 of output indices: sigma -> sigma o pi permutes the symmetric group, so
 output tuples that rearrange one another have equal sums.  It counts the
 equal permutations of a tuple and expands each distinct one once, times
-its count.  Each sum is computed once per call and multiset; each row's
-part of it is computed once per multiset, when that row's image is drawn,
-and written at every rearrangement.
+its count.  Each sum is computed once per call and multiset, as a row
+standing at every rearrangement, and applied by index_images to one row
+when its image is drawn: the two evaluators share only that product.
 """
 
 import itertools
@@ -108,7 +108,7 @@ def _term_indices(spec: AlgebraSpec, t: tuple, times: int = 1):
 
 
 def apply_d(spec: AlgebraSpec, f: MultilinearMap) -> MultilinearMap:
-    """The coboundary of a degree-(arity-1) cochain, by the index matrix;
+    """The coboundary of a degree-(arity-1) cochain, by coboundary_images;
     output arity + 1."""
     (image,) = coboundary_images(spec, f.arity - 1, [f.flatten()])
     return from_flat(spec.dim, f.arity + 1, image)
@@ -197,78 +197,71 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
     return Mat(len(rows), spec.dim ** (n + 1), rows)
 
 
-def per_coordinate(d: int, rows, f) -> list:
-    """(an index-level map) (x) I_d applied to flat rows.
+def index_images(d: int, distinct, rows) -> list:
+    """(A (x) I_d) x for each flat cochain x in rows, as flat rows.
 
-    The entries of row j with output coordinate k form index-level part
-    j*d + k; f maps the list of all parts in one call, and mapped part
-    j*d + k goes back to row j at output coordinate k.
+    The index-level operator A comes as (positions, row) pairs, each
+    distinct row once, whose positions partition A's rows, as
+    coboundary_rows yields them.  The cochains are indexed by column once;
+    each distinct row's products are formed once and written at every
+    position, so neither A nor a product matrix is held.
     """
-    parts = [{} for _ in range(len(rows) * d)]
+    by_col = {}  # index column c -> {j*d + k: coordinate k of rows[j] at c}
     for j, x in enumerate(rows):
         for col, v in x.items():
             c, k = divmod(col, d)
-            parts[j * d + k][c] = v
-    mapped = f(parts)
-    return [{r * d + k: v for k in range(d) for r, v in mapped[j * d + k].items()}
-            for j in range(len(rows))]
+            by_col.setdefault(c, {})[j * d + k] = v
+    images = [{} for _ in rows]
+    for positions, row in distinct:
+        part = {}
+        for c, w in row.items():
+            if c in by_col:
+                axpy(part, w, by_col[c])
+        for jk, v in part.items():
+            j, k = divmod(jk, d)
+            image = images[j]
+            for i in positions:
+                image[i * d + k] = v
+    return images
 
 
 def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
-    """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows:
-    the index matrix (x) I_d, by one Mat.images call.  No rows build no matrix."""
+    """d_n of each flat degree-n cochain in rows, as flat degree-(n+1) rows,
+    applied straight from coboundary_rows.  No rows build no d_n."""
     if not rows:
         return []
-    return per_coordinate(spec.dim, rows, index_coboundary_matrix(spec, n).images)
+    return index_images(spec.dim, coboundary_rows(spec, n), rows)
 
 
 def naive_coboundary_images(spec: AlgebraSpec, n: int, rows):
     """coboundary_images at even n >= 2 by the defining formula, the sum over
     every permutation of the output tuple: the oracle the audit compares
-    with the index matrix.  Any other n raises ValueError, at the call.
+    with coboundary_rows.  Any other n raises ValueError, at the call.
 
     Returns an iterator of the images, one per row, in order.  The terms
     of d are summed, at the call, into one index-level term dict per
-    multiset of output indices: the permutations of its sorted tuple are
-    counted by value, and each distinct one is expanded once times its
-    count.  Each row's image is then formed when it is drawn, one part
-    per multiset, written at every rearrangement of it.  It uses neither
-    the index matrix nor its rule of one term per output tuple scaled by
-    permutation_weight, so it checks both.
+    multiset of output indices, stored with the multiset's arrangements,
+    which are found by sorting each output tuple: the permutations of its
+    sorted tuple are counted by value, and each distinct one is expanded
+    once times its count.  Each row's image is then formed by index_images
+    when it is drawn.  It uses neither coboundary_rows nor its rule of one
+    term per output tuple scaled by permutation_weight, so it checks both.
     """
     if n < 2 or n % 2:
         raise ValueError(f"the permutation sum is d_n at even n >= 2 only, got n = {echo(n)}")
     d = spec.dim
-    arrangements = {}  # multiset of an output tuple -> d times the flat index of each arrangement
+    arrangements = {}  # multiset of an output tuple -> the flat index of each arrangement
     for flat, t in enumerate(all_tuples(d, n + 2)):
-        arrangements.setdefault(tuple(sorted(t)), []).append(flat * d)
-    table = []  # per multiset: (input column -> summed coefficient, its arrangements)
-    for key, bases in arrangements.items():
+        arrangements.setdefault(tuple(sorted(t)), []).append(flat)
+    table = []  # per multiset: (its arrangements, input column -> summed coefficient)
+    for key, positions in arrangements.items():
         terms = {}
         for sigma, count in Counter(itertools.permutations(key)).items():
             for idx, v in _term_indices(spec, sigma, count):
                 col = tuple_index(idx, d)
                 terms[col] = terms.get(col, 0) + v
-        table.append((terms, bases))
-    return (_naive_image(d, table, x) for x in rows)
-
-
-def _naive_image(d: int, table, x) -> dict:
-    """One row's image under the term table of naive_coboundary_images."""
-    by_col = {}  # input column -> {output coordinate: value}
-    for col, v in x.items():
-        c, k = divmod(col, d)
-        by_col.setdefault(c, {})[k] = v
-    image = {}
-    for terms, bases in table:
-        part = {}
-        for col, w in terms.items():
-            if col in by_col:
-                axpy(part, w, by_col[col])
-        for base in bases:
-            for k, v in part.items():
-                image[base + k] = v
-    return image
+        table.append((positions, terms))
+    return (index_images(d, table, [x])[0] for x in rows)
 
 
 def tag_coords(spec: AlgebraSpec, degree: int, tag: str):

@@ -29,11 +29,10 @@ its distinct rows, compute each distinct left row object's product
 once, by one helper.  Elimination goes further and feeds each
 distinct nonzero row value once, since equal rows that are different
 objects (an even-degree coboundary's equal columns, read as rows of its
-transpose) add nothing after the first.  `ColumnSpace` reduces modulo
-the column space of such a Mat on its distinct rows: positions sharing
-one row object hold equal entries of every vector in that space.  Rows
-are told apart by `id()` only while a list or map holds them, so an id
-is never reused by a different row during the loop that tests it.
+transpose) add nothing after the first.  Rows are told apart by `id()`
+only while a list or map holds them, so an id is never reused by a
+different row during the loop that tests it.  `ColumnSpace` takes its
+operator as a stream of distinct rows with their positions instead.
 
 `Record` is the base of every record of the package: a tuple whose
 fields are read by name.
@@ -335,30 +334,31 @@ class Echelon:
 
 
 class ColumnSpace:
-    """Reduction modulo the column space of a Mat whose rows may be shared.
+    """Reduction modulo the column space of an nrows x ncols matrix A given
+    as (positions, row) pairs, each distinct row once, as coboundary_rows
+    yields them: positions[0] first, all positions partitioning A's rows.
 
-    A vector v of that space is mat @ x, so it agrees at every position
-    holding one row object, and its entries at the distinct rows lie in
-    the column space of the distinct rows alone.  reduce keeps each
-    difference from the first position holding a row, and reduces the
-    entries at first positions by an Echelon of the distinct rows'
-    columns.  Both are linear, and both vanish exactly when v lies in the
-    space, so the result is linear in v and zero exactly there.
+    A vector v of that space is A @ x, so it agrees at every position
+    holding one row, and its entries at first positions lie in the column
+    space of the distinct rows alone.  reduce keeps each difference from
+    the first position holding a row, and reduces the entries at first
+    positions by an Echelon of the distinct rows' columns.  Both are
+    linear, and both vanish exactly when v lies in the space, so the
+    result is linear in v and zero exactly there.
     """
 
-    def __init__(self, mat: Mat):
-        first = {}  # id(row) -> the first position holding it
-        self.lead = []  # position -> the first position holding its row
+    def __init__(self, distinct, nrows: int, ncols: int):
+        self.lead = [None] * nrows  # position -> the first position holding its row
         self.others = {}  # first position -> the later positions holding its row
-        columns = [{} for _ in range(mat.ncols)]
-        for i, r in enumerate(mat.rows):
-            f = first.setdefault(id(r), i)
-            self.lead.append(f)
-            if f == i:
-                for c, v in r.items():
-                    columns[c][i] = v
-            else:
-                self.others.setdefault(f, []).append(i)
+        columns = [{} for _ in range(ncols)]
+        for positions, r in distinct:
+            f = positions[0]
+            for i in positions:
+                self.lead[i] = f
+            if len(positions) > 1:
+                self.others[f] = positions[1:]
+            for c, v in r.items():
+                columns[c][f] = v
         self.echelon = Echelon(columns)
 
     def reduce(self, row: Row) -> Row:

@@ -329,6 +329,16 @@ def images_by_tuples(spec: AlgebraSpec, n: int, rows) -> list:
             for x in rows]
 
 
+def by_coordinate(d: int, x: dict, f) -> dict:
+    """f applied to the index-level part of the flat row x at each output
+    coordinate k, each result put back at coordinate k."""
+    parts = [{} for _ in range(d)]
+    for col, v in x.items():
+        c, k = divmod(col, d)
+        parts[k][c] = v
+    return {c * d + k: v for k, part in enumerate(parts) for c, v in f(part).items()}
+
+
 def per_permutation_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     """d_n of flat rows for even n >= 2, each output value summed one
     permutation at a time: the oracle for the counting naive evaluator.

@@ -17,7 +17,7 @@ from cohomolab.algebra import (
 from cohomolab.cli import main
 from cohomolab.complex import (
     TAG_BAND, TAG_FULL, TAG_IDEAL, DegreeCapExceeded, OrderStructureRequired, apply_d,
-    coboundary, coboundary_images, lift, per_coordinate, tag_coords,
+    coboundary, coboundary_images, coboundary_rows, lift, tag_coords,
 )
 from cohomolab.cohomology import (
     CHAIN_MAPS, CheckResult, _chain_map_fn, audit_chain_map, build_J,
@@ -28,8 +28,9 @@ from cohomolab.linalg import ColumnSpace, Echelon, axpy, span_dim
 from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_times_b
 from oracles import (
-    add, apply_matrix, audit_stacked, coboundary_space, coeff, evaluate, from_coeff_function,
-    is_zero, keyed, lifted_coboundary_echelon, product_cochain_subspace, symmetry_check,
+    add, apply_matrix, audit_stacked, by_coordinate, coboundary_space, coeff, evaluate,
+    from_coeff_function, is_zero, keyed, lifted_coboundary_echelon, product_cochain_subspace,
+    symmetry_check,
 )
 
 F = Fraction
@@ -569,7 +570,7 @@ REDUCTION_CASES = [(name, g) for name, d in (("qsqrt2", 2), ("qhalf", 2), ("cubi
 @given(data=st.data())
 def test_index_level_reduction_equals_lifted(name, g, data):
     """Reducing a flat vector one output coordinate at a time, by
-    per_coordinate with the index-level echelon, gives the lifted
+    by_coordinate with the index-level echelon, gives the lifted
     Fraction RREF's reduce times D, the lcm of the index-level pivot
     leads, entry for entry, on vectors inside im d_{g-1} and off it."""
     spec, index_ech, lifted_ech, lifted_images = reduction_case(name, g)
@@ -579,9 +580,9 @@ def test_index_level_reduction_equals_lifted(name, g, data):
     for j, c in data.draw(st.lists(st.tuples(st.integers(0, len(lifted_images) - 1), values),
                                    max_size=4)):
         axpy(x, c, lifted_images[j])
-    reduced = per_coordinate(d, [x], lambda parts: [index_ech.reduce(p) for p in parts])
+    reduced = by_coordinate(d, x, index_ech.reduce)
     scale = lcm(*(p[c] for c, p in index_ech.pivots.items()))
-    assert reduced == [{c: scale * v for c, v in lifted_ech.reduce(x).items()}]
+    assert reduced == {c: scale * v for c, v in lifted_ech.reduce(x).items()}
 
 
 def test_reduction_cases_share_rows_both_ways():
@@ -595,7 +596,7 @@ def test_reduction_cases_share_rows_both_ways():
 @given(data=st.data())
 def test_column_space_reduction_is_linear_and_kills_exactly_im_d(name, g, data):
     """The audit's reduction modulo im d_{g-1}, a ColumnSpace of d_{g-1}'s
-    index matrix applied one output coordinate at a time, is linear, and it
+    row stream applied one output coordinate at a time, is linear, and it
     is zero exactly on the lifted echelon's span, on vectors inside
     im d_{g-1} and off it."""
     spec, _, lifted_ech, lifted_images = reduction_case(name, g)
@@ -603,11 +604,10 @@ def test_column_space_reduction_is_linear_and_kills_exactly_im_d(name, g, data):
     matrix = coboundary(spec, g - 1, TAG_FULL)
     if g >= 3:  # d_{g-1} shares rows between positions, and the cases use it
         assert len({id(r) for r in matrix.rows}) < len(matrix.rows)
-    space = ColumnSpace(matrix)
+    space = ColumnSpace(coboundary_rows(spec, g - 1), matrix.nrows, matrix.ncols)
 
     def reduce(x):
-        (r,) = per_coordinate(d, [x], lambda parts: [space.reduce(p) for p in parts])
-        return r
+        return by_coordinate(d, x, space.reduce)
 
     values = st.fractions(-4, 4, max_denominator=5).filter(bool)
 

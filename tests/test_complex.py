@@ -18,7 +18,7 @@ from cohomolab.complex import (
     naive_coboundary_images, swap_last_two, tag_coords, verify_dd_zero,
 )
 from cohomolab.cohomology import (
-    _chain_map_fn, build_J_even, build_K, cocycle_space, cohomology,
+    _chain_map_fn, audit_chain_map, build_J_even, build_K, cocycle_space, cohomology,
 )
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.multilinear import from_flat, tuple_index
@@ -96,10 +96,11 @@ ORACLE_CASES = [(fix, n)
 
 
 def naive_or_tuple_images(spec, n, rows):
-    """The naive evaluator where it is defined, at even n >= 2, and the
-    tuple-level build of d_n at n = 0 and odd n."""
+    """The per-permutation sum at even n >= 2, and the tuple-level build of
+    d_n at n = 0 and odd n: neither runs index_images, which both
+    coboundary_images and the naive evaluator apply d_n with."""
     if n >= 2 and n % 2 == 0:
-        return list(naive_coboundary_images(spec, n, rows))
+        return per_permutation_coboundary_images(spec, n, rows)
     return images_by_tuples(spec, n, rows)
 
 
@@ -122,7 +123,7 @@ def test_apply_d_matches_naive_oracle(fix, n, data, request):
 @pytest.mark.parametrize("fix,n", [("qsqrt2", 2), ("cubic2", 2), ("atomic3", 1),
                                    ("cubic2", 0), ("atomic3", 3), ("qsqrt2", 4)])
 def test_naive_images_all_rows_and_tuple_subsets(fix, n, request):
-    """One term table serves every row, and matches the fast images."""
+    """The fast images of several rows at once match the oracles'."""
     spec = request.getfixturevalue(fix)
     d = spec.dim
     assert coboundary_images(spec, n, []) == []
@@ -286,6 +287,69 @@ def test_no_rows_build_no_matrix(monkeypatch):
     streams = counted_builds(monkeypatch, "coboundary_rows")
     assert coboundary_images(spec, 3, []) == []
     assert calls == streams == []
+
+
+def test_applying_d_places_no_index_matrix(monkeypatch, atomic4):
+    """Applying d_n goes straight from its row stream: the fast images and a
+    band complex's coboundaries place no d_n, and an audit places only d_1,
+    for ker d_1."""
+    quartic = build_number_field([-2, 0, 0, 0, 1])
+    builds = counted_builds(monkeypatch)
+    rows = [{(5 * i + 3) % 4 ** 4: F(i - 1, 2)} for i in range(3)]
+    assert coboundary_images(quartic, 2, rows) == images_by_tuples(quartic, 2, rows)
+    cohomology(atomic4, 3, TAG_BAND)
+    assert builds == []
+    for name, n in (("K", 1), ("Jodd", 2)):
+        audit_chain_map(quartic, name, n)
+        assert [m for _, m in builds] == [1]
+        builds.clear()
+
+
+SCALARS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).filter(bool)
+
+
+@st.composite
+def index_operators(draw):
+    """(d, ncols, stream, dense): an index-level operator A with int and
+    Fraction entries, as a stream of (positions, row) pairs whose positions
+    partition range(m), one row shared by the positions with one drawn
+    label, adjacent or not, and as the list of the row at each position."""
+    d = draw(st.integers(1, 3))
+    ncols = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, 4), min_size=1, max_size=8))
+    groups = {}  # label -> its positions, in order of first position
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    stream = [(positions, draw(st.dictionaries(st.integers(0, ncols - 1), SCALARS,
+                                               max_size=ncols)))
+              for positions in groups.values()]
+    dense = [None] * len(labels)
+    for positions, row in stream:
+        for i in positions:
+            dense[i] = row
+    return d, ncols, stream, dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_index_images_equals_a_dense_triple_loop(data):
+    """index_images(d, stream, rows) is (A (x) I_d) v for each v in rows, v
+    in any batch, the empty one included, summed entry by entry."""
+    d, ncols, stream, dense = data.draw(index_operators())
+    rows = data.draw(st.lists(st.dictionaries(st.integers(0, ncols * d - 1), SCALARS,
+                                              max_size=6), max_size=3))
+    expected = [{i * d + k: v for i, a in enumerate(dense) for k in range(d)
+                 if (v := sum(a.get(c, 0) * x.get(c * d + k, 0) for c in range(ncols)))}
+                for x in rows]
+    assert cx.index_images(d, stream, rows) == expected
+
+
+def test_index_images_reads_rows_shared_apart():
+    """A row shared by positions 0 and 2, not adjacent, is written at both,
+    and an empty batch gives no images."""
+    stream = [([0, 2], {0: 2, 1: F(-1, 2)}), ([1], {1: 3})]
+    assert cx.index_images(2, stream, [{0: 1, 3: 4}]) == [{0: 2, 4: 2, 1: -2, 5: -2, 3: 12}]
+    assert cx.index_images(2, stream, []) == []
 
 
 @pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])
