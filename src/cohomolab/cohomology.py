@@ -4,25 +4,25 @@ chain maps.
 Every degree here is a cochain degree: the degree-z group is
 ker d_z / im d_{z-1}, and its cocycles are (z+1)-linear.
 
-A chain map is one sparse Mat on flat cochains, like the coboundary, and
+A chain map is a stream of distinct rows on flat cochains, as d_n is, and
 an audit maps all its cochains, ker d_1 and the multiplier coboundaries,
-by one product (Mat.images).  It then takes them one at a time: the
-naive evaluator forms one image's d_g when the comparison draws it, and
-each image is reduced modulo im d_{g-1}, on the distinct rows that
-d_{g-1}'s stream yields, to the one vector the checks keep.
+by index_images as the rows stream past.  It then takes them one at a
+time: the naive evaluator forms one image's d_g when the comparison draws
+it, and each image is reduced modulo im d_{g-1}, on d_{g-1}'s distinct
+rows, to the one vector the checks keep, and dropped.
 """
 
-from functools import lru_cache
+import itertools
 
 from .algebra import AlgebraSpec, basis_product
 from .fileformat import echo
 from .linalg import (
     ColumnSpace, Mat, Echelon, Record, axpy, complete_basis, kernel, scale_in_place, span_dim,
 )
-from .multilinear import all_tuples
+from .multilinear import all_tuples, tuple_index
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_FULL, check_cap, coboundary, coboundary_images, coboundary_rows,
-    lift, naive_coboundary_images, permutation_weight, swap_last_two,
+    index_images, lift, naive_coboundary_images, permutation_weight, swap_last_two,
 )
 
 
@@ -87,18 +87,18 @@ def multiplier_quotient(spec: AlgebraSpec) -> DistinguishedQuotient:
 # chain maps
 
 
-def build_K(spec: AlgebraSpec) -> Mat:
+def build_K(spec: AlgebraSpec):
     """(x1,x2,x3) -> x1*Psi(x2,x3) - x2*Psi(x1,x3), the n = 1 member of build_J_odd."""
     return build_J_odd(spec, 1)
 
 
-def build_J(spec: AlgebraSpec) -> Mat:
+def build_J(spec: AlgebraSpec):
     """(x1..x4) -> sum over permutations p of slots {2,3,4} of x1*x_{p2}*Psi(x_{p3},x_{p4}),
     the n = 1 member of build_J_even."""
     return build_J_even(spec, 1)
 
 
-def build_J_even(spec: AlgebraSpec, n: int) -> Mat:
+def build_J_even(spec: AlgebraSpec, n: int):
     """Arity 2n+2: sum over permutations p of slots {2..2n+2} of
     x1 * x_{p(2)} ... x_{p(2n)} * Psi(x_{p(2n+1)}, x_{p(2n+2)}).
 
@@ -107,80 +107,79 @@ def build_J_even(spec: AlgebraSpec, n: int) -> Mat:
     its own term, and the key's rows are scaled once by the number of
     permutations of slots 2..2n+2 that fix the tuple.
     """
-    return _chain_map(spec, n, 2 * n + 2,
-                      lambda t: ((1, t[:2 * n], t[2 * n:]),),
-                      key=lambda t: (t[0],) + tuple(sorted(t[1:])),
-                      weight=lambda k: permutation_weight(k[1:]))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _chain_map(spec, lambda d: (
+        (_arrangements(rest, (x1,)), permutation_weight(rest)) for x1 in range(d)
+        for rest in itertools.combinations_with_replacement(range(d), 2 * n + 1)),
+        lambda t: ((1, t[:2 * n], t[2 * n:]),))
 
 
-def build_J_odd(spec: AlgebraSpec, n: int) -> Mat:
+def build_J_odd(spec: AlgebraSpec, n: int):
     """Arity 2n+1: (prod_{i<=2n-2} x_i) * (x_{2n-1}Psi(x_{2n},x_{2n+1})
-    - x_{2n}Psi(x_{2n-1},x_{2n+1})).
+    - x_{2n}Psi(x_{2n-1},x_{2n+1})), each tuple its own key.
 
     The empty product is the unit, so n = 1 recovers build_K.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
     def terms(t):
         a, b, c = t[2 * n - 2:]
         return ((1, t[:2 * n - 2] + (a,), (b, c)),
                 (-1, t[:2 * n - 2] + (b,), (a, c)))
 
-    return _chain_map(spec, n, 2 * n + 1, terms)
+    return _chain_map(spec, lambda d: (((t,), 1) for t in all_tuples(d, 2 * n + 1)), terms)
 
 
-def _chain_map(spec: AlgebraSpec, n: int, arity: int, terms,
-               key=lambda t: t, weight=lambda k: 1) -> Mat:
-    """The Mat taking flat arity-2 cochains Psi to arity-`arity` ones: the
-    value at the basis tuple t sums w * b_{m_1}...b_{m_k} * Psi(b_a, b_b)
-    over the terms (w, m, (a, b)) of terms(t) and of every tuple with t's
-    key, times weight(key(t)), so row t*d + l holds coordinate l of
-    w * b_{m_1}...b_{m_k} * b_c at column (a*d + b)*d + c.
+def _arrangements(key: tuple, head: tuple = ()):
+    """head + each distinct rearrangement of the sorted tuple key, in flat order."""
+    if not key:
+        yield head
+    for i, v in enumerate(key):
+        if key.index(v) == i:  # each distinct value once
+            yield from _arrangements(key[:i] + key[i + 1:], head + (v,))
 
-    Tuples with equal key share one block of d rows, one per output
-    coordinate: every tuple adds its terms into its key's block, and once
-    all are in each block is scaled by its weight.  So key must only join
-    tuples on which the family's sum is equal.
+
+def _chain_map(spec: AlgebraSpec, keys, terms):
+    """The flat operator taking arity-2 cochains Psi to arity-m ones, as a
+    stream like coboundary_rows': (positions, row) for each distinct row
+    once, in order of first position, the positions partitioning the
+    d^{m+1} flat rows.  Row t*d + l sums coordinate l of
+    w * b_{m_1}...b_{m_k} * b_c at column (a*d + b)*d + c over the terms
+    (w, m, (a, b)) of terms(t).  keys(d) yields each key's tuples, in flat
+    order, and weight, keys in order of first tuple: the key's d rows sum
+    the terms of all its tuples, times the weight, and stand at t*d + l
+    for each of them, so a key must only join tuples of equal value.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     d = spec.dim
-
-    @lru_cache(maxsize=None)
-    def products(m):  # b_{m_1}...b_{m_k} * b_c for each c, once per build
-        return [basis_product(spec, m + (c,)) for c in range(d)]
-
-    blocks = {}  # key -> its d rows, one per output coordinate l
-    rows = []
-    for t in all_tuples(d, arity):
-        k = key(t)
-        block = blocks.get(k)
-        if block is None:
-            block = blocks[k] = [{} for _ in range(d)]
-        for w, m, (a, b) in terms(t):
-            for c, p in enumerate(products(m)):
-                col = (a * d + b) * d + c
-                for acc, v in zip(block, p):
-                    if v:
-                        acc[col] = acc.get(col, 0) + w * v
-        rows += block
-    for k, block in blocks.items():
-        w = weight(k)
-        for acc in block:
-            scale_in_place(acc, w)
-    return Mat(len(rows), d ** 3, rows)
+    products = {}  # m -> b_{m_1}...b_{m_k} * b_c for each c, once per build
+    for tuples, weight in keys(d):
+        block = [{} for _ in range(d)]  # the key's rows, one per output coordinate l
+        flats = []
+        for t in tuples:
+            flats.append(tuple_index(t, d) * d)
+            for w, m, (a, b) in terms(t):
+                if m not in products:
+                    products[m] = [basis_product(spec, m + (c,)) for c in range(d)]
+                for c, p in enumerate(products[m]):
+                    col = (a * d + b) * d + c
+                    for acc, v in zip(block, p):
+                        if v:
+                            acc[col] = acc.get(col, 0) + w * v
+        for l, acc in enumerate(block):
+            scale_in_place(acc, weight)
+            yield [f + l for f in flats], acc
 
 
 CHAIN_MAPS = ("J", "K", "Jeven", "Jodd")
 
 
 def _chain_map_fn(name: str, n: int):
-    """The chain map's builder and the degree its images live in.
-
-    J and K are the n = 1 members of the Jeven and Jodd families.
-    """
+    """The chain map's builder and the degree its images live in; J and K
+    are the n = 1 members of the Jeven and Jodd families."""
     if name in ("J", "K") and n != 1:
         raise ValueError(f"{name} is the n = 1 chain map, got n = {echo(n)}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if name in ("J", "Jeven"):
         return lambda spec: build_J_even(spec, n), 2 * n + 1
     if name in ("K", "Jodd"):
@@ -253,23 +252,23 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     odd g applies d_g only to the first image that is not symmetric, and
     its witness is d_g's first nonzero entry as in even g.  The spec must
     be lawful, as the CLI's are.  ker d_1 and the multiplier coboundaries
-    are mapped by one product, and the chain map is dropped after it.  At
-    even g the naive evaluator's d_g images are formed and compared one at
-    a time.  Each image is then reduced on its own modulo im d_{g-1}, and
-    only the reduced vectors of ker d_1's images are kept, for the
-    injectivity kernel over the coordinates they use.
+    are mapped together as the chain map's rows stream past, so the chain
+    map is never held.  At even g the naive evaluator's d_g images are
+    formed and compared one at a time.  Each image is then reduced on its
+    own modulo im d_{g-1}, and only the reduced vectors of ker d_1's images
+    are kept, for the injectivity kernel over the coordinates they use.
     """
     fn, g = _chain_map_fn(map_name, n)  # image lives in degree g
+    chain = fn(spec)  # a stream, drawn below; a builder rejects n < 1 here
     check_cap(g + 1, cap)
     d = spec.dim
 
     ker_d1 = cocycle_space(spec, 1, TAG_FULL)
     mult_ech = Echelon(_multiplier_coboundaries(spec))
     mult_rows = mult_ech.rows()
-    images = fn(spec).images(ker_d1 + mult_rows)
-    img_rows, mult_images = images[:len(ker_d1)], images[len(ker_d1):]
-
-    cocycle, agreement = _cocycle_check(spec, g, ker_d1, img_rows)
+    images = index_images(1, chain, ker_d1 + mult_rows)
+    r = len(ker_d1)
+    cocycle, agreement = _cocycle_check(spec, g, ker_d1, images[:r])
 
     # reduce by (im d_{g-1}) (x) I_d one output coordinate at a time: linear,
     # and zero exactly on im d_{g-1}
@@ -284,7 +283,7 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
 
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
     cobound = CheckResult(True)
-    for row, img_flat in zip(mult_rows, mult_images):
+    for row, img_flat in zip(mult_rows, images[r:]):
         if reduced(img_flat):
             cobound = CheckResult(False, {"input": row, "image": img_flat})
             break
@@ -293,11 +292,12 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     # That set is the kernel of the reduced images, read as columns over the
     # coordinates where any of them is nonzero.
     by_coord = {}  # coordinate -> {j: entry of reduced image j}
-    for j, img in enumerate(img_rows):
-        for c, v in reduced(img).items():
+    for j in range(r):
+        image, images[j] = images[j], None  # each image is dropped once reduced
+        for c, v in reduced(image).items():
             by_coord.setdefault(c, {})[j] = v
     injective = CheckResult(True)
-    for kvec in kernel(Mat(len(by_coord), len(ker_d1), list(by_coord.values()))):
+    for kvec in kernel(Mat(len(by_coord), r, list(by_coord.values()))):
         acc = {}
         for j, c in kvec.items():
             axpy(acc, c, ker_d1[j])

@@ -17,10 +17,10 @@ identity on output coordinates.  That matrix is the only coboundary
 operator.  One builder, coboundary_rows, makes it as a stream of its
 distinct rows, each with the positions it stands at, in order of first
 position.  index_images applies the stream to cochains as it flows, so
-applying d places no matrix; index_coboundary_matrix places it for
-elimination and products, and verify_dd_zero places only the d_n its
-next step needs.  Nothing keeps a d_n between calls: a command builds
-the d_n it needs along its own call path and lets them go when it returns.
+applying d, or a chain map streamed the same way, places no matrix;
+index_coboundary_matrix places it for elimination, and verify_dd_zero
+places only the d_n its next step needs.  Nothing keeps a d_n between
+calls: a command builds those it needs and lets them go when it returns.
 
 Every complex is described the same way, degree by degree: d_n as a
 matrix in the complex's own coordinates (coboundary), and one map that
@@ -184,17 +184,10 @@ def coboundary_rows(spec: AlgebraSpec, n: int):
 
 
 def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
-    """Index-level matrix of d_n, n >= 0: d^{n+2} rows by d^{n+1} columns,
-    each row of coboundary_rows placed at its positions.  coboundary
-    rejects a negative n.  Each call builds a new matrix and keeps
-    nothing; rows are shared between positions, so callers must not
-    mutate them.
-    """
-    rows = [None] * spec.dim ** (n + 2)
-    for positions, row in coboundary_rows(spec, n):
-        for i in positions:
-            rows[i] = row
-    return Mat(len(rows), spec.dim ** (n + 1), rows)
+    """Index-level d_n, n >= 0, placed from coboundary_rows, d^{n+2} x d^{n+1}:
+    a new one per call, its rows shared between positions, so callers must
+    not mutate them.  coboundary rejects a negative n."""
+    return Mat.from_distinct(spec.dim ** (n + 2), spec.dim ** (n + 1), coboundary_rows(spec, n))
 
 
 def index_images(d: int, distinct, rows) -> list:
@@ -202,9 +195,10 @@ def index_images(d: int, distinct, rows) -> list:
 
     The index-level operator A comes as (positions, row) pairs, each
     distinct row once, whose positions partition A's rows, as
-    coboundary_rows yields them.  The cochains are indexed by column once;
-    each distinct row's products are formed once and written at every
-    position, so neither A nor a product matrix is held.
+    coboundary_rows and, at d = 1, the chain maps yield them.  The
+    cochains are indexed by column once; each distinct row's products are
+    formed once and written at every position under keys formed once per
+    row, so neither A nor a product matrix is held.
     """
     by_col = {}  # index column c -> {j*d + k: coordinate k of rows[j] at c}
     for j, x in enumerate(rows):
@@ -217,11 +211,14 @@ def index_images(d: int, distinct, rows) -> list:
         for c, w in row.items():
             if c in by_col:
                 axpy(part, w, by_col[c])
+        keys = [positions] if d == 1 else [None] * d  # k -> each position's flat key
         for jk, v in part.items():
             j, k = divmod(jk, d)
+            if keys[k] is None:
+                keys[k] = [i * d + k for i in positions]
             image = images[j]
-            for i in positions:
-                image[i * d + k] = v
+            for i in keys[k]:
+                image[i] = v
     return images
 
 

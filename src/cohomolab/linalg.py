@@ -18,21 +18,19 @@ multiple, lead > 0, of its reduced row echelon form row.
 That row is canonical, so equal subspaces always produce identical bases:
 rows() and kernel give int rows, whatever the input.
 
-A Mat's rows may be shared: the index-level coboundary in odd degree
-n >= 3 gives (a, b, ..) and (b, a, ..) one row, and the even-degree
-coboundary and the chain maps give one row, or block of rows, per key.
-A builder adds each output tuple's terms into its key's rows and scales
-them once by the key's weight, before the row is handed out; nothing
-mutates a Mat row after that, so sharing is safe.  `Mat.matmul` and
-`first_nonzero_in_stream`, which takes the left matrix as a stream of
-its distinct rows, compute each distinct left row object's product
-once, by one helper.  Elimination goes further and feeds each
-distinct nonzero row value once, since equal rows that are different
-objects (an even-degree coboundary's equal columns, read as rows of its
+Every operator, d_n and the chain maps, comes as a stream of its
+distinct rows with their positions, which `Mat.from_distinct` places
+with its rows shared and `ColumnSpace` reads as it is.  Odd d_n, n >= 3,
+gives (a, b, ..) and (b, a, ..) one row; even d_n and Jeven give one
+row, or block of d rows, per key, each scaled once by the key's weight
+before it is yielded.  Nothing mutates a row after that, so sharing is
+safe.  `Mat.matmul` and `first_nonzero_in_stream` (whose left matrix is
+a stream) compute each distinct left row object's product once.
+Elimination feeds each distinct nonzero row value once: equal rows that
+are different objects (an even d_n's equal columns, read as rows of its
 transpose) add nothing after the first.  Rows are told apart by `id()`
 only while a list or map holds them, so an id is never reused by a
-different row during the loop that tests it.  `ColumnSpace` takes its
-operator as a stream of distinct rows with their positions instead.
+different row during the loop that tests it.
 
 `Record` is the base of every record of the package: a tuple whose
 fields are read by name.
@@ -165,6 +163,15 @@ class Mat(Record):
                 rows[i][j] = v
         return Mat(nrows, len(columns), rows)
 
+    @staticmethod
+    def from_distinct(nrows: int, ncols: int, distinct) -> "Mat":
+        """The matrix of a (positions, row) stream, each row shared by its positions."""
+        rows = [None] * nrows
+        for positions, row in distinct:
+            for i in positions:
+                rows[i] = row
+        return Mat(nrows, ncols, rows)
+
     def matmul(self, other: "Mat") -> "Mat":
         """The product; positions sharing a left row share its product row."""
         assert self.ncols == other.nrows
@@ -176,10 +183,6 @@ class Mat(Record):
                 acc = products[id(r)] = _row_times(r, other.rows)
             out.append(acc)
         return Mat(self.nrows, other.ncols, out)
-
-    def images(self, vectors) -> list:
-        """self @ v for each sparse vector v, by one product with the v as columns."""
-        return self.matmul(Mat.from_columns(self.ncols, vectors)).transpose().rows
 
     def transpose(self) -> "Mat":
         return Mat.from_columns(self.ncols, self.rows)

@@ -90,9 +90,12 @@ def from_coeff_function(spec: AlgebraSpec, arity: int, fn) -> MultilinearMap:
     return MultilinearMap(arity, d, vec)
 
 
-def apply_matrix(mat, psi, arity):
-    """The arity-`arity` cochain mat @ psi's flat vector, summed row by row
-    with no Mat method, so it can check Mat.images as well as the matrix."""
+def apply_matrix(distinct, psi, arity):
+    """The arity-`arity` cochain A @ psi's flat vector, A the flat operator
+    whose (positions, row) stream is distinct, as a chain-map builder
+    yields it: placed by Mat.from_distinct and summed row by row, so it
+    checks complex.index_images as well as the rows."""
+    mat = Mat.from_distinct(psi.dim ** (arity + 1), psi.dim ** 3, distinct)
     return from_flat(psi.dim, arity, {i: sum(v * psi.vec.get(c, 0) for c, v in row.items())
                                       for i, row in enumerate(mat.rows)})
 
@@ -375,15 +378,15 @@ def product_cochain_subspace(spec: AlgebraSpec, arity: int) -> tuple:
 
 def audit_stacked(spec: AlgebraSpec, fn, g: int) -> tuple:
     """The cocycle, coboundary and injectivity checks of the chain map
-    matrix fn(spec) into degree g, as CheckResults, each from a canonical
-    basis of im d_{g-1}.
+    fn(spec) into degree g, as CheckResults, each from a canonical basis
+    of im d_{g-1}.
 
-    The matrix is applied one cochain at a time, row by row.  Injectivity
-    takes the kernel of [images of ker d_1 | that basis] and keeps each
-    kernel vector's part on the images.
+    The map is placed and applied one cochain at a time, row by row.
+    Injectivity takes the kernel of [images of ker d_1 | that basis] and
+    keeps each kernel vector's part on the images.
     """
     d = spec.dim
-    chain = fn(spec)
+    chain = list(fn(spec))  # the stream, drawn once and applied to each row
 
     def image(row):
         return apply_matrix(chain, from_flat(d, 2, row), g + 1).flatten()

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -14,11 +15,12 @@ from cohomolab import complex as cx, linalg
 from cohomolab.algebra import AlgebraSpec, basis_element, build_number_field, multiply
 from cohomolab.complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAG_BAND, TAG_FULL, TAG_IDEAL,
-    apply_d, coboundary, coboundary_images, coboundary_rows, index_coboundary_matrix, lift,
-    naive_coboundary_images, swap_last_two, tag_coords, verify_dd_zero,
+    apply_d, coboundary, coboundary_images, coboundary_rows, index_coboundary_matrix,
+    index_images, lift, naive_coboundary_images, swap_last_two, tag_coords, verify_dd_zero,
 )
 from cohomolab.cohomology import (
-    _chain_map_fn, audit_chain_map, build_J_even, build_K, cocycle_space, cohomology,
+    _chain_map_fn, audit_chain_map, build_J_even, build_J_odd, build_K, cocycle_space,
+    cohomology,
 )
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.multilinear import from_flat, tuple_index
@@ -166,7 +168,7 @@ def test_counting_oracle_equals_per_permutation_sum(path, name, n):
     d = spec.dim
     fn, g = _chain_map_fn(name, n)
     size = d ** (g + 2)
-    rows = fn(spec).images(cocycle_space(spec, 1, TAG_FULL)) + [
+    rows = index_images(1, fn(spec), cocycle_space(spec, 1, TAG_FULL)) + [
         {0: 1}, {size - 1: F(-2, 3)}, {(7 * i) % size: i - 2 for i in range(5) if i != 2}]
     assert list(naive_coboundary_images(spec, g, rows)) == \
         per_permutation_coboundary_images(spec, g, rows)
@@ -547,40 +549,63 @@ def test_index_matrix_speed_on_a_repeated_root():
 
 
 def test_no_permutation_tuple_outlives_a_build():
-    """Building even d_4 and Jeven(2), then dropping them, leaves almost
-    nothing allocated in complex.py: the builders keep no table of tuples
-    between builds."""
+    """Building even d_4 and drawing all of Jeven(2)'s stream, then dropping
+    them, leaves almost nothing allocated in complex.py or cohomology.py:
+    the builders keep no table of tuples between builds."""
     quartic = build_number_field([-2, 0, 0, 0, 1])
     gc.collect()
     tracemalloc.start()
     try:
-        matrix, chain = index_coboundary_matrix(quartic, 4), build_J_even(quartic, 2)
+        matrix, chain = index_coboundary_matrix(quartic, 4), list(build_J_even(quartic, 2))
+        assert len(chain) == 4 * 4 * math.comb(4 + 4, 5)
         del matrix, chain
         gc.collect()
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    kept = snapshot.filter_traces([tracemalloc.Filter(True, cx.__file__)])
+    files = (cx.__file__, sys.modules[build_J_even.__module__].__file__)
+    kept = snapshot.filter_traces([tracemalloc.Filter(True, f) for f in files])
     size = sum(stat.size for stat in kept.statistics("filename"))
-    assert size < 20_000, f"{size} bytes still traced to complex.py"
+    assert size < 20_000, f"{size} bytes still traced to complex.py and cohomology.py"
+
+
+def assert_chain_stream(stream, nrows):
+    """The stream yields each row once, in order of first position, its
+    least position first, and its positions partition range(nrows)."""
+    firsts = [positions[0] for positions, _ in stream]
+    assert all(a < b for a, b in zip(firsts, firsts[1:]))
+    assert all(positions[0] == min(positions) for positions, _ in stream)
+    assert sorted(i for positions, _ in stream for i in positions) == list(range(nrows))
+    assert len({id(row) for _, row in stream}) == len(stream)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_chain_map_rows_are_shared_per_key(n):
     # Jeven(n) on Q[t]/(t^4-2) depends on slots 2..2n+2 only through their
-    # multiset: d * d * C(d+2n, 2n+1) distinct row objects, 320 of 1024 at
-    # n = 1, each standing at every tuple of its key, so matmul computes it once
+    # multiset: d * d * C(d+2n, 2n+1) distinct rows, 320 of 1024 at n = 1,
+    # each yielded once and standing at every tuple of its key, so
+    # index_images computes its products once
     d = 4
-    chain = build_J_even(build_number_field([-2, 0, 0, 0, 1]), n)
-    assert chain.nrows == d ** (2 * n + 3)
+    stream = list(build_J_even(build_number_field([-2, 0, 0, 0, 1]), n))
+    assert_chain_stream(stream, d ** (2 * n + 3))
+    at = {i: row for positions, row in stream for i in positions}
     ids = {}  # (x1, multiset of the other slots, output coordinate) -> row ids
     for t in itertools.product(range(d), repeat=2 * n + 2):
         for k in range(d):
             key = (t[0], tuple(sorted(t[1:])), k)
-            ids.setdefault(key, set()).add(id(chain.rows[tuple_index(t, d) * d + k]))
+            ids.setdefault(key, set()).add(id(at[tuple_index(t, d) * d + k]))
     assert all(len(s) == 1 for s in ids.values())
-    assert len({id(r) for r in chain.rows}) == len(ids) == \
-        d * d * math.comb(d + 2 * n, 2 * n + 1)
+    assert len(stream) == len(ids) == d * d * math.comb(d + 2 * n, 2 * n + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_odd_chain_map_rows_stand_at_one_position(n):
+    # Jodd(n) has no key but its tuple: row t*d + l is yielded alone, at
+    # t*d + l, in flat order
+    d = 4
+    stream = list(build_J_odd(build_number_field([-2, 0, 0, 0, 1]), n))
+    assert_chain_stream(stream, d ** (2 * n + 2))
+    assert [positions for positions, _ in stream] == [[i] for i in range(d ** (2 * n + 2))]
 
 
 def test_dd_zero_quartic_speed():
