@@ -6,10 +6,14 @@ ker d_z / im d_{z-1}, and its cocycles are (z+1)-linear.
 
 A chain map is a stream of distinct rows on flat cochains, as d_n is, and
 an audit maps all its cochains, ker d_1 and the multiplier coboundaries,
-by index_images as the rows stream past.  It then takes them one at a
-time: the naive evaluator forms one image's d_g when the comparison draws
-it, and each image is reduced modulo im d_{g-1}, on d_{g-1}'s distinct
-rows, to the one vector the checks keep, and dropped.
+by index_images as the rows stream past.  d_g is then streamed once: each
+distinct row is multiplied by every checked image at once, and only each
+image's first nonzero entry is kept, so no d_g image is formed; at even g
+the naive permutation sum of the row's multiset is multiplied and compared
+there too.  Each image is then reduced modulo im d_{g-1}, on d_{g-1}'s
+distinct rows, and dropped: a multiplier image once checked, an image of
+ker d_1 once one tagged echelon has taken it, which gives the injectivity
+kernel.
 """
 
 import itertools
@@ -17,12 +21,14 @@ import itertools
 from .algebra import AlgebraSpec, basis_product
 from .fileformat import echo
 from .linalg import (
-    ColumnSpace, Mat, Echelon, Record, axpy, complete_basis, kernel, scale_in_place, span_dim,
+    ColumnSpace, Mat, Echelon, Record, axpy, column_kernel, complete_basis, kernel,
+    scale_in_place, span_dim,
 )
-from .multilinear import all_tuples, tuple_index
+from .multilinear import all_tuples, index_tuple
 from .complex import (
     DEFAULT_DEGREE_CAP, TAG_FULL, check_cap, coboundary, coboundary_images, coboundary_rows,
-    index_images, lift, naive_coboundary_images, permutation_weight, swap_last_two,
+    index_columns, index_images, lift, naive_coboundary_row, permutation_weight, swap_last_two,
+    times_columns,
 )
 
 
@@ -105,14 +111,24 @@ def build_J_even(spec: AlgebraSpec, n: int):
     build_J is the n = 1 member.  The sum is symmetric in slots 2..2n+2,
     so its key is x1 and the multiset of the other slots: each tuple adds
     its own term, and the key's rows are scaled once by the number of
-    permutations of slots 2..2n+2 that fix the tuple.
+    permutations of slots 2..2n+2 that fix the tuple.  The tails, slots
+    2..2n+2, are grouped by multiset once per build, in flat order, so no
+    output tuple is sorted.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _chain_map(spec, lambda d: (
-        (_arrangements(rest, (x1,)), permutation_weight(rest)) for x1 in range(d)
-        for rest in itertools.combinations_with_replacement(range(d), 2 * n + 1)),
-        lambda t: ((1, t[:2 * n], t[2 * n:]),))
+    d, m = spec.dim, 2 * n + 1
+    size = d ** m
+
+    def keys():
+        tails = {}  # multiset of a tail -> the flat indices of its arrangements
+        for tail, t in enumerate(all_tuples(d, m)):
+            tails.setdefault(tuple(sorted(t)), []).append(tail)
+        for x1 in range(d):
+            for rest in itertools.combinations_with_replacement(range(d), m):
+                yield [x1 * size + tail for tail in tails[rest]], permutation_weight(rest)
+
+    return _chain_map(spec, 2 * n, keys(), lambda t: ((1, t // d // d, t // d % d, t % d),))
 
 
 def build_J_odd(spec: AlgebraSpec, n: int):
@@ -123,50 +139,44 @@ def build_J_odd(spec: AlgebraSpec, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    d = spec.dim
 
     def terms(t):
-        a, b, c = t[2 * n - 2:]
-        return ((1, t[:2 * n - 2] + (a,), (b, c)),
-                (-1, t[:2 * n - 2] + (b,), (a, c)))
+        rest, c = divmod(t, d)
+        head, b = divmod(rest, d)  # head: slots 1..2n-1, ending in a
+        prefix, a = divmod(head, d)
+        return (1, head, b, c), (-1, prefix * d + b, a, c)
 
-    return _chain_map(spec, lambda d: (((t,), 1) for t in all_tuples(d, 2 * n + 1)), terms)
-
-
-def _arrangements(key: tuple, head: tuple = ()):
-    """head + each distinct rearrangement of the sorted tuple key, in flat order."""
-    if not key:
-        yield head
-    for i, v in enumerate(key):
-        if key.index(v) == i:  # each distinct value once
-            yield from _arrangements(key[:i] + key[i + 1:], head + (v,))
+    return _chain_map(spec, 2 * n - 1, (([t], 1) for t in range(d ** (2 * n + 1))), terms)
 
 
-def _chain_map(spec: AlgebraSpec, keys, terms):
+def _chain_map(spec: AlgebraSpec, length: int, keys, terms):
     """The flat operator taking arity-2 cochains Psi to arity-m ones, as a
     stream like coboundary_rows': (positions, row) for each distinct row
     once, in order of first position, the positions partitioning the
     d^{m+1} flat rows.  Row t*d + l sums coordinate l of
-    w * b_{m_1}...b_{m_k} * b_c at column (a*d + b)*d + c over the terms
-    (w, m, (a, b)) of terms(t).  keys(d) yields each key's tuples, in flat
-    order, and weight, keys in order of first tuple: the key's d rows sum
-    the terms of all its tuples, times the weight, and stand at t*d + l
-    for each of them, so a key must only join tuples of equal value.
+    w * b_{m_1}...b_{m_length} * b_c at column (a*d + b)*d + c over the
+    terms (w, m, a, b) of terms(t), t and m flat tuple indices.  keys
+    yields each key's tuples, in flat order, and weight, keys in order of
+    first tuple: the key's d rows sum the terms of all its tuples, times
+    the weight, and stand at t*d + l for each of them, so a key must only
+    join tuples of equal value.
     """
     d = spec.dim
-    products = {}  # m -> b_{m_1}...b_{m_k} * b_c for each c, once per build
-    for tuples, weight in keys(d):
+    products = {}  # m -> b_{m_1}...b_{m_length} * b_c for each c, once per build
+    for tuples, weight in keys:
         block = [{} for _ in range(d)]  # the key's rows, one per output coordinate l
-        flats = []
         for t in tuples:
-            flats.append(tuple_index(t, d) * d)
-            for w, m, (a, b) in terms(t):
+            for w, m, a, b in terms(t):
                 if m not in products:
-                    products[m] = [basis_product(spec, m + (c,)) for c in range(d)]
+                    head = index_tuple(m, d, length)
+                    products[m] = [basis_product(spec, head + (c,)) for c in range(d)]
                 for c, p in enumerate(products[m]):
                     col = (a * d + b) * d + c
                     for acc, v in zip(block, p):
                         if v:
                             acc[col] = acc.get(col, 0) + w * v
+        flats = [t * d for t in tuples]
         for l, acc in enumerate(block):
             scale_in_place(acc, weight)
             yield [f + l for f in flats], acc
@@ -185,14 +195,6 @@ def _chain_map_fn(name: str, n: int):
     if name in ("K", "Jodd"):
         return lambda spec: build_J_odd(spec, n), 2 * n
     raise ValueError(f"unknown chain map {name!r}")
-
-
-def _evaluator_agreement(spec: AlgebraSpec, g: int, rows, images) -> bool:
-    """Whether the naive evaluator gives d_g of rows as images, the fast
-    path's, at every output tuple, compared one row at a time.  Only even g
-    has a permutation sum to check; odd g returns True."""
-    return g % 2 == 1 or all(
-        a == b for a, b in zip(naive_coboundary_images(spec, g, rows), images))
 
 
 def _swap_symmetric(d: int, row: dict) -> bool:
@@ -216,26 +218,64 @@ class AuditReport(Record):
     evaluator_agreement: bool
 
 
+def _naive_agrees(spec: AlgebraSpec, g: int, positions, row: dict, part: dict, by_col: dict,
+                  seen: bytearray) -> bool:
+    """Whether part, the distinct row of d_g times the images, is the naive
+    permutation sum times the images at each of the row's positions, none
+    of which seen holds yet; each position is then marked seen.  The sum is
+    formed once for each multiset the positions' output tuples have, and
+    multiplied only where it is not the row itself."""
+    d = spec.dim
+    keys = {}
+    for i in positions:
+        if seen[i]:
+            return False
+        seen[i] = 1
+        keys[tuple(sorted(index_tuple(i, d, g + 2)))] = None
+    for key in keys:
+        naive = naive_coboundary_row(spec, key)
+        if naive != row and times_columns(naive, by_col) != part:
+            return False
+    return True
+
+
 def _cocycle_check(spec: AlgebraSpec, g: int, ker_d1, images) -> tuple:
     """Cocycle preservation, with its witness, and evaluator agreement, for
     the degree-g images of ker d_1: each must be killed by d_g.  At odd g
     only the first image not symmetric in its last two slots is checked.
-    The d_g images are dropped when it returns."""
+
+    One pass over d_g's distinct rows forms each row's product with every
+    checked image at once and keeps, per image, only its first nonzero
+    entry.  At even g the pass also compares each product with the naive
+    permutation sum at every position of the row, and a position that the
+    stream skips or repeats is a disagreement, so every output tuple is
+    compared.  No d_g image is formed."""
     d = spec.dim
     checked = range(len(images))
     if g % 2:
         checked = [j for j in checked if not _swap_symmetric(d, images[j])][:1]
-    dd_rows = coboundary_images(spec, g, [images[j] for j in checked])
-    cocycle = CheckResult(True)
-    for j, dd in zip(checked, dd_rows):
-        if dd:
-            first = min(dd)
-            flat, coord = divmod(first, d)
-            cocycle = CheckResult(False, {
-                "input": ker_d1[j], "tuple_flat": flat, "coord": coord, "value": dd[first],
-            })
-            break
-    return cocycle, _evaluator_agreement(spec, g, images, dd_rows)
+    by_col = index_columns(d, [images[j] for j in checked])
+    even = g % 2 == 0
+    seen = bytearray(d ** (g + 2) if even else 0)
+    first = {}  # checked index -> (flat, value) of its d_g image's first nonzero entry
+    agreement = True
+    for positions, row in coboundary_rows(spec, g) if even or checked else ():
+        part = times_columns(row, by_col)
+        at = positions[0] * d
+        for jk, v in part.items():
+            j, k = divmod(jk, d)
+            if j not in first or at + k < first[j][0]:
+                first[j] = at + k, v
+        if even and agreement:
+            agreement = _naive_agrees(spec, g, positions, row, part, by_col, seen)
+    agreement = agreement and 0 not in seen
+    if not first:
+        return CheckResult(True), agreement
+    j = min(first)
+    flat, value = first[j]
+    return CheckResult(False, {
+        "input": ker_d1[checked[j]], "tuple_flat": flat // d, "coord": flat % d, "value": value,
+    }), agreement
 
 
 def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
@@ -253,10 +293,13 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
     its witness is d_g's first nonzero entry as in even g.  The spec must
     be lawful, as the CLI's are.  ker d_1 and the multiplier coboundaries
     are mapped together as the chain map's rows stream past, so the chain
-    map is never held.  At even g the naive evaluator's d_g images are
-    formed and compared one at a time.  Each image is then reduced on its
-    own modulo im d_{g-1}, and only the reduced vectors of ker d_1's images
-    are kept, for the injectivity kernel over the coordinates they use.
+    map is never held.  d_g is streamed once, and each of its distinct
+    rows is multiplied by every checked image at once, so no d_g image is
+    formed; at even g the naive permutation sum of the row's multiset is
+    formed and compared there.  Each image is then reduced on its own
+    modulo im d_{g-1}; the multiplier images are dropped once checked, and
+    each reduced image of ker d_1 goes into one tagged echelon, which gives
+    the injectivity kernel, and is dropped.
     """
     fn, g = _chain_map_fn(map_name, n)  # image lives in degree g
     chain = fn(spec)  # a stream, drawn below; a builder rejects n < 1 here
@@ -282,22 +325,21 @@ def audit_chain_map(spec: AlgebraSpec, map_name: str, n: int = 1,
         return {c * d + k: v for k, p in enumerate(parts) for c, v in space.reduce(p).items()}
 
     # coboundary preservation: images of d_0(multipliers) must lie in im d_{g-1}
-    cobound = CheckResult(True)
-    for row, img_flat in zip(mult_rows, images[r:]):
-        if reduced(img_flat):
-            cobound = CheckResult(False, {"input": row, "image": img_flat})
-            break
+    failed = next(((row, image) for row, image in zip(mult_rows, images[r:]) if reduced(image)),
+                  None)
+    cobound = CheckResult(True) if failed is None else \
+        CheckResult(False, {"input": failed[0], "image": failed[1]})
+    del images[r:]
 
     # injectivity: {v in ker d_1 : image(v) in im d_{g-1}} must lie in d_0(multipliers).
-    # That set is the kernel of the reduced images, read as columns over the
-    # coordinates where any of them is nonzero.
-    by_coord = {}  # coordinate -> {j: entry of reduced image j}
-    for j in range(r):
-        image, images[j] = images[j], None  # each image is dropped once reduced
-        for c, v in reduced(image).items():
-            by_coord.setdefault(c, {})[j] = v
+    # That set is the kernel of the reduced images, read as columns.
+    def reduced_images():
+        for j in range(r):
+            image, images[j] = images[j], None  # each image is dropped once reduced
+            yield reduced(image)
+
     injective = CheckResult(True)
-    for kvec in kernel(Mat(len(by_coord), r, list(by_coord.values()))):
+    for kvec in column_kernel(reduced_images(), r, d ** (g + 2)):
         acc = {}
         for j, c in kvec.items():
             axpy(acc, c, ker_d1[j])

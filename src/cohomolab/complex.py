@@ -41,15 +41,16 @@ scaled once by permutation_weight(key), since each distinct arrangement
 is hit by that many permutations.  The arrangements are found from the
 tails of length n grouped by multiset once per build, so no output tuple
 is sorted.
-A naive evaluator, naive_coboundary_images, covers even degrees n >= 2
-only: the permutation sum, which the audit compares with the fast images
-at every output tuple.  It walks every permutation, but once per multiset
-of output indices: sigma -> sigma o pi permutes the symmetric group, so
-output tuples that rearrange one another have equal sums.  It counts the
-equal permutations of a tuple and expands each distinct one once, times
-its count.  Each sum is computed once per call and multiset, as a row
-standing at every rearrangement, and applied by index_images to one row
-when its image is drawn: the two evaluators share only that product.
+A naive evaluator, naive_coboundary_row, covers even degrees n >= 2
+only: the permutation sum, which the audit compares with each row of
+coboundary_rows at every position the row stands at.  It walks every
+permutation, but once per multiset of output indices: sigma -> sigma o pi
+permutes the symmetric group, so output tuples that rearrange one another
+have equal sums.  It counts the equal permutations of a tuple and expands
+each distinct one once, times its count.  Where the two rows differ, the
+audit multiplies both by the images with times_columns, the product
+index_images applies every streamed operator with: the two evaluators
+share only that product.
 """
 
 import itertools
@@ -190,6 +191,28 @@ def index_coboundary_matrix(spec: AlgebraSpec, n: int) -> Mat:
     return Mat.from_distinct(spec.dim ** (n + 2), spec.dim ** (n + 1), coboundary_rows(spec, n))
 
 
+def index_columns(d: int, rows) -> dict:
+    """The flat cochains rows read by index column, as index_images and
+    the audit multiply them: index column c -> {j*d + k: coordinate k of
+    rows[j] at c}."""
+    by_col = {}
+    for j, x in enumerate(rows):
+        for col, v in x.items():
+            c, k = divmod(col, d)
+            by_col.setdefault(c, {})[j * d + k] = v
+    return by_col
+
+
+def times_columns(row: dict, by_col: dict) -> dict:
+    """The index-level row times the cochains of index_columns: entry j*d + k
+    is coordinate k of row applied to cochain j."""
+    part = {}
+    for c, w in row.items():
+        if c in by_col:
+            axpy(part, w, by_col[c])
+    return part
+
+
 def index_images(d: int, distinct, rows) -> list:
     """(A (x) I_d) x for each flat cochain x in rows, as flat rows.
 
@@ -200,19 +223,11 @@ def index_images(d: int, distinct, rows) -> list:
     formed once and written at every position under keys formed once per
     row, so neither A nor a product matrix is held.
     """
-    by_col = {}  # index column c -> {j*d + k: coordinate k of rows[j] at c}
-    for j, x in enumerate(rows):
-        for col, v in x.items():
-            c, k = divmod(col, d)
-            by_col.setdefault(c, {})[j * d + k] = v
+    by_col = index_columns(d, rows)
     images = [{} for _ in rows]
     for positions, row in distinct:
-        part = {}
-        for c, w in row.items():
-            if c in by_col:
-                axpy(part, w, by_col[c])
         keys = [positions] if d == 1 else [None] * d  # k -> each position's flat key
-        for jk, v in part.items():
+        for jk, v in times_columns(row, by_col).items():
             j, k = divmod(jk, d)
             if keys[k] is None:
                 keys[k] = [i * d + k for i in positions]
@@ -230,35 +245,24 @@ def coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:
     return index_images(spec.dim, coboundary_rows(spec, n), rows)
 
 
-def naive_coboundary_images(spec: AlgebraSpec, n: int, rows):
-    """coboundary_images at even n >= 2 by the defining formula, the sum over
-    every permutation of the output tuple: the oracle the audit compares
-    with coboundary_rows.  Any other n raises ValueError, at the call.
+def naive_coboundary_row(spec: AlgebraSpec, key: tuple) -> dict:
+    """The index-level row of d_n, n = len(key) - 2 even >= 2, at every
+    output tuple whose multiset is key, by the defining formula: the sum
+    over every permutation of the output tuple, nonzero entries only, the
+    oracle the audit compares with coboundary_rows.
 
-    Returns an iterator of the images, one per row, in order.  The terms
-    of d are summed, at the call, into one index-level term dict per
-    multiset of output indices, stored with the multiset's arrangements,
-    which are found by sorting each output tuple: the permutations of its
-    sorted tuple are counted by value, and each distinct one is expanded
-    once times its count.  Each row's image is then formed by index_images
-    when it is drawn.  It uses neither coboundary_rows nor its rule of one
-    term per output tuple scaled by permutation_weight, so it checks both.
+    The permutations of the sorted tuple key are counted by value, and each
+    distinct one is expanded once times its count.  It uses neither
+    coboundary_rows nor its rule of one term per output tuple scaled by
+    permutation_weight, so it checks both.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"the permutation sum is d_n at even n >= 2 only, got n = {echo(n)}")
     d = spec.dim
-    arrangements = {}  # multiset of an output tuple -> the flat index of each arrangement
-    for flat, t in enumerate(all_tuples(d, n + 2)):
-        arrangements.setdefault(tuple(sorted(t)), []).append(flat)
-    table = []  # per multiset: (its arrangements, input column -> summed coefficient)
-    for key, positions in arrangements.items():
-        terms = {}
-        for sigma, count in Counter(itertools.permutations(key)).items():
-            for idx, v in _term_indices(spec, sigma, count):
-                col = tuple_index(idx, d)
-                terms[col] = terms.get(col, 0) + v
-        table.append((positions, terms))
-    return (index_images(d, table, [x])[0] for x in rows)
+    terms = {}  # input column -> summed coefficient
+    for sigma, count in Counter(itertools.permutations(key)).items():
+        for idx, v in _term_indices(spec, sigma, count):
+            col = tuple_index(idx, d)
+            terms[col] = terms.get(col, 0) + v
+    return {c: v for c, v in terms.items() if v}
 
 
 def tag_coords(spec: AlgebraSpec, degree: int, tag: str):

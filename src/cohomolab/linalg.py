@@ -265,19 +265,20 @@ class Echelon:
 
         A zero row or a repeat reduces to zero in add and changes nothing,
         so skipping it leaves the same pivots, in the same insertion order.
-        A repeated row object is told by its id, a repeated value by the
-        frozenset of its items.
+        A repeated row object is told by its id, a repeated value by
+        equality with the rows fed before it whose items hash alike; the
+        items are hashed as a frozenset and not kept.
         """
         self.pivots: dict = {}  # pivot column -> primitive pivot row
         self._scale = None  # reduce's lcm of the pivot leads; add resets it
         seen = {}  # id -> row; holding the row keeps its id from being reused
-        values = set()
+        fed = {}  # hash of a row's items -> the distinct row values fed with it
         for r in rows:
             if r and id(r) not in seen:
                 seen[id(r)] = r
-                value = frozenset(r.items())
-                if value not in values:
-                    values.add(value)
+                same = fed.setdefault(hash(frozenset(r.items())), [])
+                if r not in same:
+                    same.append(r)
                     self.add(r)
 
     def add(self, row: Row) -> bool:
@@ -399,6 +400,32 @@ def kernel(mat: Mat) -> list:
         vec: Row = {f: scale}
         vec.update((p, -v * (scale // piv[p][p])) for p, v in col)
         basis.append(_primitive(vec))
+    return basis
+
+
+def column_kernel(columns, count: int, height: int) -> list:
+    """kernel(Mat.from_columns(height, columns)) for count columns over
+    range(height), each read only when the echelon takes it.
+
+    Column j goes into one Echelon as a row tagged by a 1 at column
+    height + count - 1 - j.  The echelon rows led by a tag are zero below
+    height, so they are the reduced row echelon basis of the kernel with
+    its coordinates in reverse order: kernel's row f, whose lead is its
+    entry at f = max(row), primitive with that lead positive.  Read back
+    in increasing f, each with its lowest entry made positive, they are
+    kernel's rows.
+    """
+    ech = Echelon()
+    top = height + count - 1
+    for j, col in enumerate(columns):
+        ech.add({**col, top - j: 1})
+    basis = []
+    for lead in sorted(ech.pivots, reverse=True):
+        if lead < height:
+            break
+        row = ech.pivots[lead]
+        sign = 1 if row[max(row)] > 0 else -1
+        basis.append({top - c: sign * v for c, v in row.items()})
     return basis
 
 

@@ -26,6 +26,14 @@ def tuple_index(idx: tuple, d: int) -> int:
     return flat
 
 
+def index_tuple(flat: int, d: int, m: int) -> tuple:
+    """The basis tuple of length m whose tuple_index is flat."""
+    idx = [0] * m
+    for i in range(m - 1, -1, -1):
+        flat, idx[i] = divmod(flat, d)
+    return tuple(idx)
+
+
 def all_tuples(d: int, m: int):
     return itertools.product(range(d), repeat=m)
 

@@ -12,8 +12,10 @@ from cohomolab.algebra import (
 )
 from cohomolab.cohomology import CheckResult, cocycle_space
 from cohomolab.complex import (
-    TAG_BAND, TAG_FULL, _term_indices, apply_d, coboundary, lift, tag_coords,
+    TAG_BAND, TAG_FULL, _term_indices, apply_d, coboundary, index_images, lift,
+    naive_coboundary_row, tag_coords,
 )
+from cohomolab.fileformat import echo
 from cohomolab.linalg import Mat, axpy, row_to_primitive, scalar
 from cohomolab.multilinear import MultilinearMap, all_tuples, from_flat, tuple_index
 from cohomolab.operators import NO, UNKNOWN, YES, OperatorVerdict
@@ -340,6 +342,27 @@ def by_coordinate(d: int, x: dict, f) -> dict:
         c, k = divmod(col, d)
         parts[k][c] = v
     return {c * d + k: v for k, part in enumerate(parts) for c, v in f(part).items()}
+
+
+def naive_coboundary_images(spec: AlgebraSpec, n: int, rows):
+    """coboundary_images at even n >= 2 by the defining formula, the sum over
+    every permutation of the output tuple, from the package's
+    naive_coboundary_row.  Any other n raises ValueError, at the call.
+
+    Returns an iterator of the images, one per row, in order.  The sums
+    are formed at the call, one per multiset of output indices, stored with
+    the multiset's arrangements, which are found by sorting each output
+    tuple; each row's image is formed by index_images when it is drawn.
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"the permutation sum is d_n at even n >= 2 only, got n = {echo(n)}")
+    d = spec.dim
+    arrangements = {}  # multiset of an output tuple -> the flat index of each arrangement
+    for flat, t in enumerate(all_tuples(d, n + 2)):
+        arrangements.setdefault(tuple(sorted(t)), []).append(flat)
+    table = [(positions, naive_coboundary_row(spec, key))
+             for key, positions in arrangements.items()]
+    return (index_images(d, table, [x])[0] for x in rows)
 
 
 def per_permutation_coboundary_images(spec: AlgebraSpec, n: int, rows) -> list:

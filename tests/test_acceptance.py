@@ -19,7 +19,7 @@ from cohomolab.cohomology import (
     audit_chain_map, build_K, cocycle_space, cohomology, multiplier_quotient,
 )
 from cohomolab.complex import (
-    TAG_BAND, TAG_FULL, TAG_IDEAL, apply_d, naive_coboundary_images, verify_dd_zero,
+    TAG_BAND, TAG_FULL, TAG_IDEAL, apply_d, verify_dd_zero,
 )
 from cohomolab.linalg import Echelon, span_dim
 from cohomolab.multilinear import from_flat
@@ -27,7 +27,7 @@ from cohomolab.operators import classify
 from conftest import elem, operator, psi_f_of_ab
 from oracles import (
     apply_matrix, evaluate, from_coeff_function, is_hochschild_2cocycle, is_local_multiplier,
-    is_multiplier, is_zero, product_cochain_subspace, to_dense,
+    is_multiplier, is_zero, naive_coboundary_images, product_cochain_subspace, to_dense,
 )
 
 F = Fraction

@@ -323,29 +323,41 @@ def test_audit_higher_maps(qsqrt2):
 AUDIT = sys.modules[audit_chain_map.__module__]
 
 
-def perturb_images(monkeypatch, g, at):
-    """Make the fast path's d_g images, as audit_chain_map sees them, wrong
-    by 1 at coordinate 0 of the flat output tuples `at` of the first image."""
-    real = AUDIT.coboundary_images
+def perturb_stream(monkeypatch, name, n, at):
+    """Give d_g, as audit_chain_map streams it for the chain map name(n),
+    one wrong entry at the flat output tuple at(spec): that tuple is split
+    off the row it shares and stands alone, with 1 added at the index
+    column where the first nonzero image of ker d_1 is first nonzero.  So
+    that image's d_g is wrong at the tuple, by the image's entry there,
+    and nowhere else."""
+    fn, g = _chain_map_fn(name, n)
+    real = AUDIT.coboundary_rows
 
-    def perturbed(spec, n, rows):
-        images = real(spec, n, rows)
-        if n == g:
-            images[0] = dict(images[0])
-            for t in at(spec):
-                c = t * spec.dim
-                images[0][c] = images[0].get(c, 0) + 1
-        return images
+    def perturbed(spec, m):
+        if m != g:
+            yield from real(spec, m)
+            return
+        t = at(spec)
+        images = index_images(1, fn(spec), cocycle_space(spec, 1, TAG_FULL))
+        c = min(next(image for image in images if image)) // spec.dim
+        for positions, row in real(spec, m):
+            if t not in positions:
+                yield positions, row
+                continue
+            rest = [i for i in positions if i != t]
+            if rest:
+                yield rest, row
+            yield [t], {**row, c: row.get(c, 0) + 1}
 
-    monkeypatch.setattr(AUDIT, "coboundary_images", perturbed)
+    monkeypatch.setattr(AUDIT, "coboundary_rows", perturbed)
 
 
 def test_audit_catches_disagreement_whole(qsqrt2, monkeypatch):
     assert audit_chain_map(qsqrt2, "K").evaluator_agreement
-    # the naive sum at (1, 0, 0, 0) is the one formed at (0, 0, 0, 1), reused
-    for at in ([5], [tuple_index((1, 0, 0, 0), qsqrt2.dim)]):
+    # (1, 0, 0, 0) is not the first position of its multiset's row
+    for at in (5, tuple_index((1, 0, 0, 0), qsqrt2.dim)):
         with monkeypatch.context() as patch:
-            perturb_images(patch, 2, lambda spec: at)
+            perturb_stream(patch, "K", 1, lambda spec: at)
             assert not audit_chain_map(qsqrt2, "K").evaluator_agreement
 
 
@@ -354,8 +366,52 @@ def test_audit_compares_every_output_tuple(atomic4, monkeypatch):
     (0, ..., 0) lies outside the 64 seeded tuples that a sampled comparison
     once drew here, so only a comparison of every tuple sees it."""
     assert audit_chain_map(atomic4, "Jodd", n=2).evaluator_agreement
-    perturb_images(monkeypatch, 4, lambda spec: [tuple_index((0,) * 6, spec.dim)])
+    perturb_stream(monkeypatch, "Jodd", 2, lambda spec: tuple_index((0,) * 6, spec.dim))
     assert not audit_chain_map(atomic4, "Jodd", n=2).evaluator_agreement
+
+
+@pytest.mark.parametrize("fault", ["skip", "repeat"])
+def test_audit_reads_a_stream_that_skips_or_repeats_a_position(qsqrt2, monkeypatch, fault):
+    """A d_2 stream that leaves out one position of a shared row, or yields
+    a row twice, disagrees with the naive sum though every product it forms
+    is right: the audit counts every output tuple."""
+    real = AUDIT.coboundary_rows
+
+    def faulty(spec, m):
+        rows = real(spec, m)
+        for positions, row in rows if m == 2 else ():
+            if len(positions) > 1:  # the first shared row
+                yield (positions[:-1] if fault == "skip" else positions), row
+                if fault == "repeat":
+                    yield positions[-1:], row
+                break
+            yield positions, row
+        yield from rows
+
+    assert audit_chain_map(qsqrt2, "K").evaluator_agreement
+    monkeypatch.setattr(AUDIT, "coboundary_rows", faulty)
+    assert not audit_chain_map(qsqrt2, "K").evaluator_agreement
+
+
+def test_audit_compares_each_position_with_its_own_multiset(qsqrt2, monkeypatch):
+    """A d_2 stream that puts the first row, of the multiset (0, 0, 0, 0),
+    also at the tuple (0, 0, 0, 1), where the first image's d_2 is first
+    nonzero, covers every position once, but disagrees with the naive sum
+    formed from that tuple's own multiset."""
+    real = AUDIT.coboundary_rows
+
+    def misplaced(spec, m):
+        rows = real(spec, m)
+        if m == 2:
+            (first, row), (second, other) = next(rows), next(rows)
+            yield [*first, second[0]], row
+            yield second[1:], other
+        yield from rows
+
+    r = audit_chain_map(qsqrt2, "K")
+    assert r.evaluator_agreement and r.cocycle_preservation.witness["tuple_flat"] == 1
+    monkeypatch.setattr(AUDIT, "coboundary_rows", misplaced)
+    assert not audit_chain_map(qsqrt2, "K").evaluator_agreement
 
 
 # The failure branches: chain maps that break injectivity or coboundary
@@ -645,12 +701,13 @@ def test_column_space_reduction_is_linear_and_kills_exactly_im_d(name, g, data):
 
 
 def test_audit_keeps_no_naive_image_alive():
-    """K on Q[t]/(t^5 - 2) compares 25 images of ker d_1 in degree 2 with
-    the naive evaluator, which forms each one only when the comparison
-    draws it, and reduces each image on its own.  Its traced peak was
-    about 2.6 MB while every naive image, every index-level part and a
-    dense echelon of im d_1 were held together, and is about 1.6 MB now,
-    the fast images of d_2 being the largest part."""
+    """K on Q[t]/(t^5 - 2) checks 25 images of ker d_1 in degree 2 against
+    d_2 and the naive evaluator in one pass over d_2's distinct rows, each
+    row multiplied by every image at once, so neither a fast nor a naive
+    d_2 image is formed.  Its traced peak was about 2.6 MB while every
+    naive image, every index-level part and a dense echelon of im d_1 were
+    held together, 0.78 MB while the fast d_2 images were held at once,
+    and is about 0.15 MB now."""
     spec = build_number_field([-2, 0, 0, 0, 0, 1])
     gc.collect()
     tracemalloc.start()
@@ -660,7 +717,44 @@ def test_audit_keeps_no_naive_image_alive():
     finally:
         tracemalloc.stop()
     assert not report.cocycle_preservation.ok and report.evaluator_agreement
-    assert peak < 2_000_000, f"{peak} bytes traced at the audit's peak"
+    assert peak < 500_000, f"{peak} bytes traced at the audit's peak"
+
+
+def test_audit_takes_injectivity_from_one_echelon():
+    """J on Q[t]/(t^5 - 2) feeds each reduced image of ker d_1 to one
+    tagged echelon and drops it.  Its traced peak was 1.28 MB while the 25
+    reduced images were transposed into one dict per coordinate and
+    eliminated, and is about 0.68 MB now."""
+    spec = build_number_field([-2, 0, 0, 0, 0, 1])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = audit_chain_map(spec, "J")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cocycle_preservation.ok and report.injectivity.ok
+    assert peak < 1_000_000, f"{peak} bytes traced at the audit's peak"
+
+
+@pytest.mark.parametrize("name,n", [("K", 1), ("J", 1), ("Jodd", 2)])
+def test_audit_streams_d_g_once(qsqrt2, monkeypatch, name, n):
+    """d_g is streamed once per audit at even g, for the cocycle check and
+    the naive comparison together, and at most once at odd g, where only an
+    image not symmetric in its last two slots goes through it: J's images
+    on Q(sqrt 2) are all symmetric, so it never streams d_3."""
+    _, g = _chain_map_fn(name, n)
+    real = AUDIT.coboundary_rows
+    degrees = []
+
+    def counted(spec, m):
+        degrees.append(m)
+        return real(spec, m)
+
+    monkeypatch.setattr(AUDIT, "coboundary_rows", counted)
+    audit_chain_map(qsqrt2, name, n)
+    assert degrees.count(g) == (1 if g % 2 == 0 else 0)
+    assert degrees.count(g - 1) == 1
 
 
 def test_audit_holds_no_chain_map():

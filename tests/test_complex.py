@@ -16,7 +16,7 @@ from cohomolab.algebra import AlgebraSpec, basis_element, build_number_field, mu
 from cohomolab.complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAG_BAND, TAG_FULL, TAG_IDEAL,
     apply_d, coboundary, coboundary_images, coboundary_rows, index_coboundary_matrix,
-    index_images, lift, naive_coboundary_images, swap_last_two, tag_coords, verify_dd_zero,
+    index_images, lift, swap_last_two, tag_coords, verify_dd_zero,
 )
 from cohomolab.cohomology import (
     _chain_map_fn, audit_chain_map, build_J_even, build_J_odd, build_K, cocycle_space,
@@ -27,8 +27,8 @@ from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 from oracles import (
     apply_matrix, coeff, evaluate, from_coeff_function, images_by_tuples,
-    index_matrix_by_tuples, intersection, is_zero, per_permutation_coboundary_images, rebase,
-    rref,
+    index_matrix_by_tuples, intersection, is_zero, naive_coboundary_images,
+    per_permutation_coboundary_images, rebase, rref,
 )
 
 F = Fraction

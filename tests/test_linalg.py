@@ -3,7 +3,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cohomolab import complex as cx
 from cohomolab.algebra import build_number_field
@@ -11,8 +11,8 @@ from cohomolab.cohomology import cohomology
 from cohomolab.complex import index_coboundary_matrix, verify_dd_zero
 from cohomolab.fileformat import parse_algebra_file
 from cohomolab.linalg import (
-    Echelon, Mat, axpy, complete_basis, first_nonzero_in_stream, kernel, row_to_primitive,
-    span_dim,
+    Echelon, Mat, axpy, column_kernel, complete_basis, first_nonzero_in_stream, kernel,
+    row_to_primitive, span_dim,
 )
 from oracles import (
     RrefEchelon, complete_basis_greedy, from_dense, intersection, kernel_double_loop, rref,
@@ -195,6 +195,52 @@ def test_kernel_matches_double_loop(m):
     got, want = kernel(m), kernel_double_loop(m)
     # equal vectors, built in the same key order
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+
+
+@st.composite
+def column_sets(draw):
+    """A height and small int columns over it, among them zero columns,
+    repeats of an earlier column and combinations of two earlier ones."""
+    height = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["drawn", "zero", "repeat", "combination"]))
+        if kind == "repeat" and columns:
+            columns.append(dict(draw(st.sampled_from(columns))))
+        elif kind == "combination" and columns:
+            col = {}
+            for _ in range(2):
+                axpy(col, draw(st.integers(-3, 3)), draw(st.sampled_from(columns)))
+            columns.append(col)
+        elif kind == "zero":
+            columns.append({})
+        else:
+            columns.append(draw(st.dictionaries(st.integers(0, height - 1),
+                                                st.integers(-4, 4).filter(bool), max_size=4)))
+    return height, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_sets())
+@example((3, []))
+@example((3, [{}]))
+@example((3, [{0: 2, 2: -4}]))
+@example((2, [{0: 1}, {0: 1}, {}, {0: 1, 1: 1}, {1: -1}]))
+def test_column_kernel_is_the_kernel_of_the_columns(case):
+    """The tag-led rows of one echelon of the tagged columns, read in
+    reverse with their lowest entries made positive, are kernel's rows
+    of the matrix with those columns, the columns drawn one at a time."""
+    height, columns = case
+    drawn = []
+
+    def one_at_a_time():
+        for col in columns:
+            drawn.append(col)
+            yield col
+
+    assert column_kernel(one_at_a_time(), len(columns), height) == \
+        kernel(Mat.from_columns(height, columns))
+    assert drawn == columns
 
 
 @settings(max_examples=100, deadline=None)
