@@ -54,9 +54,8 @@ def cohomology(spec: AlgebraSpec, degree: int, tag: str = TAG_FULL,
     # them in the kernel basis's coordinates, so no basis of them is built.
     z = kernel(coboundary(spec, degree, tag))
     images = coboundary(spec, degree - 1, tag).transpose().rows if degree else []
-    per_row = len(lift(spec, degree, tag, [{}]))  # flat rows per coordinate row
     reps = lift(spec, degree, tag, complete_basis(images, z))
-    dim_z = per_row * len(z)
+    dim_z = spec.dim * len(z)  # lift gives d flat rows per row
     return CohomologyReport(
         dim_cocycles=dim_z, dim_coboundaries=dim_z - len(reps),
         dim_H=len(reps), representatives=Mat(len(reps), spec.dim ** (degree + 2), reps),

@@ -22,12 +22,12 @@ index_coboundary_matrix places it for elimination, and verify_dd_zero
 places only the d_n its next step needs.  Nothing keeps a d_n between
 calls: a command builds those it needs and lets them go when it returns.
 
-Every complex is described the same way, degree by degree: d_n as a
-matrix in the complex's own coordinates (coboundary), and one map that
-turns rows in those coordinates into flat cochains (lift).  The full
-complex's coordinates are the index tuples, and lift tensors with the
-identity; the ideal and band complexes are spanned by unit cochains at
-the flat coordinates tag_coords lists, and lift re-indexes onto them.
+Every complex is the full complex of one algebra, lifted: the spec itself,
+or Q for the ideal and band complexes of an atomic algebra, which are d
+copies of Q's complex, one on each atom's diagonal.  So coboundary is that
+algebra's index-level d_n, and lift turns each of its rows into d flat
+cochains: it tensors with the identity on the full complex, and puts copy
+k at the k-th flat coordinate tag_coords lists on a tag complex.
 
 Every row (a, b, tail) is built in flat order from the term
 P(b_a*b_b, tail): the term itself at n = 0, minus P(b_a*b_tail, b) at
@@ -58,7 +58,7 @@ from collections import Counter
 from math import factorial, prod
 
 from .algebra import (
-    AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE, assess_domain,
+    AlgebraSpec, DOMAIN_ASSERTED, ORDER_ATOMIC, ORDER_NONE, assess_domain, build_atomic,
 )
 from .fileformat import echo
 from .linalg import Mat, Record, axpy, first_nonzero_in_stream, scale_in_place
@@ -70,6 +70,8 @@ TAG_FULL = "full"
 TAG_IDEAL = "ideal"
 TAG_BAND = "band"
 TAGS = (TAG_FULL, TAG_IDEAL, TAG_BAND)
+
+_Q = build_atomic(1)  # each atom of a tag complex carries Q's complex
 
 
 class OrderStructureRequired(ValueError):
@@ -293,38 +295,33 @@ def tag_coords(spec: AlgebraSpec, degree: int, tag: str):
     return [tuple_index((k,) * (degree + 1), d) * d + k for k in range(d)]
 
 
-def coboundary(spec: AlgebraSpec, n: int, tag: str) -> Mat:
-    """d_n of the tag complex in its own coordinates: degree n+1 rows, degree n columns.
+def _algebra(spec: AlgebraSpec, tag: str) -> AlgebraSpec:
+    """The algebra whose full complex, lifted, is the tag complex: spec, or Q
+    on an atomic algebra's diagonal, where d_n is c_n * I_d."""
+    return spec if tag_coords(spec, 0, tag) is None else _Q
 
-    For every cochain these are index tuples (lift tensors with the
-    identity on output coordinates); otherwise they are the positions in
-    tag_coords.  Raises ValueError if an image leaves the subcomplex.
-    """
-    src = tag_coords(spec, n, tag)  # a tag's refusal comes before the degree's
+
+def coboundary(spec: AlgebraSpec, n: int, tag: str) -> Mat:
+    """d_n of the tag complex in its own coordinates, the index tuples of its
+    algebra (see _algebra): degree n+1 rows, degree n columns."""
+    algebra = _algebra(spec, tag)  # a tag's refusal comes before the degree's
     if n < 0:
         raise ValueError(f"cochain degrees start at 0, so d_{echo(n)} is undefined")
-    if src is None:
-        return index_coboundary_matrix(spec, n)
-    dst = {c: i for i, c in enumerate(tag_coords(spec, n + 1, tag))}
-    columns = []
-    for image in coboundary_images(spec, n, [{c: 1} for c in src]):
-        if not dst.keys() >= image.keys():
-            raise ValueError(f"subcomplex {tag} is not closed at degree {n}")
-        columns.append({dst[c]: v for c, v in image.items()})
-    return Mat.from_columns(len(dst), columns)
+    return index_coboundary_matrix(algebra, n)
 
 
 def lift(spec: AlgebraSpec, degree: int, tag: str, rows) -> list:
     """Flat degree-`degree` cochains of rows given in the tag complex's coordinates.
 
-    An index-level row gives d flat rows, one per output coordinate.  Both
+    Each row gives d flat rows: one per output coordinate k on the full
+    complex, one per atom k on a tag complex, whose rows are Q's.  Both
     maps keep column order, so canonical echelon rows stay canonical.
     """
     coords = tag_coords(spec, degree, tag)
+    d = spec.dim
     if coords is None:
-        d = spec.dim
         return [{c * d + k: v for c, v in r.items()} for r in rows for k in range(d)]
-    return [{coords[c]: v for c, v in r.items()} for r in rows]
+    return [{coords[k]: v for v in r.values()} for r in rows for k in range(d)]
 
 
 class ComplexLawReport(Record):
@@ -336,19 +333,10 @@ class ComplexLawReport(Record):
         return all(entry is None for _, entry in self.results)
 
 
-def _distinct_rows(spec: AlgebraSpec, n: int, tag: str):
-    """The row count of coboundary(spec, n, tag) and its distinct rows as
-    coboundary_rows streams them: a tag complex's d_n is small, so its
-    rows come from its Mat, each at its own position."""
-    if tag_coords(spec, n, tag) is None:
-        return spec.dim ** (n + 2), coboundary_rows(spec, n)
-    rows = coboundary(spec, n, tag).rows
-    return len(rows), (((i,), row) for i, row in enumerate(rows))
-
-
 def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
                    cap: int = DEFAULT_DEGREE_CAP) -> ComplexLawReport:
-    """The first nonzero entry of each d_{n+1} d_n, n <= max_n, or None.
+    """The first nonzero entry of each d_{n+1} d_n, n <= max_n, or None, in
+    the index tuples of the tag complex's algebra (see _algebra).
 
     d_{n+1} is streamed one distinct row at a time, and each row is
     multiplied by the d_n held from the step before as it is made, so no
@@ -359,11 +347,12 @@ def verify_dd_zero(spec: AlgebraSpec, max_n: int, tag: str = TAG_FULL,
         raise ValueError(f"cochain degrees start at 0, so max degree {echo(max_n)} "
                          "checks nothing")
     check_cap(max_n + 2, cap)
+    algebra = _algebra(spec, tag)
     results = []
-    lower = coboundary(spec, 0, tag).rows
+    lower = index_coboundary_matrix(algebra, 0).rows
     for n in range(max_n + 1):
-        nrows, distinct = _distinct_rows(spec, n + 1, tag)
-        upper = [None] * nrows if n < max_n else None
+        upper = [None] * algebra.dim ** (n + 3) if n < max_n else None
+        distinct = coboundary_rows(algebra, n + 1)
         results.append((n, first_nonzero_in_stream(distinct, lower, upper)))
         lower = upper
     return ComplexLawReport(tuple(results))

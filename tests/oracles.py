@@ -12,8 +12,8 @@ from cohomolab.algebra import (
 )
 from cohomolab.cohomology import CheckResult, cocycle_space
 from cohomolab.complex import (
-    TAG_BAND, TAG_FULL, _term_indices, apply_d, coboundary, index_images, lift,
-    naive_coboundary_row, tag_coords,
+    TAG_BAND, TAG_FULL, _term_indices, apply_d, coboundary, coboundary_images, index_images,
+    lift, naive_coboundary_row, tag_coords,
 )
 from cohomolab.fileformat import echo
 from cohomolab.linalg import Mat, axpy, row_to_primitive, scalar
@@ -275,6 +275,19 @@ def coboundary_space(spec: AlgebraSpec, degree: int, tag: str) -> list:
     if degree == 0:
         return []
     return lift(spec, degree, tag, rref(coboundary(spec, degree - 1, tag).transpose().rows))
+
+
+def diagonal_coboundary(spec: AlgebraSpec, n: int, tag: str) -> Mat:
+    """d_n of an atomic algebra's band or ideal complex on its d diagonal
+    unit cochains, the flat coordinates tag_coords lists: the full d_n is
+    applied to each unit, every image must stay on the diagonal at degree
+    n+1, and column k of the d x d matrix is the image of unit k."""
+    dst = {c: i for i, c in enumerate(tag_coords(spec, n + 1, tag))}
+    columns = []
+    for image in coboundary_images(spec, n, [{c: 1} for c in tag_coords(spec, n, tag)]):
+        assert dst.keys() >= image.keys(), f"the {tag} complex is not closed at degree {n}"
+        columns.append({dst[c]: v for c, v in image.items()})
+    return Mat.from_columns(len(dst), columns)
 
 
 def lifted_coboundary_echelon(spec: AlgebraSpec, g: int) -> RrefEchelon:

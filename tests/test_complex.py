@@ -4,6 +4,7 @@ import math
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,9 @@ import sympy
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from cohomolab import complex as cx, linalg
-from cohomolab.algebra import AlgebraSpec, basis_element, build_number_field, multiply
+from cohomolab.algebra import (
+    AlgebraSpec, basis_element, build_atomic, build_number_field, multiply,
+)
 from cohomolab.complex import (
     DEFAULT_DEGREE_CAP, DegreeCapExceeded, TAG_BAND, TAG_FULL, TAG_IDEAL,
     apply_d, coboundary, coboundary_images, coboundary_rows, index_coboundary_matrix,
@@ -23,10 +26,11 @@ from cohomolab.cohomology import (
     cohomology,
 )
 from cohomolab.fileformat import parse_algebra_file
+from cohomolab.operators import classify
 from cohomolab.multilinear import from_flat, tuple_index
 from conftest import elem, mult_cochain, psi_f_of_ab, psi_f_times_b
 from oracles import (
-    apply_matrix, coeff, evaluate, from_coeff_function, images_by_tuples,
+    apply_matrix, coeff, diagonal_coboundary, evaluate, from_coeff_function, images_by_tuples,
     index_matrix_by_tuples, intersection, is_zero, naive_coboundary_images,
     per_permutation_coboundary_images, rebase, rref,
 )
@@ -292,15 +296,17 @@ def test_no_rows_build_no_matrix(monkeypatch):
 
 
 def test_applying_d_places_no_index_matrix(monkeypatch, atomic4):
-    """Applying d_n goes straight from its row stream: the fast images and a
-    band complex's coboundaries place no d_n, and an audit places only d_1,
-    for ker d_1."""
+    """Applying d_n goes straight from its row stream: the fast images place
+    no d_n, a band complex's coboundaries place only Q's 1 x 1 d_n, none of
+    the algebra's own, and an audit places only d_1, for ker d_1."""
     quartic = build_number_field([-2, 0, 0, 0, 1])
     builds = counted_builds(monkeypatch)
     rows = [{(5 * i + 3) % 4 ** 4: F(i - 1, 2)} for i in range(3)]
     assert coboundary_images(quartic, 2, rows) == images_by_tuples(quartic, 2, rows)
-    cohomology(atomic4, 3, TAG_BAND)
     assert builds == []
+    cohomology(atomic4, 3, TAG_BAND)
+    assert [(spec.dim, n) for spec, n in builds] == [(1, 3), (1, 2)]
+    builds.clear()
     for name, n in (("K", 1), ("Jodd", 2)):
         audit_chain_map(quartic, name, n)
         assert [m for _, m in builds] == [1]
@@ -408,12 +414,12 @@ def _diagonal_constant(n):
 @pytest.mark.parametrize("tag", [TAG_BAND, TAG_IDEAL])
 @pytest.mark.parametrize("fix", ["atomic2", "atomic3", "atomic4"])
 def test_diagonal_coboundary_is_scalar(fix, tag, request):
-    """Closed form: c_0 = 1, c_n = 0 for odd n, c_n = (n+2)! for even n >= 2."""
+    """Closed form: c_0 = 1, c_n = 0 for odd n, c_n = (n+2)! for even n >= 2.
+    The tag complex's d_n is Q's 1 x 1 d_n, [c_n], which each atom carries."""
     spec = request.getfixturevalue(fix)
     for n in range(5):
         c = _diagonal_constant(n)
-        expected = [{i: c} if c else {} for i in range(spec.dim)]
-        assert coboundary(spec, n, tag).rows == expected
+        assert coboundary(spec, n, tag).rows == [{0: c} if c else {}]
     for degree in range(5):
         assert cohomology(spec, degree, tag=tag, cap=6).dim_H == 0
 
@@ -629,16 +635,39 @@ def test_dd_zero_ideal_on_field_matches_full(qsqrt2):
     assert full.all_zero and ideal.all_zero
 
 
-def test_subcomplex_closure(atomic3, monkeypatch):
-    real = cx.tag_coords
+def test_tag_coboundary_is_the_diagonal_oracle():
+    """On build_atomic(d), d = 1..6, at every n the default cap allows, the
+    full d_n applied to the d diagonal unit cochains stays on the diagonal
+    (the oracle asserts it) and is c_n * I_d; and the tag complex's Q-level
+    d_n, lifted, gives the same image of each unit."""
+    for d in range(1, 7):
+        spec = build_atomic(d)
+        for tag in (TAG_BAND, TAG_IDEAL):
+            for n in range(DEFAULT_DEGREE_CAP):
+                c = _diagonal_constant(n)
+                oracle = diagonal_coboundary(spec, n, tag)
+                assert oracle.rows == [{i: c} if c else {} for i in range(d)]
+                coords = tag_coords(spec, n + 1, tag)
+                units = [{coords[i]: v for i, v in col.items()}
+                         for col in oracle.transpose().rows]
+                assert lift(spec, n + 1, tag, coboundary(spec, n, tag).transpose().rows) == units
 
-    def shifted(spec, degree, tag):
-        coords = real(spec, degree, tag)
-        return [c + 1 for c in coords] if degree == 1 else coords
 
-    monkeypatch.setattr(cx, "tag_coords", shifted)
-    with pytest.raises(ValueError, match="not closed at degree 0"):
-        coboundary(atomic3, 0, TAG_BAND)
+def test_tag_complexes_stream_only_the_one_atom_algebra(monkeypatch):
+    """The band and ideal complexes of build_atomic(5) stream only Q's d_n:
+    cohomology and verify_dd_zero never stream the algebra's own, and
+    classify streams it only for the multipliers, d_1 for ker d_1 and d_0
+    for their coboundaries."""
+    spec = build_atomic(5)
+    streams = counted_builds(monkeypatch, "coboundary_rows")
+    for tag in (TAG_BAND, TAG_IDEAL):
+        for degree in range(4):
+            cohomology(spec, degree, tag)
+        verify_dd_zero(spec, 3, tag)
+    assert streams and {s.dim for s, _ in streams} == {1}
+    streams.clear()
+    classify(spec)
+    assert Counter(s.dim for s, _ in streams) == {1: 2, 5: 2}
 
 
 def test_negative_degree_rejected(qsqrt2):

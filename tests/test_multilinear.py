@@ -66,7 +66,7 @@ def _unit_rows(size):
 
 def test_diagonal_basis(atomic3):
     """The ideal complex of an atomic algebra is spanned by (b_k, b_k) -> b_k."""
-    rows = lift(atomic3, 1, TAG_IDEAL, _unit_rows(3))
+    rows = lift(atomic3, 1, TAG_IDEAL, _unit_rows(1))  # Q's one cochain, on each atom
     assert len(rows) == 3
     assert span_dim(rows) == len(rows)
     m = from_flat(3, 2, rows[1])
